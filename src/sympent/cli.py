@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -29,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .entropy import S_COUNT_TOL, entanglement_entropy, mode_entropy, purity_check, thermal_parameter
+from .entropy import S_COUNT_TOL, entanglement_entropy, mode_entropy, thermal_parameter
 from .errors import InvalidStateError, MalformedInputError, SympentError
 from .fock import required_n_max, thermal_entropy_bruteforce
 from .logbase import BITS, LOG_BASES
@@ -52,8 +51,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNPHYSICAL = 2
 EXIT_DEVIATION = 3
-
-_SWEEP_WORKERS = 8
 
 
 def _fmt(value: float) -> str:
@@ -175,15 +172,9 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     text = _read_text(args.input)
     gamma, meta = _load_state(args.input)
     partition = ModePartition.from_string(args.partition)
-    pure = purity_check(gamma, tol=args.tol)
-    report = entanglement_entropy(
-        gamma, partition, base=args.base, include_b=pure, tol=args.tol
-    )
+    report = entanglement_entropy(gamma, partition, base=args.base, include_b=True, tol=args.tol)
     payload = report.to_json_dict()
     payload["input"] = meta
-    payload["pure_global_state"] = pure
-    if pure:
-        payload["ab_agreement_residual_bits"] = abs(report.total_bits - report.total_b_bits)
     payload["conventions"] = _conventions(args.base)
     _emit_json(payload, args.out)
     _emit_run_record(args, _digest_bytes(text.encode()), [args.out or "stdout"])
@@ -240,8 +231,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cells += [_fmt(report.total_bits), str(report.s_count)]
         return cells
 
-    with ThreadPoolExecutor(max_workers=min(_SWEEP_WORKERS, len(grid))) as pool:
-        rows = list(pool.map(point, grid))
+    rows = [point(value) for value in grid]
 
     sigma_cols = [f"sigma_{i + 1}" for i in range(len(partition.set_a))]
     header_meta = (
@@ -250,7 +240,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"# model_type={params.type} n={params.n} m={_fmt(params.m)} "
         f"omega={_fmt(params.omega)} boundary={params.boundary} parameter={name} "
         f"start={_fmt(grid[0])} stop={_fmt(grid[-1])} count={len(grid)} "
-        f"partition={args_partition_text(partition)}\n"
+        f"partition={partition}\n"
     )
     lines = [",".join(["param"] + sigma_cols + ["total_bits", "s_count"])]
     lines += [",".join(row) for row in rows]
@@ -258,12 +248,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _emit_json({"rows": len(rows), "out": args.out, "conventions": _conventions(BITS)}, None)
     _emit_run_record(args, _digest_bytes(text.encode()), [args.out])
     return EXIT_OK
-
-
-def args_partition_text(partition: ModePartition) -> str:
-    return ",".join(str(i) for i in partition.set_a) + "|" + ",".join(
-        str(i) for i in partition.set_b
-    )
 
 
 def _verify_grid(kind: str) -> list[float]:
@@ -408,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="residual/physicality tolerance")
     common.add_argument("--base", choices=LOG_BASES, default=BITS, help="entropy log base")
     common.add_argument("--out", default=None, help="output file path (default: stdout)")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized property modes")
 
     parser = _Parser(prog="sympent", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

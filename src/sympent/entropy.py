@@ -102,8 +102,9 @@ class EntropyReport:
     """Bipartite entropy of a Gaussian state for one mode partition.
 
     Per-mode records and ``total_bits`` are always in bits; ``total`` repeats
-    the total in the requested ``base``. ``spectrum_b``/``total_b_bits`` are
-    filled only when the B side was requested.
+    the total in the requested ``base``. ``pure_global_state`` is the purity
+    of the whole state, as found by ``validate``. ``spectrum_b``/``total_b_bits``
+    are filled only when the B side was requested and the global state is pure.
     """
 
     partition: ModePartition
@@ -114,6 +115,7 @@ class EntropyReport:
     s_count_tol: float
     base: str
     total: float
+    pure_global_state: bool
     spectrum_b: np.ndarray | None = None
     total_b_bits: float | None = None
 
@@ -127,15 +129,13 @@ class EntropyReport:
             "s_count_tol": self.s_count_tol,
             "base": self.base,
             "total": self.total,
+            "pure_global_state": self.pure_global_state,
         }
         if self.spectrum_b is not None:
             out["spectrum_b"] = [float(s) for s in self.spectrum_b]
             out["total_b_bits"] = self.total_b_bits
+            out["ab_agreement_residual_bits"] = abs(self.total_bits - self.total_b_bits)
         return out
-
-
-def _total_bits(spectrum: np.ndarray) -> float:
-    return float(sum(mode_entropy(s, BITS) for s in spectrum))
 
 
 def entanglement_entropy(
@@ -150,7 +150,9 @@ def entanglement_entropy(
 
     For a pure global state this is the entanglement entropy between A and B
     (and equals the B-side total); pass ``include_b=True`` to also carry the
-    B-side spectrum and total for that cross-check.
+    B-side spectrum and total for that cross-check. ``include_b`` applies to
+    pure global states only: for a mixed state the two sides need not agree,
+    so the B side is not computed and ``spectrum_b`` stays None.
     """
     gamma = np.asarray(gamma, dtype=float)
     report = validate(gamma, tol=tol)
@@ -170,9 +172,9 @@ def entanglement_entropy(
 
     spectrum_b = None
     total_b_bits = None
-    if include_b:
+    if include_b and report.pure:
         spectrum_b = symplectic_spectrum(reduce(gamma, partition.set_b))
-        total_b_bits = _total_bits(spectrum_b)
+        total_b_bits = float(sum(mode_entropy(s, BITS) for s in spectrum_b))
 
     log_fn(base)  # validate the base name
     total = total_bits if base == BITS else total_bits * LN2
@@ -185,6 +187,7 @@ def entanglement_entropy(
         s_count_tol=float(s_count_tol),
         base=base,
         total=total,
+        pure_global_state=report.pure,
         spectrum_b=spectrum_b,
         total_b_bits=total_b_bits,
     )
@@ -192,5 +195,4 @@ def entanglement_entropy(
 
 def purity_check(gamma: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """True iff every symplectic eigenvalue of the full state is within ``tol`` of 1/2."""
-    spectrum = symplectic_spectrum(np.asarray(gamma, dtype=float))
-    return bool(np.max(np.abs(spectrum - 0.5)) <= tol)
+    return validate(gamma, tol=tol).pure

@@ -117,19 +117,10 @@ def two_mode_squeezed_state(beta: float, n_max: int) -> TwoModeSqueezedState:
 def two_mode_squeezed_entropy(beta: float, n_max: int, base: str = BITS) -> float:
     """Entropy of either reduction of the two-mode squeezed state.
 
-    The squared Schmidt coefficients are the thermal weights, so this agrees
-    with thermal_entropy_bruteforce by construction; it is computed from the
-    same probability vector to keep the agreement exact.
+    The squared Schmidt coefficients are the thermal weights, so this is
+    exactly thermal_entropy_bruteforce on the same probability vector.
     """
-    spectrum = thermal_probabilities(beta, n_max)
-    if spectrum.tail_mass >= TAIL_LIMIT:
-        needed = required_n_max(beta)
-        raise TruncationError(
-            f"tail mass {spectrum.tail_mass:.3e} at n_max={n_max} exceeds {TAIL_LIMIT:.0e}; "
-            f"use n_max >= {needed}",
-            required_n_max=needed,
-        )
-    return _entropy_of(spectrum.probabilities, base)
+    return thermal_entropy_bruteforce(beta, n_max, base)
 
 
 def quadrature_variances_thermal(beta: float) -> tuple[float, float]:

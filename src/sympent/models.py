@@ -218,7 +218,7 @@ class ModelParams:
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInputError(f"model JSON needs numeric m, omega, lambda: {exc}") from exc
         n = obj.get("n", 2)
-        if not isinstance(n, int):
+        if isinstance(n, bool) or not isinstance(n, int):
             raise MalformedInputError(f"model n must be an integer, got {n!r}")
         boundary = obj.get("boundary", "open")
         return cls(type=kind, m=m, omega=omega, lam=lam, n=n, boundary=boundary)

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     DimensionError,
     InvalidPartitionError,
+    InvalidStateError,
     MalformedInputError,
     NumericalFailureError,
 )
@@ -56,7 +57,10 @@ class ValidationReport:
 
     ``min_heisenberg_eigenvalue`` is the smallest eigenvalue of the Hermitian
     matrix Gamma + (i/2) Omega; the state is physical iff it is >= -tol.
-    ``min_symplectic_eigenvalue`` is NaN when Gamma is not positive definite.
+    ``pure`` means every symplectic eigenvalue is within tol of 1/2; it is
+    not part of ``to_json_dict``. ``min_symplectic_eigenvalue`` is NaN, and
+    ``pure`` False, when the state is unphysical and Gamma is not positive
+    definite.
     """
 
     valid: bool
@@ -64,6 +68,7 @@ class ValidationReport:
     min_heisenberg_eigenvalue: float
     min_symplectic_eigenvalue: float
     tol: float
+    pure: bool
 
     def to_json_dict(self) -> dict:
         min_sigma = self.min_symplectic_eigenvalue
@@ -79,8 +84,12 @@ class ValidationReport:
 def validate(gamma: np.ndarray, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check the uncertainty-relation constraint Gamma + (i/2) Omega >= 0.
 
-    Asymmetry beyond 1e-12 is a malformed input (raises), not an unphysical
-    state; unphysical states come back as a report with ``valid=False``.
+    The one full-state pass: the minimum symplectic eigenvalue and purity
+    come from a single symplectic spectrum. Asymmetry beyond 1e-12 is a
+    malformed input (raises), not an unphysical state; unphysical states come
+    back as a report with ``valid=False``. A physical state is positive
+    definite, so if its spectrum still fails the SINGULAR_RTOL test, Gamma is
+    too ill-conditioned and NumericalFailureError is raised.
     """
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
@@ -91,19 +100,25 @@ def validate(gamma: np.ndarray, tol: float = DEFAULT_TOL) -> ValidationReport:
         )
     herm = gamma + 0.5j * symplectic_form(n)
     min_eig = float(np.linalg.eigvalsh(herm)[0])
+    valid = min_eig >= -tol
 
-    eigs = np.linalg.eigvalsh(gamma)
-    if eigs[-1] > 0.0 and eigs[0] > SINGULAR_RTOL * eigs[-1]:
-        min_sigma = float(symplectic_spectrum(gamma)[-1])
+    try:
+        spectrum = symplectic_spectrum(gamma)
+    except InvalidStateError as exc:
+        if valid:
+            raise NumericalFailureError(str(exc)) from exc
+        min_sigma, pure = float("nan"), False
     else:
-        min_sigma = float("nan")
+        min_sigma = float(spectrum[-1])
+        pure = bool(np.max(np.abs(spectrum - 0.5)) <= tol)
 
     return ValidationReport(
-        valid=min_eig >= -tol,
+        valid=valid,
         n=n,
         min_heisenberg_eigenvalue=min_eig,
         min_symplectic_eigenvalue=min_sigma,
         tol=float(tol),
+        pure=pure,
     )
 
 
@@ -157,6 +172,10 @@ class ModePartition:
             except ValueError as exc:
                 raise InvalidPartitionError(f"cannot parse mode indices in {part!r}") from exc
         return cls.from_sides(*sides)
+
+    def __str__(self) -> str:
+        """The two-sided syntax read by ``from_string``, e.g. "1,3|2,4"."""
+        return ",".join(map(str, self.set_a)) + "|" + ",".join(map(str, self.set_b))
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "set_a": list(self.set_a), "set_b": list(self.set_b)}
@@ -263,7 +282,7 @@ def covariance_from_json_dict(obj) -> np.ndarray:
     if obj.get("hbar", HBAR) != HBAR:
         raise MalformedInputError(f"unsupported hbar convention {obj['hbar']!r}; expected {HBAR}")
     n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise MalformedInputError(f"mode count must be a positive integer, got {n!r}")
     flat = obj["matrix"]
     if len(flat) != (2 * n) * (2 * n):

@@ -70,7 +70,9 @@ def _spd_eigh(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     w, v = np.linalg.eigh(gamma)
     if w[-1] <= 0.0 or w[0] <= SINGULAR_RTOL * w[-1]:
         raise InvalidStateError(
-            f"matrix is not positive definite: eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}]"
+            "matrix is not positive definite or is too ill-conditioned: eigenvalues in "
+            f"[{w[0]:.3e}, {w[-1]:.3e}], the smallest must exceed SINGULAR_RTOL = "
+            f"{SINGULAR_RTOL:.0e} times the largest"
         )
     return gamma, w, v
 

@@ -82,6 +82,38 @@ def test_validate_csv_input(capsys, tmp_path):
     assert json.loads(out)["n"] == 2
 
 
+def write_two_mode_squeezed_json(path, r):
+    c, s = math.cosh(2 * r), math.sinh(2 * r)
+    gamma = 0.5 * np.array([[c, s, 0, 0], [s, c, 0, 0], [0, 0, c, -s], [0, 0, -s, c]])
+    path.write_text(json.dumps(covariance_to_json_dict(gamma)), encoding="utf-8")
+
+
+STATE_COMMANDS = [["validate"], ["spectrum"], ["entropy", "--partition", "1|2"]]
+
+
+@pytest.mark.parametrize("command", STATE_COMMANDS, ids=lambda c: c[0])
+def test_ill_conditioned_state_fails_alike_in_every_command(capsys, tmp_path, command):
+    state = tmp_path / "tms7.json"
+    write_two_mode_squeezed_json(state, r=7.0)
+    code, out, err = run(capsys, command[0], str(state), *command[1:])
+    assert code == 1
+    assert out == ""
+    message = err.splitlines()[0]
+    assert message.startswith(
+        "sympent: error: matrix is not positive definite or is too ill-conditioned"
+    )
+    assert "SINGULAR_RTOL = 1e-12" in message
+
+
+@pytest.mark.parametrize("command", STATE_COMMANDS, ids=lambda c: c[0])
+def test_moderately_squeezed_state_passes_every_command(capsys, tmp_path, command):
+    state = tmp_path / "tms1.json"
+    write_two_mode_squeezed_json(state, r=1.0)
+    code, out, _ = run(capsys, command[0], str(state), *command[1:])
+    assert code == 0
+    json.loads(out)
+
+
 # --- spectrum ----------------------------------------------------------------
 
 
@@ -110,6 +142,20 @@ def test_entropy_reference_value(capsys, tmp_path):
     assert payload["ab_agreement_residual_bits"] < 1e-8
     assert "spectrum_b" in payload
     assert payload["modes"][0]["beta"] != "inf"
+
+
+def test_entropy_of_mixed_state_has_no_b_side(capsys, tmp_path):
+    state = tmp_path / "thermal.json"
+    gamma = np.diag([1.2, 0.7, 1.2, 0.7])
+    state.write_text(json.dumps(covariance_to_json_dict(gamma)), encoding="utf-8")
+    code, out, _ = run(capsys, "entropy", str(state), "--partition", "1|2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pure_global_state"] is False
+    assert "spectrum_b" not in payload
+    assert "total_b_bits" not in payload
+    assert "ab_agreement_residual_bits" not in payload
+    np.testing.assert_allclose(payload["spectrum_a"], [1.2], atol=1e-12)
 
 
 def test_entropy_four_mode_vacuum_interleaved_partition(capsys, tmp_path):
@@ -219,6 +265,24 @@ def test_sweep_invalid_grid_point_aborts_without_output(capsys, tmp_path):
     code, _, err = run(capsys, "sweep", str(spec), "--out", str(out_csv))
     assert code == 1
     assert "lambda=-1" in err
+    assert not out_csv.exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_sweep_names_first_failing_grid_point(capsys, tmp_path):
+    spec = tmp_path / "sweep.json"
+    out_csv = tmp_path / "sweep.csv"
+    write_sweep_json(
+        spec,
+        {"type": "two_oscillator", "m": 1.0, "omega": 1.0, "lambda": 0.0},
+        start=-2.0,
+        stop=1.0,
+        count=4,
+    )
+    code, _, err = run(capsys, "sweep", str(spec), "--out", str(out_csv))
+    assert code == 1
+    assert "grid point lambda=-2:" in err
+    assert "lambda=-1" not in err
     assert not out_csv.exists()
     assert not list(tmp_path.glob("*.tmp"))
 

@@ -131,6 +131,18 @@ def test_entropy_rejects_unphysical_state():
         entanglement_entropy(0.4 * np.eye(4), ModePartition.from_string("1|2"))
 
 
+def test_b_side_is_computed_for_pure_states_only():
+    part = ModePartition.from_string("1|2")
+    pure = entanglement_entropy(vacuum(2), part, include_b=True)
+    assert pure.pure_global_state
+    np.testing.assert_allclose(pure.spectrum_b, [0.5], atol=1e-14)
+    mixed = entanglement_entropy(np.diag([1.2, 0.7, 1.2, 0.7]), part, include_b=True)
+    assert not mixed.pure_global_state
+    assert mixed.spectrum_b is None
+    assert mixed.total_b_bits is None
+    assert "spectrum_b" not in mixed.to_json_dict()
+
+
 def test_entropy_rejects_mismatched_partition():
     with pytest.raises(InvalidPartitionError):
         entanglement_entropy(vacuum(3), ModePartition.from_string("1|2"))

@@ -200,3 +200,10 @@ def test_model_params_rejects_bad_records():
         ModelParams.from_json_dict({"type": "chain", "m": 1.0})
     with pytest.raises(MalformedInputError):
         ModelParams.from_json_dict({"m": 1.0, "omega": 1.0, "lambda": 0.0})
+
+
+def test_model_params_rejects_boolean_mode_count():
+    with pytest.raises(MalformedInputError):
+        ModelParams.from_json_dict(
+            {"type": "chain", "n": True, "m": 1.0, "omega": 1.0, "lambda": 0.5}
+        )

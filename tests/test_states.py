@@ -9,6 +9,7 @@ from sympent import (
     MalformedInputError,
     ModePartition,
     NumericalFailureError,
+    chain_model,
     characteristic_function,
     covariance_from_csv_text,
     covariance_from_json_dict,
@@ -56,6 +57,28 @@ def test_validate_rejects_asymmetric_as_malformed():
     bad = np.array([[0.5, 1e-6], [0.0, 0.5]])
     with pytest.raises(MalformedInputError):
         validate(bad)
+
+
+def test_validate_reports_purity():
+    assert validate(vacuum(3)).pure
+    assert validate(ground_state_covariance(chain_model(8, 1.0, 1.0, 1.5, "periodic"))).pure
+    assert not validate(1.5 * np.eye(4)).pure
+
+
+def test_unphysical_singular_matrix_is_reported_not_raised():
+    report = validate(np.diag([1.0, 0.0, 1.0, 0.0]))
+    assert not report.valid
+    assert not report.pure
+    assert report.to_json_dict()["min_symplectic_eigenvalue"] is None
+
+
+def test_physical_but_ill_conditioned_state_raises_numerical_failure():
+    # two-mode squeezed vacuum at r = 7: Gamma's eigenvalues e^(+-14)/2 are
+    # further apart than SINGULAR_RTOL allows
+    c, s = np.cosh(14.0), np.sinh(14.0)
+    gamma = 0.5 * np.array([[c, s, 0, 0], [s, c, 0, 0], [0, 0, c, -s], [0, 0, -s, c]])
+    with pytest.raises(NumericalFailureError, match="SINGULAR_RTOL"):
+        validate(gamma)
 
 
 def test_heisenberg_test_agrees_with_spectrum_test():
@@ -260,6 +283,12 @@ def test_partition_normalizes_numpy_indices():
     json.dumps(part.to_json_dict())
 
 
+@pytest.mark.parametrize("text", ["1|2", "1,3|2,4", "4,1|3,2", "2,3,5|1,4,6"])
+def test_partition_string_round_trip(text):
+    part = ModePartition.from_string(text)
+    assert ModePartition.from_string(str(part)) == part
+
+
 @pytest.mark.parametrize(
     "text", ["1,2", "1|2|3", "|1,2", "1,2|", "1,2|2,3", "1,2|4", "a|b", "1,1|2"]
 )
@@ -286,6 +315,13 @@ def test_csv_round_trip_is_exact():
 def test_json_rejects_wrong_ordering_tag():
     obj = covariance_to_json_dict(vacuum(1))
     obj["ordering"] = "qpqp"
+    with pytest.raises(MalformedInputError):
+        covariance_from_json_dict(obj)
+
+
+def test_json_rejects_boolean_mode_count():
+    obj = covariance_to_json_dict(vacuum(1))
+    obj["n"] = True
     with pytest.raises(MalformedInputError):
         covariance_from_json_dict(obj)
 
