@@ -38,7 +38,6 @@ from .states import (
     ORDERING,
     VACUUM_SIGMA,
     ModePartition,
-    covariance_from_csv_text,
     covariance_from_json_dict,
     read_covariance_text,
     reduce,
@@ -113,49 +112,53 @@ def _digest_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _read_input(path: str) -> tuple[str, str]:
+    """Text of an input file and the sha256 digest of its bytes, from one read."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"{path} is not UTF-8 text: {exc}") from exc
+    return text, _digest_bytes(data)
 
 
-def _load_state(path: str) -> tuple[np.ndarray, dict]:
-    """Load a covariance matrix from a covariance file or a model file."""
-    text = _read_text(path)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MalformedInputError(f"invalid JSON in {path}: {exc}") from exc
+def _parse_json(text: str, path: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MalformedInputError(f"invalid JSON in {path}: {exc}") from exc
+
+
+def _load_state(text: str, path: str) -> tuple[np.ndarray, dict]:
+    """Covariance matrix of the text of a covariance file or a model file."""
+    if text.lstrip().startswith("{"):
+        obj = _parse_json(text, path)
         if isinstance(obj, dict) and "type" in obj:
             params = ModelParams.from_json_dict(obj)
             gamma = ground_state_covariance(params.build())
             return gamma, {"kind": "model", "model": params.to_json_dict()}
         return covariance_from_json_dict(obj), {"kind": "covariance"}
-    if stripped.startswith("#"):
-        return covariance_from_csv_text(text), {"kind": "covariance"}
-    raise MalformedInputError(
-        f"unrecognized input file {path}: expected covariance JSON/CSV or model JSON"
-    )
+    return read_covariance_text(text), {"kind": "covariance"}
 
 
 # --- subcommands -----------------------------------------------------------
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    text = _read_text(args.file)
+    text, digest = _read_input(args.file)
     gamma = read_covariance_text(text)
     report = validate(gamma, tol=args.tol)
     payload = report.to_json_dict()
     payload["conventions"] = _conventions(args.base)
     _emit_json(payload, args.out)
-    _emit_run_record(args, _digest_bytes(text.encode()), [args.out or "stdout"])
+    _emit_run_record(args, digest, [args.out or "stdout"])
     return EXIT_OK if report.valid else EXIT_UNPHYSICAL
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    text = _read_text(args.input)
-    gamma, meta = _load_state(args.input)
+    text, digest = _read_input(args.input)
+    gamma, meta = _load_state(text, args.input)
     sigmas = symplectic_spectrum(gamma)
     payload = {
         "n": mode_count(gamma),
@@ -164,20 +167,20 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         "conventions": _conventions(args.base),
     }
     _emit_json(payload, args.out)
-    _emit_run_record(args, _digest_bytes(text.encode()), [args.out or "stdout"])
+    _emit_run_record(args, digest, [args.out or "stdout"])
     return EXIT_OK
 
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
-    text = _read_text(args.input)
-    gamma, meta = _load_state(args.input)
+    text, digest = _read_input(args.input)
+    gamma, meta = _load_state(text, args.input)
     partition = ModePartition.from_string(args.partition)
     report = entanglement_entropy(gamma, partition, base=args.base, include_b=True, tol=args.tol)
     payload = report.to_json_dict()
     payload["input"] = meta
     payload["conventions"] = _conventions(args.base)
     _emit_json(payload, args.out)
-    _emit_run_record(args, _digest_bytes(text.encode()), [args.out or "stdout"])
+    _emit_run_record(args, digest, [args.out or "stdout"])
     return EXIT_OK
 
 
@@ -196,8 +199,10 @@ def _parse_sweep_spec(obj) -> tuple[ModelParams, str, np.ndarray, ModePartition]
         start = float(grid["start"])
         stop = float(grid["stop"])
         count = int(grid["count"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedInputError(f"sweep grid needs numeric start, stop, count: {exc}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise MalformedInputError(f"sweep grid needs finite start and stop, got [{start}, {stop}]")
     if count < 2:
         raise MalformedInputError(f"sweep grid count must be >= 2, got {count}")
     if not start < stop:
@@ -213,12 +218,8 @@ def _parse_sweep_spec(obj) -> tuple[ModelParams, str, np.ndarray, ModePartition]
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if not args.out:
         raise MalformedInputError("sweep writes a CSV file; pass --out <path>")
-    text = _read_text(args.spec)
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MalformedInputError(f"invalid JSON in {args.spec}: {exc}") from exc
-    params, name, grid, partition = _parse_sweep_spec(obj)
+    text, digest = _read_input(args.spec)
+    params, name, grid, partition = _parse_sweep_spec(_parse_json(text, args.spec))
 
     def point(value: float) -> list[str]:
         try:
@@ -246,7 +247,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     lines += [",".join(row) for row in rows]
     _write_text_atomic(args.out, header_meta + "\n".join(lines) + "\n")
     _emit_json({"rows": len(rows), "out": args.out, "conventions": _conventions(BITS)}, None)
-    _emit_run_record(args, _digest_bytes(text.encode()), [args.out])
+    _emit_run_record(args, digest, [args.out])
     return EXIT_OK
 
 
@@ -326,8 +327,8 @@ def _parse_wigner_grid(text: str) -> tuple[float, int]:
 def _cmd_wigner(args: argparse.Namespace) -> int:
     if not args.out:
         raise MalformedInputError("wigner writes a CSV file; pass --out <path>")
-    text = _read_text(args.input)
-    gamma, _ = _load_state(args.input)
+    text, digest = _read_input(args.input)
+    gamma, _ = _load_state(text, args.input)
     n = mode_count(gamma)
     report = validate(gamma, tol=args.tol)
     if not report.valid:
@@ -372,11 +373,19 @@ def _cmd_wigner(args: argparse.Namespace) -> int:
         },
         None,
     )
-    _emit_run_record(args, _digest_bytes(text.encode()), [args.out])
+    _emit_run_record(args, digest, [args.out])
     return EXIT_OK
 
 
 # --- parser ----------------------------------------------------------------
+
+
+def _tolerance(text: str) -> float:
+    """Value of --tol: a finite number >= 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
 
 
 class _Parser(argparse.ArgumentParser):
@@ -389,7 +398,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="residual/physicality tolerance")
+    common.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="residual/physicality tolerance")
     common.add_argument("--base", choices=LOG_BASES, default=BITS, help="entropy log base")
     common.add_argument("--out", default=None, help="output file path (default: stdout)")
 

@@ -18,42 +18,55 @@ Model JSON: ``{"type": "two_oscillator" | "chain", "n": int, "m": number,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MalformedInputError, ParameterError
-from .symplectic import SINGULAR_RTOL, SYMMETRY_ATOL
+from .errors import InvalidStateError, MalformedInputError, ParameterError
+from .symplectic import _spd_eigh
 
 BOUNDARIES = ("open", "periodic")
 MODEL_TYPES = ("two_oscillator", "chain")
 
 
+def _check_parameters(**values: float) -> None:
+    """The one range check of model parameters: each given ``mass`` and
+    ``frequency`` must be finite and > 0, a ``coupling`` finite and >= 0."""
+    for name, value in values.items():
+        zero_ok = name == "coupling"
+        if not (math.isfinite(value) and (value > 0.0 or (zero_ok and value == 0.0))):
+            raise ParameterError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class QuadraticModel:
-    """Kinetic-plus-potential quadratic Hamiltonian with a normalizable ground state."""
+    """Kinetic-plus-potential quadratic Hamiltonian with a normalizable ground state.
+
+    V is decomposed once, by ``symplectic._spd_eigh`` (a failure raises
+    ParameterError), into ``frequencies`` sqrt(eig V), ascending, and the
+    matching ``eigenvectors`` (columns).
+    """
 
     n: int
     mass: float
     potential: np.ndarray
+    frequencies: np.ndarray = field(init=False, repr=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError(f"mode count must be >= 1, got {self.n}")
-        if not (self.mass > 0.0):
-            raise ParameterError(f"mass must be positive, got {self.mass}")
+        _check_parameters(mass=self.mass)
         v = np.asarray(self.potential, dtype=float)
         if v.shape != (self.n, self.n):
             raise ParameterError(f"potential must be {self.n}x{self.n}, got shape {v.shape}")
-        if float(np.max(np.abs(v - v.T))) > SYMMETRY_ATOL:
-            raise ParameterError("potential matrix must be symmetric")
-        w = np.linalg.eigvalsh(v)
-        if w[-1] <= 0.0 or w[0] <= SINGULAR_RTOL * w[-1]:
-            raise ParameterError(
-                "potential matrix must be positive definite (no normalizable "
-                f"ground state otherwise): eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}]"
-            )
+        try:
+            w, vecs = _spd_eigh(v)
+        except InvalidStateError as exc:
+            raise ParameterError(f"potential has no normalizable ground state: {exc}") from exc
         object.__setattr__(self, "potential", v)
+        object.__setattr__(self, "frequencies", np.sqrt(w))
+        object.__setattr__(self, "eigenvectors", vecs)
 
 
 @dataclass(frozen=True)
@@ -65,12 +78,7 @@ class TwoOscillatorParams:
     lam: float
 
     def __post_init__(self):
-        if not (self.m > 0.0):
-            raise ParameterError(f"mass must be positive, got {self.m}")
-        if not (self.omega > 0.0):
-            raise ParameterError(f"frequency must be positive, got {self.omega}")
-        if self.lam < 0.0:
-            raise ParameterError(f"coupling must be >= 0, got {self.lam}")
+        _check_parameters(mass=self.m, frequency=self.omega, coupling=self.lam)
 
     @property
     def alpha(self) -> float:
@@ -105,12 +113,7 @@ def chain_model(
     """
     if n < 2:
         raise ParameterError(f"chain needs at least 2 modes, got {n}")
-    if not (m > 0.0):
-        raise ParameterError(f"mass must be positive, got {m}")
-    if not (omega > 0.0):
-        raise ParameterError(f"frequency must be positive, got {omega}")
-    if lam < 0.0:
-        raise ParameterError(f"coupling must be >= 0, got {lam}")
+    _check_parameters(mass=m, frequency=omega, coupling=lam)
     if boundary not in BOUNDARIES:
         raise ParameterError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
 
@@ -127,19 +130,9 @@ def chain_model(
     return QuadraticModel(n=n, mass=m, potential=v)
 
 
-def _potential_eigh(model: QuadraticModel) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenfrequencies (ascending) and eigenvectors of the potential matrix."""
-    w, vecs = np.linalg.eigh(model.potential)
-    if w[-1] <= 0.0 or w[0] <= SINGULAR_RTOL * w[-1]:
-        raise ParameterError(
-            "potential matrix has a zero mode, so the model has no normalizable ground state"
-        )
-    return np.sqrt(w), vecs
-
-
 def ground_state_covariance(model: QuadraticModel) -> np.ndarray:
     """Covariance matrix of the model's (pure, Gaussian) ground state."""
-    freqs, vecs = _potential_eigh(model)
+    freqs, vecs = model.frequencies, model.eigenvectors
     w_qq = (vecs / freqs) @ vecs.T / (2.0 * model.mass)
     w_pp = (vecs * freqs) @ vecs.T * (model.mass / 2.0)
     n = model.n
@@ -156,8 +149,7 @@ def normal_mode_transform(model: QuadraticModel) -> np.ndarray:
     eigenfrequency, each sign-fixed so its first significant component is
     positive; applying S Gamma S^T decouples the normal modes.
     """
-    _, vecs = _potential_eigh(model)
-    o = vecs.T.copy()
+    o = model.eigenvectors.T.copy()
     for k in range(model.n):
         row = o[k]
         lead = int(np.argmax(np.abs(row) > 1e-12 * np.max(np.abs(row))))

@@ -30,8 +30,8 @@ from .errors import (
 )
 from .symplectic import (
     DEFAULT_TOL,
-    SINGULAR_RTOL,
     SYMMETRY_ATOL,
+    _spd_eigh,
     mode_count,
     symplectic_form,
     symplectic_spectrum,
@@ -49,6 +49,15 @@ def vacuum(n: int) -> np.ndarray:
     if n < 1:
         raise DimensionError(f"mode count must be a positive integer, got {n}")
     return 0.5 * np.eye(2 * n)
+
+
+def _check_symmetric(gamma: np.ndarray) -> None:
+    """Raise MalformedInputError if gamma is asymmetric beyond SYMMETRY_ATOL."""
+    asym = float(np.max(np.abs(gamma - gamma.T)))
+    if asym > SYMMETRY_ATOL:
+        raise MalformedInputError(
+            f"covariance matrix is asymmetric: max |G - G^T| = {asym:.3e} > {SYMMETRY_ATOL:.0e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -93,11 +102,7 @@ def validate(gamma: np.ndarray, tol: float = DEFAULT_TOL) -> ValidationReport:
     """
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
-    asym = float(np.max(np.abs(gamma - gamma.T)))
-    if asym > SYMMETRY_ATOL:
-        raise MalformedInputError(
-            f"covariance matrix is asymmetric: max |G - G^T| = {asym:.3e} > {SYMMETRY_ATOL:.0e}"
-        )
+    _check_symmetric(gamma)
     herm = gamma + 0.5j * symplectic_form(n)
     min_eig = float(np.linalg.eigvalsh(herm)[0])
     valid = min_eig >= -tol
@@ -222,23 +227,19 @@ def wigner_values(gamma: np.ndarray, points: np.ndarray) -> np.ndarray:
 
     W(x) = (2 pi)^-n det(Gamma)^-1/2 exp(-1/2 x^T Gamma^-1 x), normalized so
     the integral over phase space is 1 in the hbar = 1, vacuum = I/2
-    convention.
+    convention. An asymmetric Gamma raises MalformedInputError, one that fails
+    ``symplectic._spd_eigh`` NumericalFailureError.
     """
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] != 2 * n:
         raise DimensionError(f"points must have shape (2n, k) = ({2 * n}, k), got {points.shape}")
-    asym = float(np.max(np.abs(gamma - gamma.T)))
-    if asym > SYMMETRY_ATOL:
-        raise MalformedInputError(
-            f"covariance matrix is asymmetric: max |G - G^T| = {asym:.3e} > {SYMMETRY_ATOL:.0e}"
-        )
-    w, v = np.linalg.eigh(gamma)
-    if w[-1] <= 0.0 or w[0] <= SINGULAR_RTOL * w[-1]:
-        raise NumericalFailureError(
-            f"covariance matrix is singular: eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}]"
-        )
+    _check_symmetric(gamma)
+    try:
+        w, v = _spd_eigh(gamma)
+    except InvalidStateError as exc:
+        raise NumericalFailureError(str(exc)) from exc
     y = v.T @ points
     quad = np.sum(y * y / w[:, None], axis=0)
     norm = (2.0 * np.pi) ** (-n) / np.sqrt(float(np.prod(w)))

@@ -17,7 +17,9 @@ from .errors import DimensionError, InvalidStateError, NumericalFailureError
 
 # Default absolute tolerance for residual checks (max-abs entry).
 DEFAULT_TOL = 1e-8
-# Relative eigenvalue floor below which a symmetric matrix counts as singular.
+# Relative eigenvalue floor below which a symmetric matrix counts as singular
+# (used only by _spd_eigh): a condition number must stay below 1e12, which for
+# a two-mode squeezed vacuum means squeezing r < ln(1e12)/4 ~ 6.9.
 SINGULAR_RTOL = 1e-12
 # Absolute tolerance for symmetry of inputs.
 SYMMETRY_ATOL = 1e-12
@@ -54,34 +56,29 @@ def is_symplectic(s: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(s @ omega @ s.T - omega)) <= tol)
 
 
-def _spd_eigh(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric positive-definite matrix.
+def _spd_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a symmetric positive-definite matrix.
 
-    Raises InvalidStateError if the matrix is asymmetric beyond SYMMETRY_ATOL
-    or its smallest eigenvalue does not exceed SINGULAR_RTOL times the largest.
+    The package's one positive-definiteness test, for covariance matrices and
+    model potentials alike. Raises InvalidStateError if the square float array
+    has a NaN or infinite entry, is asymmetric beyond SYMMETRY_ATOL, or has a
+    condition number of 1/SINGULAR_RTOL or more. Callers check the shape.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    mode_count(gamma)
-    asym = float(np.max(np.abs(gamma - gamma.T)))
+    if not np.all(np.isfinite(matrix)):
+        raise InvalidStateError("matrix has a NaN or infinite entry")
+    asym = float(np.max(np.abs(matrix - matrix.T)))
     if asym > SYMMETRY_ATOL:
         raise InvalidStateError(
             f"matrix is not symmetric: max |G - G^T| = {asym:.3e} > {SYMMETRY_ATOL:.0e}"
         )
-    w, v = np.linalg.eigh(gamma)
+    w, v = np.linalg.eigh(matrix)
     if w[-1] <= 0.0 or w[0] <= SINGULAR_RTOL * w[-1]:
         raise InvalidStateError(
             "matrix is not positive definite or is too ill-conditioned: eigenvalues in "
             f"[{w[0]:.3e}, {w[-1]:.3e}], the smallest must exceed SINGULAR_RTOL = "
             f"{SINGULAR_RTOL:.0e} times the largest"
         )
-    return gamma, w, v
-
-
-def _sqrt_invsqrt(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positive square root and inverse square root of an SPD matrix."""
-    _, w, v = _spd_eigh(gamma)
-    root = np.sqrt(w)
-    return (v * root) @ v.T, (v / root) @ v.T
+    return w, v
 
 
 def symplectic_spectrum(gamma: np.ndarray) -> np.ndarray:
@@ -91,11 +88,13 @@ def symplectic_spectrum(gamma: np.ndarray) -> np.ndarray:
     the returned sigma_i are their absolute values. They are computed as the
     positive eigenvalues of the Hermitian matrix
     i * gamma^{1/2} @ Omega @ gamma^{1/2}, which shares them exactly and keeps
-    the computation inside a symmetric eigensolver.
+    the computation inside a symmetric eigensolver. gamma^{1/2} comes from
+    ``_spd_eigh``, so gamma's condition number must stay below 1/SINGULAR_RTOL.
     """
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
-    root, _ = _sqrt_invsqrt(gamma)
+    w, v = _spd_eigh(gamma)
+    root = (v * np.sqrt(w)) @ v.T
     herm = 1j * (root @ symplectic_form(n) @ root)
     eigs = np.linalg.eigvalsh(herm)
     return eigs[::-1][:n].copy()
@@ -134,7 +133,9 @@ def williamson(gamma: np.ndarray, tol: float = DEFAULT_TOL) -> WilliamsonDecompo
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
     omega = symplectic_form(n)
-    root, invroot = _sqrt_invsqrt(gamma)
+    w, v = _spd_eigh(gamma)
+    root = (v * np.sqrt(w)) @ v.T
+    invroot = (v / np.sqrt(w)) @ v.T
 
     anti = root @ omega @ root
     t, q = schur(anti, output="real")

@@ -15,7 +15,6 @@ from sympent import (
     entanglement_entropy,
     ground_state_covariance,
     mode_entropy,
-    purity_check,
     random_symplectic,
     reduce,
     symplectic_form,
@@ -71,7 +70,7 @@ def test_criterion_3_purity_and_complementarity():
         boundary = "open" if draw % 2 == 0 else "periodic"
         lam = float(rng.uniform(0.0, 3.0))
         gamma = ground_state_covariance(chain_model(n, 1.0, 1.0, lam, boundary))
-        ok &= purity_check(gamma)
+        ok &= validate(gamma).pure
 
         size_a = int(rng.integers(1, n))
         modes = list(rng.permutation(np.arange(1, n + 1)))

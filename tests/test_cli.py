@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
+import sympent.cli as cli
 from sympent import covariance_to_csv_text, covariance_to_json_dict, vacuum
 from sympent.cli import main
 
@@ -66,6 +68,10 @@ def test_validate_garbled_exit_one(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "error" in err
+    state.write_bytes(b'{"n": 1, "ordering": "qqpp", "matrix": [0.5, 0.0, 0.0, 0.5\xff]}')
+    code, out, err = run(capsys, "validate", str(state))
+    assert (code, out) == (1, "")
+    assert err.startswith("sympent: error:")
 
 
 def test_validate_missing_file_exit_one(capsys, tmp_path):
@@ -194,6 +200,26 @@ def test_entropy_unphysical_state_exit_one(capsys, tmp_path):
     assert "unphysical" in err
 
 
+def assert_clean_failure(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("sympent: error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field,value", [("lambda", math.nan), ("lambda", math.inf), ("m", math.inf), ("omega", math.inf)]
+)
+@pytest.mark.parametrize("command", STATE_COMMANDS[1:], ids=lambda c: c[0])
+def test_non_finite_model_parameter_exit_one(capsys, tmp_path, command, field, value):
+    model = tmp_path / "model.json"
+    write_model_json(model, **{field: value})  # json writes NaN / Infinity
+    out_file = tmp_path / "out.json"
+    code, out, err = run(capsys, command[0], str(model), *command[1:], "--out", str(out_file))
+    assert_clean_failure(code, out, err)
+    assert not out_file.exists()
+
+
 # --- sweep -------------------------------------------------------------------
 
 
@@ -304,6 +330,29 @@ def test_sweep_rejects_bad_specs(capsys, tmp_path, kwargs):
     code, _, err = run(capsys, "sweep", str(spec), "--out", str(tmp_path / "o.csv"))
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "model_extra,grid",
+    [
+        ({}, {"stop": math.inf}),
+        ({}, {"start": -math.inf}),
+        ({}, {"start": math.nan}),
+        ({}, {"count": math.inf}),
+        ({"m": math.nan}, {}),
+        ({"omega": math.inf}, {}),
+    ],
+    ids=["stop-inf", "start-neg-inf", "start-nan", "count-inf", "m-nan", "omega-inf"],
+)
+def test_sweep_rejects_non_finite_specs(capsys, tmp_path, model_extra, grid):
+    spec = tmp_path / "sweep.json"
+    out_csv = tmp_path / "sweep.csv"
+    model = {"type": "two_oscillator", "m": 1.0, "omega": 1.0, "lambda": 0.0, **model_extra}
+    write_sweep_json(spec, model, **grid)
+    code, out, err = run(capsys, "sweep", str(spec), "--out", str(out_csv))
+    assert_clean_failure(code, out, err)
+    assert not out_csv.exists()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 # --- verify ------------------------------------------------------------------
@@ -427,3 +476,40 @@ def test_run_record_goes_to_stderr_only(capsys, tmp_path):
     record = json.loads(err.strip().splitlines()[-1])
     assert set(record) == {"tool_version", "input_digest", "options", "outputs", "timestamp"}
     assert record["outputs"] == ["stdout"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-1e-9"])
+def test_tol_must_be_finite_and_non_negative(capsys, tmp_path, tol):
+    state = tmp_path / "vac.json"
+    write_vacuum_json(state)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["validate", str(state), f"--tol={tol}"])
+    assert excinfo.value.code == 1
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["spectrum"], ["entropy", "--partition", "1|2"], ["wigner", "--grid", "2,5", "--out"]],
+    ids=lambda c: c[0],
+)
+def test_input_is_read_once_and_digested_as_bytes(capsys, tmp_path, monkeypatch, command):
+    # CRLF line ends: a digest of re-encoded text would differ from the file's
+    state = tmp_path / "vac.csv"
+    data = covariance_to_csv_text(vacuum(2)).replace("\n", "\r\n").encode()
+    state.write_bytes(data)
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    argv = [command[0], str(state), *command[1:]]
+    if argv[-1] == "--out":
+        argv.append(str(tmp_path / "w.csv"))
+    code, _, err = run(capsys, *argv)
+    assert code == 0
+    assert opened == [str(state)]
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["input_digest"] == hashlib.sha256(data).hexdigest()

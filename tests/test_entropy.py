@@ -17,12 +17,12 @@ from sympent import (
     ground_state_covariance,
     mean_occupation,
     mode_entropy,
-    purity_check,
     random_symplectic,
     thermal_entropy_bruteforce,
     thermal_parameter,
     two_oscillator_model,
     vacuum,
+    validate,
 )
 
 from conftest import embed_symplectic
@@ -149,11 +149,11 @@ def test_entropy_rejects_mismatched_partition():
 
 
 def test_purity_check_examples():
-    assert purity_check(vacuum(3))
-    assert not purity_check(np.diag([1.2, 1.2]))
+    assert validate(vacuum(3)).pure
+    assert not validate(np.diag([1.2, 1.2])).pure
     for lam in (0.0, 0.3, 2.0, 7.5):
         gamma = ground_state_covariance(two_oscillator_model(1.0, 1.0, lam))
-        assert purity_check(gamma)
+        assert validate(gamma).pure
 
 
 def test_complementarity_for_random_chain_states():

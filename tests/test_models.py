@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from sympent import (
     is_symplectic,
     ModePartition,
     normal_mode_transform,
-    purity_check,
     reduce,
     symplectic_spectrum,
     two_oscillator_model,
@@ -34,6 +35,8 @@ def test_reference_potential_and_normal_modes():
     np.testing.assert_allclose(np.abs(vecs[:, 0]), [1.0, 1.0] / np.sqrt(2.0), atol=1e-12)
     np.testing.assert_allclose(np.abs(vecs[:, 1]), [1.0, 1.0] / np.sqrt(2.0), atol=1e-12)
     assert np.sign(vecs[0, 1]) != np.sign(vecs[1, 1])
+    np.testing.assert_allclose(model.frequencies, [1.0, 3.0], atol=1e-12)
+    np.testing.assert_array_equal(model.eigenvectors, vecs)
 
 
 def test_alpha_and_reduced_sigma():
@@ -43,10 +46,29 @@ def test_alpha_and_reduced_sigma():
     assert TwoOscillatorParams(1.0, 1.0, 0.0).alpha == 1.0
 
 
-@pytest.mark.parametrize("m,omega,lam", [(0.0, 1.0, 1.0), (-1.0, 1.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, -0.1)])
+@pytest.mark.parametrize(
+    "m,omega,lam",
+    [
+        (0.0, 1.0, 1.0),
+        (-1.0, 1.0, 0.0),
+        (1.0, 0.0, 0.0),
+        (1.0, 1.0, -0.1),
+        (math.nan, 1.0, 0.5),
+        (1.0, math.nan, 0.5),
+        (1.0, 1.0, math.nan),
+        (math.inf, 1.0, 0.5),
+        (1.0, math.inf, 0.5),
+        (1.0, 1.0, math.inf),
+    ],
+)
 def test_two_oscillator_rejects_bad_parameters(m, omega, lam):
+    # one range check serves the parameter record and both model builders
+    with pytest.raises(ParameterError):
+        TwoOscillatorParams(m, omega, lam)
     with pytest.raises(ParameterError):
         two_oscillator_model(m, omega, lam)
+    with pytest.raises(ParameterError):
+        chain_model(3, m, omega, lam)
 
 
 def test_chain_of_two_matches_two_oscillator():
@@ -110,14 +132,32 @@ def test_ground_states_are_valid_and_pure():
         lam = float(rng.uniform(0.0, 4.0))
         boundary = "open" if trial % 2 else "periodic"
         gamma = ground_state_covariance(chain_model(n, 1.0, 1.0, lam, boundary))
-        assert validate(gamma).valid
-        assert purity_check(gamma)
+        report = validate(gamma)
+        assert report.valid
+        assert report.pure
 
 
 def test_zero_mode_has_no_ground_state():
-    # a free particle direction (zero potential eigenvalue) must be rejected
-    with pytest.raises(ParameterError):
-        QuadraticModel(n=2, mass=1.0, potential=np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    # a free particle direction (zero potential eigenvalue) must be rejected,
+    # and so must an asymmetric or non-finite potential
+    for potential in ([[1.0, -1.0], [-1.0, 1.0]], [[2.0, 0.5], [0.0, 2.0]], [[np.nan, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ParameterError):
+            QuadraticModel(n=2, mass=1.0, potential=np.array(potential))
+
+
+def test_potential_is_decomposed_once_per_model(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    model = chain_model(6, 1.0, 1.0, 0.7, "periodic")
+    ground_state_covariance(model)
+    normal_mode_transform(model)
+    assert calls == ["eigh"]
 
 
 def test_normal_mode_transform_two_oscillator():
