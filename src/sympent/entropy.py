@@ -48,11 +48,15 @@ def mode_entropy(sigma: float, base: str = BITS) -> float:
 
     Returns exactly 0 for sigma within 1e-9 of 1/2 (the x log x -> 0 limit).
     Computed in nats and converted, so bits == nats / ln 2 holds exactly.
+    With d = sigma - 1/2 (exact in floating point), the nats are
+    log1p(d) + d log1p(1/d): two positive terms, so no cancellation at large
+    sigma, where the two terms of the textbook form nearly cancel.
     """
     s = _effective_sigma(sigma)
     if s == 0.5:
         return 0.0
-    nats = (s + 0.5) * math.log(s + 0.5) - (s - 0.5) * math.log(s - 0.5)
+    d = s - 0.5
+    nats = math.log1p(d) + d * math.log1p(1.0 / d)
     log_fn(base)  # validate the base name
     return nats / LN2 if base == BITS else nats
 

@@ -27,11 +27,17 @@ from .symplectic import _spd_eigh
 
 BOUNDARIES = ("open", "periodic")
 MODEL_TYPES = ("two_oscillator", "chain")
+# Largest mode count of a model; its 2n x 2n covariance matrix then takes
+# 32 n^2 bytes = 128 MiB.
+MAX_MODES = 2048
 
 
-def _check_parameters(**values: float) -> None:
-    """The one range check of model parameters: each given ``mass`` and
-    ``frequency`` must be finite and > 0, a ``coupling`` finite and >= 0."""
+def _check_parameters(modes: int | None = None, **values: float) -> None:
+    """The one range check of model parameters: a given mode count ``modes``
+    must lie in 1..MAX_MODES, each given ``mass`` and ``frequency`` must be
+    finite and > 0, a ``coupling`` finite and >= 0."""
+    if modes is not None and not 1 <= modes <= MAX_MODES:
+        raise ParameterError(f"mode count must be in 1..MAX_MODES = {MAX_MODES}, got {modes}")
     for name, value in values.items():
         zero_ok = name == "coupling"
         if not (math.isfinite(value) and (value > 0.0 or (zero_ok and value == 0.0))):
@@ -54,14 +60,12 @@ class QuadraticModel:
     eigenvectors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"mode count must be >= 1, got {self.n}")
-        _check_parameters(mass=self.mass)
+        _check_parameters(modes=self.n, mass=self.mass)
         v = np.asarray(self.potential, dtype=float)
         if v.shape != (self.n, self.n):
             raise ParameterError(f"potential must be {self.n}x{self.n}, got shape {v.shape}")
         try:
-            w, vecs = _spd_eigh(v)
+            [(w, vecs)] = _spd_eigh(v)
         except InvalidStateError as exc:
             raise ParameterError(f"potential has no normalizable ground state: {exc}") from exc
         object.__setattr__(self, "potential", v)
@@ -113,7 +117,7 @@ def chain_model(
     """
     if n < 2:
         raise ParameterError(f"chain needs at least 2 modes, got {n}")
-    _check_parameters(mass=m, frequency=omega, coupling=lam)
+    _check_parameters(modes=n, mass=m, frequency=omega, coupling=lam)
     if boundary not in BOUNDARIES:
         raise ParameterError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
 
@@ -181,6 +185,7 @@ class ModelParams:
             raise ParameterError(f"model type must be one of {MODEL_TYPES}, got {self.type!r}")
         if self.type == "two_oscillator" and self.n != 2:
             raise ParameterError(f"two_oscillator models have n=2, got n={self.n}")
+        _check_parameters(modes=self.n)
 
     def build(self) -> QuadraticModel:
         if self.type == "two_oscillator":

@@ -32,6 +32,7 @@ from .symplectic import (
     DEFAULT_TOL,
     SYMMETRY_ATOL,
     _spd_eigh,
+    _xp_blocks,
     mode_count,
     symplectic_form,
     symplectic_spectrum,
@@ -52,7 +53,10 @@ def vacuum(n: int) -> np.ndarray:
 
 
 def _check_symmetric(gamma: np.ndarray) -> None:
-    """Raise MalformedInputError if gamma is asymmetric beyond SYMMETRY_ATOL."""
+    """Raise MalformedInputError if gamma has a NaN or infinite entry or is
+    asymmetric beyond SYMMETRY_ATOL."""
+    if not np.all(np.isfinite(gamma)):
+        raise MalformedInputError("covariance matrix has a NaN or infinite entry")
     asym = float(np.max(np.abs(gamma - gamma.T)))
     if asym > SYMMETRY_ATOL:
         raise MalformedInputError(
@@ -94,16 +98,24 @@ def validate(gamma: np.ndarray, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check the uncertainty-relation constraint Gamma + (i/2) Omega >= 0.
 
     The one full-state pass: the minimum symplectic eigenvalue and purity
-    come from a single symplectic spectrum. Asymmetry beyond 1e-12 is a
-    malformed input (raises), not an unphysical state; unphysical states come
-    back as a report with ``valid=False``. A physical state is positive
-    definite, so if its spectrum still fails the SINGULAR_RTOL test, Gamma is
-    too ill-conditioned and NumericalFailureError is raised.
+    come from a single symplectic spectrum. When Gamma = X (+) P has no q-p
+    correlations, the Heisenberg test runs on the real symmetric matrix
+    [[X, -I/2], [-I/2, P]], unitarily similar to Gamma + (i/2) Omega. A NaN or
+    infinite entry, or asymmetry beyond 1e-12, is a malformed input (raises),
+    not an unphysical state; unphysical states come back as a report with
+    ``valid=False``. A physical state is positive definite, so if its
+    spectrum still fails the SINGULAR_RTOL test, Gamma is too ill-conditioned
+    and NumericalFailureError is raised.
     """
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
     _check_symmetric(gamma)
-    herm = gamma + 0.5j * symplectic_form(n)
+    omega = symplectic_form(n)
+    if _xp_blocks(gamma) is None:
+        herm = gamma + 0.5j * omega
+    else:
+        # diag(I, iI)^H (Gamma + (i/2) Omega) diag(I, iI) = [[X, -I/2], [-I/2, P]]
+        herm = gamma - 0.5 * np.abs(omega)
     min_eig = float(np.linalg.eigvalsh(herm)[0])
     valid = min_eig >= -tol
 
@@ -237,7 +249,7 @@ def wigner_values(gamma: np.ndarray, points: np.ndarray) -> np.ndarray:
         raise DimensionError(f"points must have shape (2n, k) = ({2 * n}, k), got {points.shape}")
     _check_symmetric(gamma)
     try:
-        w, v = _spd_eigh(gamma)
+        [(w, v)] = _spd_eigh(gamma)
     except InvalidStateError as exc:
         raise NumericalFailureError(str(exc)) from exc
     y = v.T @ points

@@ -56,29 +56,50 @@ def is_symplectic(s: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(s @ omega @ s.T - omega)) <= tol)
 
 
-def _spd_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a symmetric positive-definite matrix.
+def _spd_eigh(*blocks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Eigenvalues (ascending) and eigenvectors of each diagonal block of a
+    symmetric positive-definite matrix.
 
     The package's one positive-definiteness test, for covariance matrices and
-    model potentials alike. Raises InvalidStateError if the square float array
-    has a NaN or infinite entry, is asymmetric beyond SYMMETRY_ATOL, or has a
-    condition number of 1/SINGULAR_RTOL or more. Callers check the shape.
+    model potentials alike; pass a whole matrix as its only block. Raises
+    InvalidStateError if a square float block has a NaN or infinite entry or
+    is asymmetric beyond SYMMETRY_ATOL, or if the block-diagonal matrix they
+    form has a condition number of 1/SINGULAR_RTOL or more (its eigenvalues
+    are those of all the blocks together). Callers check the shapes.
     """
-    if not np.all(np.isfinite(matrix)):
-        raise InvalidStateError("matrix has a NaN or infinite entry")
-    asym = float(np.max(np.abs(matrix - matrix.T)))
-    if asym > SYMMETRY_ATOL:
-        raise InvalidStateError(
-            f"matrix is not symmetric: max |G - G^T| = {asym:.3e} > {SYMMETRY_ATOL:.0e}"
-        )
-    w, v = np.linalg.eigh(matrix)
-    if w[-1] <= 0.0 or w[0] <= SINGULAR_RTOL * w[-1]:
+    for block in blocks:
+        if not np.all(np.isfinite(block)):
+            raise InvalidStateError("matrix has a NaN or infinite entry")
+        asym = float(np.max(np.abs(block - block.T)))
+        if asym > SYMMETRY_ATOL:
+            raise InvalidStateError(
+                f"matrix is not symmetric: max |G - G^T| = {asym:.3e} > {SYMMETRY_ATOL:.0e}"
+            )
+    pairs = [np.linalg.eigh(block) for block in blocks]
+    lo = min(w[0] for w, _ in pairs)
+    hi = max(w[-1] for w, _ in pairs)
+    if hi <= 0.0 or lo <= SINGULAR_RTOL * hi:
         raise InvalidStateError(
             "matrix is not positive definite or is too ill-conditioned: eigenvalues in "
-            f"[{w[0]:.3e}, {w[-1]:.3e}], the smallest must exceed SINGULAR_RTOL = "
+            f"[{lo:.3e}, {hi:.3e}], the smallest must exceed SINGULAR_RTOL = "
             f"{SINGULAR_RTOL:.0e} times the largest"
         )
-    return w, v
+    return pairs
+
+
+def _xp_blocks(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The blocks X = gamma_qq and P = gamma_pp of a 2n x 2n matrix whose q-p
+    blocks are both exactly zero, as every model ground state and each of its
+    reductions has; None for any other matrix."""
+    n = gamma.shape[0] // 2
+    if gamma[:n, n:].any() or gamma[n:, :n].any():
+        return None
+    return gamma[:n, :n], gamma[n:, n:]
+
+
+def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Symmetric square root of the matrix with eigenpairs (w, v)."""
+    return (v * np.sqrt(w)) @ v.T
 
 
 def symplectic_spectrum(gamma: np.ndarray) -> np.ndarray:
@@ -88,13 +109,21 @@ def symplectic_spectrum(gamma: np.ndarray) -> np.ndarray:
     the returned sigma_i are their absolute values. They are computed as the
     positive eigenvalues of the Hermitian matrix
     i * gamma^{1/2} @ Omega @ gamma^{1/2}, which shares them exactly and keeps
-    the computation inside a symmetric eigensolver. gamma^{1/2} comes from
-    ``_spd_eigh``, so gamma's condition number must stay below 1/SINGULAR_RTOL.
+    the computation inside a symmetric eigensolver. When gamma = X (+) P has
+    no q-p correlations, gamma^{1/2} = X^{1/2} (+) P^{1/2} and the same
+    sigma_i are the singular values of the real n x n matrix X^{1/2} P^{1/2}
+    (Peschel 2003; Audenaert, Eisert, Plenio, Werner 2002). The roots come
+    from ``_spd_eigh``, so gamma's condition number must stay below
+    1/SINGULAR_RTOL.
     """
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
-    w, v = _spd_eigh(gamma)
-    root = (v * np.sqrt(w)) @ v.T
+    blocks = _xp_blocks(gamma)
+    if blocks is not None:
+        (wx, vx), (wp, vp) = _spd_eigh(*blocks)
+        return np.linalg.svd(_root(wx, vx) @ _root(wp, vp), compute_uv=False)
+    [(w, v)] = _spd_eigh(gamma)
+    root = _root(w, v)
     herm = 1j * (root @ symplectic_form(n) @ root)
     eigs = np.linalg.eigvalsh(herm)
     return eigs[::-1][:n].copy()
@@ -133,8 +162,8 @@ def williamson(gamma: np.ndarray, tol: float = DEFAULT_TOL) -> WilliamsonDecompo
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
     omega = symplectic_form(n)
-    w, v = _spd_eigh(gamma)
-    root = (v * np.sqrt(w)) @ v.T
+    [(w, v)] = _spd_eigh(gamma)
+    root = _root(w, v)
     invroot = (v / np.sqrt(w)) @ v.T
 
     anti = root @ omega @ root

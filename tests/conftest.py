@@ -13,6 +13,12 @@ def random_valid_covariance(n, seed, sigma_range=(0.5, 3.0)):
     return s @ d @ s.T, sigmas
 
 
+def two_mode_squeezed(r):
+    """Covariance matrix of the two-mode squeezed vacuum with squeezing r."""
+    c, s = np.cosh(2 * r), np.sinh(2 * r)
+    return 0.5 * np.array([[c, s, 0, 0], [s, c, 0, 0], [0, 0, c, -s], [0, 0, -s, c]])
+
+
 def embed_symplectic(s_sub, modes, n):
     """Embed a symplectic acting on the given 1-based modes into n modes."""
     k = len(modes)
@@ -26,3 +32,17 @@ def embed_symplectic(s_sub, modes, n):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240917)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Record (name, dtype kind) of each numpy.linalg eigensolver and SVD call."""
+    calls = []
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+
+        def recorded(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, np.asarray(a).dtype.kind))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return calls

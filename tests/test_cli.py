@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 
 import sympent.cli as cli
-from sympent import covariance_to_csv_text, covariance_to_json_dict, vacuum
+from sympent import (
+    chain_model,
+    covariance_to_csv_text,
+    covariance_to_json_dict,
+    ground_state_covariance,
+    vacuum,
+)
 from sympent.cli import main
+
+from conftest import two_mode_squeezed
 
 
 def write_vacuum_json(path, n=1):
@@ -88,10 +96,18 @@ def test_validate_csv_input(capsys, tmp_path):
     assert json.loads(out)["n"] == 2
 
 
+@pytest.mark.parametrize("scale,exit_code", [(1.0, 0), (0.9, 2)])
+def test_validate_exit_codes_on_block_diagonal_states(capsys, tmp_path, scale, exit_code):
+    gamma = scale * ground_state_covariance(chain_model(6, 1.0, 1.0, 0.5, "open"))
+    state = tmp_path / "chain.json"
+    state.write_text(json.dumps(covariance_to_json_dict(gamma)), encoding="utf-8")
+    code, out, _ = run(capsys, "validate", str(state))
+    assert code == exit_code
+    assert json.loads(out)["valid"] is (exit_code == 0)
+
+
 def write_two_mode_squeezed_json(path, r):
-    c, s = math.cosh(2 * r), math.sinh(2 * r)
-    gamma = 0.5 * np.array([[c, s, 0, 0], [s, c, 0, 0], [0, 0, c, -s], [0, 0, -s, c]])
-    path.write_text(json.dumps(covariance_to_json_dict(gamma)), encoding="utf-8")
+    path.write_text(json.dumps(covariance_to_json_dict(two_mode_squeezed(r))), encoding="utf-8")
 
 
 STATE_COMMANDS = [["validate"], ["spectrum"], ["entropy", "--partition", "1|2"]]
@@ -218,6 +234,15 @@ def test_non_finite_model_parameter_exit_one(capsys, tmp_path, command, field, v
     code, out, err = run(capsys, command[0], str(model), *command[1:], "--out", str(out_file))
     assert_clean_failure(code, out, err)
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize("command", STATE_COMMANDS[1:], ids=lambda c: c[0])
+def test_huge_chain_is_refused_before_allocation(capsys, tmp_path, command):
+    model = tmp_path / "model.json"
+    write_model_json(model, type="chain", n=10**9, boundary="periodic")
+    code, out, err = run(capsys, command[0], str(model), *command[1:])
+    assert_clean_failure(code, out, err)
+    assert "MAX_MODES = 2048, got 1000000000" in err
 
 
 # --- sweep -------------------------------------------------------------------
@@ -353,6 +378,17 @@ def test_sweep_rejects_non_finite_specs(capsys, tmp_path, model_extra, grid):
     assert_clean_failure(code, out, err)
     assert not out_csv.exists()
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_sweep_refuses_huge_chain(capsys, tmp_path):
+    spec = tmp_path / "sweep.json"
+    out_csv = tmp_path / "sweep.csv"
+    model = {"type": "chain", "n": 10**9, "m": 1.0, "omega": 1.0, "lambda": 0.5}
+    write_sweep_json(spec, model)
+    code, out, err = run(capsys, "sweep", str(spec), "--out", str(out_csv))
+    assert_clean_failure(code, out, err)
+    assert "MAX_MODES = 2048, got 1000000000" in err
+    assert not out_csv.exists()
 
 
 # --- verify ------------------------------------------------------------------

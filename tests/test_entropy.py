@@ -1,6 +1,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from sympent import (
     LN2,
+    SIGMA_TOL,
     InvalidPartitionError,
     InvalidStateError,
     ModePartition,
@@ -79,6 +81,17 @@ def test_base_conversion_is_exact(sigma):
     assert mode_entropy(sigma, base="bits") == mode_entropy(sigma, base="nats") / LN2
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=math.log10(2 * SIGMA_TOL), max_value=12.0))
+def test_mode_entropy_matches_mpmath_up_to_large_sigma(log_excess):
+    sigma = 0.5 + 10.0**log_excess
+    with mpmath.workdps(50):
+        s = mpmath.mpf(sigma)
+        want = (s + 0.5) * mpmath.log(s + 0.5) - (s - 0.5) * mpmath.log(s - 0.5)
+        rel = abs((mode_entropy(sigma, base="nats") - want) / want)
+    assert rel <= 1e-14
+
+
 def test_mean_occupation_and_thermal_parameter():
     assert mean_occupation(0.5) == 0.0
     assert thermal_parameter(0.5) == math.inf
@@ -141,6 +154,16 @@ def test_b_side_is_computed_for_pure_states_only():
     assert mixed.spectrum_b is None
     assert mixed.total_b_bits is None
     assert "spectrum_b" not in mixed.to_json_dict()
+
+
+def test_chain_entropy_uses_real_eigensolvers_only(linalg_calls):
+    gamma = ground_state_covariance(chain_model(16, 1.0, 1.0, 0.8, "periodic"))
+    partition = ModePartition.from_sides(range(1, 7), range(7, 17))
+    del linalg_calls[:]
+    report = entanglement_entropy(gamma, partition, include_b=True)
+    assert report.pure_global_state and report.spectrum_b is not None
+    assert linalg_calls
+    assert [kind for _, kind in linalg_calls] == ["f"] * len(linalg_calls)
 
 
 def test_entropy_rejects_mismatched_partition():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sympent import (
+    MAX_MODES,
     MalformedInputError,
     ModelParams,
     ParameterError,
@@ -95,6 +96,8 @@ def test_open_chain_three_sites_hand_expanded():
 def test_chain_rejects_bad_parameters():
     with pytest.raises(ParameterError):
         chain_model(1, 1.0, 1.0, 1.0)
+    with pytest.raises(ParameterError, match="MAX_MODES = 2048"):
+        chain_model(MAX_MODES + 1, 1.0, 1.0, 1.0)
     with pytest.raises(ParameterError):
         chain_model(3, 1.0, 1.0, 1.0, boundary="twisted")
 
@@ -240,6 +243,18 @@ def test_model_params_rejects_bad_records():
         ModelParams.from_json_dict({"type": "chain", "m": 1.0})
     with pytest.raises(MalformedInputError):
         ModelParams.from_json_dict({"m": 1.0, "omega": 1.0, "lambda": 0.0})
+
+
+@pytest.mark.parametrize("n", [MAX_MODES + 1, 10**9])
+def test_mode_count_ceiling_is_checked_before_building(monkeypatch, n):
+    monkeypatch.setattr(np, "zeros", None)  # any allocation of the model would fail
+    record = {"type": "chain", "n": n, "m": 1.0, "omega": 1.0, "lambda": 0.5}
+    with pytest.raises(ParameterError, match=f"mode count must be in 1..MAX_MODES = 2048, got {n}"):
+        ModelParams.from_json_dict(record)
+    with pytest.raises(ParameterError, match="MAX_MODES"):
+        chain_model(n, 1.0, 1.0, 0.5)
+    with pytest.raises(ParameterError, match="MAX_MODES"):
+        QuadraticModel(n=n, mass=1.0, potential=np.eye(2))
 
 
 def test_model_params_rejects_boolean_mode_count():

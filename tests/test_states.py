@@ -27,7 +27,7 @@ from sympent import (
     wigner_values,
 )
 
-from conftest import embed_symplectic, random_valid_covariance
+from conftest import embed_symplectic, random_valid_covariance, two_mode_squeezed
 
 
 # --- physicality -----------------------------------------------------------
@@ -75,10 +75,29 @@ def test_unphysical_singular_matrix_is_reported_not_raised():
 def test_physical_but_ill_conditioned_state_raises_numerical_failure():
     # two-mode squeezed vacuum at r = 7: Gamma's eigenvalues e^(+-14)/2 are
     # further apart than SINGULAR_RTOL allows
-    c, s = np.cosh(14.0), np.sinh(14.0)
-    gamma = 0.5 * np.array([[c, s, 0, 0], [s, c, 0, 0], [0, 0, c, -s], [0, 0, -s, c]])
+    gamma = two_mode_squeezed(7.0)
     with pytest.raises(NumericalFailureError, match="SINGULAR_RTOL"):
         validate(gamma)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_and_wigner_reject_non_finite_entries(bad):
+    gamma = np.array([[bad, 0.0], [0.0, 1.0]])
+    with pytest.raises(MalformedInputError, match="NaN or infinite"):
+        validate(gamma)
+    with pytest.raises(MalformedInputError, match="NaN or infinite"):
+        wigner_values(gamma, np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("scale,valid", [(1.0, True), (0.9, False)])
+def test_block_diagonal_heisenberg_margin_matches_complex_form(scale, valid):
+    # a chain ground state (Gamma_qp = 0), and the same state scaled below
+    # the uncertainty bound
+    gamma = scale * ground_state_covariance(chain_model(12, 1.0, 0.5, 1.5, "periodic"))
+    want = np.linalg.eigvalsh(gamma + 0.5j * symplectic_form(12))[0]
+    report = validate(gamma)
+    assert report.valid is valid
+    assert abs(report.min_heisenberg_eigenvalue - want) <= 1e-13 * np.linalg.norm(gamma, 2)
 
 
 def test_heisenberg_test_agrees_with_spectrum_test():

@@ -1,17 +1,22 @@
+import mpmath
 import numpy as np
 import pytest
 
+import sympent.symplectic as symplectic
 from sympent import (
     DimensionError,
     InvalidStateError,
+    chain_model,
+    ground_state_covariance,
     is_symplectic,
     random_symplectic,
+    reduce,
     symplectic_form,
     symplectic_spectrum,
     williamson,
 )
 
-from conftest import random_valid_covariance
+from conftest import random_valid_covariance, two_mode_squeezed
 
 
 def test_form_single_mode():
@@ -85,6 +90,63 @@ def test_spectrum_rejects_asymmetric():
 def test_spectrum_rejects_indefinite():
     with pytest.raises(InvalidStateError):
         symplectic_spectrum(np.diag([1.0, -1.0]))
+
+
+def general_route_spectra(matrices):
+    """Spectra through the complex 2n x 2n route, with the q-p block test off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symplectic, "_xp_blocks", lambda gamma: None)
+        return [symplectic_spectrum(g) for g in matrices]
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("n", [2, 16, 64])
+def test_block_route_matches_general_route_on_chain_reductions(n, boundary):
+    gamma = ground_state_covariance(chain_model(n, 1.0, 0.1, 1.0, boundary))
+    subs = [reduce(gamma, range(a, b + 1)) for a in range(1, n + 1) for b in range(a, n + 1)]
+    assert all(symplectic._xp_blocks(sub) is not None for sub in subs)
+    for sub, general in zip(subs, general_route_spectra(subs)):
+        np.testing.assert_allclose(symplectic_spectrum(sub), general, rtol=1e-13, atol=0)
+
+
+def mpmath_spectrum(gamma):
+    """Symplectic eigenvalues of the rounded, block-diagonal input at 50 digits,
+    as sqrt(eig(X P)), descending."""
+    n = gamma.shape[0] // 2
+    with mpmath.workdps(50):
+        x = mpmath.matrix(gamma[:n, :n].tolist())
+        p = mpmath.matrix(gamma[n:, n:].tolist())
+        eigs = mpmath.eig(x * p, left=False, right=False)
+        return sorted((mpmath.sqrt(mpmath.re(e)) for e in eigs), reverse=True)
+
+
+@pytest.mark.parametrize("r", [1.0, 3.0, 5.0, 6.0, 6.5])
+def test_squeezed_spectrum_matches_mpmath_of_rounded_input(r):
+    # From r ~ 5 the rounded input itself is slightly unphysical: at r = 6
+    # its exact sigma is 1/2 - 3.4e-8, which both routes reproduce.
+    gamma = two_mode_squeezed(r)
+    want = mpmath_spectrum(gamma)
+    for got in [symplectic_spectrum(gamma)] + general_route_spectra([gamma]):
+        assert max(abs(float(mpmath.mpf(g) - w)) for g, w in zip(got, want)) < 1e-10
+
+
+def test_off_diagonal_entry_takes_general_route(linalg_calls):
+    gamma = ground_state_covariance(chain_model(4, 1.0, 1.0, 0.7, "open"))
+    assert symplectic._xp_blocks(gamma) is not None
+    gamma[0, 5] = 1e-13  # within SYMMETRY_ATOL, so still a valid input
+    assert symplectic._xp_blocks(gamma) is None
+    del linalg_calls[:]
+    symplectic_spectrum(gamma)
+    assert linalg_calls == [("eigh", "f"), ("eigvalsh", "c")]
+
+
+def test_block_route_keeps_the_joint_condition_limit():
+    # X = [e^14/2] and P = [e^-14/2] are each perfectly conditioned, but
+    # together they span the condition number of r = 7 squeezing
+    gamma = np.diag([np.exp(14.0), np.exp(-14.0)]) / 2
+    with pytest.raises(InvalidStateError, match=r"eigenvalues in \[4\.158e-07, 6\.013e\+05\]"):
+        symplectic_spectrum(gamma)
+    np.testing.assert_allclose(symplectic_spectrum(np.diag([1e5, 1e-5])), [1.0], rtol=1e-14)
 
 
 def test_gamma_omega_eigenvalues_are_imaginary_pairs():
