@@ -51,6 +51,11 @@ EXIT_ERROR = 1
 EXIT_UNPHYSICAL = 2
 EXIT_DEVIATION = 3
 
+# Largest side of the wigner grid: steps^2 samples, ~60 MB of CSV at 1001.
+MAX_WIGNER_STEPS = 1001
+# Largest point count of a sweep grid; each point builds and analyses one model.
+MAX_SWEEP_POINTS = 10_000
+
 
 def _fmt(value: float) -> str:
     """17-significant-digit decimal form, enough to round-trip a double."""
@@ -126,7 +131,7 @@ def _read_input(path: str) -> tuple[str, str]:
 def _parse_json(text: str, path: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError includes JSONDecodeError
         raise MalformedInputError(f"invalid JSON in {path}: {exc}") from exc
 
 
@@ -203,10 +208,16 @@ def _parse_sweep_spec(obj) -> tuple[ModelParams, str, np.ndarray, ModePartition]
         raise MalformedInputError(f"sweep grid needs numeric start, stop, count: {exc}") from exc
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise MalformedInputError(f"sweep grid needs finite start and stop, got [{start}, {stop}]")
-    if count < 2:
-        raise MalformedInputError(f"sweep grid count must be >= 2, got {count}")
+    if not 2 <= count <= MAX_SWEEP_POINTS:
+        raise MalformedInputError(
+            f"sweep grid count must be in 2..MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}, got {count}"
+        )
     if not start < stop:
         raise MalformedInputError(f"sweep grid needs start < stop, got [{start}, {stop}]")
+    if not isinstance(obj["partition"], str):
+        raise MalformedInputError(
+            f"sweep partition must be a string like \"1|2\", got {obj['partition']!r}"
+        )
     partition = ModePartition.from_string(obj["partition"])
     if partition.n != params.n:
         raise MalformedInputError(
@@ -319,14 +330,24 @@ def _parse_wigner_grid(text: str) -> tuple[float, int]:
         steps = int(steps_text)
     except ValueError as exc:
         raise MalformedInputError(f"grid must be '<extent>,<steps>', got {text!r}") from exc
-    if not (extent > 0.0) or steps < 2:
-        raise MalformedInputError(f"grid needs extent > 0 and steps >= 2, got {text!r}")
+    if not (math.isfinite(extent) and extent > 0.0):
+        raise MalformedInputError(f"grid extent must be finite and > 0, got {text!r}")
+    if not 2 <= steps <= MAX_WIGNER_STEPS:
+        raise MalformedInputError(
+            f"grid steps must be in 2..MAX_WIGNER_STEPS = {MAX_WIGNER_STEPS}, got {text!r}"
+        )
+    dx = 2.0 * extent / (steps - 1)
+    if not (math.isfinite(dx) and dx > 0.0):
+        raise MalformedInputError(
+            f"grid spacing 2*extent/(steps-1) must be finite and > 0, got {dx} from {text!r}"
+        )
     return extent, steps
 
 
 def _cmd_wigner(args: argparse.Namespace) -> int:
     if not args.out:
         raise MalformedInputError("wigner writes a CSV file; pass --out <path>")
+    extent, steps = _parse_wigner_grid(args.grid)
     text, digest = _read_input(args.input)
     gamma, _ = _load_state(text, args.input)
     n = mode_count(gamma)
@@ -338,7 +359,6 @@ def _cmd_wigner(args: argparse.Namespace) -> int:
         )
     if not (1 <= args.mode <= n):
         raise MalformedInputError(f"--mode must be in 1..{n}, got {args.mode}")
-    extent, steps = _parse_wigner_grid(args.grid)
     single = reduce(gamma, [args.mode])
 
     axis = np.linspace(-extent, extent, steps)
@@ -356,9 +376,12 @@ def _cmd_wigner(args: argparse.Namespace) -> int:
         f"grid_integral={_fmt(integral)}",
         "q,p,w",
     ]
-    for i in range(steps):
-        for j in range(steps):
-            lines.append(f"{_fmt(axis[i])},{_fmt(axis[j])},{_fmt(w_vals[i, j])}")
+    # Each axis value is formatted once. "%.17g" % w is _fmt(w) for every
+    # double, so the "q,p,w" lines of one q come from a single % operation.
+    labels = [_fmt(v) for v in axis]
+    cells = [f",{p},%.17g" for p in labels]
+    for q, w_row in zip(labels, w_vals.tolist()):
+        lines.append((q + ("\n" + q).join(cells)) % tuple(w_row))
     _write_text_atomic(args.out, "\n".join(lines) + "\n")
     _emit_json(
         {

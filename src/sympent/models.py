@@ -212,7 +212,7 @@ class ModelParams:
             m = float(obj["m"])
             omega = float(obj["omega"])
             lam = float(obj["lambda"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedInputError(f"model JSON needs numeric m, omega, lambda: {exc}") from exc
         n = obj.get("n", 2)
         if isinstance(n, bool) or not isinstance(n, int):

@@ -298,14 +298,25 @@ def covariance_from_json_dict(obj) -> np.ndarray:
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise MalformedInputError(f"mode count must be a positive integer, got {n!r}")
     flat = obj["matrix"]
+    if not isinstance(flat, list):
+        raise MalformedInputError(
+            f"matrix field must be a flat list of numbers, got {type(flat).__name__}"
+        )
     if len(flat) != (2 * n) * (2 * n):
         raise MalformedInputError(
             f"matrix field has {len(flat)} entries, expected {(2 * n) * (2 * n)} for n={n}"
         )
+    # One test per distinct entry type: bool is an int subclass, and nested
+    # lists would otherwise be flattened by the reshape.
+    bad = sorted(
+        t.__name__ for t in set(map(type, flat)) if t is bool or not issubclass(t, (int, float))
+    )
+    if bad:
+        raise MalformedInputError(f"matrix entries must be numbers, got {', '.join(bad)}")
     try:
         gamma = np.array(flat, dtype=float).reshape(2 * n, 2 * n)
-    except (TypeError, ValueError) as exc:
-        raise MalformedInputError(f"matrix entries are not numbers: {exc}") from exc
+    except OverflowError as exc:
+        raise MalformedInputError(f"matrix entries must be finite numbers: {exc}") from exc
     if not np.all(np.isfinite(gamma)):
         raise MalformedInputError("matrix entries must be finite numbers")
     return gamma
@@ -355,7 +366,7 @@ def read_covariance_text(text: str) -> np.ndarray:
     if stripped.startswith("{"):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError includes JSONDecodeError
             raise MalformedInputError(f"invalid JSON: {exc}") from exc
         return covariance_from_json_dict(obj)
     if stripped.startswith("#"):

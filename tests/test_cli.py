@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sympent.cli as cli
 from sympent import (
@@ -11,11 +13,13 @@ from sympent import (
     covariance_to_csv_text,
     covariance_to_json_dict,
     ground_state_covariance,
+    reduce,
     vacuum,
+    wigner_values,
 )
 from sympent.cli import main
 
-from conftest import two_mode_squeezed
+from conftest import random_valid_covariance, two_mode_squeezed
 
 
 def write_vacuum_json(path, n=1):
@@ -380,6 +384,39 @@ def test_sweep_rejects_non_finite_specs(capsys, tmp_path, model_extra, grid):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+@pytest.mark.parametrize(
+    "kwargs,cause",
+    [
+        ({"partition": 5}, "sweep partition must be a string"),
+        ({"partition": None}, "sweep partition must be a string"),
+        ({"partition": [1, 2]}, "sweep partition must be a string"),
+        ({"count": 10_001}, "MAX_SWEEP_POINTS = 10000, got 10001"),
+        ({"count": 10**12}, "MAX_SWEEP_POINTS = 10000, got 1000000000000"),
+    ],
+    ids=["partition-int", "partition-null", "partition-list", "count-max+1", "count-1e12"],
+)
+def test_sweep_names_the_malformed_field(capsys, tmp_path, kwargs, cause):
+    spec = tmp_path / "sweep.json"
+    out_csv = tmp_path / "sweep.csv"
+    model = {"type": "two_oscillator", "m": 1.0, "omega": 1.0, "lambda": 0.0}
+    write_sweep_json(spec, model, **kwargs)
+    code, out, err = run(capsys, "sweep", str(spec), "--out", str(out_csv))
+    assert_clean_failure(code, out, err)
+    assert cause in err
+    assert not out_csv.exists()
+
+
+def test_sweep_grid_may_have_max_points():
+    spec = {
+        "model": {"type": "two_oscillator", "m": 1.0, "omega": 1.0, "lambda": 0.0},
+        "parameter": "lambda",
+        "grid": {"start": 0.0, "stop": 1.0, "count": cli.MAX_SWEEP_POINTS},
+        "partition": "1|2",
+    }
+    _, _, grid, _ = cli._parse_sweep_spec(spec)
+    assert len(grid) == cli.MAX_SWEEP_POINTS
+
+
 def test_sweep_refuses_huge_chain(capsys, tmp_path):
     spec = tmp_path / "sweep.json"
     out_csv = tmp_path / "sweep.csv"
@@ -464,6 +501,85 @@ def test_wigner_requires_out_and_valid_mode(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "grid,cause",
+    [
+        ("1e308,5", "grid spacing"),
+        ("5e-324,1001", "grid spacing"),
+        ("inf,5", "grid extent must be finite and > 0"),
+        ("nan,5", "grid extent must be finite and > 0"),
+        ("0,5", "grid extent must be finite and > 0"),
+        ("-1,5", "grid extent must be finite and > 0"),
+        ("8,1", "MAX_WIGNER_STEPS = 1001"),
+        ("8,1002", "MAX_WIGNER_STEPS = 1001"),
+        ("8,100000", "MAX_WIGNER_STEPS = 1001"),
+        ("8", "grid must be '<extent>,<steps>'"),
+        ("8,2.5", "grid must be '<extent>,<steps>'"),
+    ],
+)
+def test_wigner_grid_is_checked_before_the_input_is_read(capsys, tmp_path, grid, cause):
+    # The input does not exist: only a grid error raised before any read names the grid.
+    out_csv = tmp_path / "w.csv"
+    code, out, err = run(
+        capsys, "wigner", str(tmp_path / "missing.json"), f"--grid={grid}", "--out", str(out_csv)
+    )
+    assert_clean_failure(code, out, err)
+    assert cause in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "grid,expected", [("8,161", (8.0, 161)), ("8,1001", (8.0, 1001)), ("1e-300,2", (1e-300, 2))]
+)
+def test_wigner_grid_limits_are_inclusive(grid, expected):
+    assert cli._parse_wigner_grid(grid) == expected
+
+
+def reference_wigner_rows(gamma, mode, extent, steps):
+    """Data rows of the wigner CSV, one format() per cell, independent of the CLI."""
+    axis = np.linspace(-extent, extent, steps)
+    qs, ps = np.meshgrid(axis, axis, indexing="ij")
+    w = wigner_values(reduce(gamma, [mode]), np.stack([qs.ravel(), ps.ravel()])).reshape(qs.shape)
+    return [
+        f"{format(float(axis[i]), '.17g')},{format(float(axis[j]), '.17g')},"
+        f"{format(float(w[i, j]), '.17g')}"
+        for i in range(steps)
+        for j in range(steps)
+    ]
+
+
+@pytest.mark.parametrize(
+    "grid_args,mode,extent,steps",
+    [([], 2, 8.0, 161), (["--grid", "2,5"], 1, 2.0, 5)],
+    ids=["default-8,161", "2,5"],
+)
+def test_wigner_rows_match_per_cell_reference(capsys, tmp_path, grid_args, mode, extent, steps):
+    gamma, _ = random_valid_covariance(2, seed=23)
+    assert np.any(gamma[:2, 2:] != 0.0)  # general state: Gamma_qp != 0
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(covariance_to_json_dict(gamma)), encoding="utf-8")
+    out_csv = tmp_path / "w.csv"
+    argv = ["wigner", str(state), "--mode", str(mode), *grid_args, "--out", str(out_csv)]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    lines = out_csv.read_text(encoding="utf-8").split("\n")
+    assert lines[2] == "q,p,w"
+    assert lines[-1] == ""
+    assert lines[3:-1] == reference_wigner_rows(gamma, mode, extent, steps)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@example(2.2250738585072009e-308)
+@example(1.7976931348623157e308)
+def test_percent_17g_is_format_17g(x):
+    assert "%.17g" % x == format(x, ".17g")
+
+
 def test_wigner_rejects_unphysical_state(capsys, tmp_path):
     state = tmp_path / "bad.json"
     state.write_text(json.dumps(covariance_to_json_dict(0.4 * np.eye(2))), encoding="utf-8")
@@ -512,6 +628,20 @@ def test_run_record_goes_to_stderr_only(capsys, tmp_path):
     record = json.loads(err.strip().splitlines()[-1])
     assert set(record) == {"tool_version", "input_digest", "options", "outputs", "timestamp"}
     assert record["outputs"] == ["stdout"]
+
+
+@pytest.mark.parametrize("command", ["validate", "spectrum"])
+@pytest.mark.parametrize(
+    "text",
+    ['{"n": 1' + "0" * 5000 + "}", '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+    ids=["5000-digit-int", "nested-100000-deep"],
+)
+def test_json_beyond_the_parser_limits_exit_one(capsys, tmp_path, command, text):
+    state = tmp_path / "state.json"
+    state.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, command, str(state))
+    assert_clean_failure(code, out, err)
+    assert "invalid JSON" in err
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-1e-9"])

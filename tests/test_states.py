@@ -352,6 +352,24 @@ def test_json_rejects_wrong_matrix_length():
         covariance_from_json_dict(obj)
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [5, "0.5,0,0,0.5", {"0": 0.5}, [[0.5], [0.0], [0.0], [0.5]], [True, False, False, True],
+     [0.5, "0", 0, 0.5], [0.5, None, 0, 0.5], [10**400, 0, 0, 0.5]],
+    ids=["int", "string", "object", "nested", "booleans", "string-entry", "null-entry", "huge-int"],
+)
+def test_json_rejects_malformed_matrix(matrix):
+    obj = covariance_to_json_dict(vacuum(1))
+    obj["matrix"] = matrix
+    with pytest.raises(MalformedInputError, match="matrix"):
+        covariance_from_json_dict(obj)
+
+
+def test_json_accepts_integer_entries():
+    obj = {"n": 1, "ordering": "qqpp", "matrix": [1, 0, 0.0, 1]}
+    np.testing.assert_array_equal(covariance_from_json_dict(obj), np.eye(2))
+
+
 def test_csv_rejects_missing_header():
     with pytest.raises(MalformedInputError):
         covariance_from_csv_text("0.5,0\n0,0.5\n")
