@@ -21,6 +21,7 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -29,16 +30,17 @@ import numpy as np
 
 from . import __version__
 from .entropy import S_COUNT_TOL, entanglement_entropy, mode_entropy, thermal_parameter
-from .errors import InvalidStateError, MalformedInputError, SympentError
+from .errors import MalformedInputError, SympentError
 from .fock import required_n_max, thermal_entropy_bruteforce
 from .logbase import BITS, LOG_BASES
-from .models import ModelParams, ground_state_covariance
+from .models import ModelParams, _json_number, ground_state_covariance
 from .states import (
     HBAR,
     ORDERING,
     VACUUM_SIGMA,
     ModePartition,
     covariance_from_json_dict,
+    heisenberg_margin,
     read_covariance_text,
     reduce,
     validate,
@@ -69,18 +71,21 @@ def _conventions(base: str) -> dict:
 def _emit_json(obj: dict, out_path: str | None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if out_path:
-        _write_text_atomic(out_path, text)
+        _write_text_atomic(out_path, [text])
     else:
         sys.stdout.write(text)
 
 
-def _write_text_atomic(path: str, text: str) -> None:
+def _write_text_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks, in order, to a temporary file next to ``path`` as
+    they are produced, then rename it to ``path``."""
     target = Path(path)
     parent = target.parent if str(target.parent) else Path(".")
     fd, tmp = tempfile.mkstemp(dir=str(parent), prefix=target.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -155,6 +160,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     gamma = read_covariance_text(text)
     report = validate(gamma, tol=args.tol)
     payload = report.to_json_dict()
+    payload["min_heisenberg_eigenvalue"] = heisenberg_margin(gamma)
     payload["conventions"] = _conventions(args.base)
     _emit_json(payload, args.out)
     _emit_run_record(args, digest, [args.out or "stdout"])
@@ -201,11 +207,13 @@ def _parse_sweep_spec(obj) -> tuple[ModelParams, str, np.ndarray, ModePartition]
         raise MalformedInputError(f"sweep parameter must be lambda, omega, or m, got {name!r}")
     grid = obj["grid"]
     try:
-        start = float(grid["start"])
-        stop = float(grid["stop"])
-        count = int(grid["count"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        start = _json_number(grid["start"])
+        stop = _json_number(grid["stop"])
+        count = grid["count"]
+    except (KeyError, TypeError, OverflowError) as exc:
         raise MalformedInputError(f"sweep grid needs numeric start, stop, count: {exc}") from exc
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise MalformedInputError(f"sweep grid count must be an integer, got {count!r}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise MalformedInputError(f"sweep grid needs finite start and stop, got [{start}, {stop}]")
     if not 2 <= count <= MAX_SWEEP_POINTS:
@@ -256,7 +264,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     lines = [",".join(["param"] + sigma_cols + ["total_bits", "s_count"])]
     lines += [",".join(row) for row in rows]
-    _write_text_atomic(args.out, header_meta + "\n".join(lines) + "\n")
+    _write_text_atomic(args.out, [header_meta + "\n".join(lines) + "\n"])
     _emit_json({"rows": len(rows), "out": args.out, "conventions": _conventions(BITS)}, None)
     _emit_run_record(args, digest, [args.out])
     return EXIT_OK
@@ -299,7 +307,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     lines.append(f"# max_deviation={_fmt(max_dev)} points={len(rows)} offenders={len(offenders)}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        _write_text_atomic(args.out, text)
+        _write_text_atomic(args.out, [text])
         _emit_json(
             {
                 "max_deviation": max_dev,
@@ -351,14 +359,9 @@ def _cmd_wigner(args: argparse.Namespace) -> int:
     text, digest = _read_input(args.input)
     gamma, _ = _load_state(text, args.input)
     n = mode_count(gamma)
-    report = validate(gamma, tol=args.tol)
-    if not report.valid:
-        raise InvalidStateError(
-            "covariance matrix is unphysical: min eigenvalue of G + (i/2) Omega "
-            f"= {report.min_heisenberg_eigenvalue:.3e}"
-        )
     if not (1 <= args.mode <= n):
         raise MalformedInputError(f"--mode must be in 1..{n}, got {args.mode}")
+    validate(gamma, tol=args.tol).require_physical()
     single = reduce(gamma, [args.mode])
 
     axis = np.linspace(-extent, extent, steps)
@@ -369,20 +372,23 @@ def _cmd_wigner(args: argparse.Namespace) -> int:
     integral = float(w_vals.sum() * dx * dx)
     peak = float(w_vals.max())
 
-    lines = [
-        f"# sympent wigner ordering={ORDERING} hbar={HBAR} vacuum_sigma={VACUUM_SIGMA} "
-        f"base={args.base}",
-        f"# mode={args.mode} extent={_fmt(extent)} steps={steps} dx={_fmt(dx)} "
-        f"grid_integral={_fmt(integral)}",
-        "q,p,w",
-    ]
-    # Each axis value is formatted once. "%.17g" % w is _fmt(w) for every
-    # double, so the "q,p,w" lines of one q come from a single % operation.
-    labels = [_fmt(v) for v in axis]
-    cells = [f",{p},%.17g" for p in labels]
-    for q, w_row in zip(labels, w_vals.tolist()):
-        lines.append((q + ("\n" + q).join(cells)) % tuple(w_row))
-    _write_text_atomic(args.out, "\n".join(lines) + "\n")
+    def csv_lines():
+        yield (
+            f"# sympent wigner ordering={ORDERING} hbar={HBAR} vacuum_sigma={VACUUM_SIGMA} "
+            f"base={args.base}\n"
+            f"# mode={args.mode} extent={_fmt(extent)} steps={steps} dx={_fmt(dx)} "
+            f"grid_integral={_fmt(integral)}\n"
+            "q,p,w\n"
+        )
+        # Each axis value is formatted once. "%.17g" % w is _fmt(w) for every
+        # double, so the "q,p,w" lines of one q come from a single % operation.
+        labels = [_fmt(v) for v in axis]
+        cells = [f",{p},%.17g" for p in labels]
+        for q, w_row in zip(labels, w_vals):
+            yield (q + ("\n" + q).join(cells) + "\n") % tuple(w_row.tolist())
+
+    # One row of q at a time: the CSV text is never held whole.
+    _write_text_atomic(args.out, csv_lines())
     _emit_json(
         {
             "mode": args.mode,

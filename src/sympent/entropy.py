@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPartitionError, InvalidStateError, UnphysicalEigenvalueError
+from .errors import InvalidPartitionError, UnphysicalEigenvalueError
 from .logbase import BITS, LN2, log_fn
 from .states import ModePartition, reduce, validate
 from .symplectic import DEFAULT_TOL, mode_count, symplectic_spectrum
@@ -160,16 +160,11 @@ def entanglement_entropy(
     so the B side is not computed and ``spectrum_b`` stays None.
     """
     gamma = np.asarray(gamma, dtype=float)
+    n = mode_count(gamma)
+    if partition.n != n:
+        raise InvalidPartitionError(f"partition is over {partition.n} modes but the state has {n}")
     report = validate(gamma, tol=tol)
-    if not report.valid:
-        raise InvalidStateError(
-            "covariance matrix is unphysical: min eigenvalue of G + (i/2) Omega "
-            f"= {report.min_heisenberg_eigenvalue:.3e} < -{tol:.1e}"
-        )
-    if partition.n != mode_count(gamma):
-        raise InvalidPartitionError(
-            f"partition is over {partition.n} modes but the state has {mode_count(gamma)}"
-        )
+    report.require_physical()
     spectrum_a = symplectic_spectrum(reduce(gamma, partition.set_a))
     modes = tuple(ThermalMode.from_sigma(s) for s in spectrum_a)
     total_bits = float(sum(m.entropy_bits for m in modes))

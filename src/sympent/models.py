@@ -169,6 +169,15 @@ def normal_mode_transform(model: QuadraticModel) -> np.ndarray:
 # --- serialization ---------------------------------------------------------
 
 
+def _json_number(value) -> float:
+    """float(value) for a JSON number; TypeError for anything else, a bool or
+    a numeric string included. An integer beyond float range raises
+    OverflowError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a JSON number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameter record mirroring the model JSON files read by the CLI."""
@@ -209,10 +218,10 @@ class ModelParams:
             raise MalformedInputError("model JSON is missing the 'type' field")
         try:
             kind = obj["type"]
-            m = float(obj["m"])
-            omega = float(obj["omega"])
-            lam = float(obj["lambda"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            m = _json_number(obj["m"])
+            omega = _json_number(obj["omega"])
+            lam = _json_number(obj["lambda"])
+        except (KeyError, TypeError, OverflowError) as exc:
             raise MalformedInputError(f"model JSON needs numeric m, omega, lambda: {exc}") from exc
         n = obj.get("n", 2)
         if isinstance(n, bool) or not isinstance(n, int):

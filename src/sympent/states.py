@@ -68,8 +68,10 @@ def _check_symmetric(gamma: np.ndarray) -> None:
 class ValidationReport:
     """Physicality diagnostics for a candidate covariance matrix.
 
-    ``min_heisenberg_eigenvalue`` is the smallest eigenvalue of the Hermitian
-    matrix Gamma + (i/2) Omega; the state is physical iff it is >= -tol.
+    ``valid`` means Gamma is positive definite (``symplectic._spd_eigh``) and
+    its smallest symplectic eigenvalue is >= 1/2 - tol, which for a
+    positive-definite Gamma is the uncertainty relation
+    Gamma + (i/2) Omega >= 0 (Simon, Mukunda, Dutta, PRA 49, 1567 (1994)).
     ``pure`` means every symplectic eigenvalue is within tol of 1/2; it is
     not part of ``to_json_dict``. ``min_symplectic_eigenvalue`` is NaN, and
     ``pure`` False, when the state is unphysical and Gamma is not positive
@@ -78,34 +80,46 @@ class ValidationReport:
 
     valid: bool
     n: int
-    min_heisenberg_eigenvalue: float
     min_symplectic_eigenvalue: float
     tol: float
     pure: bool
+
+    def require_physical(self) -> None:
+        """Raise InvalidStateError naming the smallest symplectic eigenvalue
+        unless the state is valid."""
+        if self.valid:
+            return
+        min_sigma = self.min_symplectic_eigenvalue
+        if np.isnan(min_sigma):
+            raise InvalidStateError(
+                "covariance matrix is unphysical and not positive definite within SINGULAR_RTOL"
+            )
+        raise InvalidStateError(
+            f"covariance matrix is unphysical: min symplectic eigenvalue {min_sigma:.10g} "
+            f"< 1/2 - {self.tol:.1e}"
+        )
 
     def to_json_dict(self) -> dict:
         min_sigma = self.min_symplectic_eigenvalue
         return {
             "valid": self.valid,
             "n": self.n,
-            "min_heisenberg_eigenvalue": self.min_heisenberg_eigenvalue,
             "min_symplectic_eigenvalue": None if np.isnan(min_sigma) else min_sigma,
             "tol": self.tol,
         }
 
 
-def validate(gamma: np.ndarray, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Check the uncertainty-relation constraint Gamma + (i/2) Omega >= 0.
+def heisenberg_margin(gamma: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian matrix Gamma + (i/2) Omega.
 
-    The one full-state pass: the minimum symplectic eigenvalue and purity
-    come from a single symplectic spectrum. When Gamma = X (+) P has no q-p
-    correlations, the Heisenberg test runs on the real symmetric matrix
-    [[X, -I/2], [-I/2, P]], unitarily similar to Gamma + (i/2) Omega. A NaN or
-    infinite entry, or asymmetry beyond 1e-12, is a malformed input (raises),
-    not an unphysical state; unphysical states come back as a report with
-    ``valid=False``. A physical state is positive definite, so if its
-    spectrum still fails the SINGULAR_RTOL test, Gamma is too ill-conditioned
-    and NumericalFailureError is raised.
+    A diagnostic: it is >= 0 exactly for physical states, but it is not
+    symplectically invariant. Squeezing shrinks it, so an absolute tol on it
+    admits states far below the vacuum floor, and ``validate`` decides
+    physicality from the symplectic spectrum instead. When Gamma = X (+) P
+    has no q-p correlations, the eigenvalues come from the real symmetric
+    matrix [[X, -I/2], [-I/2, P]], unitarily similar to Gamma + (i/2) Omega.
+    A NaN or infinite entry, or asymmetry beyond 1e-12, raises
+    MalformedInputError.
     """
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
@@ -116,26 +130,39 @@ def validate(gamma: np.ndarray, tol: float = DEFAULT_TOL) -> ValidationReport:
     else:
         # diag(I, iI)^H (Gamma + (i/2) Omega) diag(I, iI) = [[X, -I/2], [-I/2, P]]
         herm = gamma - 0.5 * np.abs(omega)
-    min_eig = float(np.linalg.eigvalsh(herm)[0])
-    valid = min_eig >= -tol
+    return float(np.linalg.eigvalsh(herm)[0])
 
+
+def validate(gamma: np.ndarray, tol: float = DEFAULT_TOL) -> ValidationReport:
+    """Check that Gamma is a physical covariance matrix.
+
+    The one full-state pass: validity (min sigma >= 1/2 - tol) and purity
+    come from a single symplectic spectrum. A NaN or infinite entry, or
+    asymmetry beyond 1e-12, is a malformed input (raises), not an unphysical
+    state; unphysical states come back as a report with ``valid=False``.
+    Only when Gamma fails the positive-definite test of the spectrum does
+    ``heisenberg_margin`` decide: below -tol the state is unphysical; else
+    it is physical but too ill-conditioned, and NumericalFailureError is
+    raised.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    n = mode_count(gamma)
+    _check_symmetric(gamma)
     try:
         spectrum = symplectic_spectrum(gamma)
     except InvalidStateError as exc:
-        if valid:
+        if heisenberg_margin(gamma) >= -tol:
             raise NumericalFailureError(str(exc)) from exc
-        min_sigma, pure = float("nan"), False
-    else:
-        min_sigma = float(spectrum[-1])
-        pure = bool(np.max(np.abs(spectrum - 0.5)) <= tol)
-
+        return ValidationReport(
+            valid=False, n=n, min_symplectic_eigenvalue=float("nan"), tol=float(tol), pure=False
+        )
+    min_sigma = float(spectrum[-1])
     return ValidationReport(
-        valid=valid,
+        valid=min_sigma >= VACUUM_SIGMA - tol,
         n=n,
-        min_heisenberg_eigenvalue=min_eig,
         min_symplectic_eigenvalue=min_sigma,
         tol=float(tol),
-        pure=pure,
+        pure=bool(np.max(np.abs(spectrum - VACUUM_SIGMA)) <= tol),
     )
 
 

@@ -13,8 +13,10 @@ from sympent import (
     covariance_to_csv_text,
     covariance_to_json_dict,
     ground_state_covariance,
+    random_symplectic,
     reduce,
     vacuum,
+    validate,
     wigner_values,
 )
 from sympent.cli import main
@@ -108,6 +110,34 @@ def test_validate_exit_codes_on_block_diagonal_states(capsys, tmp_path, scale, e
     code, out, _ = run(capsys, "validate", str(state))
     assert code == exit_code
     assert json.loads(out)["valid"] is (exit_code == 0)
+
+
+def planted_states(offset):
+    """States whose smallest symplectic eigenvalue is 1/2 + offset: a scaled
+    chain ground state and a squeezed thermal state (Gamma_qp = 0), and
+    S diag(nu, nu) S^T with Gamma_qp != 0."""
+    chain = (1 + 2 * offset) * ground_state_covariance(chain_model(8, 1.0, 1.0, 0.8, "periodic"))
+    squeezed = (1 + 2 * offset) * two_mode_squeezed(2.0)
+    s = random_symplectic(3, 7)
+    nu = np.array([0.5 + offset, 0.8, 1.3])
+    general = s @ np.diag(np.concatenate([nu, nu])) @ s.T
+    return {"chain": (chain, "1,2,3|4,5,6,7,8"), "squeezed": (squeezed, "1|2"),
+            "general": (general, "1|2,3")}
+
+
+@pytest.mark.parametrize("kind", ["chain", "squeezed", "general"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["inside", "outside"])
+def test_validate_and_entropy_agree_at_the_vacuum_floor(capsys, tmp_path, kind, sign):
+    tol = 1e-8
+    gamma, partition = planted_states(2 * sign * tol)[kind]
+    assert abs(validate(gamma).min_symplectic_eigenvalue - (0.5 + 2 * sign * tol)) < 1e-12
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(covariance_to_json_dict(gamma)), encoding="utf-8")
+    valid_code, _, _ = run(capsys, "validate", str(state))
+    entropy_code, _, err = run(capsys, "entropy", str(state), "--partition", partition)
+    assert (valid_code, entropy_code) == ((0, 0) if sign > 0 else (2, 1))
+    if sign < 0:
+        assert "min symplectic eigenvalue 0.49999998 < 1/2 - 1.0e-08" in err
 
 
 def write_two_mode_squeezed_json(path, r):
@@ -578,6 +608,14 @@ def test_wigner_rows_match_per_cell_reference(capsys, tmp_path, grid_args, mode,
 @example(1.7976931348623157e308)
 def test_percent_17g_is_format_17g(x):
     assert "%.17g" % x == format(x, ".17g")
+
+
+def test_wigner_checks_the_mode_before_the_full_state_pass(capsys, tmp_path):
+    state = tmp_path / "bad.json"
+    state.write_text(json.dumps(covariance_to_json_dict(0.4 * np.eye(2))), encoding="utf-8")
+    code, out, err = run(capsys, "wigner", str(state), "--mode", "2", "--out", str(tmp_path / "w.csv"))
+    assert_clean_failure(code, out, err)
+    assert "--mode must be in 1..1, got 2" in err
 
 
 def test_wigner_rejects_unphysical_state(capsys, tmp_path):

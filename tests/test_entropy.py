@@ -27,7 +27,7 @@ from sympent import (
     validate,
 )
 
-from conftest import embed_symplectic
+from conftest import embed_symplectic, random_valid_covariance, two_mode_squeezed
 
 # frozen from the truncated number-basis sum at sigma = 1/sqrt(3)
 REFERENCE_SIGMA = 1.0 / math.sqrt(3.0)
@@ -169,6 +169,44 @@ def test_chain_entropy_uses_real_eigensolvers_only(linalg_calls):
 def test_entropy_rejects_mismatched_partition():
     with pytest.raises(InvalidPartitionError):
         entanglement_entropy(vacuum(3), ModePartition.from_string("1|2"))
+
+
+def test_mismatched_partition_fails_before_the_full_state_pass(linalg_calls):
+    # unphysical and over the wrong mode count: the cheap partition check names the cause
+    with pytest.raises(InvalidPartitionError, match="partition is over 2 modes"):
+        entanglement_entropy(0.4 * np.eye(6), ModePartition.from_string("1|2"))
+    assert linalg_calls == []
+
+
+def test_chain_entropy_decomposes_each_state_once(linalg_calls):
+    # full state, A and B: two block eigh and one SVD each, no Heisenberg eigvalsh
+    gamma = ground_state_covariance(chain_model(16, 1.0, 1.0, 0.8, "periodic"))
+    partition = ModePartition.from_sides(range(1, 7), range(7, 17))
+    del linalg_calls[:]
+    report = entanglement_entropy(gamma, partition, include_b=True)
+    assert report.spectrum_b is not None
+    names = [name for name, _ in linalg_calls]
+    assert sorted(names) == ["eigh"] * 6 + ["svd"] * 3
+
+
+def test_general_state_is_validated_by_one_spectrum(linalg_calls):
+    gamma, _ = random_valid_covariance(3, seed=4)
+    assert np.any(gamma[:3, 3:])
+    del linalg_calls[:]
+    assert validate(gamma).valid
+    assert linalg_calls == [("eigh", "f"), ("eigvalsh", "c")]
+
+
+def test_squeezed_state_below_the_vacuum_floor_is_rejected():
+    # two-mode squeezed thermal state, r = 5, nu = 0.4999: sigma_min is 1e4 tol
+    # below 1/2, but Gamma + (i/2) Omega's smallest eigenvalue is only -9.1e-9.
+    # Rounding the entries (~e^10/4) moves the spectrum by ~6e-9.
+    gamma = 2 * 0.4999 * two_mode_squeezed(5.0)
+    report = validate(gamma)
+    assert not report.valid
+    assert report.min_symplectic_eigenvalue == pytest.approx(0.4999, abs=1e-8)
+    with pytest.raises(InvalidStateError, match="min symplectic eigenvalue 0.499"):
+        entanglement_entropy(gamma, ModePartition.from_string("1|2"))
 
 
 def test_purity_check_examples():

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import sympent.cli as cli
-from sympent import ModelParams, SympentError, read_covariance_text
+from sympent import MalformedInputError, ModelParams, SympentError, read_covariance_text
 
 KEYS = [
     "n", "ordering", "hbar", "matrix", "type", "m", "omega", "lambda", "boundary",
@@ -131,3 +131,71 @@ def test_parse_sweep_spec_raises_only_sympent_errors(obj):
 def test_model_params_reject_integers_beyond_float_range(obj):
     with pytest.raises(SympentError, match="numeric m, omega, lambda"):
         ModelParams.from_json_dict(obj)
+
+
+# A JSON value that is not a number: a bool, a string (numeric ones included)
+# or a container.
+non_numbers = (
+    st.booleans()
+    | st.text(max_size=6)
+    | (st.integers() | st.floats()).map(str)
+    | st.sampled_from(["1", " 2 ", "1_0", "1e3", "nan", "0x10"])
+    | st.lists(st.integers(), max_size=2)
+)
+VALID_GRID = {"start": 0.0, "stop": 1.0, "count": 3}
+
+
+def sweep_spec(grid):
+    return {"model": {"type": "chain", "n": 2, "m": 1.0, "omega": 1.0, "lambda": 0.5},
+            "parameter": "lambda", "grid": grid, "partition": "1|2"}
+
+
+@FUZZ
+@given(st.sampled_from(["m", "omega", "lambda"]), non_numbers)
+def test_model_params_take_json_numbers_only(field, value):
+    obj = {"type": "chain", "m": 1.0, "omega": 1.0, "lambda": 0.5, field: value}
+    with pytest.raises(MalformedInputError, match="numeric m, omega, lambda"):
+        ModelParams.from_json_dict(obj)
+
+
+@FUZZ
+@given(st.sampled_from(["start", "stop"]), non_numbers)
+def test_sweep_grid_takes_json_numbers_only(field, value):
+    with pytest.raises(MalformedInputError, match="numeric start, stop, count"):
+        cli._parse_sweep_spec(sweep_spec({**VALID_GRID, field: value}))
+
+
+@FUZZ
+@given(non_numbers | st.floats())
+def test_sweep_grid_count_is_a_json_integer(value):
+    with pytest.raises(MalformedInputError, match="count must be an integer"):
+        cli._parse_sweep_spec(sweep_spec({**VALID_GRID, "count": value}))
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("m", "1"), ("omega", " 2 "), ("lambda", "1_0"), ("m", True), ("lambda", "inf")],
+)
+def test_model_params_reject_numeric_strings_and_bools(field, value):
+    obj = {"type": "two_oscillator", "m": 1.0, "omega": 1.0, "lambda": 0.5, field: value}
+    with pytest.raises(MalformedInputError, match="numeric m, omega, lambda"):
+        ModelParams.from_json_dict(obj)
+
+
+@pytest.mark.parametrize(
+    "grid,cause",
+    [
+        ({"start": "0"}, "numeric start, stop, count"),
+        ({"stop": " 1 "}, "numeric start, stop, count"),
+        ({"start": False}, "numeric start, stop, count"),
+        ({"count": 2.9}, "count must be an integer"),
+        ({"count": 3.0}, "count must be an integer"),
+        ({"count": "3"}, "count must be an integer"),
+        ({"count": True}, "count must be an integer"),
+    ],
+    ids=["start-str", "stop-str", "start-bool", "count-2.9", "count-3.0", "count-str",
+         "count-bool"],
+)
+def test_sweep_grid_rejects_numeric_strings_and_fractions(grid, cause):
+    with pytest.raises(MalformedInputError, match=cause):
+        cli._parse_sweep_spec(sweep_spec({**VALID_GRID, **grid}))

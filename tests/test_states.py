@@ -16,6 +16,7 @@ from sympent import (
     covariance_to_csv_text,
     covariance_to_json_dict,
     ground_state_covariance,
+    heisenberg_margin,
     read_covariance_text,
     reduce,
     symplectic_form,
@@ -36,7 +37,7 @@ from conftest import embed_symplectic, random_valid_covariance, two_mode_squeeze
 def test_vacuum_saturates_uncertainty_bound():
     report = validate(vacuum(1))
     assert report.valid
-    assert abs(report.min_heisenberg_eigenvalue) < 1e-14
+    assert abs(heisenberg_margin(vacuum(1))) < 1e-14
     assert abs(report.min_symplectic_eigenvalue - 0.5) < 1e-14
 
 
@@ -97,7 +98,7 @@ def test_block_diagonal_heisenberg_margin_matches_complex_form(scale, valid):
     want = np.linalg.eigvalsh(gamma + 0.5j * symplectic_form(12))[0]
     report = validate(gamma)
     assert report.valid is valid
-    assert abs(report.min_heisenberg_eigenvalue - want) <= 1e-13 * np.linalg.norm(gamma, 2)
+    assert abs(heisenberg_margin(gamma) - want) <= 1e-13 * np.linalg.norm(gamma, 2)
 
 
 def test_heisenberg_test_agrees_with_spectrum_test():
@@ -107,10 +108,12 @@ def test_heisenberg_test_agrees_with_spectrum_test():
         gamma, sigmas = random_valid_covariance(3, seed=seed, sigma_range=(0.55, 3.0))
         assert validate(gamma).valid
         assert sigmas[-1] >= 0.5 - 1e-8
+        assert heisenberg_margin(gamma) >= -1e-8
     for seed in range(20):
         gamma, sigmas = random_valid_covariance(3, seed=seed, sigma_range=(0.1, 0.45))
         assert not validate(gamma).valid
         assert sigmas[-1] < 0.5 - 1e-8
+        assert heisenberg_margin(gamma) < -1e-8
 
 
 # --- reduction -------------------------------------------------------------
