@@ -14,7 +14,6 @@ from .entropy import (
     EntropyReport,
     ThermalMode,
     entanglement_entropy,
-    mean_occupation,
     mode_entropy,
     thermal_parameter,
 )
@@ -32,13 +31,9 @@ from .errors import (
 from .fock import (
     TAIL_LIMIT,
     ThermalSpectrumTruncated,
-    TwoModeSqueezedState,
-    quadrature_variances_thermal,
     required_n_max,
     thermal_entropy_bruteforce,
     thermal_probabilities,
-    two_mode_squeezed_entropy,
-    two_mode_squeezed_state,
 )
 from .logbase import BITS, LN2, NATS
 from .models import (
@@ -63,12 +58,10 @@ from .states import (
     covariance_to_csv_text,
     covariance_to_json_dict,
     heisenberg_margin,
-    read_covariance,
     read_covariance_text,
     reduce,
     vacuum,
     validate,
-    wigner_function,
     wigner_values,
 )
 from .symplectic import (
@@ -105,7 +98,6 @@ __all__ = [
     "ThermalMode",
     "ThermalSpectrumTruncated",
     "TruncationError",
-    "TwoModeSqueezedState",
     "TwoOscillatorParams",
     "UnphysicalEigenvalueError",
     "VACUUM_SIGMA",
@@ -121,12 +113,9 @@ __all__ = [
     "ground_state_covariance",
     "heisenberg_margin",
     "is_symplectic",
-    "mean_occupation",
     "mode_entropy",
     "normal_mode_transform",
-    "quadrature_variances_thermal",
     "random_symplectic",
-    "read_covariance",
     "read_covariance_text",
     "reduce",
     "required_n_max",
@@ -135,12 +124,9 @@ __all__ = [
     "thermal_entropy_bruteforce",
     "thermal_parameter",
     "thermal_probabilities",
-    "two_mode_squeezed_entropy",
-    "two_mode_squeezed_state",
     "two_oscillator_model",
     "vacuum",
     "validate",
-    "wigner_function",
     "wigner_values",
     "williamson",
 ]

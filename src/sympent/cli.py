@@ -33,7 +33,7 @@ from .entropy import S_COUNT_TOL, entanglement_entropy, mode_entropy, thermal_pa
 from .errors import MalformedInputError, SympentError
 from .fock import required_n_max, thermal_entropy_bruteforce
 from .logbase import BITS, LOG_BASES
-from .models import ModelParams, _json_number, ground_state_covariance
+from .models import SWEEP_PARAMETERS, ModelParams, _json_number, ground_state_covariance
 from .states import (
     HBAR,
     ORDERING,
@@ -55,6 +55,9 @@ EXIT_DEVIATION = 3
 
 # Largest side of the wigner grid: steps^2 samples, ~60 MB of CSV at 1001.
 MAX_WIGNER_STEPS = 1001
+# Most phase points the wigner grid evaluates at once, in whole q rows (a row
+# of MAX_WIGNER_STEPS fits): the default 161 x 161 grid is one chunk.
+WIGNER_CHUNK_POINTS = 65_536
 # Largest point count of a sweep grid; each point builds and analyses one model.
 MAX_SWEEP_POINTS = 10_000
 
@@ -203,7 +206,7 @@ def _parse_sweep_spec(obj) -> tuple[ModelParams, str, np.ndarray, ModePartition]
             raise MalformedInputError(f"sweep spec is missing the {key!r} field")
     params = ModelParams.from_json_dict(obj["model"])
     name = obj["parameter"]
-    if name not in ("lambda", "omega", "m"):
+    if not isinstance(name, str) or name not in SWEEP_PARAMETERS:
         raise MalformedInputError(f"sweep parameter must be lambda, omega, or m, got {name!r}")
     grid = obj["grid"]
     try:
@@ -366,9 +369,12 @@ def _cmd_wigner(args: argparse.Namespace) -> int:
 
     axis = np.linspace(-extent, extent, steps)
     dx = axis[1] - axis[0]
-    qs, ps = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.stack([qs.ravel(), ps.ravel()])
-    w_vals = wigner_values(single, pts).reshape(qs.shape)
+    rows = WIGNER_CHUNK_POINTS // steps
+    w_vals = np.empty((steps, steps))
+    for start in range(0, steps, rows):
+        qs = axis[start:start + rows]
+        pts = np.stack([np.repeat(qs, steps), np.tile(axis, len(qs))])
+        w_vals[start:start + rows] = wigner_values(single, pts).reshape(len(qs), steps)
     integral = float(w_vals.sum() * dx * dx)
     peak = float(w_vals.max())
 

@@ -61,11 +61,6 @@ def mode_entropy(sigma: float, base: str = BITS) -> float:
     return nats / LN2 if base == BITS else nats
 
 
-def mean_occupation(sigma: float) -> float:
-    """Mean occupation number nbar = sigma - 1/2 (0 for a pure mode)."""
-    return _effective_sigma(sigma) - 0.5
-
-
 def thermal_parameter(sigma: float) -> float:
     """Thermal parameter beta = ln((sigma + 1/2)/(sigma - 1/2)); inf for a pure mode."""
     s = _effective_sigma(sigma)
@@ -117,7 +112,6 @@ class EntropyReport:
     modes: tuple[ThermalMode, ...]
     total_bits: float
     s_count: int
-    s_count_tol: float
     base: str
     total: float
     pure_global_state: bool
@@ -131,7 +125,7 @@ class EntropyReport:
             "modes": [m.to_json_dict() for m in self.modes],
             "total_bits": self.total_bits,
             "s_count": self.s_count,
-            "s_count_tol": self.s_count_tol,
+            "s_count_tol": S_COUNT_TOL,
             "base": self.base,
             "total": self.total,
             "pure_global_state": self.pure_global_state,
@@ -149,7 +143,6 @@ def entanglement_entropy(
     base: str = BITS,
     include_b: bool = False,
     tol: float = DEFAULT_TOL,
-    s_count_tol: float = S_COUNT_TOL,
 ) -> EntropyReport:
     """Entropy of the reduction to side A of ``partition``, with per-mode detail.
 
@@ -168,7 +161,7 @@ def entanglement_entropy(
     spectrum_a = symplectic_spectrum(reduce(gamma, partition.set_a))
     modes = tuple(ThermalMode.from_sigma(s) for s in spectrum_a)
     total_bits = float(sum(m.entropy_bits for m in modes))
-    s_count = int(np.sum(spectrum_a > 0.5 + s_count_tol))
+    s_count = int(np.sum(spectrum_a > 0.5 + S_COUNT_TOL))
 
     spectrum_b = None
     total_b_bits = None
@@ -184,7 +177,6 @@ def entanglement_entropy(
         modes=modes,
         total_bits=total_bits,
         s_count=s_count,
-        s_count_tol=float(s_count_tol),
         base=base,
         total=total,
         pure_global_state=report.pure,

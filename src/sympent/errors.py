@@ -10,11 +10,11 @@ class DimensionError(SympentError):
 
 
 class MalformedInputError(SympentError):
-    """Input is structurally broken: asymmetric beyond tolerance, bad file, bad tag."""
+    """Input is structurally broken: NaN, infinite or asymmetric matrix, bad file, bad tag."""
 
 
 class InvalidStateError(SympentError):
-    """Matrix cannot serve as a covariance matrix (asymmetric or not positive definite)."""
+    """Finite symmetric matrix that is not positive definite, or an unphysical state."""
 
 
 class InvalidPartitionError(SympentError):

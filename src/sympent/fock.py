@@ -1,10 +1,11 @@
-"""Truncated number-basis oracle for thermal modes and two-mode squeezed states.
+"""Truncated number-basis oracle for thermal modes.
 
 Everything here is a direct probability sum over Fock states, deliberately
 independent of the covariance-matrix pipeline (no symplectic algebra is
 imported), so it can serve as a brute-force cross-check of the spectrum-based
 entropies. Thermal states are diagonal in the number basis, so only
-probability vectors are ever materialized.
+probability vectors are ever materialized. Either reduction of a two-mode
+squeezed state is such a mode; its squared Schmidt coefficients are the weights.
 
 Truncation is governed by the analytic geometric tail bound
 tail(n_max) = exp(-(n_max + 1) beta); operations refuse to return silently
@@ -46,10 +47,6 @@ class ThermalSpectrumTruncated:
     probabilities: np.ndarray
     tail_mass: float
 
-    def mean(self) -> float:
-        """Mean occupation over the truncated support."""
-        return float(np.sum(np.arange(self.n_max + 1) * self.probabilities))
-
 
 def thermal_probabilities(beta: float, n_max: int) -> ThermalSpectrumTruncated:
     """Truncated geometric distribution of a thermal oscillator."""
@@ -84,52 +81,3 @@ def thermal_entropy_bruteforce(beta: float, n_max: int, base: str = BITS) -> flo
             required_n_max=needed,
         )
     return _entropy_of(spectrum.probabilities, base)
-
-
-@dataclass(frozen=True, eq=False)
-class TwoModeSqueezedState:
-    """Schmidt form of a two-mode squeezed state with squeezing parameter beta.
-
-    schmidt_coefficients[k] = e^(-k beta / 2) sqrt(1 - e^-beta); their squares
-    are exactly the thermal weights of either single-mode reduction, summing
-    to 1 - tail_mass.
-    """
-
-    beta: float
-    n_max: int
-    schmidt_coefficients: np.ndarray
-    tail_mass: float
-
-    def reduced_probabilities(self) -> np.ndarray:
-        return self.schmidt_coefficients**2
-
-
-def two_mode_squeezed_state(beta: float, n_max: int) -> TwoModeSqueezedState:
-    spectrum = thermal_probabilities(beta, n_max)
-    return TwoModeSqueezedState(
-        beta=spectrum.beta,
-        n_max=spectrum.n_max,
-        schmidt_coefficients=np.sqrt(spectrum.probabilities),
-        tail_mass=spectrum.tail_mass,
-    )
-
-
-def two_mode_squeezed_entropy(beta: float, n_max: int, base: str = BITS) -> float:
-    """Entropy of either reduction of the two-mode squeezed state.
-
-    The squared Schmidt coefficients are the thermal weights, so this is
-    exactly thermal_entropy_bruteforce on the same probability vector.
-    """
-    return thermal_entropy_bruteforce(beta, n_max, base)
-
-
-def quadrature_variances_thermal(beta: float) -> tuple[float, float]:
-    """Normalized thermal variances (<q^2> 2 m w, <p^2> 2 / (m w)) = coth(beta/2) twice.
-
-    The geometric mean of the unnormalized variances is the symplectic
-    eigenvalue nbar + 1/2 of the mode.
-    """
-    if not (beta > 0.0):
-        raise ParameterError(f"thermal parameter must be positive, got {beta}")
-    coth = 1.0 / math.tanh(beta / 2.0)
-    return coth, coth

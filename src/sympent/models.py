@@ -18,7 +18,7 @@ Model JSON: ``{"type": "two_oscillator" | "chain", "n": int, "m": number,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,6 +27,8 @@ from .symplectic import _spd_eigh
 
 BOUNDARIES = ("open", "periodic")
 MODEL_TYPES = ("two_oscillator", "chain")
+# Model JSON name of each parameter a sweep may vary -> its ModelParams field.
+SWEEP_PARAMETERS = {"lambda": "lam", "omega": "omega", "m": "m"}
 # Largest mode count of a model; its 2n x 2n covariance matrix then takes
 # 32 n^2 bytes = 128 MiB.
 MAX_MODES = 2048
@@ -66,7 +68,7 @@ class QuadraticModel:
             raise ParameterError(f"potential must be {self.n}x{self.n}, got shape {v.shape}")
         try:
             [(w, vecs)] = _spd_eigh(v)
-        except InvalidStateError as exc:
+        except (InvalidStateError, MalformedInputError) as exc:
             raise ParameterError(f"potential has no normalizable ground state: {exc}") from exc
         object.__setattr__(self, "potential", v)
         object.__setattr__(self, "frequencies", np.sqrt(w))
@@ -202,13 +204,9 @@ class ModelParams:
         return chain_model(self.n, self.m, self.omega, self.lam, self.boundary)
 
     def with_param(self, name: str, value: float) -> "ModelParams":
-        if name == "lambda":
-            return ModelParams(self.type, self.m, self.omega, value, self.n, self.boundary)
-        if name == "omega":
-            return ModelParams(self.type, self.m, value, self.lam, self.n, self.boundary)
-        if name == "m":
-            return ModelParams(self.type, value, self.omega, self.lam, self.n, self.boundary)
-        raise ParameterError(f"unknown sweep parameter {name!r}, expected lambda, omega, or m")
+        if name not in SWEEP_PARAMETERS:
+            raise ParameterError(f"unknown sweep parameter {name!r}, expected lambda, omega, or m")
+        return replace(self, **{SWEEP_PARAMETERS[name]: value})
 
     @classmethod
     def from_json_dict(cls, obj) -> "ModelParams":

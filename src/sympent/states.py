@@ -30,7 +30,7 @@ from .errors import (
 )
 from .symplectic import (
     DEFAULT_TOL,
-    SYMMETRY_ATOL,
+    _check_symmetric,
     _spd_eigh,
     _xp_blocks,
     mode_count,
@@ -50,18 +50,6 @@ def vacuum(n: int) -> np.ndarray:
     if n < 1:
         raise DimensionError(f"mode count must be a positive integer, got {n}")
     return 0.5 * np.eye(2 * n)
-
-
-def _check_symmetric(gamma: np.ndarray) -> None:
-    """Raise MalformedInputError if gamma has a NaN or infinite entry or is
-    asymmetric beyond SYMMETRY_ATOL."""
-    if not np.all(np.isfinite(gamma)):
-        raise MalformedInputError("covariance matrix has a NaN or infinite entry")
-    asym = float(np.max(np.abs(gamma - gamma.T)))
-    if asym > SYMMETRY_ATOL:
-        raise MalformedInputError(
-            f"covariance matrix is asymmetric: max |G - G^T| = {asym:.3e} > {SYMMETRY_ATOL:.0e}"
-        )
 
 
 @dataclass(frozen=True)
@@ -119,7 +107,7 @@ def heisenberg_margin(gamma: np.ndarray) -> float:
     has no q-p correlations, the eigenvalues come from the real symmetric
     matrix [[X, -I/2], [-I/2, P]], unitarily similar to Gamma + (i/2) Omega.
     A NaN or infinite entry, or asymmetry beyond 1e-12, raises
-    MalformedInputError.
+    MalformedInputError (``symplectic._check_symmetric``).
     """
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
@@ -138,8 +126,9 @@ def validate(gamma: np.ndarray, tol: float = DEFAULT_TOL) -> ValidationReport:
 
     The one full-state pass: validity (min sigma >= 1/2 - tol) and purity
     come from a single symplectic spectrum. A NaN or infinite entry, or
-    asymmetry beyond 1e-12, is a malformed input (raises), not an unphysical
-    state; unphysical states come back as a report with ``valid=False``.
+    asymmetry beyond 1e-12, is a malformed input (MalformedInputError from the
+    spectrum's ``symplectic._check_symmetric``), not an unphysical state;
+    unphysical states come back as a report with ``valid=False``.
     Only when Gamma fails the positive-definite test of the spectrum does
     ``heisenberg_margin`` decide: below -tol the state is unphysical; else
     it is physical but too ill-conditioned, and NumericalFailureError is
@@ -147,7 +136,6 @@ def validate(gamma: np.ndarray, tol: float = DEFAULT_TOL) -> ValidationReport:
     """
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
-    _check_symmetric(gamma)
     try:
         spectrum = symplectic_spectrum(gamma)
     except InvalidStateError as exc:
@@ -266,15 +254,15 @@ def wigner_values(gamma: np.ndarray, points: np.ndarray) -> np.ndarray:
 
     W(x) = (2 pi)^-n det(Gamma)^-1/2 exp(-1/2 x^T Gamma^-1 x), normalized so
     the integral over phase space is 1 in the hbar = 1, vacuum = I/2
-    convention. An asymmetric Gamma raises MalformedInputError, one that fails
-    ``symplectic._spd_eigh`` NumericalFailureError.
+    convention. A Gamma with a NaN or infinite entry, or an asymmetric one,
+    raises MalformedInputError; one that is not positive definite within
+    ``symplectic._spd_eigh`` raises NumericalFailureError.
     """
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] != 2 * n:
         raise DimensionError(f"points must have shape (2n, k) = ({2 * n}, k), got {points.shape}")
-    _check_symmetric(gamma)
     try:
         [(w, v)] = _spd_eigh(gamma)
     except InvalidStateError as exc:
@@ -283,16 +271,6 @@ def wigner_values(gamma: np.ndarray, points: np.ndarray) -> np.ndarray:
     quad = np.sum(y * y / w[:, None], axis=0)
     norm = (2.0 * np.pi) ** (-n) / np.sqrt(float(np.prod(w)))
     return norm * np.exp(-0.5 * quad)
-
-
-def wigner_function(gamma: np.ndarray, x) -> float:
-    """Gaussian Wigner function at one phase point; see wigner_values."""
-    gamma = np.asarray(gamma, dtype=float)
-    n = mode_count(gamma)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (2 * n,):
-        raise DimensionError(f"phase point must have length {2 * n}, got shape {x.shape}")
-    return float(wigner_values(gamma, x[:, None])[0])
 
 
 # --- serialization ---------------------------------------------------------
@@ -369,6 +347,13 @@ def covariance_from_csv_text(text: str) -> np.ndarray:
         raise MalformedInputError(
             f"unsupported quadrature ordering {tags.get('ordering')!r}; this tool only reads {ORDERING!r}"
         )
+    # int() and float() would read "1_0" as 10 and "\u0661" as 1. One test of
+    # the whole text (isascii reads a flag, "_" in text is one scan) bars both.
+    if not text.isascii():
+        bad = next(ch for ch in text if not ch.isascii())
+        raise MalformedInputError(f"covariance CSV must be ASCII text, found {bad!r}")
+    if "_" in text:
+        raise MalformedInputError("covariance CSV numbers must not contain '_'")
     try:
         n = int(tags["n"])
     except (KeyError, ValueError) as exc:
@@ -401,8 +386,3 @@ def read_covariance_text(text: str) -> np.ndarray:
     raise MalformedInputError(
         "unrecognized covariance file: expected a JSON object or a headered CSV"
     )
-
-
-def read_covariance(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_covariance_text(fh.read())

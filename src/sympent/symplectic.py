@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm, schur
 
-from .errors import DimensionError, InvalidStateError, NumericalFailureError
+from .errors import DimensionError, InvalidStateError, MalformedInputError, NumericalFailureError
 
 # Default absolute tolerance for residual checks (max-abs entry).
 DEFAULT_TOL = 1e-8
@@ -56,25 +56,31 @@ def is_symplectic(s: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(s @ omega @ s.T - omega)) <= tol)
 
 
+def _check_symmetric(matrix: np.ndarray) -> None:
+    """The package's one NaN/inf/asymmetry test: MalformedInputError unless a
+    square float matrix is finite and symmetric within SYMMETRY_ATOL."""
+    if not np.all(np.isfinite(matrix)):
+        raise MalformedInputError("matrix has a NaN or infinite entry")
+    asym = float(np.max(np.abs(matrix - matrix.T)))
+    if asym > SYMMETRY_ATOL:
+        raise MalformedInputError(
+            f"matrix is asymmetric: max |G - G^T| = {asym:.3e} > {SYMMETRY_ATOL:.0e}"
+        )
+
+
 def _spd_eigh(*blocks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Eigenvalues (ascending) and eigenvectors of each diagonal block of a
     symmetric positive-definite matrix.
 
     The package's one positive-definiteness test, for covariance matrices and
-    model potentials alike; pass a whole matrix as its only block. Raises
-    InvalidStateError if a square float block has a NaN or infinite entry or
-    is asymmetric beyond SYMMETRY_ATOL, or if the block-diagonal matrix they
-    form has a condition number of 1/SINGULAR_RTOL or more (its eigenvalues
-    are those of all the blocks together). Callers check the shapes.
+    model potentials alike; pass a whole matrix as its only block. Each
+    square float block goes through ``_check_symmetric`` (MalformedInputError).
+    Raises InvalidStateError if the block-diagonal matrix they form has a
+    condition number of 1/SINGULAR_RTOL or more (its eigenvalues are those of
+    all the blocks together). Callers check the shapes.
     """
     for block in blocks:
-        if not np.all(np.isfinite(block)):
-            raise InvalidStateError("matrix has a NaN or infinite entry")
-        asym = float(np.max(np.abs(block - block.T)))
-        if asym > SYMMETRY_ATOL:
-            raise InvalidStateError(
-                f"matrix is not symmetric: max |G - G^T| = {asym:.3e} > {SYMMETRY_ATOL:.0e}"
-            )
+        _check_symmetric(block)
     pairs = [np.linalg.eigh(block) for block in blocks]
     lo = min(w[0] for w, _ in pairs)
     hi = max(w[-1] for w, _ in pairs)

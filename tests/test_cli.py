@@ -86,6 +86,12 @@ def test_validate_garbled_exit_one(capsys, tmp_path):
     code, out, err = run(capsys, "validate", str(state))
     assert (code, out) == (1, "")
     assert err.startswith("sympent: error:")
+    # float() would read these CSV cells as 10 and 1
+    for cell, cause in [("1_0", "must not contain '_'"), ("\u0661", "must be ASCII text")]:
+        state.write_text(f"# sympent covariance n=1 ordering=qqpp\n{cell},0\n0,1\n", encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(state))
+        assert (code, out) == (1, "")
+        assert cause in err
 
 
 def test_validate_missing_file_exit_one(capsys, tmp_path):
@@ -580,8 +586,8 @@ def reference_wigner_rows(gamma, mode, extent, steps):
 
 @pytest.mark.parametrize(
     "grid_args,mode,extent,steps",
-    [([], 2, 8.0, 161), (["--grid", "2,5"], 1, 2.0, 5)],
-    ids=["default-8,161", "2,5"],
+    [([], 2, 8.0, 161), (["--grid", "2,5"], 1, 2.0, 5), (["--grid", "3,300"], 1, 3.0, 300)],
+    ids=["default-8,161", "2,5", "3,300"],
 )
 def test_wigner_rows_match_per_cell_reference(capsys, tmp_path, grid_args, mode, extent, steps):
     gamma, _ = random_valid_covariance(2, seed=23)

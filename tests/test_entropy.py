@@ -13,11 +13,11 @@ from sympent import (
     InvalidPartitionError,
     InvalidStateError,
     ModePartition,
+    ThermalMode,
     UnphysicalEigenvalueError,
     chain_model,
     entanglement_entropy,
     ground_state_covariance,
-    mean_occupation,
     mode_entropy,
     random_symplectic,
     thermal_entropy_bruteforce,
@@ -93,12 +93,12 @@ def test_mode_entropy_matches_mpmath_up_to_large_sigma(log_excess):
 
 
 def test_mean_occupation_and_thermal_parameter():
-    assert mean_occupation(0.5) == 0.0
+    assert ThermalMode.from_sigma(0.5).n_bar == 0.0
     assert thermal_parameter(0.5) == math.inf
     assert thermal_parameter(1.5) == math.log(2.0)
-    assert mean_occupation(REFERENCE_SIGMA) == REFERENCE_SIGMA - 0.5
+    assert ThermalMode.from_sigma(REFERENCE_SIGMA).n_bar == REFERENCE_SIGMA - 0.5
     with pytest.raises(UnphysicalEigenvalueError):
-        mean_occupation(0.4)
+        ThermalMode.from_sigma(0.4)
     with pytest.raises(UnphysicalEigenvalueError):
         thermal_parameter(0.4)
 

@@ -1,3 +1,4 @@
+import ast
 import math
 
 import numpy as np
@@ -5,17 +6,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sympent.fock as fock
 from sympent import (
     ParameterError,
     TruncationError,
     mode_entropy,
-    quadrature_variances_thermal,
+    reduce,
     required_n_max,
+    symplectic_spectrum,
     thermal_entropy_bruteforce,
+    thermal_parameter,
     thermal_probabilities,
-    two_mode_squeezed_entropy,
-    two_mode_squeezed_state,
 )
+
+from conftest import two_mode_squeezed
 
 LOG2 = math.log(2.0)
 
@@ -56,12 +60,14 @@ def test_entropy_survives_underflowing_tail():
 
 def test_truncated_mean_approaches_closed_form():
     spectrum = thermal_probabilities(LOG2, 100)
-    assert abs(spectrum.mean() - 1.0) < 1e-12
+    assert abs(np.arange(101) @ spectrum.probabilities - 1.0) < 1e-12
     rng = np.random.default_rng(3)
     for beta in rng.uniform(0.3, 4.0, size=10):
         n_max = required_n_max(beta) + 5
-        mean = thermal_probabilities(beta, n_max).mean()
+        mean = np.arange(n_max + 1) @ thermal_probabilities(beta, n_max).probabilities
         assert abs(mean - 1.0 / math.expm1(beta)) < 1e-10
+        # sigma = nbar + 1/2 maps back to the same thermal parameter
+        assert abs(thermal_parameter(mean + 0.5) - beta) < 1e-9
 
 
 def test_rejects_bad_parameters():
@@ -71,8 +77,6 @@ def test_rejects_bad_parameters():
         thermal_probabilities(-1.0, 10)
     with pytest.raises(ParameterError):
         thermal_probabilities(1.0, 0)
-    with pytest.raises(ParameterError):
-        quadrature_variances_thermal(0.0)
 
 
 def test_entropy_two_bits_for_half_geometric():
@@ -104,22 +108,12 @@ def test_required_n_max_formula():
         assert required_n_max(beta) == math.ceil(-math.log(1e-12) / beta)
 
 
-def test_two_mode_squeezed_entropy_equals_thermal():
-    rng = np.random.default_rng(9)
-    for beta in rng.uniform(0.05, 5.0, size=20):
-        n_max = required_n_max(beta) + 5
-        assert two_mode_squeezed_entropy(beta, n_max) == thermal_entropy_bruteforce(beta, n_max)
-
-
 def test_two_mode_squeezed_two_bits():
-    assert abs(two_mode_squeezed_entropy(LOG2, 60) - 2.0) < 1e-12
-
-
-def test_schmidt_coefficients_square_to_thermal_weights():
-    state = two_mode_squeezed_state(1.3, 80)
-    squares = state.reduced_probabilities()
-    np.testing.assert_allclose(squares, thermal_probabilities(1.3, 80).probabilities, rtol=1e-14)
-    assert abs(squares.sum() - (1.0 - state.tail_mass)) < 1e-14
+    # either reduction of the two-mode squeezed vacuum with cosh 2r = 3 is
+    # the thermal mode sigma = 3/2, beta = ln 2, which carries two bits
+    [sigma] = symplectic_spectrum(reduce(two_mode_squeezed(math.acosh(3.0) / 2.0), [1]))
+    assert abs(thermal_parameter(sigma) - LOG2) < 1e-12
+    assert abs(thermal_entropy_bruteforce(LOG2, 60) - 2.0) < 1e-12
 
 
 def test_cross_pipeline_equivalence_over_beta_grid():
@@ -128,37 +122,42 @@ def test_cross_pipeline_equivalence_over_beta_grid():
     for beta in rng.uniform(0.05, 5.0, size=20):
         sigma = 0.5 * (math.exp(beta) + 1.0) / (math.exp(beta) - 1.0)
         n_max = required_n_max(beta) + 8
-        assert abs(two_mode_squeezed_entropy(beta, n_max) - mode_entropy(sigma)) < 1e-9
+        assert abs(thermal_entropy_bruteforce(beta, n_max) - mode_entropy(sigma)) < 1e-9
+
+
+# A thermal mode's normalized variances <q^2> 2 m w and <p^2> 2 / (m w) are
+# both coth(beta/2), so their geometric mean is 2 sigma = coth(beta/2) too.
 
 
 def test_variances_reach_vacuum_in_cold_limit():
-    vq, vp = quadrature_variances_thermal(60.0)
-    assert abs(vq - 1.0) < 1e-14
-    assert vq == vp
+    variance = 1.0 / math.tanh(60.0 / 2.0)
+    assert abs(variance - 1.0) < 1e-14
+    assert thermal_parameter(variance / 2.0) == math.inf
 
 
 def test_variances_for_unit_occupation():
-    vq, vp = quadrature_variances_thermal(LOG2)
-    assert abs(vq - 3.0) < 1e-12
-    assert abs(vp - 3.0) < 1e-12
+    variance = 1.0 / math.tanh(LOG2 / 2.0)
+    assert abs(variance - 3.0) < 1e-12
+    assert abs(thermal_parameter(variance / 2.0) - LOG2) < 1e-12
 
 
 def test_variances_match_series_mean():
     rng = np.random.default_rng(23)
     for beta in rng.uniform(0.2, 4.0, size=10):
         n_max = required_n_max(beta) + 5
-        mean = thermal_probabilities(beta, n_max).mean()
-        vq, _ = quadrature_variances_thermal(beta)
-        assert abs(vq - 2.0 * (mean + 0.5)) < 1e-10
+        mean = np.arange(n_max + 1) @ thermal_probabilities(beta, n_max).probabilities
+        variance = 1.0 / math.tanh(beta / 2.0)
+        assert abs(variance - 2.0 * (mean + 0.5)) < 1e-10
+        assert abs(thermal_parameter(variance / 2.0) - beta) < 1e-12
 
 
 def test_geometric_mean_of_variances_is_sigma():
     rng = np.random.default_rng(29)
     for beta in rng.uniform(0.05, 8.0, size=20):
-        vq, vp = quadrature_variances_thermal(beta)
-        sigma = math.sqrt(vq * vp) / 2.0
+        sigma = 0.5 / math.tanh(beta / 2.0)
         nbar = 1.0 / math.expm1(beta)
         assert abs(sigma - (nbar + 0.5)) < 1e-12
+        assert abs(thermal_parameter(sigma) - beta) < 1e-9 * beta
 
 
 def test_oracle_matches_engine_on_reference_grid():
@@ -168,3 +167,31 @@ def test_oracle_matches_engine_on_reference_grid():
         beta = math.log((sigma + 0.5) / (sigma - 0.5))
         n_max = required_n_max(beta) + 8
         assert abs(mode_entropy(sigma) - thermal_entropy_bruteforce(beta, n_max)) < 1e-8
+
+
+def package_imports(tree):
+    """Names, relative to the package, of the sympent modules a module imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.split(".")[0] == "sympent"]
+            yield from (name.removeprefix("sympent").lstrip(".") or "sympent" for name in names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module
+            elif node.module.split(".")[0] == "sympent":
+                module = node.module.removeprefix("sympent").lstrip(".")
+            else:
+                continue
+            if module:
+                yield module.split(".")[0]
+            else:  # from . import x, from sympent import x
+                yield from (a.name for a in node.names)
+
+
+def test_oracle_imports_nothing_from_the_symplectic_path():
+    # the oracle is an independent check only while it shares no code with
+    # the spectrum pipeline beyond the error types and the log base
+    with open(fock.__file__, encoding="utf-8") as fh:
+        imported = set(package_imports(ast.parse(fh.read())))
+    assert "errors" in imported  # the walk sees the package imports at all
+    assert imported <= {"errors", "logbase"}, f"fock.py imports {sorted(imported)}"

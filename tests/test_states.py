@@ -9,6 +9,8 @@ from sympent import (
     MalformedInputError,
     ModePartition,
     NumericalFailureError,
+    ParameterError,
+    QuadraticModel,
     chain_model,
     characteristic_function,
     covariance_from_csv_text,
@@ -24,8 +26,8 @@ from sympent import (
     two_oscillator_model,
     vacuum,
     validate,
-    wigner_function,
     wigner_values,
+    williamson,
 )
 
 from conftest import embed_symplectic, random_valid_covariance, two_mode_squeezed
@@ -81,13 +83,35 @@ def test_physical_but_ill_conditioned_state_raises_numerical_failure():
         validate(gamma)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_validate_and_wigner_reject_non_finite_entries(bad):
-    gamma = np.array([[bad, 0.0], [0.0, 1.0]])
-    with pytest.raises(MalformedInputError, match="NaN or infinite"):
-        validate(gamma)
-    with pytest.raises(MalformedInputError, match="NaN or infinite"):
-        wigner_values(gamma, np.zeros((2, 1)))
+@pytest.mark.parametrize(
+    "gamma,cause",
+    [
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), "NaN or infinite"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), "NaN or infinite"),
+        (np.array([[1.0, 0.3], [0.0, 1.0]]), r"asymmetric: max \|G - G\^T\| = 3\.000e-01"),
+    ],
+    ids=["nan", "inf", "asymmetric"],
+)
+def test_validate_and_wigner_reject_non_finite_entries(gamma, cause):
+    # every entry point that takes a Gamma runs the one symmetry test, so
+    # each raises the same MalformedInputError with the same message
+    entry_points = [
+        validate,
+        symplectic_spectrum,
+        williamson,
+        heisenberg_margin,
+        lambda g: wigner_values(g, np.zeros((2, 1))),
+    ]
+    messages = set()
+    for entry in entry_points:
+        with pytest.raises(MalformedInputError, match=cause) as excinfo:
+            entry(gamma)
+        assert type(excinfo.value) is MalformedInputError
+        messages.add(str(excinfo.value))
+    assert len(messages) == 1
+    # a model potential with the same entries has no ground state
+    with pytest.raises(ParameterError, match=cause):
+        QuadraticModel(n=2, mass=1.0, potential=gamma)
 
 
 @pytest.mark.parametrize("scale,valid", [(1.0, True), (0.9, False)])
@@ -220,50 +244,42 @@ def test_characteristic_function_rejects_wrong_length():
 
 
 def test_wigner_vacuum_peak_is_one_over_pi():
-    np.testing.assert_allclose(wigner_function(vacuum(1), [0.0, 0.0]), 1.0 / np.pi, rtol=1e-13)
+    np.testing.assert_allclose(wigner_values(vacuum(1), np.zeros((2, 1))), [1.0 / np.pi], rtol=1e-13)
 
 
 def test_wigner_integrates_to_one():
-    axis = np.linspace(-8.0, 8.0, 161)
-    dx = axis[1] - axis[0]
-    total = sum(
-        wigner_function(vacuum(1), [q, p]) for q in axis for p in axis
-    ) * dx * dx
-    assert abs(total - 1.0) < 1e-6
+    _, _, w_vals, dx = _wigner_grid(vacuum(1), extent=8.0, steps=161)
+    assert abs(w_vals.sum() * dx * dx - 1.0) < 1e-6
 
 
 def test_wigner_positive_everywhere(rng):
     gamma, _ = random_valid_covariance(1, seed=12)
-    for _ in range(200):
-        assert wigner_function(gamma, rng.normal(scale=4.0, size=2)) > 0.0
+    assert np.all(wigner_values(gamma, rng.normal(scale=4.0, size=(200, 2)).T) > 0.0)
 
 
 def test_wigner_values_matches_scalar_evaluation(rng):
     gamma, _ = random_valid_covariance(2, seed=14)
     pts = rng.normal(scale=2.0, size=(4, 50))
     batched = wigner_values(gamma, pts)
-    singles = [wigner_function(gamma, pts[:, k]) for k in range(50)]
+    singles = [wigner_values(gamma, pts[:, k:k + 1])[0] for k in range(50)]
     np.testing.assert_allclose(batched, singles, rtol=1e-13)
 
 
 def test_wigner_squeezed_level_sets_have_axis_ratio_four():
     gamma = np.diag([2.0, 1.0 / 8.0])
     for a in (0.5, 1.0, 2.0, 3.0):
-        np.testing.assert_allclose(
-            wigner_function(gamma, [a, 0.0]),
-            wigner_function(gamma, [0.0, a / 4.0]),
-            rtol=1e-12,
-        )
+        on_q, on_p = wigner_values(gamma, np.array([[a, 0.0], [0.0, a / 4.0]]))
+        np.testing.assert_allclose(on_q, on_p, rtol=1e-12)
 
 
 def test_wigner_rejects_singular_matrix():
     with pytest.raises(NumericalFailureError):
-        wigner_function(np.diag([1.0, 0.0]), [0.0, 0.0])
+        wigner_values(np.diag([1.0, 0.0]), np.zeros((2, 1)))
 
 
 def test_wigner_rejects_asymmetric_matrix():
     with pytest.raises(MalformedInputError):
-        wigner_function(np.array([[1.0, 0.3], [0.0, 1.0]]), [0.0, 0.0])
+        wigner_values(np.array([[1.0, 0.3], [0.0, 1.0]]), np.zeros((2, 1)))
 
 
 @pytest.mark.parametrize(
@@ -281,7 +297,7 @@ def test_wigner_is_symplectic_fourier_transform_of_chi(gamma):
     for x in ([0.0, 0.0], [0.4, -0.8], [1.2, 0.3]):
         u = symplectic_form(1).T @ np.asarray(x, dtype=float)
         value = (np.cos(e1 * u[0] + e2 * u[1]) * chi).sum() * de * de / (2 * np.pi) ** 2
-        np.testing.assert_allclose(value, wigner_function(gamma, x), atol=1e-4)
+        np.testing.assert_allclose(value, wigner_values(gamma, np.array(x)[:, None])[0], atol=1e-4)
         # chi itself agrees with the closed form used to build the grid
         mid = steps // 2
         assert chi[mid, mid] == characteristic_function(gamma, [0.0, 0.0])
@@ -381,6 +397,22 @@ def test_csv_rejects_missing_header():
 def test_csv_rejects_wrong_ordering_tag():
     text = covariance_to_csv_text(vacuum(1)).replace("ordering=qqpp", "ordering=qpqp")
     with pytest.raises(MalformedInputError):
+        covariance_from_csv_text(text)
+
+
+@pytest.mark.parametrize(
+    "text,cause",
+    [
+        ("# sympent covariance n=1 ordering=qqpp\n1_0,0\n0,1\n", "must not contain '_'"),
+        ("# sympent covariance n=1 ordering=qqpp\n\u0661,0\n0,1\n", "must be ASCII text, found '\u0661'"),
+        ("# sympent covariance n=0_1 ordering=qqpp\n1,0\n0,1\n", "must not contain '_'"),
+        ("# sympent covariance n=\u0661 ordering=qqpp\n1,0\n0,1\n", "must be ASCII text"),
+    ],
+    ids=["cell-underscore", "cell-arabic-indic-digit", "n-underscore", "n-arabic-indic-digit"],
+)
+def test_csv_rejects_underscores_and_non_ascii_digits(text, cause):
+    # int() and float() accept all four, reading 10, 1, 1 and 1
+    with pytest.raises(MalformedInputError, match=cause):
         covariance_from_csv_text(text)
 
 

@@ -6,6 +6,7 @@ import sympent.symplectic as symplectic
 from sympent import (
     DimensionError,
     InvalidStateError,
+    MalformedInputError,
     chain_model,
     ground_state_covariance,
     is_symplectic,
@@ -83,8 +84,9 @@ def test_spectrum_invariant_under_symplectic_congruence():
 
 def test_spectrum_rejects_asymmetric():
     bad = np.array([[1.0, 0.2], [0.0, 1.0]])
-    with pytest.raises(InvalidStateError):
+    with pytest.raises(MalformedInputError, match="asymmetric") as excinfo:
         symplectic_spectrum(bad)
+    assert type(excinfo.value) is MalformedInputError
 
 
 def test_spectrum_rejects_indefinite():
