@@ -44,7 +44,6 @@ from .models import (
     chain_model,
     ground_state_covariance,
     normal_mode_transform,
-    two_oscillator_model,
 )
 from .states import (
     HBAR,
@@ -58,7 +57,6 @@ from .states import (
     covariance_to_csv_text,
     covariance_to_json_dict,
     heisenberg_margin,
-    read_covariance_text,
     reduce,
     vacuum,
     validate,
@@ -116,7 +114,6 @@ __all__ = [
     "mode_entropy",
     "normal_mode_transform",
     "random_symplectic",
-    "read_covariance_text",
     "reduce",
     "required_n_max",
     "symplectic_form",
@@ -124,7 +121,6 @@ __all__ = [
     "thermal_entropy_bruteforce",
     "thermal_parameter",
     "thermal_probabilities",
-    "two_oscillator_model",
     "vacuum",
     "validate",
     "wigner_values",

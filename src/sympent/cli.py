@@ -22,7 +22,6 @@ import os
 import sys
 import tempfile
 from collections.abc import Iterable
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,15 +32,22 @@ from .entropy import S_COUNT_TOL, entanglement_entropy, mode_entropy, thermal_pa
 from .errors import MalformedInputError, SympentError
 from .fock import required_n_max, thermal_entropy_bruteforce
 from .logbase import BITS, LOG_BASES
-from .models import SWEEP_PARAMETERS, ModelParams, _json_number, ground_state_covariance
+from .models import (
+    SWEEP_PARAMETERS,
+    ModelParams,
+    _is_json_int,
+    _json_number,
+    ground_state_covariance,
+)
 from .states import (
     HBAR,
     ORDERING,
     VACUUM_SIGMA,
     ModePartition,
+    _check_number_text,
+    covariance_from_csv_text,
     covariance_from_json_dict,
     heisenberg_margin,
-    read_covariance_text,
     reduce,
     validate,
     wigner_values,
@@ -96,29 +102,19 @@ def _write_text_atomic(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-@dataclass(frozen=True)
-class RunRecord:
-    """Side-channel provenance record, printed to stderr as one JSON line."""
-
-    tool_version: str
-    input_digest: str
-    options: dict
-    outputs: list[str]
-    timestamp: str
-
-
 def _emit_run_record(args: argparse.Namespace, digest: str, outputs: list[str]) -> None:
+    """Print the provenance record to stderr as one JSON line."""
     options = {
         k: v for k, v in sorted(vars(args).items()) if k != "func" and not k.startswith("_")
     }
-    record = RunRecord(
-        tool_version=__version__,
-        input_digest=digest,
-        options=options,
-        outputs=outputs,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
-    print(json.dumps(record.__dict__, sort_keys=True), file=sys.stderr)
+    record = {
+        "tool_version": __version__,
+        "input_digest": digest,
+        "options": options,
+        "outputs": outputs,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
+    print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
 
 def _digest_bytes(data: bytes) -> str:
@@ -144,15 +140,21 @@ def _parse_json(text: str, path: str):
 
 
 def _load_state(text: str, path: str) -> tuple[np.ndarray, dict]:
-    """Covariance matrix of the text of a covariance file or a model file."""
-    if text.lstrip().startswith("{"):
+    """Covariance matrix of the text of a covariance file (JSON or headered
+    CSV) or a model JSON file: the one state loader of the CLI."""
+    stripped = text.lstrip()
+    if stripped.startswith("{"):
         obj = _parse_json(text, path)
         if isinstance(obj, dict) and "type" in obj:
             params = ModelParams.from_json_dict(obj)
             gamma = ground_state_covariance(params.build())
             return gamma, {"kind": "model", "model": params.to_json_dict()}
         return covariance_from_json_dict(obj), {"kind": "covariance"}
-    return read_covariance_text(text), {"kind": "covariance"}
+    if stripped.startswith("#"):
+        return covariance_from_csv_text(text), {"kind": "covariance"}
+    raise MalformedInputError(
+        "unrecognized covariance file: expected a JSON object or a headered CSV"
+    )
 
 
 # --- subcommands -----------------------------------------------------------
@@ -160,7 +162,7 @@ def _load_state(text: str, path: str) -> tuple[np.ndarray, dict]:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     text, digest = _read_input(args.file)
-    gamma = read_covariance_text(text)
+    gamma, _ = _load_state(text, args.file)
     report = validate(gamma, tol=args.tol)
     payload = report.to_json_dict()
     payload["min_heisenberg_eigenvalue"] = heisenberg_margin(gamma)
@@ -215,7 +217,7 @@ def _parse_sweep_spec(obj) -> tuple[ModelParams, str, np.ndarray, ModePartition]
         count = grid["count"]
     except (KeyError, TypeError, OverflowError) as exc:
         raise MalformedInputError(f"sweep grid needs numeric start, stop, count: {exc}") from exc
-    if isinstance(count, bool) or not isinstance(count, int):
+    if not _is_json_int(count):
         raise MalformedInputError(f"sweep grid count must be an integer, got {count!r}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise MalformedInputError(f"sweep grid needs finite start and stop, got [{start}, {stop}]")
@@ -336,11 +338,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _parse_wigner_grid(text: str) -> tuple[float, int]:
     try:
+        _check_number_text(text, "grid")
         extent_text, steps_text = text.split(",")
         extent = float(extent_text)
         steps = int(steps_text)
     except ValueError as exc:
-        raise MalformedInputError(f"grid must be '<extent>,<steps>', got {text!r}") from exc
+        raise MalformedInputError(f"grid must be '<extent>,<steps>', got {text!r}: {exc}") from exc
     if not (math.isfinite(extent) and extent > 0.0):
         raise MalformedInputError(f"grid extent must be finite and > 0, got {text!r}")
     if not 2 <= steps <= MAX_WIGNER_STEPS:
@@ -417,10 +420,17 @@ def _cmd_wigner(args: argparse.Namespace) -> int:
 
 def _tolerance(text: str) -> float:
     """Value of --tol: a finite number >= 0."""
+    _check_number_text(text, "--tol")
     value = float(text)
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return value
+
+
+def _mode_index(text: str) -> int:
+    """Value of --mode: an integer (its range is checked against the state)."""
+    _check_number_text(text, "--mode")
+    return int(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -432,38 +442,41 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="residual/physicality tolerance")
-    common.add_argument("--base", choices=LOG_BASES, default=BITS, help="entropy log base")
-    common.add_argument("--out", default=None, help="output file path (default: stdout)")
+    # Each subcommand takes only the shared options it reads.
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="residual/physicality tolerance")
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--base", choices=LOG_BASES, default=BITS, help="entropy log base")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output file path (default: stdout)")
 
     parser = _Parser(prog="sympent", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="check a covariance file for physicality")
-    p.add_argument("file", help="covariance file (JSON or headered CSV)")
+    p = sub.add_parser("validate", parents=[tol, base, out], help="check a state for physicality")
+    p.add_argument("file", help="covariance file or model JSON")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("spectrum", parents=[common], help="symplectic eigenvalues of a state")
+    p = sub.add_parser("spectrum", parents=[base, out], help="symplectic eigenvalues of a state")
     p.add_argument("input", help="covariance file or model JSON")
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("entropy", parents=[common], help="bipartite entropy for a mode partition")
+    p = sub.add_parser("entropy", parents=[tol, base, out], help="bipartite entropy for a mode partition")
     p.add_argument("input", help="covariance file or model JSON")
     p.add_argument("--partition", required=True, help='partition string, e.g. "1,2|3,4" (1-based)')
     p.set_defaults(func=_cmd_entropy)
 
-    p = sub.add_parser("sweep", parents=[common], help="entropy along a model parameter grid")
+    p = sub.add_parser("sweep", parents=[tol, out], help="entropy along a model parameter grid")
     p.add_argument("spec", help="sweep spec JSON file")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("verify", parents=[common], help="cross-check spectrum vs number-basis entropies")
+    p = sub.add_parser("verify", parents=[tol, base, out], help="cross-check spectrum vs number-basis entropies")
     p.add_argument("--grid", choices=("coarse", "fine"), default="coarse")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("wigner", parents=[common], help="sample a single-mode Wigner function on a grid")
+    p = sub.add_parser("wigner", parents=[tol, base, out], help="sample a single-mode Wigner function on a grid")
     p.add_argument("input", help="covariance file or model JSON")
-    p.add_argument("--mode", type=int, default=1, help="1-based mode to keep")
+    p.add_argument("--mode", type=_mode_index, default=1, help="1-based mode to keep")
     p.add_argument("--grid", default="8,161", help="'<extent>,<steps>' for the square grid")
     p.set_defaults(func=_cmd_wigner)
 

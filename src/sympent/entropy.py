@@ -24,8 +24,9 @@ from .states import ModePartition, reduce, validate
 from .symplectic import DEFAULT_TOL, mode_count, symplectic_spectrum
 
 # Eigenvalues within this band of 1/2 are treated as exactly pure; below the
-# band they are a hard error, never a warning. The snap drops at most
-# S(1/2 + SIGMA_TOL) ~ 3.1e-8 bits per mode.
+# band mode_entropy, thermal_parameter and ThermalMode.from_sigma raise, never
+# warn (entanglement_entropy floors a valid state's reductions at 1/2 first).
+# The snap drops at most S(1/2 + SIGMA_TOL) ~ 3.1e-8 bits per mode.
 SIGMA_TOL = 1e-9
 # Eigenvalues above 1/2 + this count as thermal (entangled) modes; the
 # thermal parameter diverges at 1/2, so the boundary needs an explicit cut.
@@ -151,6 +152,8 @@ def entanglement_entropy(
     B-side spectrum and total for that cross-check. ``include_b`` applies to
     pure global states only: for a mixed state the two sides need not agree,
     so the B side is not computed and ``spectrum_b`` stays None.
+    Gamma must pass ``validate`` at ``tol``, the only vacuum floor: a reduction
+    eigenvalue below 1/2 then counts as 1/2 (``spectrum_a`` keeps its value).
     """
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
@@ -159,7 +162,7 @@ def entanglement_entropy(
     report = validate(gamma, tol=tol)
     report.require_physical()
     spectrum_a = symplectic_spectrum(reduce(gamma, partition.set_a))
-    modes = tuple(ThermalMode.from_sigma(s) for s in spectrum_a)
+    modes = tuple(ThermalMode.from_sigma(max(s, 0.5)) for s in spectrum_a)
     total_bits = float(sum(m.entropy_bits for m in modes))
     s_count = int(np.sum(spectrum_a > 0.5 + S_COUNT_TOL))
 
@@ -167,7 +170,7 @@ def entanglement_entropy(
     total_b_bits = None
     if include_b and report.pure:
         spectrum_b = symplectic_spectrum(reduce(gamma, partition.set_b))
-        total_b_bits = float(sum(mode_entropy(s, BITS) for s in spectrum_b))
+        total_b_bits = float(sum(mode_entropy(max(s, 0.5), BITS) for s in spectrum_b))
 
     log_fn(base)  # validate the base name
     total = total_bits if base == BITS else total_bits * LN2

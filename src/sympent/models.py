@@ -1,9 +1,9 @@
 """Ground-state covariance matrices of quadratic Hamiltonians.
 
 Builders cover H = (1/2m) p^T p + (m/2) q^T V q with uniform mass and a
-symmetric positive-definite potential matrix V (units of frequency^2): the
-two position-coupled oscillators and nearest-neighbor harmonic chains. The
-ground state is Gaussian with
+symmetric positive-definite potential matrix V (units of frequency^2):
+nearest-neighbor harmonic chains, of which the two position-coupled
+oscillators are the open chain of two modes. The ground state is Gaussian with
 
     Gamma_qq = (1/2m) V^{-1/2},   Gamma_pp = (m/2) V^{1/2},   Gamma_qp = 0,
 
@@ -97,25 +97,14 @@ class TwoOscillatorParams:
         return (1.0 + a) / (4.0 * math.sqrt(a))
 
 
-def two_oscillator_model(m: float, omega: float, lam: float) -> QuadraticModel:
-    """Two oscillators with coupling term lam (q1 - q2)^2.
-
-    V = omega^2 I + (2 lam / m) [[1, -1], [-1, 1]]; the normal frequencies are
-    omega and omega * alpha.
-    """
-    params = TwoOscillatorParams(m=m, omega=omega, lam=lam)
-    coupling = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    v = params.omega**2 * np.eye(2) + (2.0 * params.lam / params.m) * coupling
-    return QuadraticModel(n=2, mass=params.m, potential=v)
-
-
 def chain_model(
     n: int, m: float, omega: float, lam: float, boundary: str = "open"
 ) -> QuadraticModel:
     """Harmonic chain with nearest-neighbor coupling lam sum_i (q_i - q_{i+1})^2.
 
     V = omega^2 I + (2 lam / m) L with L the graph Laplacian of the path
-    ("open") or the ring ("periodic", which adds the (n, 1) bond).
+    ("open") or the ring ("periodic", which adds the (n, 1) bond). The open
+    chain of two modes is the two coupled oscillators (``TwoOscillatorParams``).
     """
     if n < 2:
         raise ParameterError(f"chain needs at least 2 modes, got {n}")
@@ -180,6 +169,11 @@ def _json_number(value) -> float:
     return float(value)
 
 
+def _is_json_int(value) -> bool:
+    """True for a JSON integer: an int that is not a bool (bool is an int subclass)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameter record mirroring the model JSON files read by the CLI."""
@@ -199,9 +193,9 @@ class ModelParams:
         _check_parameters(modes=self.n)
 
     def build(self) -> QuadraticModel:
-        if self.type == "two_oscillator":
-            return two_oscillator_model(self.m, self.omega, self.lam)
-        return chain_model(self.n, self.m, self.omega, self.lam, self.boundary)
+        """The model; two oscillators are the open chain of two modes."""
+        boundary = self.boundary if self.type == "chain" else "open"
+        return chain_model(self.n, self.m, self.omega, self.lam, boundary)
 
     def with_param(self, name: str, value: float) -> "ModelParams":
         if name not in SWEEP_PARAMETERS:
@@ -222,16 +216,13 @@ class ModelParams:
         except (KeyError, TypeError, OverflowError) as exc:
             raise MalformedInputError(f"model JSON needs numeric m, omega, lambda: {exc}") from exc
         n = obj.get("n", 2)
-        if isinstance(n, bool) or not isinstance(n, int):
+        if not _is_json_int(n):
             raise MalformedInputError(f"model n must be an integer, got {n!r}")
         boundary = obj.get("boundary", "open")
         return cls(type=kind, m=m, omega=omega, lam=lam, n=n, boundary=boundary)
 
     def to_json_dict(self) -> dict:
-        out = {"type": self.type, "m": self.m, "omega": self.omega, "lambda": self.lam}
+        out = {"type": self.type, "m": self.m, "omega": self.omega, "lambda": self.lam, "n": self.n}
         if self.type == "chain":
-            out["n"] = self.n
             out["boundary"] = self.boundary
-        else:
-            out["n"] = 2
         return out

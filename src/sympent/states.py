@@ -16,7 +16,6 @@ Readers reject a wrong or missing ordering tag loudly rather than guessing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from .errors import (
     MalformedInputError,
     NumericalFailureError,
 )
+from .models import _is_json_int
 from .symplectic import (
     DEFAULT_TOL,
     _check_symmetric,
@@ -43,6 +43,18 @@ HBAR = 1
 VACUUM_SIGMA = 0.5
 
 _CSV_HEADER_PREFIX = "# sympent covariance"
+
+
+def _check_number_text(text: str, field: str) -> None:
+    """Raise ValueError naming ``field`` if ``text`` has a non-ASCII character
+    or an '_'. int() and float() would read "1_0" as 10 and the Arabic-Indic
+    digit "\u0661" as 1. One test of the whole text (isascii reads a flag,
+    "_" in text is one scan) bars both."""
+    if not text.isascii():
+        bad = next(ch for ch in text if not ch.isascii())
+        raise ValueError(f"{field} must be ASCII text, found {bad!r}")
+    if "_" in text:
+        raise ValueError(f"{field} must not contain '_'")
 
 
 def vacuum(n: int) -> np.ndarray:
@@ -200,9 +212,10 @@ class ModePartition:
         sides = []
         for part in parts:
             try:
+                _check_number_text(part, "partition")
                 sides.append(tuple(int(tok) for tok in part.split(",") if tok.strip() != ""))
             except ValueError as exc:
-                raise InvalidPartitionError(f"cannot parse mode indices in {part!r}") from exc
+                raise InvalidPartitionError(f"cannot parse mode indices in {part!r}: {exc}") from exc
         return cls.from_sides(*sides)
 
     def __str__(self) -> str:
@@ -300,7 +313,7 @@ def covariance_from_json_dict(obj) -> np.ndarray:
     if obj.get("hbar", HBAR) != HBAR:
         raise MalformedInputError(f"unsupported hbar convention {obj['hbar']!r}; expected {HBAR}")
     n = obj["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+    if not _is_json_int(n) or n < 1:
         raise MalformedInputError(f"mode count must be a positive integer, got {n!r}")
     flat = obj["matrix"]
     if not isinstance(flat, list):
@@ -347,13 +360,10 @@ def covariance_from_csv_text(text: str) -> np.ndarray:
         raise MalformedInputError(
             f"unsupported quadrature ordering {tags.get('ordering')!r}; this tool only reads {ORDERING!r}"
         )
-    # int() and float() would read "1_0" as 10 and "\u0661" as 1. One test of
-    # the whole text (isascii reads a flag, "_" in text is one scan) bars both.
-    if not text.isascii():
-        bad = next(ch for ch in text if not ch.isascii())
-        raise MalformedInputError(f"covariance CSV must be ASCII text, found {bad!r}")
-    if "_" in text:
-        raise MalformedInputError("covariance CSV numbers must not contain '_'")
+    try:
+        _check_number_text(text, "covariance CSV")
+    except ValueError as exc:
+        raise MalformedInputError(str(exc)) from exc
     try:
         n = int(tags["n"])
     except (KeyError, ValueError) as exc:
@@ -370,19 +380,3 @@ def covariance_from_csv_text(text: str) -> np.ndarray:
     if not np.all(np.isfinite(gamma)):
         raise MalformedInputError("matrix entries must be finite numbers")
     return gamma
-
-
-def read_covariance_text(text: str) -> np.ndarray:
-    """Parse a covariance matrix from JSON or headered CSV text."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            obj = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # ValueError includes JSONDecodeError
-            raise MalformedInputError(f"invalid JSON: {exc}") from exc
-        return covariance_from_json_dict(obj)
-    if stripped.startswith("#"):
-        return covariance_from_csv_text(text)
-    raise MalformedInputError(
-        "unrecognized covariance file: expected a JSON object or a headered CSV"
-    )

@@ -21,7 +21,6 @@ from sympent import (
     symplectic_spectrum,
     thermal_entropy_bruteforce,
     thermal_parameter,
-    two_oscillator_model,
     required_n_max,
     covariance_to_json_dict,
     vacuum,
@@ -39,7 +38,7 @@ def _verdict(num, name, ok, detail=""):
 
 
 def test_criterion_1_worked_example_reproduction():
-    gamma = ground_state_covariance(two_oscillator_model(1.0, 1.0, 2.0))
+    gamma = ground_state_covariance(chain_model(2, 1.0, 1.0, 2.0))
     sigma = symplectic_spectrum(reduce(gamma, [1]))[0]
     alpha = 3.0
     target = (1.0 + alpha) / (4.0 * math.sqrt(alpha))
@@ -116,7 +115,7 @@ def test_criterion_4_symplectic_invariance():
 
 
 def test_criterion_5_zero_coupling_limit(capsys, tmp_path):
-    gamma = ground_state_covariance(two_oscillator_model(1.0, 1.0, 0.0))
+    gamma = ground_state_covariance(chain_model(2, 1.0, 1.0, 0.0))
     report = entanglement_entropy(gamma, ModePartition.from_string("1|2"))
     exact_zero = report.total_bits == 0.0
 

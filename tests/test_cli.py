@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import sympent.cli as cli
 from sympent import (
+    MalformedInputError,
     chain_model,
     covariance_to_csv_text,
     covariance_to_json_dict,
@@ -48,6 +49,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_or_usage_error(capsys, *argv):
+    """run(), with argparse's usage-error exit taken as the exit code."""
+    try:
+        return run(capsys, *argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
 
 
 # --- validate ----------------------------------------------------------------
@@ -100,6 +110,39 @@ def test_validate_missing_file_exit_one(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "model",
+    [{"type": "chain", "n": 6, "m": 1.0, "omega": 1.0, "lambda": 0.5, "boundary": "periodic"},
+     {"type": "two_oscillator", "m": 1.0, "omega": 1.0, "lambda": 2.0}],
+    ids=["chain", "two_oscillator"],
+)
+def test_validate_reads_model_json(capsys, tmp_path, model):
+    # the two model examples of README's file-format section
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model), encoding="utf-8")
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["valid"] is True
+    assert payload["n"] == model.get("n", 2)
+
+
+def test_load_state_dispatches_on_content():
+    gamma = vacuum(2)
+    for text in (json.dumps(covariance_to_json_dict(gamma)), covariance_to_csv_text(gamma)):
+        loaded, meta = cli._load_state(text, "state")
+        np.testing.assert_array_equal(loaded, gamma)
+        assert meta == {"kind": "covariance"}
+    model = {"type": "two_oscillator", "m": 1.0, "omega": 1.0, "lambda": 2.0}
+    loaded, meta = cli._load_state(json.dumps(model), "model.json")
+    assert loaded.shape == (4, 4)
+    assert meta["kind"] == "model"
+    with pytest.raises(MalformedInputError):
+        cli._load_state("not a state\n", "state")
+    with pytest.raises(MalformedInputError, match="invalid JSON in state.json"):
+        cli._load_state("{", "state.json")
+
+
 def test_validate_csv_input(capsys, tmp_path):
     state = tmp_path / "vac.csv"
     state.write_text(covariance_to_csv_text(vacuum(2)), encoding="utf-8")
@@ -120,29 +163,40 @@ def test_validate_exit_codes_on_block_diagonal_states(capsys, tmp_path, scale, e
 
 def planted_states(offset):
     """States whose smallest symplectic eigenvalue is 1/2 + offset: a scaled
-    chain ground state and a squeezed thermal state (Gamma_qp = 0), and
-    S diag(nu, nu) S^T with Gamma_qp != 0."""
+    chain ground state and a squeezed thermal state (Gamma_qp = 0),
+    S diag(nu, nu) S^T with Gamma_qp != 0, and diag(nu, nu) with the low
+    mode alone on side A."""
     chain = (1 + 2 * offset) * ground_state_covariance(chain_model(8, 1.0, 1.0, 0.8, "periodic"))
     squeezed = (1 + 2 * offset) * two_mode_squeezed(2.0)
     s = random_symplectic(3, 7)
     nu = np.array([0.5 + offset, 0.8, 1.3])
     general = s @ np.diag(np.concatenate([nu, nu])) @ s.T
+    diagonal = np.diag(np.concatenate([nu, nu]))
     return {"chain": (chain, "1,2,3|4,5,6,7,8"), "squeezed": (squeezed, "1|2"),
-            "general": (general, "1|2,3")}
+            "general": (general, "1|2,3"), "diagonal": (diagonal, "1|2,3")}
 
 
-@pytest.mark.parametrize("kind", ["chain", "squeezed", "general"])
-@pytest.mark.parametrize("sign", [1, -1], ids=["inside", "outside"])
-def test_validate_and_entropy_agree_at_the_vacuum_floor(capsys, tmp_path, kind, sign):
-    tol = 1e-8
-    gamma, partition = planted_states(2 * sign * tol)[kind]
-    assert abs(validate(gamma).min_symplectic_eigenvalue - (0.5 + 2 * sign * tol)) < 1e-12
+FLOOR_TOL = 1e-8
+FLOOR_CASES = [
+    pytest.param(kind, 2 * sign * FLOOR_TOL, id=f"{side}-{kind}")
+    for side, sign in (("inside", 1), ("outside", -1))
+    for kind in ("chain", "squeezed", "general")
+]
+# valid, yet below the 1/2 - SIGMA_TOL band of mode_entropy
+FLOOR_CASES.append(pytest.param("diagonal", -FLOOR_TOL / 2, id="band"))
+
+
+@pytest.mark.parametrize("kind,offset", FLOOR_CASES)
+def test_validate_and_entropy_agree_at_the_vacuum_floor(capsys, tmp_path, kind, offset):
+    gamma, partition = planted_states(offset)[kind]
+    assert abs(validate(gamma).min_symplectic_eigenvalue - (0.5 + offset)) < 1e-12
     state = tmp_path / "state.json"
     state.write_text(json.dumps(covariance_to_json_dict(gamma)), encoding="utf-8")
     valid_code, _, _ = run(capsys, "validate", str(state))
     entropy_code, _, err = run(capsys, "entropy", str(state), "--partition", partition)
-    assert (valid_code, entropy_code) == ((0, 0) if sign > 0 else (2, 1))
-    if sign < 0:
+    inside = offset >= -FLOOR_TOL
+    assert (valid_code, entropy_code) == ((0, 0) if inside else (2, 1))
+    if not inside:
         assert "min symplectic eigenvalue 0.49999998 < 1/2 - 1.0e-08" in err
 
 
@@ -662,6 +716,59 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         main(["entropy", str(model)])  # missing --partition
     assert excinfo.value.code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command,option",
+    [("sweep", ["--base", "nats"]), ("spectrum", ["--tol", "1e-3"])],
+    ids=["sweep-base", "spectrum-tol"],
+)
+def test_unread_options_are_usage_errors(capsys, tmp_path, command, option):
+    # sweep always writes bits and spectrum has no tolerance, so neither takes the option
+    path = tmp_path / "input.json"
+    model = {"type": "two_oscillator", "m": 1.0, "omega": 1.0, "lambda": 2.0}
+    if command == "sweep":
+        write_sweep_json(path, model)
+    else:
+        path.write_text(json.dumps(model), encoding="utf-8")
+    argv = [command, str(path), *option, "--out", str(tmp_path / "out")]
+    code, out, err = run_or_usage_error(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"unrecognized arguments: {option[0]}" in err
+    assert not (tmp_path / "out").exists()
+
+
+TEN_MODES = ",".join(str(i) for i in range(2, 10))
+
+
+@pytest.mark.parametrize("ten", ["1_0", "\u0661\u0660"], ids=["underscore", "arabic-indic"])
+@pytest.mark.parametrize(
+    "field,named",
+    [("partition", "partition"), ("sweep-partition", "partition"), ("grid-extent", "grid"),
+     ("grid-steps", "grid"), ("tol", "argument --tol"), ("mode", "argument --mode")],
+    ids=["partition", "sweep-partition", "grid-extent", "grid-steps", "tol", "mode"],
+)
+def test_argument_numbers_are_ascii_without_underscores(capsys, tmp_path, field, named, ten):
+    # int() and float() read both spellings of ten as 10, a valid value for every field
+    state = tmp_path / "vac10.json"
+    write_vacuum_json(state, n=10)
+    out_file = tmp_path / "out.csv"
+    argv = {
+        "partition": ["entropy", str(state), "--partition", f"{ten}|1,{TEN_MODES}"],
+        "sweep-partition": ["sweep", str(tmp_path / "sweep.json")],
+        "grid-extent": ["wigner", str(state), "--grid", f"{ten},5"],
+        "grid-steps": ["wigner", str(state), "--grid", f"8,{ten}"],
+        "tol": ["validate", str(state), "--tol", ten],
+        "mode": ["wigner", str(state), "--mode", ten],
+    }[field]
+    if field == "sweep-partition":
+        model = {"type": "chain", "n": 10, "m": 1.0, "omega": 1.0, "lambda": 0.5}
+        write_sweep_json(tmp_path / "sweep.json", model, count=2, partition=f"{ten}|1,{TEN_MODES}")
+    code, out, err = run_or_usage_error(capsys, *argv, "--out", str(out_file))
+    assert (code, out) == (1, "")
+    assert named in err.splitlines()[-1]
+    assert "Traceback" not in err
+    assert not out_file.exists()
 
 
 def test_run_record_goes_to_stderr_only(capsys, tmp_path):

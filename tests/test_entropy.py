@@ -22,7 +22,6 @@ from sympent import (
     random_symplectic,
     thermal_entropy_bruteforce,
     thermal_parameter,
-    two_oscillator_model,
     vacuum,
     validate,
 )
@@ -115,7 +114,7 @@ def test_vacuum_has_zero_entropy_for_any_partition():
 
 
 def test_two_oscillator_reference_entropy():
-    gamma = ground_state_covariance(two_oscillator_model(1.0, 1.0, 2.0))
+    gamma = ground_state_covariance(chain_model(2, 1.0, 1.0, 2.0))
     report = entanglement_entropy(gamma, ModePartition.from_string("1|2"), include_b=True)
     assert abs(report.total_bits - REFERENCE_ENTROPY_BITS) < 1e-9
     assert report.s_count == 1
@@ -124,14 +123,14 @@ def test_two_oscillator_reference_entropy():
 
 
 def test_uncoupled_oscillators_are_unentangled():
-    gamma = ground_state_covariance(two_oscillator_model(1.0, 1.0, 0.0))
+    gamma = ground_state_covariance(chain_model(2, 1.0, 1.0, 0.0))
     report = entanglement_entropy(gamma, ModePartition.from_string("1|2"))
     assert report.total_bits == 0.0
     assert report.s_count == 0
 
 
 def test_entropy_in_nats_scales_total():
-    gamma = ground_state_covariance(two_oscillator_model(1.0, 1.0, 2.0))
+    gamma = ground_state_covariance(chain_model(2, 1.0, 1.0, 2.0))
     part = ModePartition.from_string("1|2")
     bits = entanglement_entropy(gamma, part, base="bits")
     nats = entanglement_entropy(gamma, part, base="nats")
@@ -213,7 +212,7 @@ def test_purity_check_examples():
     assert validate(vacuum(3)).pure
     assert not validate(np.diag([1.2, 1.2])).pure
     for lam in (0.0, 0.3, 2.0, 7.5):
-        gamma = ground_state_covariance(two_oscillator_model(1.0, 1.0, lam))
+        gamma = ground_state_covariance(chain_model(2, 1.0, 1.0, lam))
         assert validate(gamma).pure
 
 

@@ -18,18 +18,17 @@ from sympent import (
     normal_mode_transform,
     reduce,
     symplectic_spectrum,
-    two_oscillator_model,
     validate,
 )
 
 
 def test_uncoupled_potential_is_diagonal():
-    model = two_oscillator_model(1.5, 2.0, 0.0)
+    model = chain_model(2, 1.5, 2.0, 0.0)
     np.testing.assert_array_equal(model.potential, 4.0 * np.eye(2))
 
 
 def test_reference_potential_and_normal_modes():
-    model = two_oscillator_model(1.0, 1.0, 2.0)
+    model = chain_model(2, 1.0, 1.0, 2.0)
     np.testing.assert_array_equal(model.potential, [[5.0, -4.0], [-4.0, 5.0]])
     w, vecs = np.linalg.eigh(model.potential)
     np.testing.assert_allclose(w, [1.0, 9.0], atol=1e-12)
@@ -63,22 +62,28 @@ def test_alpha_and_reduced_sigma():
     ],
 )
 def test_two_oscillator_rejects_bad_parameters(m, omega, lam):
-    # one range check serves the parameter record and both model builders
+    # one range check serves the parameter record and the model builder
     with pytest.raises(ParameterError):
         TwoOscillatorParams(m, omega, lam)
     with pytest.raises(ParameterError):
-        two_oscillator_model(m, omega, lam)
+        chain_model(2, m, omega, lam)
     with pytest.raises(ParameterError):
         chain_model(3, m, omega, lam)
 
 
 def test_chain_of_two_matches_two_oscillator():
-    chain = chain_model(2, 1.3, 0.9, 0.7, "open")
-    pair = two_oscillator_model(1.3, 0.9, 0.7)
+    # the two_oscillator model is the open chain of two, whatever its boundary field
+    m, omega, lam = 1.3, 0.9, 0.7
+    chain = chain_model(2, m, omega, lam, "open")
+    pair = ModelParams(type="two_oscillator", m=m, omega=omega, lam=lam, boundary="periodic").build()
+    coupling = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    np.testing.assert_array_equal(chain.potential, omega**2 * np.eye(2) + (2.0 * lam / m) * coupling)
     np.testing.assert_array_equal(chain.potential, pair.potential)
     np.testing.assert_array_equal(
         ground_state_covariance(chain), ground_state_covariance(pair)
     )
+    sigma = symplectic_spectrum(reduce(ground_state_covariance(chain), [1]))
+    assert abs(sigma[0] - TwoOscillatorParams(m, omega, lam).reduced_sigma()) < 1e-14
 
 
 def test_periodic_chain_zero_coupling():
@@ -114,7 +119,7 @@ def test_reference_ground_state_covariance():
     # alpha = 3: qq block has 1/3 on the diagonal and magnitude 1/6 off it,
     # pp block 1 and 1/2; the coupling makes positions correlate positively
     # and momenta negatively
-    gamma = ground_state_covariance(two_oscillator_model(1.0, 1.0, 2.0))
+    gamma = ground_state_covariance(chain_model(2, 1.0, 1.0, 2.0))
     np.testing.assert_allclose(
         gamma[:2, :2], [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-14
     )
@@ -164,7 +169,7 @@ def test_potential_is_decomposed_once_per_model(monkeypatch):
 
 
 def test_normal_mode_transform_two_oscillator():
-    model = two_oscillator_model(1.0, 1.0, 2.0)
+    model = chain_model(2, 1.0, 1.0, 2.0)
     s = normal_mode_transform(model)
     o = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     np.testing.assert_allclose(s[:2, :2], o, atol=1e-12)

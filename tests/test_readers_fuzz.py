@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import sympent.cli as cli
-from sympent import MalformedInputError, ModelParams, SympentError, read_covariance_text
+from sympent import MalformedInputError, ModelParams, SympentError
 
 KEYS = [
     "n", "ordering", "hbar", "matrix", "type", "m", "omega", "lambda", "boundary",
@@ -104,8 +104,8 @@ def returns_or_raises_sympent_error(reader, value):
 @example('{"n": ' + "[" * 100_000 + "]" * 100_000 + "}")
 @example('{"n": 1, "ordering": "qqpp", "matrix": [[1], [0], [0], [1]]}')
 @example('{"n": 1, "ordering": "qqpp", "matrix": [true, false, false, true]}')
-def test_read_covariance_text_raises_only_sympent_errors(text):
-    returns_or_raises_sympent_error(read_covariance_text, text)
+def test_load_state_raises_only_sympent_errors(text):
+    returns_or_raises_sympent_error(lambda t: cli._load_state(t, "state"), text)
 
 
 @FUZZ

@@ -19,11 +19,9 @@ from sympent import (
     covariance_to_json_dict,
     ground_state_covariance,
     heisenberg_margin,
-    read_covariance_text,
     reduce,
     symplectic_form,
     symplectic_spectrum,
-    two_oscillator_model,
     vacuum,
     validate,
     wigner_values,
@@ -146,7 +144,7 @@ def test_heisenberg_test_agrees_with_spectrum_test():
 def test_reduce_two_oscillator_ground_state():
     m, omega, lam = 1.0, 1.0, 2.0
     alpha = 3.0
-    gamma = ground_state_covariance(two_oscillator_model(m, omega, lam))
+    gamma = ground_state_covariance(chain_model(2, m, omega, lam))
     reduced = reduce(gamma, [1])
     expected = np.diag([(1 + alpha) / (4 * m * alpha * omega), m * (1 + alpha) * omega / 4])
     np.testing.assert_allclose(reduced, expected, atol=1e-14)
@@ -414,13 +412,3 @@ def test_csv_rejects_underscores_and_non_ascii_digits(text, cause):
     # int() and float() accept all four, reading 10, 1, 1 and 1
     with pytest.raises(MalformedInputError, match=cause):
         covariance_from_csv_text(text)
-
-
-def test_read_covariance_text_dispatches_on_content():
-    gamma = vacuum(2)
-    np.testing.assert_array_equal(
-        read_covariance_text(json.dumps(covariance_to_json_dict(gamma))), gamma
-    )
-    np.testing.assert_array_equal(read_covariance_text(covariance_to_csv_text(gamma)), gamma)
-    with pytest.raises(MalformedInputError):
-        read_covariance_text("not a state\n")
