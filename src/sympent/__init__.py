@@ -51,6 +51,7 @@ from .states import (
     VACUUM_SIGMA,
     ModePartition,
     ValidationReport,
+    certify_ground_state,
     characteristic_function,
     covariance_from_csv_text,
     covariance_from_json_dict,
@@ -101,6 +102,7 @@ __all__ = [
     "VACUUM_SIGMA",
     "ValidationReport",
     "WilliamsonDecomposition",
+    "certify_ground_state",
     "chain_model",
     "characteristic_function",
     "covariance_from_csv_text",

@@ -2,7 +2,8 @@
 
 Subcommands: validate, spectrum, entropy, sweep, verify, wigner. Inputs are
 covariance files (JSON or headered CSV) or model JSON files; model inputs are
-expanded to their ground-state covariance matrix. All primary output is
+expanded to their ground-state covariance matrix, certified from the model's
+normal modes instead of validated by a full-state solve. All primary output is
 deterministic (byte-identical on identical inputs and options); the run
 record, which carries a timestamp, goes to stderr. Output files are written
 to a temporary name and renamed on success, so failures never leave partial
@@ -44,7 +45,9 @@ from .states import (
     ORDERING,
     VACUUM_SIGMA,
     ModePartition,
+    ValidationReport,
     _check_number_text,
+    certify_ground_state,
     covariance_from_csv_text,
     covariance_from_json_dict,
     heisenberg_margin,
@@ -139,19 +142,38 @@ def _parse_json(text: str, path: str):
         raise MalformedInputError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _load_state(text: str, path: str) -> tuple[np.ndarray, dict]:
+def _ground_state(
+    params: ModelParams, tol: float | None
+) -> tuple[np.ndarray, ValidationReport | None]:
+    """Ground-state covariance of a model and, unless ``tol`` is None, its
+    ``certify_ground_state`` report at ``tol``."""
+    model = params.build()
+    gamma = ground_state_covariance(model)
+    return gamma, None if tol is None else certify_ground_state(gamma, model, tol)
+
+
+def _load_state(
+    text: str, path: str, tol: float | None = DEFAULT_TOL
+) -> tuple[np.ndarray, dict, ValidationReport | None]:
     """Covariance matrix of the text of a covariance file (JSON or headered
-    CSV) or a model JSON file: the one state loader of the CLI."""
+    CSV) or a model JSON file, its input metadata, and its validation report
+    when that costs no solve: the one state loader of the CLI.
+
+    A model's report is certified at ``tol`` from its stored normal modes
+    (``certify_ground_state``); a covariance file gets None, and the command
+    runs ``validate(gamma, tol)``. ``tol`` None (``spectrum``, which checks
+    no physicality) skips the certificate.
+    """
     stripped = text.lstrip()
     if stripped.startswith("{"):
         obj = _parse_json(text, path)
         if isinstance(obj, dict) and "type" in obj:
             params = ModelParams.from_json_dict(obj)
-            gamma = ground_state_covariance(params.build())
-            return gamma, {"kind": "model", "model": params.to_json_dict()}
-        return covariance_from_json_dict(obj), {"kind": "covariance"}
+            gamma, report = _ground_state(params, tol)
+            return gamma, {"kind": "model", "model": params.to_json_dict()}, report
+        return covariance_from_json_dict(obj), {"kind": "covariance"}, None
     if stripped.startswith("#"):
-        return covariance_from_csv_text(text), {"kind": "covariance"}
+        return covariance_from_csv_text(text), {"kind": "covariance"}, None
     raise MalformedInputError(
         "unrecognized covariance file: expected a JSON object or a headered CSV"
     )
@@ -162,8 +184,9 @@ def _load_state(text: str, path: str) -> tuple[np.ndarray, dict]:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     text, digest = _read_input(args.file)
-    gamma, _ = _load_state(text, args.file)
-    report = validate(gamma, tol=args.tol)
+    gamma, _, report = _load_state(text, args.file, args.tol)
+    if report is None:
+        report = validate(gamma, tol=args.tol)
     payload = report.to_json_dict()
     payload["min_heisenberg_eigenvalue"] = heisenberg_margin(gamma)
     payload["conventions"] = _conventions(args.base)
@@ -174,7 +197,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     text, digest = _read_input(args.input)
-    gamma, meta = _load_state(text, args.input)
+    gamma, meta, _ = _load_state(text, args.input, None)
     sigmas = symplectic_spectrum(gamma)
     payload = {
         "n": mode_count(gamma),
@@ -189,9 +212,11 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
     text, digest = _read_input(args.input)
-    gamma, meta = _load_state(text, args.input)
+    gamma, meta, validation = _load_state(text, args.input, args.tol)
     partition = ModePartition.from_string(args.partition)
-    report = entanglement_entropy(gamma, partition, base=args.base, include_b=True, tol=args.tol)
+    report = entanglement_entropy(
+        gamma, partition, base=args.base, include_b=True, tol=args.tol, report=validation
+    )
     payload = report.to_json_dict()
     payload["input"] = meta
     payload["conventions"] = _conventions(args.base)
@@ -247,8 +272,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     def point(value: float) -> list[str]:
         try:
-            gamma = ground_state_covariance(params.with_param(name, float(value)).build())
-            report = entanglement_entropy(gamma, partition, base=BITS, tol=args.tol)
+            gamma, validation = _ground_state(params.with_param(name, float(value)), args.tol)
+            report = entanglement_entropy(gamma, partition, base=BITS, tol=args.tol, report=validation)
         except SympentError as exc:
             raise type(exc)(f"grid point {name}={_fmt(value)}: {exc}") from exc
         cells = [_fmt(value)]
@@ -363,11 +388,11 @@ def _cmd_wigner(args: argparse.Namespace) -> int:
         raise MalformedInputError("wigner writes a CSV file; pass --out <path>")
     extent, steps = _parse_wigner_grid(args.grid)
     text, digest = _read_input(args.input)
-    gamma, _ = _load_state(text, args.input)
+    gamma, _, report = _load_state(text, args.input, args.tol)
     n = mode_count(gamma)
     if not (1 <= args.mode <= n):
         raise MalformedInputError(f"--mode must be in 1..{n}, got {args.mode}")
-    validate(gamma, tol=args.tol).require_physical()
+    (report or validate(gamma, tol=args.tol)).require_physical()
     single = reduce(gamma, [args.mode])
 
     axis = np.linspace(-extent, extent, steps)
@@ -420,8 +445,11 @@ def _cmd_wigner(args: argparse.Namespace) -> int:
 
 def _tolerance(text: str) -> float:
     """Value of --tol: a finite number >= 0."""
-    _check_number_text(text, "--tol")
-    value = float(text)
+    try:
+        _check_number_text(text, "--tol")
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return value
@@ -429,8 +457,11 @@ def _tolerance(text: str) -> float:
 
 def _mode_index(text: str) -> int:
     """Value of --mode: an integer (its range is checked against the state)."""
-    _check_number_text(text, "--mode")
-    return int(text)
+    try:
+        _check_number_text(text, "--mode")
+        return int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 class _Parser(argparse.ArgumentParser):

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPartitionError, UnphysicalEigenvalueError
+from .errors import DimensionError, InvalidPartitionError, UnphysicalEigenvalueError
 from .logbase import BITS, LN2, log_fn
-from .states import ModePartition, reduce, validate
+from .states import ModePartition, ValidationReport, reduce, validate
 from .symplectic import DEFAULT_TOL, mode_count, symplectic_spectrum
 
 # Eigenvalues within this band of 1/2 are treated as exactly pure; below the
@@ -144,6 +144,7 @@ def entanglement_entropy(
     base: str = BITS,
     include_b: bool = False,
     tol: float = DEFAULT_TOL,
+    report: ValidationReport | None = None,
 ) -> EntropyReport:
     """Entropy of the reduction to side A of ``partition``, with per-mode detail.
 
@@ -154,12 +155,18 @@ def entanglement_entropy(
     so the B side is not computed and ``spectrum_b`` stays None.
     Gamma must pass ``validate`` at ``tol``, the only vacuum floor: a reduction
     eigenvalue below 1/2 then counts as 1/2 (``spectrum_a`` keeps its value).
+    ``report`` stands in for that ``validate(gamma, tol)`` call when Gamma's
+    verdict is already known, e.g. from ``certify_ground_state``; one for
+    another mode count raises DimensionError.
     """
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
     if partition.n != n:
         raise InvalidPartitionError(f"partition is over {partition.n} modes but the state has {n}")
-    report = validate(gamma, tol=tol)
+    if report is None:
+        report = validate(gamma, tol=tol)
+    elif report.n != n:
+        raise DimensionError(f"validation report is for {report.n} modes but the state has {n}")
     report.require_physical()
     spectrum_a = symplectic_spectrum(reduce(gamma, partition.set_a))
     modes = tuple(ThermalMode.from_sigma(max(s, 0.5)) for s in spectrum_a)

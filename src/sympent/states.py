@@ -27,7 +27,7 @@ from .errors import (
     MalformedInputError,
     NumericalFailureError,
 )
-from .models import _is_json_int
+from .models import QuadraticModel, _is_json_int
 from .symplectic import (
     DEFAULT_TOL,
     _check_symmetric,
@@ -84,6 +84,20 @@ class ValidationReport:
     tol: float
     pure: bool
 
+    @classmethod
+    def from_spectrum(cls, spectrum: np.ndarray, tol: float) -> "ValidationReport":
+        """The one floor and purity rule, applied to a symplectic spectrum
+        sorted descending: valid when min sigma >= 1/2 - tol, pure when every
+        sigma is within tol of 1/2."""
+        min_sigma = float(spectrum[-1])
+        return cls(
+            valid=min_sigma >= VACUUM_SIGMA - tol,
+            n=len(spectrum),
+            min_symplectic_eigenvalue=min_sigma,
+            tol=float(tol),
+            pure=bool(np.max(np.abs(spectrum - VACUUM_SIGMA)) <= tol),
+        )
+
     def require_physical(self) -> None:
         """Raise InvalidStateError naming the smallest symplectic eigenvalue
         unless the state is valid."""
@@ -95,7 +109,7 @@ class ValidationReport:
                 "covariance matrix is unphysical and not positive definite within SINGULAR_RTOL"
             )
         raise InvalidStateError(
-            f"covariance matrix is unphysical: min symplectic eigenvalue {min_sigma:.10g} "
+            f"covariance matrix is unphysical: min symplectic eigenvalue {min_sigma:.17g} "
             f"< 1/2 - {self.tol:.1e}"
         )
 
@@ -137,7 +151,10 @@ def validate(gamma: np.ndarray, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check that Gamma is a physical covariance matrix.
 
     The one full-state pass: validity (min sigma >= 1/2 - tol) and purity
-    come from a single symplectic spectrum. A NaN or infinite entry, or
+    come from a single symplectic spectrum, by the rule of
+    ``ValidationReport.from_spectrum``. A model ground state needs no solve:
+    ``certify_ground_state`` checks it from the model's stored normal modes
+    and reports by the same rule. A NaN or infinite entry, or
     asymmetry beyond 1e-12, is a malformed input (MalformedInputError from the
     spectrum's ``symplectic._check_symmetric``), not an unphysical state;
     unphysical states come back as a report with ``valid=False``.
@@ -156,14 +173,49 @@ def validate(gamma: np.ndarray, tol: float = DEFAULT_TOL) -> ValidationReport:
         return ValidationReport(
             valid=False, n=n, min_symplectic_eigenvalue=float("nan"), tol=float(tol), pure=False
         )
-    min_sigma = float(spectrum[-1])
-    return ValidationReport(
-        valid=min_sigma >= VACUUM_SIGMA - tol,
-        n=n,
-        min_symplectic_eigenvalue=min_sigma,
-        tol=float(tol),
-        pure=bool(np.max(np.abs(spectrum - VACUUM_SIGMA)) <= tol),
+    return ValidationReport.from_spectrum(spectrum, tol)
+
+
+def certify_ground_state(
+    gamma: np.ndarray, model: QuadraticModel, tol: float = DEFAULT_TOL
+) -> ValidationReport:
+    """``validate`` for the ground-state covariance Gamma = X (+) P of
+    ``model``, from the model's stored normal modes instead of a 2n x 2n solve.
+
+    With O the stored eigenvectors (columns), w the frequencies and m the
+    mass, A = sqrt(m w) O^T and B = O^T / sqrt(m w) make S = A (+) B the
+    Williamson transform of Gamma: S Gamma S^T = I/2, every normal mode a
+    vacuum (Audenaert, Eisert, Plenio, Werner, PRA 66, 042327 (2002)). The
+    two residuals ``williamson`` checks come from n x n products only:
+    congruence max(|A X A^T - I/2|, |B P B^T - I/2|) and symplectic
+    max|A B^T - I|, the one nonzero block of S Omega S^T - Omega. Either
+    above ``tol`` raises NumericalFailureError naming both; otherwise the
+    spectrum is n times 1/2, reported by the rule ``validate`` applies.
+    A Gamma of another mode count, or with q-p correlations, is not the
+    model's ground state and raises InvalidStateError.
+    """
+    gamma = np.asarray(gamma, dtype=float)
+    n = mode_count(gamma)
+    blocks = _xp_blocks(gamma)
+    if n != model.n or blocks is None:
+        raise InvalidStateError(
+            f"covariance matrix is not the ground state of this {model.n}-mode model"
+        )
+    x, p = blocks
+    scale = np.sqrt(model.mass * model.frequencies)[:, None]
+    a = scale * model.eigenvectors.T
+    b = model.eigenvectors.T / scale
+    half = VACUUM_SIGMA * np.eye(n)
+    res_gamma = max(
+        float(np.max(np.abs(a @ x @ a.T - half))), float(np.max(np.abs(b @ p @ b.T - half)))
     )
+    res_omega = float(np.max(np.abs(a @ b.T - np.eye(n))))
+    if res_gamma > tol or res_omega > tol:
+        raise NumericalFailureError(
+            f"model ground-state certificate exceeded tolerance {tol:.1e}: residuals "
+            f"{res_gamma:.3e} (congruence), {res_omega:.3e} (symplectic)"
+        )
+    return ValidationReport.from_spectrum(np.full(n, VACUUM_SIGMA), tol)
 
 
 @dataclass(frozen=True)

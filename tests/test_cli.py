@@ -125,18 +125,23 @@ def test_validate_reads_model_json(capsys, tmp_path, model):
     payload = json.loads(out)
     assert payload["valid"] is True
     assert payload["n"] == model.get("n", 2)
+    # certified from the stored normal modes: every mode is a vacuum
+    assert payload["min_symplectic_eigenvalue"] == 0.5
 
 
 def test_load_state_dispatches_on_content():
     gamma = vacuum(2)
     for text in (json.dumps(covariance_to_json_dict(gamma)), covariance_to_csv_text(gamma)):
-        loaded, meta = cli._load_state(text, "state")
+        loaded, meta, report = cli._load_state(text, "state")
         np.testing.assert_array_equal(loaded, gamma)
         assert meta == {"kind": "covariance"}
+        assert report is None
     model = {"type": "two_oscillator", "m": 1.0, "omega": 1.0, "lambda": 2.0}
-    loaded, meta = cli._load_state(json.dumps(model), "model.json")
+    loaded, meta, report = cli._load_state(json.dumps(model), "model.json")
     assert loaded.shape == (4, 4)
     assert meta["kind"] == "model"
+    assert (report.valid, report.pure, report.n) == (True, True, 2)
+    assert cli._load_state(json.dumps(model), "model.json", None)[2] is None
     with pytest.raises(MalformedInputError):
         cli._load_state("not a state\n", "state")
     with pytest.raises(MalformedInputError, match="invalid JSON in state.json"):
@@ -189,7 +194,8 @@ FLOOR_CASES.append(pytest.param("diagonal", -FLOOR_TOL / 2, id="band"))
 @pytest.mark.parametrize("kind,offset", FLOOR_CASES)
 def test_validate_and_entropy_agree_at_the_vacuum_floor(capsys, tmp_path, kind, offset):
     gamma, partition = planted_states(offset)[kind]
-    assert abs(validate(gamma).min_symplectic_eigenvalue - (0.5 + offset)) < 1e-12
+    min_sigma = validate(gamma).min_symplectic_eigenvalue
+    assert abs(min_sigma - (0.5 + offset)) < 1e-12
     state = tmp_path / "state.json"
     state.write_text(json.dumps(covariance_to_json_dict(gamma)), encoding="utf-8")
     valid_code, _, _ = run(capsys, "validate", str(state))
@@ -197,7 +203,62 @@ def test_validate_and_entropy_agree_at_the_vacuum_floor(capsys, tmp_path, kind, 
     inside = offset >= -FLOOR_TOL
     assert (valid_code, entropy_code) == ((0, 0) if inside else (2, 1))
     if not inside:
-        assert "min symplectic eigenvalue 0.49999998 < 1/2 - 1.0e-08" in err
+        assert f"min symplectic eigenvalue {min_sigma:.17g} < 1/2 - 1.0e-08" in err
+
+
+@pytest.mark.parametrize(
+    "command", [["entropy", "--partition", "1|2"], ["wigner", "--out"]], ids=lambda c: c[0]
+)
+def test_unphysical_message_prints_sigma_in_full(capsys, tmp_path, command):
+    # at 10 digits this sigma would print as 0.5, contradicting "< 1/2"
+    nu = [0.5 - 1e-15, 0.8]
+    gamma = np.diag(nu + nu)
+    min_sigma = validate(gamma, tol=0.0).min_symplectic_eigenvalue
+    assert min_sigma < 0.5
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(covariance_to_json_dict(gamma)), encoding="utf-8")
+    argv = [command[0], str(state), *command[1:], "--tol", "0"]
+    if "--out" in argv:
+        argv.insert(argv.index("--out") + 1, str(tmp_path / "w.csv"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"min symplectic eigenvalue {min_sigma:.17g} < 1/2 - 0.0e+00" in err
+
+
+CHAIN6 = {"type": "chain", "n": 6, "m": 1.0, "omega": 1.0, "lambda": 0.5, "boundary": "periodic"}
+
+
+@pytest.mark.parametrize(
+    "command", [["validate"], ["entropy", "--partition", "1,2,3|4,5,6"]], ids=lambda c: c[0]
+)
+def test_model_below_the_certificate_residual_exits_one(capsys, tmp_path, command):
+    # a ground state is pure: a tol below the certificate's rounding is a
+    # numerical failure, not an unphysical state
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(CHAIN6), encoding="utf-8")
+    code, out, err = run(capsys, command[0], str(path), *command[1:], "--tol", "0")
+    assert (code, out) == (1, "")
+    assert "model ground-state certificate exceeded tolerance 0.0e+00" in err
+    assert "(congruence)" in err and "(symplectic)" in err
+
+
+def test_model_entropy_is_certified_not_solved(capsys, tmp_path, linalg_calls):
+    # the potential, then A and B: two block eigh and one SVD each
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(dict(CHAIN6, n=16)), encoding="utf-8")
+    partition = "1,2,3,4,5,6|" + ",".join(str(i) for i in range(7, 17))
+    code, _, _ = run(capsys, "entropy", str(path), "--partition", partition)
+    assert code == 0
+    assert sorted(name for name, _ in linalg_calls) == ["eigh"] * 5 + ["svd"] * 2
+
+
+def test_sweep_point_is_certified_not_solved(capsys, tmp_path, linalg_calls):
+    # per point: the potential, then A: two block eigh and one SVD
+    spec = tmp_path / "sweep.json"
+    write_sweep_json(spec, CHAIN6, count=4, partition="1,2,3|4,5,6")
+    code, _, _ = run(capsys, "sweep", str(spec), "--out", str(tmp_path / "sweep.csv"))
+    assert code == 0
+    assert sorted(name for name, _ in linalg_calls) == ["eigh"] * 3 * 4 + ["svd"] * 4
 
 
 def write_two_mode_squeezed_json(path, r):
@@ -767,6 +828,8 @@ def test_argument_numbers_are_ascii_without_underscores(capsys, tmp_path, field,
     code, out, err = run_or_usage_error(capsys, *argv, "--out", str(out_file))
     assert (code, out) == (1, "")
     assert named in err.splitlines()[-1]
+    rule = "must not contain '_'" if "_" in ten else "must be ASCII text"
+    assert rule in err.splitlines()[-1]
     assert "Traceback" not in err
     assert not out_file.exists()
 

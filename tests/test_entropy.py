@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from sympent import (
     LN2,
     SIGMA_TOL,
+    DimensionError,
     InvalidPartitionError,
     InvalidStateError,
     ModePartition,
     ThermalMode,
     UnphysicalEigenvalueError,
+    certify_ground_state,
     chain_model,
     entanglement_entropy,
     ground_state_covariance,
@@ -186,6 +188,24 @@ def test_chain_entropy_decomposes_each_state_once(linalg_calls):
     assert report.spectrum_b is not None
     names = [name for name, _ in linalg_calls]
     assert sorted(names) == ["eigh"] * 6 + ["svd"] * 3
+
+
+def test_certified_report_replaces_the_full_state_pass(linalg_calls):
+    # A and B only: two block eigh and one SVD each
+    model = chain_model(16, 1.0, 1.0, 0.8, "periodic")
+    gamma = ground_state_covariance(model)
+    partition = ModePartition.from_sides(range(1, 7), range(7, 17))
+    report = certify_ground_state(gamma, model)
+    del linalg_calls[:]
+    certified = entanglement_entropy(gamma, partition, include_b=True, report=report)
+    assert sorted(name for name, _ in linalg_calls) == ["eigh"] * 4 + ["svd"] * 2
+    solved = entanglement_entropy(gamma, partition, include_b=True)
+    assert certified.to_json_dict() == solved.to_json_dict()
+
+
+def test_report_for_another_mode_count_is_rejected():
+    with pytest.raises(DimensionError, match="report is for 2 modes but the state has 3"):
+        entanglement_entropy(vacuum(3), ModePartition.from_string("1|2,3"), report=validate(vacuum(2)))
 
 
 def test_general_state_is_validated_by_one_spectrum(linalg_calls):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ import pytest
 from sympent import (
     DimensionError,
     InvalidPartitionError,
+    InvalidStateError,
     MalformedInputError,
     ModePartition,
     NumericalFailureError,
     ParameterError,
     QuadraticModel,
+    certify_ground_state,
     chain_model,
     characteristic_function,
     covariance_from_csv_text,
@@ -136,6 +139,61 @@ def test_heisenberg_test_agrees_with_spectrum_test():
         assert not validate(gamma).valid
         assert sigmas[-1] < 0.5 - 1e-8
         assert heisenberg_margin(gamma) < -1e-8
+
+
+# --- model ground-state certificate -----------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 16, 64, 256])
+@pytest.mark.parametrize("lam", [0.0, 0.01, 1.0, 100.0, 1e5])
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_certificate_agrees_with_validate_on_chains(boundary, lam, n):
+    model = chain_model(n, 1.0, 1.0, lam, boundary)
+    gamma = ground_state_covariance(model)
+    # raises unless both residuals are <= 1e-13 (measured at most 2.6e-14 on this grid)
+    certify_ground_state(gamma, model, tol=1e-13)
+    for tol in (1e-12, 1e-8):
+        certified = certify_ground_state(gamma, model, tol)
+        solved = validate(gamma, tol)
+        assert (certified.valid, certified.pure, certified.n) == (solved.valid, solved.pure, n)
+        assert certified.min_symplectic_eigenvalue == 0.5
+
+
+RESIDUALS = r"residuals (\S+) \(congruence\), (\S+) \(symplectic\)"
+
+
+def test_perturbed_normal_modes_fail_the_certificate():
+    model = chain_model(8, 1.0, 1.0, 0.8, "periodic")
+    gamma = ground_state_covariance(model)
+    perturbed = model.eigenvectors.copy()
+    perturbed[0, 0] += 1e-6
+    # one normal mode scaled by 1 + d: the congruence residual is ~d and the
+    # symplectic one ~2d, so at tol = 1.5 d only the symplectic residual fails
+    rescaled = model.eigenvectors.copy()
+    rescaled[:, 0] *= 1 + 1e-6
+    for vectors, tol, both in ((perturbed, 1e-8, True), (rescaled, 1.5e-6, False)):
+        object.__setattr__(model, "eigenvectors", vectors)  # a frozen dataclass
+        with pytest.raises(NumericalFailureError, match=RESIDUALS) as excinfo:
+            certify_ground_state(gamma, model, tol)
+        congruence, symplectic = map(float, re.search(RESIDUALS, str(excinfo.value)).groups())
+        assert symplectic > tol and (congruence > tol) is both
+
+
+def test_certificate_refuses_other_states():
+    model = chain_model(4, 1.0, 1.0, 0.8, "open")
+    gamma = ground_state_covariance(model)
+    # unphysical through one block only: each congruence half must catch it
+    for block in (slice(0, 4), slice(4, 8)):
+        scaled = gamma.copy()
+        scaled[block, block] *= 0.9
+        with pytest.raises(NumericalFailureError, match="certificate exceeded tolerance"):
+            certify_ground_state(scaled, model)
+    correlated = gamma.copy()
+    correlated[0, 4] = correlated[4, 0] = 1e-3
+    other = ground_state_covariance(chain_model(3, 1.0, 1.0, 0.8, "open"))
+    for state in (correlated, other):
+        with pytest.raises(InvalidStateError, match="not the ground state of this 4-mode model"):
+            certify_ground_state(state, model)
 
 
 # --- reduction -------------------------------------------------------------
