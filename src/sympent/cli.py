@@ -189,7 +189,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         report = validate(gamma, tol=args.tol)
     payload = report.to_json_dict()
     payload["min_heisenberg_eigenvalue"] = heisenberg_margin(gamma)
-    payload["conventions"] = _conventions(args.base)
+    payload["conventions"] = _conventions(BITS)
     _emit_json(payload, args.out)
     _emit_run_record(args, digest, [args.out or "stdout"])
     return EXIT_OK if report.valid else EXIT_UNPHYSICAL
@@ -203,7 +203,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         "n": mode_count(gamma),
         "input": meta,
         "sigmas": [float(s) for s in sigmas],
-        "conventions": _conventions(args.base),
+        "conventions": _conventions(BITS),
     }
     _emit_json(payload, args.out)
     _emit_run_record(args, digest, [args.out or "stdout"])
@@ -273,7 +273,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     def point(value: float) -> list[str]:
         try:
             gamma, validation = _ground_state(params.with_param(name, float(value)), args.tol)
-            report = entanglement_entropy(gamma, partition, base=BITS, tol=args.tol, report=validation)
+            report = entanglement_entropy(gamma, partition, base=BITS, report=validation)
         except SympentError as exc:
             raise type(exc)(f"grid point {name}={_fmt(value)}: {exc}") from exc
         cells = [_fmt(value)]
@@ -409,7 +409,7 @@ def _cmd_wigner(args: argparse.Namespace) -> int:
     def csv_lines():
         yield (
             f"# sympent wigner ordering={ORDERING} hbar={HBAR} vacuum_sigma={VACUUM_SIGMA} "
-            f"base={args.base}\n"
+            f"base={BITS}\n"
             f"# mode={args.mode} extent={_fmt(extent)} steps={steps} dx={_fmt(dx)} "
             f"grid_integral={_fmt(integral)}\n"
             "q,p,w\n"
@@ -432,7 +432,7 @@ def _cmd_wigner(args: argparse.Namespace) -> int:
             "peak": peak,
             "grid_integral": integral,
             "out": args.out,
-            "conventions": _conventions(args.base),
+            "conventions": _conventions(BITS),
         },
         None,
     )
@@ -484,11 +484,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sympent", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[tol, base, out], help="check a state for physicality")
+    p = sub.add_parser("validate", parents=[tol, out], help="check a state for physicality")
     p.add_argument("file", help="covariance file or model JSON")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("spectrum", parents=[base, out], help="symplectic eigenvalues of a state")
+    p = sub.add_parser("spectrum", parents=[out], help="symplectic eigenvalues of a state")
     p.add_argument("input", help="covariance file or model JSON")
     p.set_defaults(func=_cmd_spectrum)
 
@@ -501,11 +501,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="sweep spec JSON file")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("verify", parents=[tol, base, out], help="cross-check spectrum vs number-basis entropies")
+    p = sub.add_parser("verify", parents=[base, out], help="cross-check spectrum vs number-basis entropies")
+    p.add_argument(
+        "--tol", type=_tolerance, default=DEFAULT_TOL, help="largest engine-oracle deviation; exit 3 above it"
+    )
     p.add_argument("--grid", choices=("coarse", "fine"), default="coarse")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("wigner", parents=[tol, base, out], help="sample a single-mode Wigner function on a grid")
+    p = sub.add_parser("wigner", parents=[tol, out], help="sample a single-mode Wigner function on a grid")
     p.add_argument("input", help="covariance file or model JSON")
     p.add_argument("--mode", type=_mode_index, default=1, help="1-based mode to keep")
     p.add_argument("--grid", default="8,161", help="'<extent>,<steps>' for the square grid")

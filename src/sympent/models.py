@@ -12,7 +12,7 @@ and m w' / 2. Quadratic q-p cross terms and per-site masses are out of scope.
 
 Model JSON: ``{"type": "two_oscillator" | "chain", "n": int, "m": number,
 "omega": number, "lambda": number, "boundary": "open" | "periodic"}``
-("n" and "boundary" apply to chains only).
+(a two_oscillator takes only n = 2 and boundary "open", the defaults).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidStateError, MalformedInputError, ParameterError
-from .symplectic import _spd_eigh
+from .symplectic import _fix_phases, _spd_eigh
 
 BOUNDARIES = ("open", "periodic")
 MODEL_TYPES = ("two_oscillator", "chain")
@@ -141,15 +141,10 @@ def normal_mode_transform(model: QuadraticModel) -> np.ndarray:
     """Orthosymplectic S = O (+) O that diagonalizes the ground-state covariance.
 
     Rows of O are the potential's eigenvectors ordered by ascending
-    eigenfrequency, each sign-fixed so its first significant component is
-    positive; applying S Gamma S^T decouples the normal modes.
+    eigenfrequency, each sign-fixed (``symplectic._fix_phases``) so its first
+    significant component is positive; applying S Gamma S^T decouples the normal modes.
     """
-    o = model.eigenvectors.T.copy()
-    for k in range(model.n):
-        row = o[k]
-        lead = int(np.argmax(np.abs(row) > 1e-12 * np.max(np.abs(row))))
-        if row[lead] < 0.0:
-            o[k] = -row
+    o = _fix_phases(model.eigenvectors).T
     n = model.n
     s = np.zeros((2 * n, 2 * n))
     s[:n, :n] = o
@@ -190,12 +185,15 @@ class ModelParams:
             raise ParameterError(f"model type must be one of {MODEL_TYPES}, got {self.type!r}")
         if self.type == "two_oscillator" and self.n != 2:
             raise ParameterError(f"two_oscillator models have n=2, got n={self.n}")
+        if self.type == "two_oscillator" and self.boundary != "open":
+            raise ParameterError(
+                f"two_oscillator models have boundary 'open', got boundary={self.boundary!r}"
+            )
         _check_parameters(modes=self.n)
 
     def build(self) -> QuadraticModel:
         """The model; two oscillators are the open chain of two modes."""
-        boundary = self.boundary if self.type == "chain" else "open"
-        return chain_model(self.n, self.m, self.omega, self.lam, boundary)
+        return chain_model(self.n, self.m, self.omega, self.lam, self.boundary)
 
     def with_param(self, name: str, value: float) -> "ModelParams":
         if name not in SWEEP_PARAMETERS:

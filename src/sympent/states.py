@@ -9,7 +9,7 @@ File formats:
 * JSON: ``{"n": int, "ordering": "qqpp", "hbar": 1, "matrix": [...]}`` with
   the matrix as a row-major list of (2n)^2 numbers.
 * CSV: header line ``# sympent covariance n=<n> ordering=qqpp`` followed by
-  2n comma-separated rows.
+  2n comma-separated rows; an optional ``hbar=`` tag must read 1.
 
 Readers reject a wrong or missing ordering tag loudly rather than guessing.
 """
@@ -31,6 +31,7 @@ from .models import QuadraticModel, _is_json_int
 from .symplectic import (
     DEFAULT_TOL,
     _check_symmetric,
+    _require_residuals,
     _spd_eigh,
     _xp_blocks,
     mode_count,
@@ -189,7 +190,8 @@ def certify_ground_state(
     two residuals ``williamson`` checks come from n x n products only:
     congruence max(|A X A^T - I/2|, |B P B^T - I/2|) and symplectic
     max|A B^T - I|, the one nonzero block of S Omega S^T - Omega. Either
-    above ``tol`` raises NumericalFailureError naming both; otherwise the
+    above ``tol`` raises NumericalFailureError naming both (the rule of
+    ``symplectic._require_residuals``); otherwise the
     spectrum is n times 1/2, reported by the rule ``validate`` applies.
     A Gamma of another mode count, or with q-p correlations, is not the
     model's ground state and raises InvalidStateError.
@@ -210,11 +212,7 @@ def certify_ground_state(
         float(np.max(np.abs(a @ x @ a.T - half))), float(np.max(np.abs(b @ p @ b.T - half)))
     )
     res_omega = float(np.max(np.abs(a @ b.T - np.eye(n))))
-    if res_gamma > tol or res_omega > tol:
-        raise NumericalFailureError(
-            f"model ground-state certificate exceeded tolerance {tol:.1e}: residuals "
-            f"{res_gamma:.3e} (congruence), {res_omega:.3e} (symplectic)"
-        )
+    _require_residuals("model ground-state certificate", res_gamma, res_omega, tol)
     return ValidationReport.from_spectrum(np.full(n, VACUUM_SIGMA), tol)
 
 
@@ -412,6 +410,8 @@ def covariance_from_csv_text(text: str) -> np.ndarray:
         raise MalformedInputError(
             f"unsupported quadrature ordering {tags.get('ordering')!r}; this tool only reads {ORDERING!r}"
         )
+    if tags.get("hbar", str(HBAR)) != str(HBAR):
+        raise MalformedInputError(f"unsupported hbar convention {tags['hbar']!r}; expected {HBAR}")
     try:
         _check_number_text(text, "covariance CSV")
     except ValueError as exc:

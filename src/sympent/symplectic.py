@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, schur
+from scipy.linalg import expm
 
 from .errors import DimensionError, InvalidStateError, MalformedInputError, NumericalFailureError
 
@@ -108,6 +108,35 @@ def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.T
 
 
+def _hermitian_form(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """H = i gamma^{1/2} Omega gamma^{1/2}, Hermitian with eigenvalues
+    +-sigma_i, and the eigenpairs (w, v) of gamma (``_spd_eigh``) it is
+    built from."""
+    [(w, v)] = _spd_eigh(gamma)
+    root = _root(w, v)
+    return 1j * (root @ symplectic_form(len(w) // 2) @ root), w, v
+
+
+def _fix_phases(vecs: np.ndarray) -> np.ndarray:
+    """The columns of ``vecs``, each scaled by a unit number so that its first
+    component above 1e-12 times its largest modulus is real and positive.
+    Real columns are multiplied by exactly +1 or -1."""
+    mag = np.abs(vecs)
+    lead = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    pick = vecs[lead, np.arange(vecs.shape[1])]
+    return vecs * (pick.conj() / np.abs(pick))
+
+
+def _require_residuals(what: str, res_gamma: float, res_omega: float, tol: float) -> None:
+    """Raise NumericalFailureError naming both residuals of a normal-form
+    transform unless each is at most ``tol``."""
+    if res_gamma > tol or res_omega > tol:
+        raise NumericalFailureError(
+            f"{what} exceeded tolerance {tol:.1e}: residuals "
+            f"{res_gamma:.3e} (congruence), {res_omega:.3e} (symplectic)"
+        )
+
+
 def symplectic_spectrum(gamma: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues of a positive-definite matrix, sorted descending.
 
@@ -128,10 +157,7 @@ def symplectic_spectrum(gamma: np.ndarray) -> np.ndarray:
     if blocks is not None:
         (wx, vx), (wp, vp) = _spd_eigh(*blocks)
         return np.linalg.svd(_root(wx, vx) @ _root(wp, vp), compute_uv=False)
-    [(w, v)] = _spd_eigh(gamma)
-    root = _root(w, v)
-    herm = 1j * (root @ symplectic_form(n) @ root)
-    eigs = np.linalg.eigvalsh(herm)
+    eigs = np.linalg.eigvalsh(_hermitian_form(gamma)[0])
     return eigs[::-1][:n].copy()
 
 
@@ -152,14 +178,17 @@ class WilliamsonDecomposition:
 def williamson(gamma: np.ndarray, tol: float = DEFAULT_TOL) -> WilliamsonDecomposition:
     """Williamson normal form of a symmetric positive-definite 2n x 2n matrix.
 
-    Construction: the real antisymmetric matrix A = gamma^{1/2} Omega gamma^{1/2}
-    is brought to canonical block form by a real orthogonal transform (Schur
-    form with fixed block signs and deterministic ordering), and the symplectic
-    congruence is assembled as S_w = normal_form^{1/2} @ O @ gamma^{-1/2}.
+    Construction: the Hermitian H = i A, A = gamma^{1/2} Omega gamma^{1/2}
+    (the matrix ``symplectic_spectrum`` takes its eigenvalues from), has
+    eigenvalues +-sigma_i. Its eigenvectors u = (a - i b)/sqrt(2) for the
+    n positive ones give each mode's orthonormal (q, p) basis pair (a, b):
+    A a = -sigma b and A b = sigma a. With O the rows a_1..a_n, b_1..b_n,
+    the symplectic congruence is S_w = normal_form^{1/2} @ O @ gamma^{-1/2}.
 
-    Degeneracies are resolved deterministically: blocks sorted by descending
-    sigma (stable), and each mode's basis-vector pair is sign-fixed so that the
-    first significant component of its q-type vector is positive.
+    Modes are sorted by descending sigma; equal sigma keep the reverse of
+    ``numpy.linalg.eigh``'s order, so identical input gives an identical
+    transform. Each u is scaled by a unit phase so that its first component
+    above 1e-12 times its largest is real and positive.
 
     Raises NumericalFailureError if either residual
     ``max|S_w gamma S_w^T - normal_form|`` or ``max|S_w Omega S_w^T - Omega|``
@@ -168,53 +197,21 @@ def williamson(gamma: np.ndarray, tol: float = DEFAULT_TOL) -> WilliamsonDecompo
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
     omega = symplectic_form(n)
-    [(w, v)] = _spd_eigh(gamma)
-    root = _root(w, v)
-    invroot = (v / np.sqrt(w)) @ v.T
-
-    anti = root @ omega @ root
-    t, q = schur(anti, output="real")
-
-    # Each 2x2 diagonal block of t is [[0, b], [-b, 0]] up to rounding; fix
-    # signs so b > 0, carrying the matching column swap on q.
-    sigmas = np.empty(n)
-    q_vecs = []
-    p_vecs = []
-    for k in range(n):
-        b = t[2 * k, 2 * k + 1]
-        u = q[:, 2 * k]
-        v = q[:, 2 * k + 1]
-        if b < 0.0:
-            u, v = v, u
-            b = -b
-        sigmas[k] = b
-        q_vecs.append(u)
-        p_vecs.append(v)
-
-    order = np.argsort(-sigmas, kind="stable")
-    sigmas = sigmas[order]
-    q_vecs = [q_vecs[i] for i in order]
-    p_vecs = [p_vecs[i] for i in order]
-
-    for k in range(n):
-        u = q_vecs[k]
-        lead = int(np.argmax(np.abs(u) > 1e-12 * np.max(np.abs(u))))
-        if u[lead] < 0.0:
-            q_vecs[k] = -u
-            p_vecs[k] = -p_vecs[k]
-
-    ortho = np.column_stack(q_vecs + p_vecs).T
+    herm, w, v = _hermitian_form(gamma)
+    eigs, vecs = np.linalg.eigh(herm)
+    sigmas = eigs[n:][::-1]
+    u = _fix_phases(vecs[:, n:][:, ::-1])
+    ortho = np.sqrt(2.0) * np.concatenate([u.real, -u.imag], axis=1).T
     sig_pair = np.concatenate([sigmas, sigmas])
     normal_form = np.diag(sig_pair)
-    transform = (np.sqrt(sig_pair)[:, None] * ortho) @ invroot
+    transform = (np.sqrt(sig_pair)[:, None] * ortho) @ ((v / np.sqrt(w)) @ v.T)
 
-    res_gamma = float(np.max(np.abs(transform @ gamma @ transform.T - normal_form)))
-    res_omega = float(np.max(np.abs(transform @ omega @ transform.T - omega)))
-    if res_gamma > tol or res_omega > tol:
-        raise NumericalFailureError(
-            "normal-form construction exceeded tolerance "
-            f"{tol:.1e}: residuals {res_gamma:.3e} (congruence), {res_omega:.3e} (symplectic)"
-        )
+    _require_residuals(
+        "normal-form construction",
+        float(np.max(np.abs(transform @ gamma @ transform.T - normal_form))),
+        float(np.max(np.abs(transform @ omega @ transform.T - omega))),
+        tol,
+    )
     return WilliamsonDecomposition(spectrum=sigmas, transform=transform, normal_form=normal_form)
 
 

@@ -781,11 +781,18 @@ def test_usage_errors_exit_one(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "command,option",
-    [("sweep", ["--base", "nats"]), ("spectrum", ["--tol", "1e-3"])],
-    ids=["sweep-base", "spectrum-tol"],
+    [
+        ("sweep", ["--base", "nats"]),
+        ("spectrum", ["--tol", "1e-3"]),
+        ("validate", ["--base", "nats"]),
+        ("spectrum", ["--base", "nats"]),
+        ("wigner", ["--base", "nats"]),
+    ],
+    ids=["sweep-base", "spectrum-tol", "validate-base", "spectrum-base", "wigner-base"],
 )
 def test_unread_options_are_usage_errors(capsys, tmp_path, command, option):
-    # sweep always writes bits and spectrum has no tolerance, so neither takes the option
+    # sweep always writes bits, spectrum has no tolerance, and validate,
+    # spectrum and wigner compute no entropy, so none takes the option
     path = tmp_path / "input.json"
     model = {"type": "two_oscillator", "m": 1.0, "omega": 1.0, "lambda": 2.0}
     if command == "sweep":
@@ -797,6 +804,16 @@ def test_unread_options_are_usage_errors(capsys, tmp_path, command, option):
     assert (code, out) == (1, "")
     assert f"unrecognized arguments: {option[0]}" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_two_oscillator_with_non_open_boundary_exits_one(capsys, tmp_path):
+    # computed as the open pair, it would report 0.4014 bits where the
+    # periodic 2-chain has 0.5842
+    path = tmp_path / "pair.json"
+    write_model_json(path, boundary="periodic")
+    code, out, err = run(capsys, "entropy", str(path), "--partition", "1|2")
+    assert (code, out) == (1, "")
+    assert "boundary='periodic'" in err
 
 
 TEN_MODES = ",".join(str(i) for i in range(2, 10))

@@ -72,10 +72,10 @@ def test_two_oscillator_rejects_bad_parameters(m, omega, lam):
 
 
 def test_chain_of_two_matches_two_oscillator():
-    # the two_oscillator model is the open chain of two, whatever its boundary field
+    # the two_oscillator model is the open chain of two
     m, omega, lam = 1.3, 0.9, 0.7
     chain = chain_model(2, m, omega, lam, "open")
-    pair = ModelParams(type="two_oscillator", m=m, omega=omega, lam=lam, boundary="periodic").build()
+    pair = ModelParams(type="two_oscillator", m=m, omega=omega, lam=lam).build()
     coupling = np.array([[1.0, -1.0], [-1.0, 1.0]])
     np.testing.assert_array_equal(chain.potential, omega**2 * np.eye(2) + (2.0 * lam / m) * coupling)
     np.testing.assert_array_equal(chain.potential, pair.potential)
@@ -244,6 +244,9 @@ def test_model_params_rejects_bad_records():
         ModelParams(type="ring", m=1.0, omega=1.0, lam=0.0)
     with pytest.raises(ParameterError):
         ModelParams(type="two_oscillator", m=1.0, omega=1.0, lam=0.0, n=3)
+    for boundary in ("periodic", "banana"):  # the pair is the open chain of two
+        with pytest.raises(ParameterError, match=f"boundary={boundary!r}"):
+            ModelParams(type="two_oscillator", m=1.0, omega=1.0, lam=0.0, boundary=boundary)
     with pytest.raises(MalformedInputError):
         ModelParams.from_json_dict({"type": "chain", "m": 1.0})
     with pytest.raises(MalformedInputError):

@@ -457,6 +457,23 @@ def test_csv_rejects_wrong_ordering_tag():
 
 
 @pytest.mark.parametrize(
+    "tag,accepted", [("", True), (" hbar=1", True), (" hbar=2", False)], ids=["absent", "one", "two"]
+)
+def test_csv_hbar_tag_follows_the_json_rule(tag, accepted):
+    text = f"# sympent covariance n=1 ordering=qqpp{tag}\n0.5,0\n0,0.5\n"
+    obj = {"n": 1, "ordering": "qqpp", "matrix": [0.5, 0, 0, 0.5]}
+    if tag:
+        obj["hbar"] = int(tag.split("=")[1])
+    if accepted:
+        np.testing.assert_array_equal(covariance_from_csv_text(text), vacuum(1))
+        np.testing.assert_array_equal(covariance_from_json_dict(obj), vacuum(1))
+        return
+    for read, value in ((covariance_from_csv_text, text), (covariance_from_json_dict, obj)):
+        with pytest.raises(MalformedInputError, match="unsupported hbar convention"):
+            read(value)
+
+
+@pytest.mark.parametrize(
     "text,cause",
     [
         ("# sympent covariance n=1 ordering=qqpp\n1_0,0\n0,1\n", "must not contain '_'"),

@@ -167,11 +167,35 @@ def test_williamson_vacuum():
 
 
 def test_williamson_single_mode_closed_form():
-    a, b = 0.7, 2.3
-    dec = williamson(np.diag([a, b]))
-    np.testing.assert_allclose(dec.spectrum, [np.sqrt(a * b)], rtol=1e-14)
-    expected = np.diag([(b / a) ** 0.25, (a / b) ** 0.25])
-    np.testing.assert_allclose(dec.transform, expected, atol=1e-12)
+    # diagonal Gamma = diag(a, b): mode i has sigma_i = sqrt(a_i b_i), and its
+    # rows of the transform are (b_i/a_i)^(1/4) e_i and (a_i/b_i)^(1/4) e_{n+i},
+    # taken in descending-sigma order
+    for a, b in (([0.7], [2.3]), ([0.7, 3.0, 0.5, 1.1], [2.3, 0.4, 0.6, 1.9])):
+        a, b = np.array(a), np.array(b)
+        n = len(a)
+        dec = williamson(np.diag(np.concatenate([a, b])))
+        order = np.argsort(-np.sqrt(a * b))
+        np.testing.assert_allclose(dec.spectrum, np.sqrt(a * b)[order], rtol=1e-14)
+        expected = np.zeros((2 * n, 2 * n))
+        expected[np.arange(n), order] = (b / a)[order] ** 0.25
+        expected[n + np.arange(n), n + order] = (a / b)[order] ** 0.25
+        np.testing.assert_allclose(dec.transform, expected, atol=1e-12)
+
+
+def test_fix_phases_leads_each_column_with_a_positive_real():
+    rng = np.random.default_rng(5)
+    real = rng.normal(size=(5, 4))
+    real[0, 1] = 1e-14  # below 1e-12 of the column's largest, so not its lead
+    fixed = symplectic._fix_phases(real)
+    signs = fixed / real
+    assert set(np.unique(signs)) <= {-1.0, 1.0}
+    np.testing.assert_array_equal(fixed, real * signs[0])
+    assert np.all(fixed[[0, 1, 0, 0], [0, 1, 2, 3]] > 0.0)
+    column = (rng.normal(size=(5, 1)) + 1j * rng.normal(size=(5, 1))) * np.exp(0.7j)
+    column[0, 0] = 0.0
+    lead = symplectic._fix_phases(column)[1, 0]
+    assert abs(lead.imag) <= 1e-15 and lead.real > 0.0
+    np.testing.assert_allclose(np.abs(symplectic._fix_phases(column)), np.abs(column), rtol=1e-15)
 
 
 def test_williamson_random_states_residuals():
