@@ -51,7 +51,6 @@ from .states import (
     VACUUM_SIGMA,
     ModePartition,
     ValidationReport,
-    certify_ground_state,
     characteristic_function,
     covariance_from_csv_text,
     covariance_from_json_dict,
@@ -102,7 +101,6 @@ __all__ = [
     "VACUUM_SIGMA",
     "ValidationReport",
     "WilliamsonDecomposition",
-    "certify_ground_state",
     "chain_model",
     "characteristic_function",
     "covariance_from_csv_text",

@@ -2,8 +2,9 @@
 
 Subcommands: validate, spectrum, entropy, sweep, verify, wigner. Inputs are
 covariance files (JSON or headered CSV) or model JSON files; model inputs are
-expanded to their ground-state covariance matrix, certified from the model's
-normal modes instead of validated by a full-state solve. All primary output is
+expanded to their ground-state covariance matrix. A command that checks
+physicality calls ``validate(gamma, tol, model)`` once, after any partition
+or mode check, which certifies a model and solves a file. All primary output is
 deterministic (byte-identical on identical inputs and options); the run
 record, which carries a timestamp, goes to stderr. Output files are written
 to a temporary name and renamed on success, so failures never leave partial
@@ -36,8 +37,11 @@ from .logbase import BITS, LOG_BASES
 from .models import (
     SWEEP_PARAMETERS,
     ModelParams,
+    QuadraticModel,
+    _check_fields,
     _is_json_int,
     _json_number,
+    _unique_fields,
     ground_state_covariance,
 )
 from .states import (
@@ -45,9 +49,7 @@ from .states import (
     ORDERING,
     VACUUM_SIGMA,
     ModePartition,
-    ValidationReport,
     _check_number_text,
-    certify_ground_state,
     covariance_from_csv_text,
     covariance_from_json_dict,
     heisenberg_margin,
@@ -78,6 +80,13 @@ def _fmt(value: float) -> str:
 
 def _conventions(base: str) -> dict:
     return {"ordering": ORDERING, "hbar": HBAR, "vacuum_sigma": VACUUM_SIGMA, "log_base": base}
+
+
+def _csv_header(kind: str, base: str, **tags) -> str:
+    """First line of a CSV output: its kind, ``_conventions`` (``log_base``
+    written ``base``), then ``tags``, each as key=value."""
+    tags = {**_conventions(base), **tags}
+    return f"# sympent {kind} " + " ".join(f"{k.removeprefix('log_')}={v}" for k, v in tags.items())
 
 
 def _emit_json(obj: dict, out_path: str | None) -> None:
@@ -137,40 +146,24 @@ def _read_input(path: str) -> tuple[str, str]:
 
 def _parse_json(text: str, path: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=lambda pairs: _unique_fields(pairs, path))
     except (ValueError, RecursionError) as exc:  # ValueError includes JSONDecodeError
         raise MalformedInputError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _ground_state(
-    params: ModelParams, tol: float | None
-) -> tuple[np.ndarray, ValidationReport | None]:
-    """Ground-state covariance of a model and, unless ``tol`` is None, its
-    ``certify_ground_state`` report at ``tol``."""
-    model = params.build()
-    gamma = ground_state_covariance(model)
-    return gamma, None if tol is None else certify_ground_state(gamma, model, tol)
-
-
-def _load_state(
-    text: str, path: str, tol: float | None = DEFAULT_TOL
-) -> tuple[np.ndarray, dict, ValidationReport | None]:
+def _load_state(text: str, path: str) -> tuple[np.ndarray, dict, QuadraticModel | None]:
     """Covariance matrix of the text of a covariance file (JSON or headered
-    CSV) or a model JSON file, its input metadata, and its validation report
-    when that costs no solve: the one state loader of the CLI.
-
-    A model's report is certified at ``tol`` from its stored normal modes
-    (``certify_ground_state``); a covariance file gets None, and the command
-    runs ``validate(gamma, tol)``. ``tol`` None (``spectrum``, which checks
-    no physicality) skips the certificate.
-    """
+    CSV) or a model JSON file, its input metadata, and the model whose ground
+    state it is (None for a file): the one state loader of the CLI. The
+    commands pass the model on to ``validate``."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         obj = _parse_json(text, path)
         if isinstance(obj, dict) and "type" in obj:
             params = ModelParams.from_json_dict(obj)
-            gamma, report = _ground_state(params, tol)
-            return gamma, {"kind": "model", "model": params.to_json_dict()}, report
+            model = params.build()
+            meta = {"kind": "model", "model": params.to_json_dict()}
+            return ground_state_covariance(model), meta, model
         return covariance_from_json_dict(obj), {"kind": "covariance"}, None
     if stripped.startswith("#"):
         return covariance_from_csv_text(text), {"kind": "covariance"}, None
@@ -184,11 +177,13 @@ def _load_state(
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     text, digest = _read_input(args.file)
-    gamma, _, report = _load_state(text, args.file, args.tol)
-    if report is None:
-        report = validate(gamma, tol=args.tol)
+    gamma, _, model = _load_state(text, args.file)
+    report = validate(gamma, args.tol, model)
     payload = report.to_json_dict()
-    payload["min_heisenberg_eigenvalue"] = heisenberg_margin(gamma)
+    # A certified ground state X (+) P needs no solve: heisenberg_margin's real
+    # form [[X, -I/2], [-I/2, P]] of Gamma + (i/2) Omega is orthogonally
+    # similar to n blocks [[a, -1/2], [-1/2, b]] with ab = 1/4, each singular.
+    payload["min_heisenberg_eigenvalue"] = heisenberg_margin(gamma) if model is None else 0.0
     payload["conventions"] = _conventions(BITS)
     _emit_json(payload, args.out)
     _emit_run_record(args, digest, [args.out or "stdout"])
@@ -197,7 +192,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     text, digest = _read_input(args.input)
-    gamma, meta, _ = _load_state(text, args.input, None)
+    gamma, meta, _ = _load_state(text, args.input)
     sigmas = symplectic_spectrum(gamma)
     payload = {
         "n": mode_count(gamma),
@@ -212,10 +207,10 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
     text, digest = _read_input(args.input)
-    gamma, meta, validation = _load_state(text, args.input, args.tol)
+    gamma, meta, model = _load_state(text, args.input)
     partition = ModePartition.from_string(args.partition)
     report = entanglement_entropy(
-        gamma, partition, base=args.base, include_b=True, tol=args.tol, report=validation
+        gamma, partition, base=args.base, include_b=True, tol=args.tol, model=model
     )
     payload = report.to_json_dict()
     payload["input"] = meta
@@ -226,16 +221,13 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 
 
 def _parse_sweep_spec(obj) -> tuple[ModelParams, str, np.ndarray, ModePartition]:
-    if not isinstance(obj, dict):
-        raise MalformedInputError("sweep spec must be a JSON object")
-    for key in ("model", "parameter", "grid", "partition"):
-        if key not in obj:
-            raise MalformedInputError(f"sweep spec is missing the {key!r} field")
+    _check_fields(obj, "sweep spec", ("model", "parameter", "grid", "partition"))
     params = ModelParams.from_json_dict(obj["model"])
     name = obj["parameter"]
     if not isinstance(name, str) or name not in SWEEP_PARAMETERS:
         raise MalformedInputError(f"sweep parameter must be lambda, omega, or m, got {name!r}")
     grid = obj["grid"]
+    _check_fields(grid, "sweep grid", optional=("start", "stop", "count"))
     try:
         start = _json_number(grid["start"])
         stop = _json_number(grid["stop"])
@@ -272,8 +264,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     def point(value: float) -> list[str]:
         try:
-            gamma, validation = _ground_state(params.with_param(name, float(value)), args.tol)
-            report = entanglement_entropy(gamma, partition, base=BITS, report=validation)
+            model = params.with_param(name, float(value)).build()
+            report = entanglement_entropy(
+                ground_state_covariance(model), partition, tol=args.tol, model=model
+            )
         except SympentError as exc:
             raise type(exc)(f"grid point {name}={_fmt(value)}: {exc}") from exc
         cells = [_fmt(value)]
@@ -285,8 +279,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     sigma_cols = [f"sigma_{i + 1}" for i in range(len(partition.set_a))]
     header_meta = (
-        f"# sympent sweep ordering={ORDERING} hbar={HBAR} vacuum_sigma={VACUUM_SIGMA} "
-        f"base={BITS} s_count_tol={S_COUNT_TOL:g}\n"
+        _csv_header("sweep", BITS, s_count_tol=f"{S_COUNT_TOL:g}") + "\n"
         f"# model_type={params.type} n={params.n} m={_fmt(params.m)} "
         f"omega={_fmt(params.omega)} boundary={params.boundary} parameter={name} "
         f"start={_fmt(grid[0])} stop={_fmt(grid[-1])} count={len(grid)} "
@@ -326,8 +319,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             offenders.append(sigma)
 
     lines = [
-        f"# sympent verify ordering={ORDERING} hbar={HBAR} vacuum_sigma={VACUUM_SIGMA} "
-        f"base={args.base} tol={args.tol:g} grid={args.grid}",
+        _csv_header("verify", args.base, tol=f"{args.tol:g}", grid=args.grid),
         "sigma,beta,n_max,entropy_engine,entropy_oracle,deviation",
     ]
     for sigma, beta, needed, engine, oracle, dev in rows:
@@ -388,11 +380,11 @@ def _cmd_wigner(args: argparse.Namespace) -> int:
         raise MalformedInputError("wigner writes a CSV file; pass --out <path>")
     extent, steps = _parse_wigner_grid(args.grid)
     text, digest = _read_input(args.input)
-    gamma, _, report = _load_state(text, args.input, args.tol)
+    gamma, _, model = _load_state(text, args.input)
     n = mode_count(gamma)
     if not (1 <= args.mode <= n):
         raise MalformedInputError(f"--mode must be in 1..{n}, got {args.mode}")
-    (report or validate(gamma, tol=args.tol)).require_physical()
+    validate(gamma, args.tol, model).require_physical()
     single = reduce(gamma, [args.mode])
 
     axis = np.linspace(-extent, extent, steps)
@@ -408,8 +400,7 @@ def _cmd_wigner(args: argparse.Namespace) -> int:
 
     def csv_lines():
         yield (
-            f"# sympent wigner ordering={ORDERING} hbar={HBAR} vacuum_sigma={VACUUM_SIGMA} "
-            f"base={BITS}\n"
+            _csv_header("wigner", BITS) + "\n"
             f"# mode={args.mode} extent={_fmt(extent)} steps={steps} dx={_fmt(dx)} "
             f"grid_integral={_fmt(integral)}\n"
             "q,p,w\n"

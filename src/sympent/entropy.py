@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidPartitionError, UnphysicalEigenvalueError
+from .errors import InvalidPartitionError, UnphysicalEigenvalueError
 from .logbase import BITS, LN2, log_fn
-from .states import ModePartition, ValidationReport, reduce, validate
+from .models import QuadraticModel
+from .states import ModePartition, reduce, validate
 from .symplectic import DEFAULT_TOL, mode_count, symplectic_spectrum
 
 # Eigenvalues within this band of 1/2 are treated as exactly pure; below the
@@ -144,7 +145,7 @@ def entanglement_entropy(
     base: str = BITS,
     include_b: bool = False,
     tol: float = DEFAULT_TOL,
-    report: ValidationReport | None = None,
+    model: QuadraticModel | None = None,
 ) -> EntropyReport:
     """Entropy of the reduction to side A of ``partition``, with per-mode detail.
 
@@ -153,20 +154,17 @@ def entanglement_entropy(
     B-side spectrum and total for that cross-check. ``include_b`` applies to
     pure global states only: for a mixed state the two sides need not agree,
     so the B side is not computed and ``spectrum_b`` stays None.
-    Gamma must pass ``validate`` at ``tol``, the only vacuum floor: a reduction
-    eigenvalue below 1/2 then counts as 1/2 (``spectrum_a`` keeps its value).
-    ``report`` stands in for that ``validate(gamma, tol)`` call when Gamma's
-    verdict is already known, e.g. from ``certify_ground_state``; one for
-    another mode count raises DimensionError.
+    Gamma must pass ``validate(gamma, tol, model)``, the only vacuum floor: a
+    reduction eigenvalue below 1/2 then counts as 1/2 (``spectrum_a`` keeps
+    its value). Given the ``model`` whose ground state Gamma is, that verdict
+    is the model's certificate, with no full-state solve. The partition is
+    checked against Gamma first.
     """
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
     if partition.n != n:
         raise InvalidPartitionError(f"partition is over {partition.n} modes but the state has {n}")
-    if report is None:
-        report = validate(gamma, tol=tol)
-    elif report.n != n:
-        raise DimensionError(f"validation report is for {report.n} modes but the state has {n}")
+    report = validate(gamma, tol, model)
     report.require_physical()
     spectrum_a = symplectic_spectrum(reduce(gamma, partition.set_a))
     modes = tuple(ThermalMode.from_sigma(max(s, 0.5)) for s in spectrum_a)

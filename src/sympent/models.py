@@ -169,6 +169,33 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _unique_fields(pairs: list, what: str) -> dict:
+    """dict(pairs), or MalformedInputError naming the first key given twice."""
+    fields = {}
+    for key, value in pairs:
+        if key in fields:
+            raise MalformedInputError(f"{what} gives the {key!r} field twice")
+        fields[key] = value
+    return fields
+
+
+def _check_fields(fields, what: str, required: tuple = (), optional: tuple = ()) -> None:
+    """The one shape rule of a JSON object or a CSV tag set: MalformedInputError
+    if ``fields`` is not a dict, has a key that ``what`` does not take (a
+    misspelt one would read as absent), or lacks a ``required`` key."""
+    if not isinstance(fields, dict):
+        raise MalformedInputError(f"{what} must be an object")
+    allowed = required + optional
+    for key in fields:
+        if key not in allowed:
+            raise MalformedInputError(
+                f"{what} has an unknown field {key!r}; it takes {', '.join(allowed)}"
+            )
+    for key in required:
+        if key not in fields:
+            raise MalformedInputError(f"{what} is missing the {key!r} field")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Parameter record mirroring the model JSON files read by the CLI."""
@@ -202,10 +229,7 @@ class ModelParams:
 
     @classmethod
     def from_json_dict(cls, obj) -> "ModelParams":
-        if not isinstance(obj, dict):
-            raise MalformedInputError("model JSON must be an object")
-        if "type" not in obj:
-            raise MalformedInputError("model JSON is missing the 'type' field")
+        _check_fields(obj, "model JSON", ("type",), ("n", "m", "omega", "lambda", "boundary"))
         try:
             kind = obj["type"]
             m = _json_number(obj["m"])

@@ -11,7 +11,8 @@ File formats:
 * CSV: header line ``# sympent covariance n=<n> ordering=qqpp`` followed by
   2n comma-separated rows; an optional ``hbar=`` tag must read 1.
 
-Readers reject a wrong or missing ordering tag loudly rather than guessing.
+Readers reject a wrong or missing ordering tag loudly rather than guessing,
+and a field or tag that is unknown or given twice.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     MalformedInputError,
     NumericalFailureError,
 )
-from .models import QuadraticModel, _is_json_int
+from .models import QuadraticModel, _check_fields, _is_json_int, _unique_fields
 from .symplectic import (
     DEFAULT_TOL,
     _check_symmetric,
@@ -148,24 +149,48 @@ def heisenberg_margin(gamma: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(herm)[0])
 
 
-def validate(gamma: np.ndarray, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Check that Gamma is a physical covariance matrix.
+def validate(
+    gamma: np.ndarray, tol: float = DEFAULT_TOL, model: QuadraticModel | None = None
+) -> ValidationReport:
+    """Check that Gamma is a physical covariance matrix: the package's one
+    verdict, by the floor and purity rule of ``ValidationReport.from_spectrum``.
 
-    The one full-state pass: validity (min sigma >= 1/2 - tol) and purity
-    come from a single symplectic spectrum, by the rule of
-    ``ValidationReport.from_spectrum``. A model ground state needs no solve:
-    ``certify_ground_state`` checks it from the model's stored normal modes
-    and reports by the same rule. A NaN or infinite entry, or
-    asymmetry beyond 1e-12, is a malformed input (MalformedInputError from the
-    spectrum's ``symplectic._check_symmetric``), not an unphysical state;
-    unphysical states come back as a report with ``valid=False``.
-    Only when Gamma fails the positive-definite test of the spectrum does
-    ``heisenberg_margin`` decide: below -tol the state is unphysical; else
-    it is physical but too ill-conditioned, and NumericalFailureError is
-    raised.
+    Without a ``model``, one symplectic spectrum gives validity (min sigma
+    >= 1/2 - tol) and purity. A NaN or infinite entry, or asymmetry beyond
+    1e-12, raises MalformedInputError (``symplectic._check_symmetric``).
+    When Gamma fails the spectrum's positive-definite test,
+    ``heisenberg_margin`` decides: below -tol the report is unphysical, else
+    Gamma is physical but too ill-conditioned (NumericalFailureError).
+
+    Given the ``model`` whose ground state Gamma = X (+) P is, its stored
+    normal modes certify Gamma with n x n products only: with O the
+    eigenvectors, w the frequencies and m the mass, A = sqrt(m w) O^T and
+    B = O^T / sqrt(m w) make S = A (+) B symplectic with S Gamma S^T = I/2
+    (Audenaert, Eisert, Plenio, Werner, PRA 66, 042327 (2002)). Either
+    residual of ``williamson``, congruence max(|A X A^T - I/2|,
+    |B P B^T - I/2|) or symplectic max|A B^T - I|, above ``tol`` raises
+    NumericalFailureError (``symplectic._require_residuals``); else the
+    spectrum is n times 1/2. A Gamma of another mode count, or with q-p
+    correlations, is not the model's ground state (InvalidStateError).
     """
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
+    if model is not None:
+        blocks = _xp_blocks(gamma)
+        if n != model.n or blocks is None:
+            raise InvalidStateError(
+                f"covariance matrix is not the ground state of this {model.n}-mode model"
+            )
+        x, p = blocks
+        scale = np.sqrt(model.mass * model.frequencies)[:, None]
+        a = scale * model.eigenvectors.T
+        b = model.eigenvectors.T / scale
+        half = VACUUM_SIGMA * np.eye(n)
+        # np.maximum keeps a NaN half, which the builtin max may drop
+        res_gamma = np.maximum(np.abs(a @ x @ a.T - half).max(), np.abs(b @ p @ b.T - half).max())
+        res_omega = np.abs(a @ b.T - np.eye(n)).max()
+        _require_residuals("model ground-state certificate", res_gamma, res_omega, tol)
+        return ValidationReport.from_spectrum(np.full(n, VACUUM_SIGMA), tol)
     try:
         spectrum = symplectic_spectrum(gamma)
     except InvalidStateError as exc:
@@ -175,45 +200,6 @@ def validate(gamma: np.ndarray, tol: float = DEFAULT_TOL) -> ValidationReport:
             valid=False, n=n, min_symplectic_eigenvalue=float("nan"), tol=float(tol), pure=False
         )
     return ValidationReport.from_spectrum(spectrum, tol)
-
-
-def certify_ground_state(
-    gamma: np.ndarray, model: QuadraticModel, tol: float = DEFAULT_TOL
-) -> ValidationReport:
-    """``validate`` for the ground-state covariance Gamma = X (+) P of
-    ``model``, from the model's stored normal modes instead of a 2n x 2n solve.
-
-    With O the stored eigenvectors (columns), w the frequencies and m the
-    mass, A = sqrt(m w) O^T and B = O^T / sqrt(m w) make S = A (+) B the
-    Williamson transform of Gamma: S Gamma S^T = I/2, every normal mode a
-    vacuum (Audenaert, Eisert, Plenio, Werner, PRA 66, 042327 (2002)). The
-    two residuals ``williamson`` checks come from n x n products only:
-    congruence max(|A X A^T - I/2|, |B P B^T - I/2|) and symplectic
-    max|A B^T - I|, the one nonzero block of S Omega S^T - Omega. Either
-    above ``tol`` raises NumericalFailureError naming both (the rule of
-    ``symplectic._require_residuals``); otherwise the
-    spectrum is n times 1/2, reported by the rule ``validate`` applies.
-    A Gamma of another mode count, or with q-p correlations, is not the
-    model's ground state and raises InvalidStateError.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    n = mode_count(gamma)
-    blocks = _xp_blocks(gamma)
-    if n != model.n or blocks is None:
-        raise InvalidStateError(
-            f"covariance matrix is not the ground state of this {model.n}-mode model"
-        )
-    x, p = blocks
-    scale = np.sqrt(model.mass * model.frequencies)[:, None]
-    a = scale * model.eigenvectors.T
-    b = model.eigenvectors.T / scale
-    half = VACUUM_SIGMA * np.eye(n)
-    res_gamma = max(
-        float(np.max(np.abs(a @ x @ a.T - half))), float(np.max(np.abs(b @ p @ b.T - half)))
-    )
-    res_omega = float(np.max(np.abs(a @ b.T - np.eye(n))))
-    _require_residuals("model ground-state certificate", res_gamma, res_omega, tol)
-    return ValidationReport.from_spectrum(np.full(n, VACUUM_SIGMA), tol)
 
 
 @dataclass(frozen=True)
@@ -351,11 +337,7 @@ def covariance_to_json_dict(gamma: np.ndarray) -> dict:
 
 
 def covariance_from_json_dict(obj) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise MalformedInputError("covariance JSON must be an object")
-    for key in ("n", "ordering", "matrix"):
-        if key not in obj:
-            raise MalformedInputError(f"covariance JSON is missing the {key!r} field")
+    _check_fields(obj, "covariance JSON", ("n", "ordering", "matrix"), ("hbar",))
     if obj["ordering"] != ORDERING:
         raise MalformedInputError(
             f"unsupported quadrature ordering {obj['ordering']!r}; this tool only reads {ORDERING!r}"
@@ -405,7 +387,9 @@ def covariance_from_csv_text(text: str) -> np.ndarray:
         raise MalformedInputError(
             f"covariance CSV must start with a {_CSV_HEADER_PREFIX!r} header line"
         )
-    tags = dict(tok.split("=", 1) for tok in lines[0][len(_CSV_HEADER_PREFIX):].split() if "=" in tok)
+    pairs = [tok.partition("=")[::2] for tok in lines[0][len(_CSV_HEADER_PREFIX):].split()]
+    tags = _unique_fields(pairs, "covariance CSV header")
+    _check_fields(tags, "covariance CSV header", optional=("n", "ordering", "hbar"))
     if tags.get("ordering") != ORDERING:
         raise MalformedInputError(
             f"unsupported quadrature ordering {tags.get('ordering')!r}; this tool only reads {ORDERING!r}"

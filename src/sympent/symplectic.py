@@ -129,8 +129,8 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
 
 def _require_residuals(what: str, res_gamma: float, res_omega: float, tol: float) -> None:
     """Raise NumericalFailureError naming both residuals of a normal-form
-    transform unless each is at most ``tol``."""
-    if res_gamma > tol or res_omega > tol:
+    transform unless each is at most ``tol`` (a NaN residual is not)."""
+    if not (res_gamma <= tol and res_omega <= tol):
         raise NumericalFailureError(
             f"{what} exceeded tolerance {tol:.1e}: residuals "
             f"{res_gamma:.3e} (congruence), {res_omega:.3e} (symplectic)"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import sympent.cli as cli
 from sympent import (
     MalformedInputError,
+    QuadraticModel,
     chain_model,
     covariance_to_csv_text,
     covariance_to_json_dict,
@@ -132,16 +133,16 @@ def test_validate_reads_model_json(capsys, tmp_path, model):
 def test_load_state_dispatches_on_content():
     gamma = vacuum(2)
     for text in (json.dumps(covariance_to_json_dict(gamma)), covariance_to_csv_text(gamma)):
-        loaded, meta, report = cli._load_state(text, "state")
+        loaded, meta, model = cli._load_state(text, "state")
         np.testing.assert_array_equal(loaded, gamma)
         assert meta == {"kind": "covariance"}
-        assert report is None
-    model = {"type": "two_oscillator", "m": 1.0, "omega": 1.0, "lambda": 2.0}
-    loaded, meta, report = cli._load_state(json.dumps(model), "model.json")
+        assert model is None
+    params = {"type": "two_oscillator", "m": 1.0, "omega": 1.0, "lambda": 2.0}
+    loaded, meta, model = cli._load_state(json.dumps(params), "model.json")
     assert loaded.shape == (4, 4)
     assert meta["kind"] == "model"
-    assert (report.valid, report.pure, report.n) == (True, True, 2)
-    assert cli._load_state(json.dumps(model), "model.json", None)[2] is None
+    assert isinstance(model, QuadraticModel) and model.n == 2
+    np.testing.assert_array_equal(loaded, ground_state_covariance(model))
     with pytest.raises(MalformedInputError):
         cli._load_state("not a state\n", "state")
     with pytest.raises(MalformedInputError, match="invalid JSON in state.json"):
@@ -250,6 +251,17 @@ def test_model_entropy_is_certified_not_solved(capsys, tmp_path, linalg_calls):
     code, _, _ = run(capsys, "entropy", str(path), "--partition", partition)
     assert code == 0
     assert sorted(name for name, _ in linalg_calls) == ["eigh"] * 5 + ["svd"] * 2
+
+
+def test_model_validate_prints_a_zero_margin_without_a_solve(capsys, tmp_path, linalg_calls):
+    # the potential only: the certificate and the margin need no eigensolver
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(CHAIN6), encoding="utf-8")
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 0
+    assert json.loads(out)["min_heisenberg_eigenvalue"] == 0.0
+    assert '"min_heisenberg_eigenvalue": 0.0,' in out
+    assert linalg_calls == [("eigh", "f")]
 
 
 def test_sweep_point_is_certified_not_solved(capsys, tmp_path, linalg_calls):
@@ -398,6 +410,50 @@ def test_huge_chain_is_refused_before_allocation(capsys, tmp_path, command):
     code, out, err = run(capsys, command[0], str(model), *command[1:])
     assert_clean_failure(code, out, err)
     assert "MAX_MODES = 2048, got 1000000000" in err
+
+
+VACUUM_JSON = '"n": 1, "ordering": "qqpp", "hbar": 1, "matrix": [0.5, 0, 0, 0.5]'
+VACUUM_ROWS = "\n0.5,0\n0,0.5\n"
+MODEL_JSON = '"type": "chain", "n": 4, "m": 1, "omega": 1, "lambda": 1'
+SWEEP_JSON = (
+    '"model": {"type": "two_oscillator", "m": 1, "omega": 1, "lambda": 0}, '
+    '"parameter": "lambda", "partition": "1|2", '
+)
+
+
+@pytest.mark.parametrize(
+    "name,text,cause",
+    [
+        ("chain.json", "{" + MODEL_JSON + ', "bondary": "periodic"}', "unknown field 'bondary'"),
+        ("chain.json", "{" + MODEL_JSON + ', "n": 6}', "gives the 'n' field twice"),
+        ("state.json", '{"ordering": "qpqp", ' + VACUUM_JSON + "}", "gives the 'ordering' field twice"),
+        ("state.json", "{" + VACUUM_JSON + ', "hbarr": 2}', "unknown field 'hbarr'"),
+        ("state.csv", "# sympent covariance n=1 ordering=qpqp ordering=qqpp" + VACUUM_ROWS,
+         "gives the 'ordering' field twice"),
+        ("state.csv", "# sympent covariance n=1 ordering=qqpp hbarr=2" + VACUUM_ROWS,
+         "unknown field 'hbarr'"),
+        ("state.csv", "# sympent covariance n=1 ordering=qqpp qqpp" + VACUUM_ROWS,
+         "unknown field 'qqpp'"),
+        ("sweep.json", "{" + SWEEP_JSON + '"grid": {"start": 0, "stop": 1, "count": 3}, "partitions": "1|2"}',
+         "sweep spec has an unknown field 'partitions'"),
+        ("sweep.json", "{" + SWEEP_JSON + '"grid": {"start": 0, "stop": 1, "count": 3, "steps": 3}}',
+         "sweep grid has an unknown field 'steps'"),
+        ("sweep.json", "{" + SWEEP_JSON + '"grid": {"start": 0, "stop": 1, "count": 3, "count": 4}}',
+         "gives the 'count' field twice"),
+    ],
+    ids=["model-bondary", "model-n-twice", "json-ordering-twice", "json-hbarr", "csv-ordering-twice",
+         "csv-hbarr", "csv-bare-word", "sweep-partitions", "grid-steps", "grid-count-twice"],
+)
+def test_unknown_or_repeated_fields_exit_one(capsys, tmp_path, name, text, cause):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    if name == "sweep.json":
+        argv = ["sweep", str(path), "--out", str(tmp_path / "sweep.csv")]
+    else:
+        argv = ["entropy", str(path), "--partition", "1,2|3,4" if name == "chain.json" else "1|2"]
+    code, out, err = run(capsys, *argv)
+    assert_clean_failure(code, out, err)
+    assert cause in err
 
 
 # --- sweep -------------------------------------------------------------------
@@ -737,6 +793,18 @@ def test_wigner_checks_the_mode_before_the_full_state_pass(capsys, tmp_path):
     code, out, err = run(capsys, "wigner", str(state), "--mode", "2", "--out", str(tmp_path / "w.csv"))
     assert_clean_failure(code, out, err)
     assert "--mode must be in 1..1, got 2" in err
+    # a model input fails its certificate at --tol 0, but the mode comes first
+    model = tmp_path / "chain.json"
+    model.write_text(json.dumps(CHAIN6), encoding="utf-8")
+    code, out, err = run(
+        capsys, "wigner", str(model), "--mode", "9", "--tol", "0", "--out", str(tmp_path / "w.csv")
+    )
+    assert_clean_failure(code, out, err)
+    assert "--mode must be in 1..6, got 9" in err
+    # so does entropy's partition
+    code, out, err = run(capsys, "entropy", str(model), "--partition", "1,2|3", "--tol", "0")
+    assert_clean_failure(code, out, err)
+    assert "partition is over 3 modes but the state has 6" in err
 
 
 def test_wigner_rejects_unphysical_state(capsys, tmp_path):

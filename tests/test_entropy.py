@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from sympent import (
     LN2,
     SIGMA_TOL,
-    DimensionError,
     InvalidPartitionError,
     InvalidStateError,
     ModePartition,
     ThermalMode,
     UnphysicalEigenvalueError,
-    certify_ground_state,
     chain_model,
     entanglement_entropy,
     ground_state_covariance,
@@ -195,17 +193,17 @@ def test_certified_report_replaces_the_full_state_pass(linalg_calls):
     model = chain_model(16, 1.0, 1.0, 0.8, "periodic")
     gamma = ground_state_covariance(model)
     partition = ModePartition.from_sides(range(1, 7), range(7, 17))
-    report = certify_ground_state(gamma, model)
     del linalg_calls[:]
-    certified = entanglement_entropy(gamma, partition, include_b=True, report=report)
+    certified = entanglement_entropy(gamma, partition, include_b=True, model=model)
     assert sorted(name for name, _ in linalg_calls) == ["eigh"] * 4 + ["svd"] * 2
     solved = entanglement_entropy(gamma, partition, include_b=True)
     assert certified.to_json_dict() == solved.to_json_dict()
 
 
-def test_report_for_another_mode_count_is_rejected():
-    with pytest.raises(DimensionError, match="report is for 2 modes but the state has 3"):
-        entanglement_entropy(vacuum(3), ModePartition.from_string("1|2,3"), report=validate(vacuum(2)))
+def test_model_for_another_mode_count_is_rejected():
+    model = chain_model(2, 1.0, 1.0, 0.8, "open")
+    with pytest.raises(InvalidStateError, match="not the ground state of this 2-mode model"):
+        entanglement_entropy(vacuum(3), ModePartition.from_string("1|2,3"), model=model)
 
 
 def test_general_state_is_validated_by_one_spectrum(linalg_calls):

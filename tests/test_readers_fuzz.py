@@ -2,9 +2,10 @@
 raises a SympentError, never anything else."""
 
 import json
+import re
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import sympent.cli as cli
@@ -199,3 +200,52 @@ def test_model_params_reject_numeric_strings_and_bools(field, value):
 def test_sweep_grid_rejects_numeric_strings_and_fractions(grid, cause):
     with pytest.raises(MalformedInputError, match=cause):
         cli._parse_sweep_spec(sweep_spec({**VALID_GRID, **grid}))
+
+
+# Each JSON reader with a valid object it reads: one unknown field, or one
+# field given twice, makes it raise MalformedInputError naming that field.
+JSON_READERS = {
+    "covariance": ({"n": 1, "ordering": "qqpp", "hbar": 1, "matrix": [0.5, 0.0, 0.0, 0.5]},
+                   lambda text: cli._load_state(text, "state.json")),
+    "model": ({"type": "chain", "n": 2, "m": 1.0, "omega": 1.0, "lambda": 0.5, "boundary": "open"},
+              lambda text: cli._load_state(text, "model.json")),
+    "sweep spec": (sweep_spec(VALID_GRID),
+                   lambda text: cli._parse_sweep_spec(cli._parse_json(text, "sweep.json"))),
+}
+
+
+@FUZZ
+@given(st.sampled_from(sorted(JSON_READERS)), st.text(max_size=8), json_values)
+def test_json_readers_reject_unknown_fields(kind, key, value):
+    obj, reader = JSON_READERS[kind]
+    assume(key not in obj and key != "type")  # a "type" field makes any object a model
+    with pytest.raises(MalformedInputError, match="unknown field " + re.escape(repr(key))):
+        reader(json.dumps({**obj, key: value}))
+
+
+@FUZZ
+@given(st.sampled_from(sorted(JSON_READERS)), st.data())
+def test_json_readers_reject_repeated_fields(kind, data):
+    obj, reader = JSON_READERS[kind]
+    key = data.draw(st.sampled_from(sorted(obj)))
+    value = data.draw(st.just(obj[key]) | json_values)
+    text = json.dumps(obj)[:-1] + f", {json.dumps(key)}: {json.dumps(value)}}}"
+    with pytest.raises(MalformedInputError, match=re.escape(f"gives the {key!r} field twice")):
+        reader(text)
+
+
+CSV_TAGS = ["n=1", "ordering=qqpp", "hbar=1"]
+
+
+@FUZZ
+@given(st.permutations(CSV_TAGS), st.sampled_from(CSV_TAGS),
+       st.from_regex(r"[a-z]{1,6}(=[a-z0-9]{0,3})?", fullmatch=True))
+def test_csv_header_rejects_repeated_and_unknown_tags(tags, repeated, unknown):
+    rows = "\n0.5,0\n0,0.5\n"
+    key = repeated.split("=")[0]
+    with pytest.raises(MalformedInputError, match=re.escape(f"gives the {key!r} field twice")):
+        cli._load_state("# sympent covariance " + " ".join(tags + [repeated]) + rows, "state.csv")
+    name = unknown.split("=")[0]
+    assume(name not in ("n", "ordering", "hbar"))
+    with pytest.raises(MalformedInputError, match="unknown field " + re.escape(repr(name))):
+        cli._load_state("# sympent covariance " + " ".join(tags + [unknown]) + rows, "state.csv")

@@ -13,7 +13,6 @@ from sympent import (
     NumericalFailureError,
     ParameterError,
     QuadraticModel,
-    certify_ground_state,
     chain_model,
     characteristic_function,
     covariance_from_csv_text,
@@ -151,9 +150,9 @@ def test_certificate_agrees_with_validate_on_chains(boundary, lam, n):
     model = chain_model(n, 1.0, 1.0, lam, boundary)
     gamma = ground_state_covariance(model)
     # raises unless both residuals are <= 1e-13 (measured at most 2.6e-14 on this grid)
-    certify_ground_state(gamma, model, tol=1e-13)
+    validate(gamma, 1e-13, model=model)
     for tol in (1e-12, 1e-8):
-        certified = certify_ground_state(gamma, model, tol)
+        certified = validate(gamma, tol, model=model)
         solved = validate(gamma, tol)
         assert (certified.valid, certified.pure, certified.n) == (solved.valid, solved.pure, n)
         assert certified.min_symplectic_eigenvalue == 0.5
@@ -174,7 +173,7 @@ def test_perturbed_normal_modes_fail_the_certificate():
     for vectors, tol, both in ((perturbed, 1e-8, True), (rescaled, 1.5e-6, False)):
         object.__setattr__(model, "eigenvectors", vectors)  # a frozen dataclass
         with pytest.raises(NumericalFailureError, match=RESIDUALS) as excinfo:
-            certify_ground_state(gamma, model, tol)
+            validate(gamma, tol, model=model)
         congruence, symplectic = map(float, re.search(RESIDUALS, str(excinfo.value)).groups())
         assert symplectic > tol and (congruence > tol) is both
 
@@ -187,13 +186,19 @@ def test_certificate_refuses_other_states():
         scaled = gamma.copy()
         scaled[block, block] *= 0.9
         with pytest.raises(NumericalFailureError, match="certificate exceeded tolerance"):
-            certify_ground_state(scaled, model)
+            validate(scaled, model=model)
+    # a NaN in either block makes a NaN residual, which fails
+    for entry in ((1, 1), (6, 6)):
+        broken = gamma.copy()
+        broken[entry] = np.nan
+        with pytest.raises(NumericalFailureError, match=r"residuals nan \(congruence\)"):
+            validate(broken, model=model)
     correlated = gamma.copy()
     correlated[0, 4] = correlated[4, 0] = 1e-3
     other = ground_state_covariance(chain_model(3, 1.0, 1.0, 0.8, "open"))
     for state in (correlated, other):
         with pytest.raises(InvalidStateError, match="not the ground state of this 4-mode model"):
-            certify_ground_state(state, model)
+            validate(state, model=model)
 
 
 # --- reduction -------------------------------------------------------------
