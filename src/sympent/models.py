@@ -10,6 +10,11 @@ oscillators are the open chain of two modes. The ground state is Gaussian with
 so each normal mode of frequency w' carries the vacuum variances 1/(2 m w')
 and m w' / 2. Quadratic q-p cross terms and per-site masses are out of scope.
 
+A chain's normal modes are known in closed form (Fourier cos/sin pairs on
+the ring, the DCT-II basis on the path) and ``chain_model`` builds them with
+no eigensolver; any other potential given to ``QuadraticModel`` is
+decomposed by ``symplectic._spd_eigh``.
+
 Model JSON: ``{"type": "two_oscillator" | "chain", "n": int, "m": number,
 "omega": number, "lambda": number, "boundary": "open" | "periodic"}``
 (a two_oscillator takes only n = 2 and boundary "open", the defaults).
@@ -18,12 +23,12 @@ Model JSON: ``{"type": "two_oscillator" | "chain", "n": int, "m": number,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
 from .errors import InvalidStateError, MalformedInputError, ParameterError
-from .symplectic import _fix_phases, _spd_eigh
+from .symplectic import _check_condition, _fix_phases, _spd_eigh
 
 BOUNDARIES = ("open", "periodic")
 MODEL_TYPES = ("two_oscillator", "chain")
@@ -46,13 +51,21 @@ def _check_parameters(modes: int | None = None, **values: float) -> None:
             raise ParameterError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value}")
 
 
+def _no_ground_state(exc: Exception) -> ParameterError:
+    """The error of a potential that fails ``_spd_eigh`` or ``_check_condition``."""
+    return ParameterError(f"potential has no normalizable ground state: {exc}")
+
+
 @dataclass(frozen=True, eq=False)
 class QuadraticModel:
     """Kinetic-plus-potential quadratic Hamiltonian with a normalizable ground state.
 
-    V is decomposed once, by ``symplectic._spd_eigh`` (a failure raises
-    ParameterError), into ``frequencies`` sqrt(eig V), ascending, and the
-    matching ``eigenvectors`` (columns).
+    Its normal modes are ``frequencies`` sqrt(eig V), ascending, and the
+    matching orthonormal ``eigenvectors`` (columns). ``QuadraticModel(n, mass,
+    potential)`` decomposes V once, by ``symplectic._spd_eigh`` (a failure
+    raises ParameterError). ``chain_model`` passes its closed-form modes as
+    ``_modes`` = (frequencies, eigenvectors) instead, after its own condition
+    check; they are stored as given.
     """
 
     n: int
@@ -60,19 +73,22 @@ class QuadraticModel:
     potential: np.ndarray
     frequencies: np.ndarray = field(init=False, repr=False)
     eigenvectors: np.ndarray = field(init=False, repr=False)
+    _modes: InitVar[tuple[np.ndarray, np.ndarray] | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _modes):
         _check_parameters(modes=self.n, mass=self.mass)
         v = np.asarray(self.potential, dtype=float)
         if v.shape != (self.n, self.n):
             raise ParameterError(f"potential must be {self.n}x{self.n}, got shape {v.shape}")
-        try:
-            [(w, vecs)] = _spd_eigh(v)
-        except (InvalidStateError, MalformedInputError) as exc:
-            raise ParameterError(f"potential has no normalizable ground state: {exc}") from exc
+        if _modes is None:
+            try:
+                [(w, vecs)] = _spd_eigh(v)
+            except (InvalidStateError, MalformedInputError) as exc:
+                raise _no_ground_state(exc) from exc
+            _modes = np.sqrt(w), vecs
         object.__setattr__(self, "potential", v)
-        object.__setattr__(self, "frequencies", np.sqrt(w))
-        object.__setattr__(self, "eigenvectors", vecs)
+        object.__setattr__(self, "frequencies", _modes[0])
+        object.__setattr__(self, "eigenvectors", _modes[1])
 
 
 @dataclass(frozen=True)
@@ -97,14 +113,60 @@ class TwoOscillatorParams:
         return (1.0 + a) / (4.0 * math.sqrt(a))
 
 
+def _laplacian_modes(n: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues mu (ascending) and orthonormal eigenvectors (columns) of the
+    graph Laplacian L of the ring ("periodic") or the path ("open") of n >= 2
+    sites j = 0..n-1, in closed form.
+
+    Ring: the constant column (k = 0), then for each 1 <= k < n/2, k
+    ascending, the pair sqrt(2/n) cos(2 pi k j / n), sqrt(2/n) sin(2 pi k j / n),
+    cos first, then for even n the alternating column (-1)^j / sqrt(n)
+    (k = n/2); mu = 4 sin^2(pi k / n), equal within each pair. Path: the
+    DCT-II columns c_k cos(pi k (2j + 1) / 2n), k = 0..n-1, c_0 = 1/sqrt(n),
+    c_k = sqrt(2/n); mu = 4 sin^2(pi k / 2n). Every column's first entry
+    that is not zero is positive.
+
+    Each angle is 2 pi t / N for an integer numerator t reduced mod its period
+    N (kj mod n on the ring, (2j+1)k mod 4n on the path) and read from a table
+    of the N cos (and sin) values, so no angle loses digits to a large argument.
+    """
+    j = np.arange(n)
+    if boundary == "periodic":
+        ks = np.arange(1, (n + 1) // 2)
+        k = np.concatenate(([0], np.repeat(ks, 2), [n // 2] if n % 2 == 0 else []))
+        mu = 4.0 * np.sin(np.pi * k / n) ** 2
+        angle = 2.0 * np.pi * j / n
+        t = np.outer(j, ks) % n
+        vecs = np.empty((n, n))
+        vecs[:, 0] = 1.0 / math.sqrt(n)
+        vecs[:, 1 : 2 * len(ks) + 1 : 2] = math.sqrt(2.0 / n) * np.cos(angle)[t]
+        vecs[:, 2 : 2 * len(ks) + 1 : 2] = math.sqrt(2.0 / n) * np.sin(angle)[t]
+        if n % 2 == 0:
+            vecs[:, -1] = np.where(j % 2 == 0, 1.0, -1.0) / math.sqrt(n)
+    else:
+        mu = 4.0 * np.sin(np.pi * j / (2 * n)) ** 2
+        table = np.cos(2.0 * np.pi * np.arange(4 * n) / (4 * n))
+        vecs = math.sqrt(2.0 / n) * table[np.outer(2 * j + 1, j) % (4 * n)]
+        vecs[:, 0] = 1.0 / math.sqrt(n)
+    return mu, vecs
+
+
 def chain_model(
     n: int, m: float, omega: float, lam: float, boundary: str = "open"
 ) -> QuadraticModel:
     """Harmonic chain with nearest-neighbor coupling lam sum_i (q_i - q_{i+1})^2.
 
     V = omega^2 I + (2 lam / m) L with L the graph Laplacian of the path
-    ("open") or the ring ("periodic", which adds the (n, 1) bond). The open
-    chain of two modes is the two coupled oscillators (``TwoOscillatorParams``).
+    ("open") or the ring ("periodic", which adds the (n, 1) bond; the ring of
+    two has a double bond). The open chain of two modes is the two coupled
+    oscillators (``TwoOscillatorParams``).
+
+    The normal modes are L's, in closed form (``_laplacian_modes``): squared
+    frequencies omega^2 + (2 lam / m) mu_k, with the ring's Fourier cos/sin
+    pairs or the path's DCT-II basis as eigenvectors (Audenaert, Eisert,
+    Plenio, Werner, PRA 66, 042327 (2002); Botero & Reznik, PRA 67, 052311
+    (2003)). No eigensolver runs. V's condition number must stay below
+    1/SINGULAR_RTOL (``symplectic._check_condition``; ParameterError).
     """
     if n < 2:
         raise ParameterError(f"chain needs at least 2 modes, got {n}")
@@ -112,17 +174,22 @@ def chain_model(
     if boundary not in BOUNDARIES:
         raise ParameterError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
 
-    lap = np.zeros((n, n))
-    bonds = [(i, i + 1) for i in range(n - 1)]
-    if boundary == "periodic":
-        bonds.append((n - 1, 0))
-    for i, j in bonds:
-        lap[i, i] += 1.0
-        lap[j, j] += 1.0
-        lap[i, j] -= 1.0
-        lap[j, i] -= 1.0
-    v = omega**2 * np.eye(n) + (2.0 * lam / m) * lap
-    return QuadraticModel(n=n, mass=m, potential=v)
+    mu, vecs = _laplacian_modes(n, boundary)
+    floor, scale = omega * omega, 2.0 * lam / m
+    try:
+        # mu[0] = 0: V's eigenvalues run from omega^2 to omega^2 + scale mu[-1]
+        _check_condition(floor, floor + scale * float(mu[-1]))
+    except InvalidStateError as exc:
+        raise _no_ground_state(exc) from exc
+    v = np.diag(np.full(n, floor + 2.0 * scale))
+    i = np.arange(n - 1)
+    v[i, i + 1] = v[i + 1, i] = -scale
+    if boundary == "open":
+        v[0, 0] = v[-1, -1] = floor + scale
+    else:
+        v[0, -1] -= scale
+        v[-1, 0] -= scale
+    return QuadraticModel(n=n, mass=m, potential=v, _modes=(np.sqrt(floor + scale * mu), vecs))
 
 
 def ground_state_covariance(model: QuadraticModel) -> np.ndarray:

@@ -31,6 +31,7 @@ from .errors import (
 from .models import QuadraticModel, _check_fields, _is_json_int, _unique_fields
 from .symplectic import (
     DEFAULT_TOL,
+    _check_finite,
     _check_symmetric,
     _require_residuals,
     _spd_eigh,
@@ -155,9 +156,10 @@ def validate(
     """Check that Gamma is a physical covariance matrix: the package's one
     verdict, by the floor and purity rule of ``ValidationReport.from_spectrum``.
 
-    Without a ``model``, one symplectic spectrum gives validity (min sigma
-    >= 1/2 - tol) and purity. A NaN or infinite entry, or asymmetry beyond
-    1e-12, raises MalformedInputError (``symplectic._check_symmetric``).
+    A NaN or infinite entry raises MalformedInputError on either route
+    (``symplectic._check_finite``). Without a ``model``, one symplectic
+    spectrum gives validity (min sigma >= 1/2 - tol) and purity; asymmetry
+    beyond 1e-12 raises MalformedInputError (``symplectic._check_symmetric``).
     When Gamma fails the spectrum's positive-definite test,
     ``heisenberg_margin`` decides: below -tol the report is unphysical, else
     Gamma is physical but too ill-conditioned (NumericalFailureError).
@@ -176,6 +178,7 @@ def validate(
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
     if model is not None:
+        _check_finite(gamma)
         blocks = _xp_blocks(gamma)
         if n != model.n or blocks is None:
             raise InvalidStateError(

@@ -18,8 +18,8 @@ from .errors import DimensionError, InvalidStateError, MalformedInputError, Nume
 # Default absolute tolerance for residual checks (max-abs entry).
 DEFAULT_TOL = 1e-8
 # Relative eigenvalue floor below which a symmetric matrix counts as singular
-# (used only by _spd_eigh): a condition number must stay below 1e12, which for
-# a two-mode squeezed vacuum means squeezing r < ln(1e12)/4 ~ 6.9.
+# (used only by _check_condition): a condition number must stay below 1e12,
+# which for a two-mode squeezed vacuum means squeezing r < ln(1e12)/4 ~ 6.9.
 SINGULAR_RTOL = 1e-12
 # Absolute tolerance for symmetry of inputs.
 SYMMETRY_ATOL = 1e-12
@@ -56,15 +56,49 @@ def is_symplectic(s: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(s @ omega @ s.T - omega)) <= tol)
 
 
-def _check_symmetric(matrix: np.ndarray) -> None:
-    """The package's one NaN/inf/asymmetry test: MalformedInputError unless a
-    square float matrix is finite and symmetric within SYMMETRY_ATOL."""
-    if not np.all(np.isfinite(matrix)):
+# Row-panel height of ``_max_asymmetry``: a panel and its transposed partner
+# stay in cache, where G - G^T strides across the whole of G.
+_SYMMETRY_PANEL = 64
+
+
+def _check_finite(matrix: np.ndarray) -> None:
+    """The package's one NaN/inf test: MalformedInputError unless every entry is finite."""
+    if not np.isfinite(matrix).all():
         raise MalformedInputError("matrix has a NaN or infinite entry")
-    asym = float(np.max(np.abs(matrix - matrix.T)))
+
+
+def _max_asymmetry(matrix: np.ndarray) -> float:
+    """max |G - G^T| of a square matrix, bit for bit, taken over row panels
+    G[i:i+b, i:] against their transposed column panels G[i:, i:i+b], which
+    cover every pair of mirrored entries."""
+    b = _SYMMETRY_PANEL
+    return max(
+        float(np.abs(matrix[i : i + b, i:] - matrix[i:, i : i + b].T).max())
+        for i in range(0, matrix.shape[0], b)
+    )
+
+
+def _check_symmetric(matrix: np.ndarray) -> None:
+    """The package's one asymmetry test: MalformedInputError unless a square
+    float matrix is finite (``_check_finite``) and symmetric within
+    SYMMETRY_ATOL."""
+    _check_finite(matrix)
+    asym = _max_asymmetry(matrix)
     if asym > SYMMETRY_ATOL:
         raise MalformedInputError(
             f"matrix is asymmetric: max |G - G^T| = {asym:.3e} > {SYMMETRY_ATOL:.0e}"
+        )
+
+
+def _check_condition(lo: float, hi: float) -> None:
+    """The package's one SINGULAR_RTOL comparison: InvalidStateError unless a
+    symmetric matrix with eigenvalues in [lo, hi] is positive definite with a
+    condition number below 1/SINGULAR_RTOL. A NaN bound fails."""
+    if not (hi > 0.0 and lo > SINGULAR_RTOL * hi):
+        raise InvalidStateError(
+            "matrix is not positive definite or is too ill-conditioned: eigenvalues in "
+            f"[{lo:.3e}, {hi:.3e}], the smallest must exceed SINGULAR_RTOL = "
+            f"{SINGULAR_RTOL:.0e} times the largest"
         )
 
 
@@ -72,24 +106,18 @@ def _spd_eigh(*blocks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Eigenvalues (ascending) and eigenvectors of each diagonal block of a
     symmetric positive-definite matrix.
 
-    The package's one positive-definiteness test, for covariance matrices and
-    model potentials alike; pass a whole matrix as its only block. Each
-    square float block goes through ``_check_symmetric`` (MalformedInputError).
-    Raises InvalidStateError if the block-diagonal matrix they form has a
-    condition number of 1/SINGULAR_RTOL or more (its eigenvalues are those of
-    all the blocks together). Callers check the shapes.
+    The package's one positive-definiteness test of a matrix, for covariance
+    matrices and model potentials alike; pass a whole matrix as its only
+    block. Each square float block goes through ``_check_symmetric``
+    (MalformedInputError). Raises InvalidStateError (``_check_condition``) if
+    the block-diagonal matrix they form has a condition number of
+    1/SINGULAR_RTOL or more (its eigenvalues are those of all the blocks
+    together). Callers check the shapes.
     """
     for block in blocks:
         _check_symmetric(block)
     pairs = [np.linalg.eigh(block) for block in blocks]
-    lo = min(w[0] for w, _ in pairs)
-    hi = max(w[-1] for w, _ in pairs)
-    if hi <= 0.0 or lo <= SINGULAR_RTOL * hi:
-        raise InvalidStateError(
-            "matrix is not positive definite or is too ill-conditioned: eigenvalues in "
-            f"[{lo:.3e}, {hi:.3e}], the smallest must exceed SINGULAR_RTOL = "
-            f"{SINGULAR_RTOL:.0e} times the largest"
-        )
+    _check_condition(min(w[0] for w, _ in pairs), max(w[-1] for w, _ in pairs))
     return pairs
 
 

@@ -244,33 +244,33 @@ def test_model_below_the_certificate_residual_exits_one(capsys, tmp_path, comman
 
 
 def test_model_entropy_is_certified_not_solved(capsys, tmp_path, linalg_calls):
-    # the potential, then A and B: two block eigh and one SVD each
+    # A and B only, two block eigh and one SVD each: the chain's modes are in closed form
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(dict(CHAIN6, n=16)), encoding="utf-8")
     partition = "1,2,3,4,5,6|" + ",".join(str(i) for i in range(7, 17))
     code, _, _ = run(capsys, "entropy", str(path), "--partition", partition)
     assert code == 0
-    assert sorted(name for name, _ in linalg_calls) == ["eigh"] * 5 + ["svd"] * 2
+    assert sorted(name for name, _ in linalg_calls) == ["eigh"] * 4 + ["svd"] * 2
 
 
 def test_model_validate_prints_a_zero_margin_without_a_solve(capsys, tmp_path, linalg_calls):
-    # the potential only: the certificate and the margin need no eigensolver
+    # the closed-form modes, the certificate and the margin need no eigensolver
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(CHAIN6), encoding="utf-8")
     code, out, _ = run(capsys, "validate", str(path))
     assert code == 0
     assert json.loads(out)["min_heisenberg_eigenvalue"] == 0.0
     assert '"min_heisenberg_eigenvalue": 0.0,' in out
-    assert linalg_calls == [("eigh", "f")]
+    assert linalg_calls == []
 
 
 def test_sweep_point_is_certified_not_solved(capsys, tmp_path, linalg_calls):
-    # per point: the potential, then A: two block eigh and one SVD
+    # per point, A only: two block eigh and one SVD
     spec = tmp_path / "sweep.json"
     write_sweep_json(spec, CHAIN6, count=4, partition="1,2,3|4,5,6")
     code, _, _ = run(capsys, "sweep", str(spec), "--out", str(tmp_path / "sweep.csv"))
     assert code == 0
-    assert sorted(name for name, _ in linalg_calls) == ["eigh"] * 3 * 4 + ["svd"] * 4
+    assert sorted(name for name, _ in linalg_calls) == ["eigh"] * 2 * 4 + ["svd"] * 4
 
 
 def write_two_mode_squeezed_json(path, r):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +21,7 @@ from sympent import (
     symplectic_spectrum,
     validate,
 )
+from sympent.symplectic import _fix_phases
 
 
 def test_uncoupled_potential_is_diagonal():
@@ -36,7 +38,8 @@ def test_reference_potential_and_normal_modes():
     np.testing.assert_allclose(np.abs(vecs[:, 1]), [1.0, 1.0] / np.sqrt(2.0), atol=1e-12)
     assert np.sign(vecs[0, 1]) != np.sign(vecs[1, 1])
     np.testing.assert_allclose(model.frequencies, [1.0, 3.0], atol=1e-12)
-    np.testing.assert_array_equal(model.eigenvectors, vecs)
+    # closed-form modes: eigh's columns up to sign
+    np.testing.assert_allclose(model.eigenvectors, vecs * np.sign(vecs[0]), atol=1e-15)
 
 
 def test_alpha_and_reduced_sigma():
@@ -98,6 +101,112 @@ def test_open_chain_three_sites_hand_expanded():
     )
 
 
+def bond_loop_potential(n, m, omega, lam, boundary):
+    """V = omega^2 I + (2 lam / m) L, with L summed bond by bond."""
+    lap = np.zeros((n, n))
+    bonds = [(i, i + 1) for i in range(n - 1)] + ([(n - 1, 0)] if boundary == "periodic" else [])
+    for i, j in bonds:
+        lap[i, i] += 1.0
+        lap[j, j] += 1.0
+        lap[i, j] -= 1.0
+        lap[j, i] -= 1.0
+    return omega**2 * np.eye(n) + (2.0 * lam / m) * lap
+
+
+def formula_modes(n, boundary):
+    """The closed-form Laplacian modes, column by column from unreduced angles."""
+    j = np.arange(n)
+    if boundary == "open":
+        cols = [np.full(n, 1.0 / np.sqrt(n))]
+        cols += [np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * j + 1) / (2 * n)) for k in range(1, n)]
+        return [4.0 * np.sin(np.pi * k / (2 * n)) ** 2 for k in range(n)], np.array(cols).T
+    ks, cols = [0], [np.full(n, 1.0 / np.sqrt(n))]
+    for k in range(1, (n + 1) // 2):
+        ks += [k, k]
+        cols += [np.sqrt(2.0 / n) * f(2.0 * np.pi * k * j / n) for f in (np.cos, np.sin)]
+    if n % 2 == 0:
+        ks.append(n // 2)
+        cols.append((-1.0) ** j / np.sqrt(n))
+    return [4.0 * np.sin(np.pi * k / n) ** 2 for k in ks], np.array(cols).T
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 64, 256, 1024])
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_closed_form_modes_match_eigh(n, boundary):
+    # the ring of two is the double bond; odd rings have no alternating mode
+    m, omega, lam = 1.3, 0.9, 0.7
+    model = chain_model(n, m, omega, lam, boundary)
+    v = model.potential
+    np.testing.assert_array_equal(v, bond_loop_potential(n, m, omega, lam, boundary))
+    w, vecs = model.frequencies, model.eigenvectors
+    eig_w = np.linalg.eigh(v)[0]
+    assert np.max(np.abs(w - np.sqrt(eig_w))) <= 1e-14 * w[-1]
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(n))) <= 2e-15
+    assert np.max(np.abs(v @ vecs - vecs * w**2)) <= 4 * np.finfo(float).eps * w[-1] ** 2
+    # ascending; each ring pair is one k, cos then sin, k ascending
+    assert np.all(np.diff(w) >= 0.0)
+    mu, cols = formula_modes(n, boundary)
+    np.testing.assert_allclose(w, np.sqrt(omega**2 + (2.0 * lam / m) * np.array(mu)), rtol=1e-15)
+    # unreduced angles lose up to ~2.5e-14 at n = 1024, and 1e-13 in orthogonality
+    np.testing.assert_allclose(vecs, cols, rtol=0, atol=5e-14)
+    if boundary == "periodic":
+        pairs = (n - 1) // 2
+        np.testing.assert_array_equal(w[1 : 2 * pairs : 2], w[2 : 2 * pairs + 1 : 2])
+    # every column already leads with a positive entry: the sign rule is the identity
+    np.testing.assert_array_equal(_fix_phases(vecs), vecs)
+
+
+def exact_half_cut_excess(v, m):
+    """sigma - 1/2 of the ground state's reduction to sites 1..n/2, descending,
+    from the 40-digit eigenpairs of the potential V itself."""
+    n, half = v.shape[0], v.shape[0] // 2
+    with mpmath.workdps(40):
+        e, q = mpmath.eigsy(mpmath.matrix(v.tolist()))
+        root = [mpmath.sqrt(e[k]) for k in range(n)]
+        x, p = mpmath.matrix(half, half), mpmath.matrix(half, half)
+        for i in range(half):
+            for j in range(i, half):
+                pair = [q[i, k] * q[j, k] for k in range(n)]
+                x[i, j] = x[j, i] = mpmath.fsum(a / r for a, r in zip(pair, root)) / (2 * m)
+                p[i, j] = p[j, i] = mpmath.fsum(a * r for a, r in zip(pair, root)) * m / 2
+        # sigma^2 are the eigenvalues of X P, and so of L^T P L with X = L L^T
+        low = mpmath.cholesky(x)
+        squares = mpmath.eigsy(low.T * p * low, eigvals_only=True)
+        return sorted((mpmath.sqrt(s) - mpmath.mpf(1) / 2 for s in squares), reverse=True)
+
+
+@pytest.mark.parametrize(
+    "n,boundary,lam",
+    [(16, b, lam) for b in ("open", "periodic") for lam in (0.01, 1.0, 100.0)]
+    + [(32, "periodic", 100.0), (64, "open", 100.0)],
+)
+def test_half_cut_spectrum_matches_the_exact_model(n, boundary, lam):
+    # the accuracy gate of the model build and the spectrum, against a
+    # reference that never sees the closed form or the rounded Gamma
+    # (eigsy takes ~8 s at n = 64). Measured worst: 4.3e-15 (closed-form
+    # modes), 2.5e-14 (modes from eigh of V, which fails this gate).
+    model = chain_model(n, 1.0, 1.0, lam, boundary)
+    got = symplectic_spectrum(reduce(ground_state_covariance(model), range(1, n // 2 + 1)))
+    want = exact_half_cut_excess(model.potential, 1.0)
+    assert max(abs(float(g - 0.5 - w)) for g, w in zip(got, want)) <= 1e-14
+
+
+def test_ill_conditioned_chain_is_refused_without_an_eigensolver(linalg_calls):
+    with pytest.raises(ParameterError) as excinfo:
+        chain_model(8, 1.0, 1e-6, 1.0, "periodic")
+    assert str(excinfo.value) == (
+        "potential has no normalizable ground state: matrix is not positive definite or is "
+        "too ill-conditioned: eigenvalues in [1.000e-12, 8.000e+00], the smallest must "
+        "exceed SINGULAR_RTOL = 1e-12 times the largest"
+    )
+    # squared frequencies or couplings beyond float range are refused alike
+    for omega, lam, m in ((1e200, 1.0, 1.0), (1.0, 1e300, 1e-10)):
+        with pytest.raises(ParameterError, match="SINGULAR_RTOL"):
+            chain_model(8, m, omega, lam, "open")
+    assert linalg_calls == []
+    chain_model(8, 1.0, 1e-5, 1.0, "periodic")  # condition number 8e10
+
+
 def test_chain_rejects_bad_parameters():
     with pytest.raises(ParameterError):
         chain_model(1, 1.0, 1.0, 1.0)
@@ -153,19 +262,16 @@ def test_zero_mode_has_no_ground_state():
             QuadraticModel(n=2, mass=1.0, potential=np.array(potential))
 
 
-def test_potential_is_decomposed_once_per_model(monkeypatch):
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-
-        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+def test_potential_is_decomposed_once_per_model(linalg_calls):
+    # a chain's modes are in closed form; any other potential takes one eigh
     model = chain_model(6, 1.0, 1.0, 0.7, "periodic")
     ground_state_covariance(model)
     normal_mode_transform(model)
-    assert calls == ["eigh"]
+    assert linalg_calls == []
+    general = QuadraticModel(n=6, mass=1.0, potential=model.potential)
+    ground_state_covariance(general)
+    normal_mode_transform(general)
+    assert linalg_calls == [("eigh", "f")]
 
 
 def test_normal_mode_transform_two_oscillator():

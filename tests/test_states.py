@@ -187,18 +187,24 @@ def test_certificate_refuses_other_states():
         scaled[block, block] *= 0.9
         with pytest.raises(NumericalFailureError, match="certificate exceeded tolerance"):
             validate(scaled, model=model)
-    # a NaN in either block makes a NaN residual, which fails
-    for entry in ((1, 1), (6, 6)):
-        broken = gamma.copy()
-        broken[entry] = np.nan
-        with pytest.raises(NumericalFailureError, match=r"residuals nan \(congruence\)"):
-            validate(broken, model=model)
     correlated = gamma.copy()
     correlated[0, 4] = correlated[4, 0] = 1e-3
     other = ground_state_covariance(chain_model(3, 1.0, 1.0, 0.8, "open"))
     for state in (correlated, other):
         with pytest.raises(InvalidStateError, match="not the ground state of this 4-mode model"):
             validate(state, model=model)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", [(1, 1), (6, 6), (0, 5)], ids=["X", "P", "qp"])
+def test_certificate_rejects_non_finite_entries_as_the_solve_does(entry, value):
+    # the same MalformedInputError on both routes, before any residual or block test
+    model = chain_model(4, 1.0, 1.0, 0.8, "open")
+    broken = ground_state_covariance(model)
+    broken[entry] = value
+    for given in (model, None):
+        with pytest.raises(MalformedInputError, match="^matrix has a NaN or infinite entry$"):
+            validate(broken, model=given)
 
 
 # --- reduction -------------------------------------------------------------

@@ -89,6 +89,30 @@ def test_spectrum_rejects_asymmetric():
     assert type(excinfo.value) is MalformedInputError
 
 
+@pytest.mark.parametrize("size", [1, 2, 63, 64, 65, 130, 200, 512])
+def test_panel_asymmetry_is_the_whole_matrix_formula(size):
+    # sizes on, off and below the panel height; the largest defect in either
+    # triangle, in the last partial panel too
+    rng = np.random.default_rng(size)
+    g = rng.normal(size=(size, size))
+    g = g + g.T
+    for _ in range(4):
+        i, j = rng.integers(0, size, 2)
+        g[i, j] += rng.uniform(-1e-12, 1e-12) * 3.0
+        want = float(np.max(np.abs(g - g.T)))
+        assert symplectic._max_asymmetry(g) == want
+        if want > symplectic.SYMMETRY_ATOL:
+            with pytest.raises(MalformedInputError) as excinfo:
+                symplectic._check_symmetric(g)
+            assert str(excinfo.value) == (
+                f"matrix is asymmetric: max |G - G^T| = {want:.3e} > 1e-12"
+            )
+        else:
+            symplectic._check_symmetric(g)
+    g[-1, 0] += 1.0
+    assert symplectic._max_asymmetry(g) == float(np.max(np.abs(g - g.T)))
+
+
 def test_spectrum_rejects_indefinite():
     with pytest.raises(InvalidStateError):
         symplectic_spectrum(np.diag([1.0, -1.0]))
