@@ -56,6 +56,20 @@ def _no_ground_state(exc: Exception) -> ParameterError:
     return ParameterError(f"potential has no normalizable ground state: {exc}")
 
 
+def _chain_potential_scales(m: float, omega: float, lam: float, mu_top: float) -> tuple[float, float]:
+    """omega^2 and 2 lam / m, the floor and the Laplacian scale of a chain
+    potential V = omega^2 I + (2 lam / m) L, once ``_check_condition`` has
+    passed V's eigenvalue range [omega^2, omega^2 + (2 lam / m) mu_top]
+    (mu_top: L's largest eigenvalue; its smallest is 0). Its failure is a
+    ParameterError (``_no_ground_state``)."""
+    floor, scale = omega * omega, 2.0 * lam / m
+    try:
+        _check_condition(floor, floor + scale * mu_top)
+    except InvalidStateError as exc:
+        raise _no_ground_state(exc) from exc
+    return floor, scale
+
+
 @dataclass(frozen=True, eq=False)
 class QuadraticModel:
     """Kinetic-plus-potential quadratic Hamiltonian with a normalizable ground state.
@@ -93,7 +107,13 @@ class QuadraticModel:
 
 @dataclass(frozen=True)
 class TwoOscillatorParams:
-    """Two oscillators of mass m and frequency omega, position-coupled with strength lam."""
+    """Two oscillators of mass m and frequency omega, position-coupled with strength lam.
+
+    Accepts exactly the parameters ``chain_model(2, m, omega, lam)`` accepts,
+    with the same ParameterError otherwise: V's eigenvalues omega^2 and
+    omega^2 + 4 lam / m must pass ``symplectic._check_condition``
+    (``_chain_potential_scales``).
+    """
 
     m: float
     omega: float
@@ -101,6 +121,7 @@ class TwoOscillatorParams:
 
     def __post_init__(self):
         _check_parameters(mass=self.m, frequency=self.omega, coupling=self.lam)
+        _chain_potential_scales(self.m, self.omega, self.lam, 2.0)  # the open pair's L has mu = 0, 2
 
     @property
     def alpha(self) -> float:
@@ -175,12 +196,7 @@ def chain_model(
         raise ParameterError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
 
     mu, vecs = _laplacian_modes(n, boundary)
-    floor, scale = omega * omega, 2.0 * lam / m
-    try:
-        # mu[0] = 0: V's eigenvalues run from omega^2 to omega^2 + scale mu[-1]
-        _check_condition(floor, floor + scale * float(mu[-1]))
-    except InvalidStateError as exc:
-        raise _no_ground_state(exc) from exc
+    floor, scale = _chain_potential_scales(m, omega, lam, float(mu[-1]))
     v = np.diag(np.full(n, floor + 2.0 * scale))
     i = np.arange(n - 1)
     v[i, i + 1] = v[i + 1, i] = -scale

@@ -4,6 +4,10 @@ Conventions used throughout the package: the quadrature vector is
 r = (q_1..q_n, p_1..p_n), units are fixed so hbar = 1, the symplectic form is
 Omega = [[0, I], [-I, 0]], and a physical state has every symplectic
 eigenvalue >= 1/2 (vacuum covariance I/2).
+
+Only ``random_symplectic`` needs scipy (``scipy.linalg.expm``), and it
+imports it on its first call, so importing the package or running any CLI
+command loads no scipy module; everything else here runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionError, InvalidStateError, MalformedInputError, NumericalFailureError
 
@@ -249,7 +252,11 @@ def random_symplectic(n: int, seed: int, scale: float = 0.4) -> np.ndarray:
     Exponentiates Omega @ K for a random symmetric K, which always lands in
     the symplectic group; ``scale`` controls how far from the identity the
     result wanders (kept moderate so congruences stay well conditioned).
+    The one scipy call of the package; scipy is imported on the first call.
     """
+    # deferred: importing scipy.linalg costs every CLI run ~0.3 s, and none calls this
+    from scipy.linalg import expm
+
     if n < 1:
         raise DimensionError(f"mode count must be a positive integer, got {n}")
     rng = np.random.default_rng(seed)

@@ -62,16 +62,39 @@ def test_alpha_and_reduced_sigma():
         (math.inf, 1.0, 0.5),
         (1.0, math.inf, 0.5),
         (1.0, 1.0, math.inf),
+        (1.0, 1e200, 1.0),  # omega^2 overflows
+        (1e-300, 1e-10, 1e300),  # 4 lam / m overflows
+        (1.0, 1e-7, 1.0),  # V's condition number 4e14 is above 1/SINGULAR_RTOL
     ],
 )
 def test_two_oscillator_rejects_bad_parameters(m, omega, lam):
-    # one range check serves the parameter record and the model builder
-    with pytest.raises(ParameterError):
+    # one range check and one condition check serve the parameter record and the model builder
+    with pytest.raises(ParameterError) as pair:
         TwoOscillatorParams(m, omega, lam)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError) as chain:
         chain_model(2, m, omega, lam)
+    assert str(pair.value) == str(chain.value)
     with pytest.raises(ParameterError):
         chain_model(3, m, omega, lam)
+
+
+def test_two_oscillator_closed_form_matches_the_open_pair_on_a_grid():
+    accepted = 0
+    for m in np.logspace(-2, 2, 5):
+        for omega in np.logspace(-2, 2, 5):
+            for lam in (0.0, 1e-9, 1e-4, 0.3, 1.0, 50.0, 1e4, 1e8):
+                try:
+                    sigma = TwoOscillatorParams(m, omega, lam).reduced_sigma()
+                except ParameterError:
+                    with pytest.raises(ParameterError):
+                        chain_model(2, m, omega, lam)
+                    continue
+                accepted += 1
+                gamma = ground_state_covariance(chain_model(2, m, omega, lam))
+                for site in ([1], [2]):
+                    half = symplectic_spectrum(reduce(gamma, site))[0]
+                    assert abs(half - sigma) <= 1e-14 * sigma, (m, omega, lam)
+    assert accepted == 196  # the 4 refused points have 4 lam / (m omega^2) >= 4e12
 
 
 def test_chain_of_two_matches_two_oscillator():
