@@ -89,14 +89,6 @@ def _csv_header(kind: str, base: str, **tags) -> str:
     return f"# sympent {kind} " + " ".join(f"{k.removeprefix('log_')}={v}" for k, v in tags.items())
 
 
-def _emit_json(obj: dict, out_path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        _write_text_atomic(out_path, [text])
-    else:
-        sys.stdout.write(text)
-
-
 def _write_text_atomic(path: str, chunks: Iterable[str]) -> None:
     """Write the chunks, in order, to a temporary file next to ``path`` as
     they are produced, then rename it to ``path``."""
@@ -114,8 +106,34 @@ def _write_text_atomic(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-def _emit_run_record(args: argparse.Namespace, digest: str, outputs: list[str]) -> None:
-    """Print the provenance record to stderr as one JSON line."""
+def _finish(
+    args: argparse.Namespace,
+    digest: str,
+    payload: dict,
+    base: str = BITS,
+    csv: Iterable[str] | None = None,
+) -> None:
+    """The one output door of every command, called once its work is done.
+
+    ``payload`` gains ``conventions`` (``log_base`` = ``base``). The command's
+    primary output, the CSV chunks ``csv`` or else the payload as JSON, goes
+    to ``args.out`` (``_write_text_atomic``) or to stdout. When a CSV went to
+    ``args.out``, the payload, with an ``out`` field naming that file, is
+    printed on stdout as a summary. Last, the run record (provenance, one
+    JSON line with a timestamp) goes to stderr.
+    """
+    payload["conventions"] = _conventions(base)
+    summarized = csv is not None and bool(args.out)
+    if summarized:
+        payload["out"] = args.out
+    report = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    primary = [report] if csv is None else csv
+    if args.out:
+        _write_text_atomic(args.out, primary)
+    else:
+        sys.stdout.writelines(primary)
+    if summarized:
+        sys.stdout.write(report)
     options = {
         k: v for k, v in sorted(vars(args).items()) if k != "func" and not k.startswith("_")
     }
@@ -123,7 +141,7 @@ def _emit_run_record(args: argparse.Namespace, digest: str, outputs: list[str]) 
         "tool_version": __version__,
         "input_digest": digest,
         "options": options,
-        "outputs": outputs,
+        "outputs": [args.out or "stdout"],
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
@@ -184,9 +202,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     # form [[X, -I/2], [-I/2, P]] of Gamma + (i/2) Omega is orthogonally
     # similar to n blocks [[a, -1/2], [-1/2, b]] with ab = 1/4, each singular.
     payload["min_heisenberg_eigenvalue"] = heisenberg_margin(gamma) if model is None else 0.0
-    payload["conventions"] = _conventions(BITS)
-    _emit_json(payload, args.out)
-    _emit_run_record(args, digest, [args.out or "stdout"])
+    _finish(args, digest, payload)
     return EXIT_OK if report.valid else EXIT_UNPHYSICAL
 
 
@@ -194,14 +210,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     text, digest = _read_input(args.input)
     gamma, meta, _ = _load_state(text, args.input)
     sigmas = symplectic_spectrum(gamma)
-    payload = {
-        "n": mode_count(gamma),
-        "input": meta,
-        "sigmas": [float(s) for s in sigmas],
-        "conventions": _conventions(BITS),
-    }
-    _emit_json(payload, args.out)
-    _emit_run_record(args, digest, [args.out or "stdout"])
+    _finish(args, digest, {"n": mode_count(gamma), "input": meta, "sigmas": [float(s) for s in sigmas]})
     return EXIT_OK
 
 
@@ -214,9 +223,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     )
     payload = report.to_json_dict()
     payload["input"] = meta
-    payload["conventions"] = _conventions(args.base)
-    _emit_json(payload, args.out)
-    _emit_run_record(args, digest, [args.out or "stdout"])
+    _finish(args, digest, payload, base=args.base)
     return EXIT_OK
 
 
@@ -287,9 +294,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     lines = [",".join(["param"] + sigma_cols + ["total_bits", "s_count"])]
     lines += [",".join(row) for row in rows]
-    _write_text_atomic(args.out, [header_meta + "\n".join(lines) + "\n"])
-    _emit_json({"rows": len(rows), "out": args.out, "conventions": _conventions(BITS)}, None)
-    _emit_run_record(args, digest, [args.out])
+    _finish(args, digest, {"rows": len(rows)}, csv=[header_meta + "\n".join(lines) + "\n"])
     return EXIT_OK
 
 
@@ -327,22 +332,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             ",".join([_fmt(sigma), _fmt(beta), str(needed), _fmt(engine), _fmt(oracle), _fmt(dev)])
         )
     lines.append(f"# max_deviation={_fmt(max_dev)} points={len(rows)} offenders={len(offenders)}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_text_atomic(args.out, [text])
-        _emit_json(
-            {
-                "max_deviation": max_dev,
-                "points": len(rows),
-                "offenders": [float(s) for s in offenders],
-                "out": args.out,
-                "conventions": _conventions(args.base),
-            },
-            None,
-        )
-    else:
-        sys.stdout.write(text)
-    _emit_run_record(args, _digest_bytes(f"grid={args.grid}".encode()), [args.out or "stdout"])
+    _finish(
+        args,
+        _digest_bytes(f"grid={args.grid}".encode()),
+        {"max_deviation": max_dev, "points": len(rows), "offenders": [float(s) for s in offenders]},
+        base=args.base,
+        csv=["\n".join(lines) + "\n"],
+    )
     if offenders:
         print(
             "verify: deviation above tolerance at sigma = "
@@ -412,22 +408,16 @@ def _cmd_wigner(args: argparse.Namespace) -> int:
         for q, w_row in zip(labels, w_vals):
             yield (q + ("\n" + q).join(cells) + "\n") % tuple(w_row.tolist())
 
+    summary = {
+        "mode": args.mode,
+        "extent": extent,
+        "steps": steps,
+        "dx": dx,
+        "peak": peak,
+        "grid_integral": integral,
+    }
     # One row of q at a time: the CSV text is never held whole.
-    _write_text_atomic(args.out, csv_lines())
-    _emit_json(
-        {
-            "mode": args.mode,
-            "extent": extent,
-            "steps": steps,
-            "dx": dx,
-            "peak": peak,
-            "grid_integral": integral,
-            "out": args.out,
-            "conventions": _conventions(BITS),
-        },
-        None,
-    )
-    _emit_run_record(args, digest, [args.out])
+    _finish(args, digest, summary, csv=csv_lines())
     return EXIT_OK
 
 
@@ -513,10 +503,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SympentError as exc:
-        print(f"sympent: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (SympentError, OSError) as exc:
         print(f"sympent: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

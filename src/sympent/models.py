@@ -56,17 +56,40 @@ def _no_ground_state(exc: Exception) -> ParameterError:
     return ParameterError(f"potential has no normalizable ground state: {exc}")
 
 
+def _check_ground_state(m: float, w_lo: float, w_hi: float) -> None:
+    """ParameterError naming m and the frequencies unless the ground-state
+    covariance of normal modes of mass m and frequencies in [w_lo, w_hi]
+    (finite, > 0) passes ``_check_condition``. Its eigenvalues are
+    1/(2 m w) and m w / 2; each bound is one product or quotient of
+    positive floats, so an extreme m or w gives 0 or inf, which fails,
+    and never an exception or a warning."""
+    m = float(m)
+    lo = min(0.5 / m / w_hi, 0.5 * m * w_lo)
+    hi = max(0.5 / m / w_lo, 0.5 * m * w_hi)
+    try:
+        _check_condition(lo, hi)
+    except InvalidStateError as exc:
+        raise ParameterError(
+            f"ground state of mass m = {m:.3e} and normal-mode frequencies omega in "
+            f"[{w_lo:.3e}, {w_hi:.3e}] is outside the covariance envelope: {exc}"
+        ) from exc
+
+
 def _chain_potential_scales(m: float, omega: float, lam: float, mu_top: float) -> tuple[float, float]:
     """omega^2 and 2 lam / m, the floor and the Laplacian scale of a chain
-    potential V = omega^2 I + (2 lam / m) L, once ``_check_condition`` has
-    passed V's eigenvalue range [omega^2, omega^2 + (2 lam / m) mu_top]
-    (mu_top: L's largest eigenvalue; its smallest is 0). Its failure is a
-    ParameterError (``_no_ground_state``)."""
+    potential V = omega^2 I + (2 lam / m) L, once two checks have passed:
+    ``_check_condition`` on V's eigenvalue range [omega^2, omega^2 +
+    (2 lam / m) mu_top] (mu_top: L's largest eigenvalue; its smallest is 0),
+    whose failure is the ``_no_ground_state`` ParameterError, then
+    ``_check_ground_state`` on the frequencies, the square roots of that
+    range."""
     floor, scale = omega * omega, 2.0 * lam / m
+    top = floor + scale * mu_top
     try:
-        _check_condition(floor, floor + scale * mu_top)
+        _check_condition(floor, top)
     except InvalidStateError as exc:
         raise _no_ground_state(exc) from exc
+    _check_ground_state(m, math.sqrt(floor), math.sqrt(top))
     return floor, scale
 
 
@@ -76,10 +99,11 @@ class QuadraticModel:
 
     Its normal modes are ``frequencies`` sqrt(eig V), ascending, and the
     matching orthonormal ``eigenvectors`` (columns). ``QuadraticModel(n, mass,
-    potential)`` decomposes V once, by ``symplectic._spd_eigh`` (a failure
-    raises ParameterError). ``chain_model`` passes its closed-form modes as
-    ``_modes`` = (frequencies, eigenvectors) instead, after its own condition
-    check; they are stored as given.
+    potential)`` decomposes V once, by ``symplectic._spd_eigh``, and checks
+    the ground state (``_check_ground_state``); a failure of either raises
+    ParameterError. ``chain_model`` passes its closed-form modes as
+    ``_modes`` = (frequencies, eigenvectors) instead, after the same two
+    checks (``_chain_potential_scales``); they are stored as given.
     """
 
     n: int
@@ -99,6 +123,7 @@ class QuadraticModel:
                 [(w, vecs)] = _spd_eigh(v)
             except (InvalidStateError, MalformedInputError) as exc:
                 raise _no_ground_state(exc) from exc
+            _check_ground_state(self.mass, math.sqrt(w[0]), math.sqrt(w[-1]))
             _modes = np.sqrt(w), vecs
         object.__setattr__(self, "potential", v)
         object.__setattr__(self, "frequencies", _modes[0])
@@ -111,8 +136,8 @@ class TwoOscillatorParams:
 
     Accepts exactly the parameters ``chain_model(2, m, omega, lam)`` accepts,
     with the same ParameterError otherwise: V's eigenvalues omega^2 and
-    omega^2 + 4 lam / m must pass ``symplectic._check_condition``
-    (``_chain_potential_scales``).
+    omega^2 + 4 lam / m must pass ``symplectic._check_condition``, and so
+    must its ground state's covariance (``_chain_potential_scales``).
     """
 
     m: float
@@ -186,8 +211,9 @@ def chain_model(
     frequencies omega^2 + (2 lam / m) mu_k, with the ring's Fourier cos/sin
     pairs or the path's DCT-II basis as eigenvectors (Audenaert, Eisert,
     Plenio, Werner, PRA 66, 042327 (2002); Botero & Reznik, PRA 67, 052311
-    (2003)). No eigensolver runs. V's condition number must stay below
-    1/SINGULAR_RTOL (``symplectic._check_condition``; ParameterError).
+    (2003)). No eigensolver runs. The condition numbers of V and of the
+    ground-state covariance must stay below 1/SINGULAR_RTOL
+    (``symplectic._check_condition``; ParameterError).
     """
     if n < 2:
         raise ParameterError(f"chain needs at least 2 modes, got {n}")
@@ -208,15 +234,23 @@ def chain_model(
     return QuadraticModel(n=n, mass=m, potential=v, _modes=(np.sqrt(floor + scale * mu), vecs))
 
 
+def _mode_factors(model: QuadraticModel) -> tuple[np.ndarray, np.ndarray]:
+    """q = O / sqrt(m w) and r = O sqrt(m w), the eigenvectors O with column
+    k scaled by the normal mode's 1/sqrt(m w_k) or sqrt(m w_k): the ground
+    state is X = q q^T / 2, P = r r^T / 2, and A = r^T, B = q^T make
+    A (+) B symplectic with (A (+) B) Gamma (A (+) B)^T = I/2."""
+    root = np.sqrt(model.mass * model.frequencies)
+    return model.eigenvectors / root, model.eigenvectors * root
+
+
 def ground_state_covariance(model: QuadraticModel) -> np.ndarray:
-    """Covariance matrix of the model's (pure, Gaussian) ground state."""
-    freqs, vecs = model.frequencies, model.eigenvectors
-    w_qq = (vecs / freqs) @ vecs.T / (2.0 * model.mass)
-    w_pp = (vecs * freqs) @ vecs.T * (model.mass / 2.0)
+    """Covariance matrix of the model's (pure, Gaussian) ground state, its
+    blocks Gram products (``_mode_factors``), so exactly symmetric."""
+    q, r = _mode_factors(model)
     n = model.n
     gamma = np.zeros((2 * n, 2 * n))
-    gamma[:n, :n] = w_qq
-    gamma[n:, n:] = w_pp
+    gamma[:n, :n] = q @ q.T / 2.0
+    gamma[n:, n:] = r @ r.T / 2.0
     return gamma
 
 

@@ -28,7 +28,7 @@ from .errors import (
     MalformedInputError,
     NumericalFailureError,
 )
-from .models import QuadraticModel, _check_fields, _is_json_int, _unique_fields
+from .models import QuadraticModel, _check_fields, _is_json_int, _mode_factors, _unique_fields
 from .symplectic import (
     DEFAULT_TOL,
     _check_finite,
@@ -165,14 +165,13 @@ def validate(
     Gamma is physical but too ill-conditioned (NumericalFailureError).
 
     Given the ``model`` whose ground state Gamma = X (+) P is, its stored
-    normal modes certify Gamma with n x n products only: with O the
-    eigenvectors, w the frequencies and m the mass, A = sqrt(m w) O^T and
-    B = O^T / sqrt(m w) make S = A (+) B symplectic with S Gamma S^T = I/2
-    (Audenaert, Eisert, Plenio, Werner, PRA 66, 042327 (2002)). Either
-    residual of ``williamson``, congruence max(|A X A^T - I/2|,
-    |B P B^T - I/2|) or symplectic max|A B^T - I|, above ``tol`` raises
-    NumericalFailureError (``symplectic._require_residuals``); else the
-    spectrum is n times 1/2. A Gamma of another mode count, or with q-p
+    normal modes certify Gamma with n x n products only: the factors
+    A = r^T and B = q^T of ``models._mode_factors`` make S = A (+) B
+    symplectic with S Gamma S^T = I/2 (Audenaert, Eisert, Plenio, Werner,
+    PRA 66, 042327 (2002)). Either residual of ``williamson``, congruence
+    max(|A X A^T - I/2|, |B P B^T - I/2|) or symplectic max|A B^T - I|,
+    above ``tol`` raises NumericalFailureError
+    (``symplectic._require_residuals``); else the spectrum is n times 1/2. A Gamma of another mode count, or with q-p
     correlations, is not the model's ground state (InvalidStateError).
     """
     gamma = np.asarray(gamma, dtype=float)
@@ -185,9 +184,8 @@ def validate(
                 f"covariance matrix is not the ground state of this {model.n}-mode model"
             )
         x, p = blocks
-        scale = np.sqrt(model.mass * model.frequencies)[:, None]
-        a = scale * model.eigenvectors.T
-        b = model.eigenvectors.T / scale
+        q, r = _mode_factors(model)
+        a, b = r.T, q.T
         half = VACUUM_SIGMA * np.eye(n)
         # np.maximum keeps a NaN half, which the builtin max may drop
         res_gamma = np.maximum(np.abs(a @ x @ a.T - half).max(), np.abs(b @ p @ b.T - half).max())
@@ -370,8 +368,7 @@ def covariance_from_json_dict(obj) -> np.ndarray:
         gamma = np.array(flat, dtype=float).reshape(2 * n, 2 * n)
     except OverflowError as exc:
         raise MalformedInputError(f"matrix entries must be finite numbers: {exc}") from exc
-    if not np.all(np.isfinite(gamma)):
-        raise MalformedInputError("matrix entries must be finite numbers")
+    _check_finite(gamma)
     return gamma
 
 
@@ -416,6 +413,5 @@ def covariance_from_csv_text(text: str) -> np.ndarray:
         raise MalformedInputError(f"cannot parse covariance CSV row: {exc}") from exc
     if gamma.shape != (2 * n, 2 * n):
         raise MalformedInputError(f"covariance CSV rows have wrong width for n={n}")
-    if not np.all(np.isfinite(gamma)):
-        raise MalformedInputError("matrix entries must be finite numbers")
+    _check_finite(gamma)
     return gamma

@@ -303,6 +303,43 @@ def test_moderately_squeezed_state_passes_every_command(capsys, tmp_path, comman
     json.loads(out)
 
 
+ENVELOPE_CHAINS = {
+    # condition number of Gamma 1.2e10; its rounded X once read as asymmetric
+    "inside": ({"type": "chain", "n": 8, "m": 3e-3, "omega": 3e-3, "lambda": 0, "boundary": "open"}, 0),
+    "cond-1e16": ({"type": "chain", "n": 4, "m": 1e-4, "omega": 1e-4, "lambda": 0, "boundary": "open"}, 1),
+    "overflow": ({"type": "chain", "n": 2, "m": 1e-300, "omega": 1e-150, "lambda": 0, "boundary": "open"}, 1),
+}
+
+
+@pytest.mark.parametrize("name", ENVELOPE_CHAINS)
+def test_model_envelope_verdict_is_the_same_in_every_command(capsys, tmp_path, name):
+    model, exit_code = ENVELOPE_CHAINS[name]
+    n = model["n"]
+    half = ",".join(map(str, range(1, n // 2 + 1))) + "|" + ",".join(map(str, range(n // 2 + 1, n + 1)))
+    path, spec = tmp_path / "model.json", tmp_path / "sweep.json"
+    path.write_text(json.dumps(model), encoding="utf-8")
+    write_sweep_json(spec, model, start=0.0, stop=1e-9, count=2, partition=half)
+    results = [
+        run(capsys, *argv)
+        for argv in (
+            ["validate", str(path)],
+            ["spectrum", str(path)],
+            ["entropy", str(path), "--partition", half],
+            ["wigner", str(path), "--grid", "2,5", "--out", str(tmp_path / "w.csv")],
+            ["sweep", str(spec), "--out", str(tmp_path / "s.csv")],
+        )
+    ]
+    assert [code for code, _, _ in results] == [exit_code] * 5
+    if exit_code:
+        messages = [err.splitlines()[-1] for _, _, err in results]
+        assert all(out == "" for _, out, _ in results)
+        assert messages[0].startswith("sympent: error: ground state of mass m = ")
+        assert "SINGULAR_RTOL" in messages[0]
+        assert messages[1:4] == messages[:1] * 3
+        # the sweep names the grid point, then the same cause
+        assert messages[4] == messages[0].replace("error: ", "error: grid point lambda=0: ", 1)
+
+
 # --- spectrum ----------------------------------------------------------------
 
 
@@ -917,6 +954,65 @@ def test_argument_numbers_are_ascii_without_underscores(capsys, tmp_path, field,
     assert rule in err.splitlines()[-1]
     assert "Traceback" not in err
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "suffix,text",
+    [
+        ("json", '{"n": 1, "ordering": "qqpp", "matrix": [NaN, 0, 0, 0.5]}'),
+        ("json", '{"n": 1, "ordering": "qqpp", "matrix": [0.5, 0, 0, -Infinity]}'),
+        ("csv", "# sympent covariance n=1 ordering=qqpp\nnan,0\n0,0.5\n"),
+        ("csv", "# sympent covariance n=1 ordering=qqpp\n0.5,0\n0,inf\n"),
+    ],
+    ids=["json-nan", "json-infinity", "csv-nan", "csv-inf"],
+)
+def test_non_finite_file_entry_is_named_as_at_every_entry_point(capsys, tmp_path, suffix, text):
+    state = tmp_path / f"state.{suffix}"
+    state.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(state))
+    assert_clean_failure(code, out, err)
+    assert err == "sympent: error: matrix has a NaN or infinite entry\n"
+
+
+@pytest.mark.parametrize("with_out", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("command", ["validate", "spectrum", "entropy", "sweep", "verify", "wigner"])
+def test_every_command_follows_the_one_output_rule(capsys, tmp_path, command, with_out):
+    # a report goes to --out or stdout; a CSV goes to --out with its summary
+    # on stdout, and only verify may print it on stdout instead
+    state, spec, target = tmp_path / "vac.json", tmp_path / "sweep.json", tmp_path / "out.dat"
+    write_vacuum_json(state, n=2)
+    write_sweep_json(spec, {"type": "two_oscillator", "m": 1.0, "omega": 1.0, "lambda": 0.0}, count=2)
+    argv = {
+        "validate": ["validate", str(state)],
+        "spectrum": ["spectrum", str(state)],
+        "entropy": ["entropy", str(state), "--partition", "1|2"],
+        "sweep": ["sweep", str(spec)],
+        "verify": ["verify"],
+        "wigner": ["wigner", str(state), "--grid", "2,5"],
+    }[command]
+    code, out, err = run(capsys, *argv, *(["--out", str(target)] if with_out else []))
+    csv = command in ("sweep", "verify", "wigner")
+    if csv and not with_out and command != "verify":
+        assert_clean_failure(code, out, err)
+        assert f"{command} writes a CSV file; pass --out <path>" in err
+        return
+    assert code == 0
+    assert json.loads(err.strip().splitlines()[-1])["outputs"] == [str(target) if with_out else "stdout"]
+    if not csv:
+        if with_out:
+            assert out == ""
+            out = target.read_text(encoding="utf-8")
+        report = json.loads(out)
+        assert "out" not in report
+        assert report["conventions"]["log_base"] == "bits"
+    elif with_out:
+        summary = json.loads(out)
+        assert summary["out"] == str(target)
+        assert summary["conventions"]["ordering"] == "qqpp"
+        assert target.read_text(encoding="utf-8").startswith(f"# sympent {command} ")
+    else:
+        assert out.startswith("# sympent verify ordering=qqpp ")
+        assert not target.exists()
 
 
 def test_run_record_goes_to_stderr_only(capsys, tmp_path):

@@ -65,6 +65,8 @@ def test_alpha_and_reduced_sigma():
         (1.0, 1e200, 1.0),  # omega^2 overflows
         (1e-300, 1e-10, 1e300),  # 4 lam / m overflows
         (1.0, 1e-7, 1.0),  # V's condition number 4e14 is above 1/SINGULAR_RTOL
+        (1e-300, 1e-150, 0.0),  # m omega underflows: Gamma's variances would overflow
+        (1e-4, 1e-4, 0.0),  # V = 1e-8 I, but Gamma's condition number is 1e16
     ],
 )
 def test_two_oscillator_rejects_bad_parameters(m, omega, lam):
@@ -206,7 +208,7 @@ def exact_half_cut_excess(v, m):
 def test_half_cut_spectrum_matches_the_exact_model(n, boundary, lam):
     # the accuracy gate of the model build and the spectrum, against a
     # reference that never sees the closed form or the rounded Gamma
-    # (eigsy takes ~8 s at n = 64). Measured worst: 4.3e-15 (closed-form
+    # (eigsy takes ~8 s at n = 64). Measured worst: 1.4e-15 (closed-form
     # modes), 2.5e-14 (modes from eigh of V, which fails this gate).
     model = chain_model(n, 1.0, 1.0, lam, boundary)
     got = symplectic_spectrum(reduce(ground_state_covariance(model), range(1, n // 2 + 1)))
@@ -283,6 +285,22 @@ def test_zero_mode_has_no_ground_state():
     for potential in ([[1.0, -1.0], [-1.0, 1.0]], [[2.0, 0.5], [0.0, 2.0]], [[np.nan, 0.0], [0.0, 1.0]]):
         with pytest.raises(ParameterError):
             QuadraticModel(n=2, mass=1.0, potential=np.array(potential))
+
+
+def test_ground_state_outside_the_envelope_is_refused_at_build():
+    # V = 1e-8 I is perfectly conditioned; the ground state's 1/(2 m w) =
+    # 5e7 and m w / 2 = 5e-9 are not (condition number 1e16)
+    with pytest.raises(ParameterError) as excinfo:
+        QuadraticModel(n=4, mass=1e-4, potential=1e-8 * np.eye(4))
+    assert str(excinfo.value).startswith(
+        "ground state of mass m = 1.000e-04 and normal-mode frequencies omega in "
+        "[1.000e-04, 1.000e-04] is outside the covariance envelope: "
+    )
+    assert "SINGULAR_RTOL = 1e-12" in str(excinfo.value)
+    # condition number 1.2e10: inside, and its Gram blocks are exactly symmetric
+    gamma = ground_state_covariance(chain_model(8, 3e-3, 3e-3, 0.0, "open"))
+    np.testing.assert_array_equal(gamma, gamma.T)
+    QuadraticModel(n=4, mass=3e-3, potential=9e-6 * np.eye(4))
 
 
 def test_potential_is_decomposed_once_per_model(linalg_calls):
