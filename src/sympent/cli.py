@@ -5,8 +5,9 @@ covariance files (JSON or headered CSV) or model JSON files; model inputs are
 expanded to their ground-state covariance matrix. A command that checks
 physicality calls ``validate(gamma, tol, model)`` once, after any partition
 or mode check, which certifies a model and solves a file. All primary output is
-deterministic (byte-identical on identical inputs and options); the run
-record, which carries a timestamp, goes to stderr. Output files are written
+deterministic (byte-identical on identical inputs and options, at a fixed
+BLAS thread count); the run record, which carries a timestamp and names the
+CPU count and BLAS thread settings, goes to stderr. Output files are written
 to a temporary name and renamed on success, so failures never leave partial
 files behind.
 
@@ -17,6 +18,7 @@ Exit codes: 0 success; 1 malformed input or usage error; 2 unphysical state
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -120,7 +122,8 @@ def _finish(
     to ``args.out`` (``_write_text_atomic``) or to stdout. When a CSV went to
     ``args.out``, the payload, with an ``out`` field naming that file, is
     printed on stdout as a summary. Last, the run record (provenance, one
-    JSON line with a timestamp) goes to stderr.
+    JSON line with a timestamp, the CPU count and the BLAS thread-count
+    environment variables) goes to stderr.
     """
     payload["conventions"] = _conventions(base)
     summarized = csv is not None and bool(args.out)
@@ -137,12 +140,18 @@ def _finish(
     options = {
         k: v for k, v in sorted(vars(args).items()) if k != "func" and not k.startswith("_")
     }
+    # The last digits of a spectrum can depend on the BLAS thread count, so
+    # the record names the CPUs this process may use and the variables that
+    # set that count.
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     record = {
         "tool_version": __version__,
         "input_digest": digest,
         "options": options,
         "outputs": [args.out or "stdout"],
         "timestamp": datetime.now(timezone.utc).isoformat(),
+        "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
+        "blas_threads_env": {name: os.environ.get(name, "unset") for name in threads},
     }
     print(json.dumps(record, sort_keys=True), file=sys.stderr)
 
@@ -498,9 +507,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call and reused by every
+    later one in the process: parse_args reads the parser and writes only the
+    fresh Namespace it returns, so no option carries over between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SympentError, OSError) as exc:

@@ -111,7 +111,6 @@ class EntropyReport:
 
     partition: ModePartition
     spectrum_a: np.ndarray
-    modes: tuple[ThermalMode, ...]
     total_bits: float
     s_count: int
     base: str
@@ -119,6 +118,12 @@ class EntropyReport:
     pure_global_state: bool
     spectrum_b: np.ndarray | None = None
     total_b_bits: float | None = None
+
+    @property
+    def modes(self) -> tuple[ThermalMode, ...]:
+        """One record per eigenvalue of ``spectrum_a``, floored at 1/2, built
+        when read: the sum of their ``entropy_bits`` is ``total_bits``."""
+        return tuple(ThermalMode.from_sigma(max(s, 0.5)) for s in self.spectrum_a)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -137,6 +142,11 @@ class EntropyReport:
             out["total_b_bits"] = self.total_b_bits
             out["ab_agreement_residual_bits"] = abs(self.total_bits - self.total_b_bits)
         return out
+
+
+def _total_bits(spectrum: np.ndarray) -> float:
+    """Entropy in bits of a reduction's spectrum, each eigenvalue floored at 1/2."""
+    return float(sum(mode_entropy(max(s, 0.5), BITS) for s in spectrum))
 
 
 def entanglement_entropy(
@@ -167,22 +177,20 @@ def entanglement_entropy(
     report = validate(gamma, tol, model)
     report.require_physical()
     spectrum_a = symplectic_spectrum(reduce(gamma, partition.set_a))
-    modes = tuple(ThermalMode.from_sigma(max(s, 0.5)) for s in spectrum_a)
-    total_bits = float(sum(m.entropy_bits for m in modes))
+    total_bits = _total_bits(spectrum_a)
     s_count = int(np.sum(spectrum_a > 0.5 + S_COUNT_TOL))
 
     spectrum_b = None
     total_b_bits = None
     if include_b and report.pure:
         spectrum_b = symplectic_spectrum(reduce(gamma, partition.set_b))
-        total_b_bits = float(sum(mode_entropy(max(s, 0.5), BITS) for s in spectrum_b))
+        total_b_bits = _total_bits(spectrum_b)
 
     log_fn(base)  # validate the base name
     total = total_bits if base == BITS else total_bits * LN2
     return EntropyReport(
         partition=partition,
         spectrum_a=spectrum_a,
-        modes=modes,
         total_bits=total_bits,
         s_count=s_count,
         base=base,

@@ -22,6 +22,7 @@ Model JSON: ``{"type": "two_oscillator" | "chain", "n": int, "m": number,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass, field, replace
 
@@ -103,7 +104,9 @@ class QuadraticModel:
     the ground state (``_check_ground_state``); a failure of either raises
     ParameterError. ``chain_model`` passes its closed-form modes as
     ``_modes`` = (frequencies, eigenvectors) instead, after the same two
-    checks (``_chain_potential_scales``); they are stored as given.
+    checks (``_chain_potential_scales``); they are stored as given, so a
+    chain's eigenvectors are the read-only table it shares with every chain
+    of the same n and boundary.
     """
 
     n: int
@@ -159,10 +162,13 @@ class TwoOscillatorParams:
         return (1.0 + a) / (4.0 * math.sqrt(a))
 
 
+@functools.lru_cache(maxsize=1)
 def _laplacian_modes(n: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues mu (ascending) and orthonormal eigenvectors (columns) of the
     graph Laplacian L of the ring ("periodic") or the path ("open") of n >= 2
-    sites j = 0..n-1, in closed form.
+    sites j = 0..n-1, in closed form. The last table is kept, as read-only
+    arrays, for the next call with the same n and boundary: every point of a
+    sweep, and every chain model it backs, shares it.
 
     Ring: the constant column (k = 0), then for each 1 <= k < n/2, k
     ascending, the pair sqrt(2/n) cos(2 pi k j / n), sqrt(2/n) sin(2 pi k j / n),
@@ -194,6 +200,7 @@ def _laplacian_modes(n: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
         table = np.cos(2.0 * np.pi * np.arange(4 * n) / (4 * n))
         vecs = math.sqrt(2.0 / n) * table[np.outer(2 * j + 1, j) % (4 * n)]
         vecs[:, 0] = 1.0 / math.sqrt(n)
+    mu.flags.writeable = vecs.flags.writeable = False
     return mu, vecs
 
 

@@ -240,7 +240,12 @@ class ModePartition:
 
     @classmethod
     def from_string(cls, text: str) -> "ModePartition":
-        """Parse the explicit two-sided syntax "1,2|3,4" (1-based indices)."""
+        """Parse the explicit two-sided syntax "1,2|3,4" (1-based indices).
+
+        Spaces around an index are allowed; an empty index, as in "1,,2|3" or
+        "1|2,", is not. A blank side is an empty side, which ``ModePartition``
+        refuses.
+        """
         parts = text.split("|")
         if len(parts) != 2:
             raise InvalidPartitionError(
@@ -248,9 +253,12 @@ class ModePartition:
             )
         sides = []
         for part in parts:
+            tokens = part.split(",") if part.strip() else []
+            if any(not tok.strip() for tok in tokens):
+                raise InvalidPartitionError(f"empty mode index in {part!r} of partition {text!r}")
             try:
                 _check_number_text(part, "partition")
-                sides.append(tuple(int(tok) for tok in part.split(",") if tok.strip() != ""))
+                sides.append(tuple(int(tok) for tok in tokens))
             except ValueError as exc:
                 raise InvalidPartitionError(f"cannot parse mode indices in {part!r}: {exc}") from exc
         return cls.from_sides(*sides)

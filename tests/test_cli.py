@@ -403,7 +403,7 @@ def test_entropy_nats_base(capsys, tmp_path):
     assert abs(payload["total"] - payload["total_bits"] * math.log(2.0)) < 1e-15
 
 
-@pytest.mark.parametrize("partition", ["1,2", "1|", "1|3", "0|1,2", "x|y"])
+@pytest.mark.parametrize("partition", ["1,2", "1|", "1|3", "0|1,2", "x|y", "1,|2"])
 def test_entropy_bad_partition_exit_one(capsys, tmp_path, partition):
     model = tmp_path / "model.json"
     write_model_json(model)
@@ -634,10 +634,18 @@ def test_sweep_rejects_non_finite_specs(capsys, tmp_path, model_extra, grid):
         ({"partition": 5}, "sweep partition must be a string"),
         ({"partition": None}, "sweep partition must be a string"),
         ({"partition": [1, 2]}, "sweep partition must be a string"),
+        ({"partition": "1|2,"}, "empty mode index in '2,'"),
         ({"count": 10_001}, "MAX_SWEEP_POINTS = 10000, got 10001"),
         ({"count": 10**12}, "MAX_SWEEP_POINTS = 10000, got 1000000000000"),
     ],
-    ids=["partition-int", "partition-null", "partition-list", "count-max+1", "count-1e12"],
+    ids=[
+        "partition-int",
+        "partition-null",
+        "partition-list",
+        "partition-empty-index",
+        "count-max+1",
+        "count-1e12",
+    ],
 )
 def test_sweep_names_the_malformed_field(capsys, tmp_path, kwargs, cause):
     spec = tmp_path / "sweep.json"
@@ -1021,8 +1029,78 @@ def test_run_record_goes_to_stderr_only(capsys, tmp_path):
     _, out, err = run(capsys, "validate", str(state))
     assert "timestamp" not in out
     record = json.loads(err.strip().splitlines()[-1])
-    assert set(record) == {"tool_version", "input_digest", "options", "outputs", "timestamp"}
+    assert set(record) == {
+        "tool_version",
+        "input_digest",
+        "options",
+        "outputs",
+        "timestamp",
+        "cpus",
+        "blas_threads_env",
+    }
     assert record["outputs"] == ["stdout"]
+    assert isinstance(record["cpus"], int) and record["cpus"] >= 1
+    assert set(record["blas_threads_env"]) == {
+        "OPENBLAS_NUM_THREADS",
+        "OMP_NUM_THREADS",
+        "MKL_NUM_THREADS",
+    }
+
+
+def test_run_record_names_the_blas_thread_variables(capsys, tmp_path, monkeypatch):
+    state = tmp_path / "vac.json"
+    write_vacuum_json(state)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    _, _, err = run(capsys, "validate", str(state))
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["blas_threads_env"] == {
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "unset",
+        "MKL_NUM_THREADS": "unset",
+    }
+
+
+def test_main_builds_one_parser_and_carries_no_option_between_calls(capsys, tmp_path, monkeypatch):
+    state = tmp_path / "thermal.json"
+    gamma = np.diag([0.7, 1.3, 0.7, 1.3])
+    state.write_text(json.dumps(covariance_to_json_dict(gamma)), encoding="utf-8")
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting_build_parser():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+
+    def options(err):
+        return json.loads(err.strip().splitlines()[-1])["options"]
+
+    first = ["entropy", str(state), "--partition", "1|2", "--base", "nats", "--tol", "0"]
+    code, out, err = run(capsys, *first)
+    assert code == 0
+    assert options(err)["base"] == "nats" and options(err)["tol"] == 0.0
+
+    code, plain_out, plain_err = run(capsys, "entropy", str(state), "--partition", "1|2")
+    assert code == 0
+    assert options(plain_err)["base"] == "bits"
+    assert options(plain_err)["tol"] == cli.DEFAULT_TOL
+    assert json.loads(plain_out)["base"] == "bits"
+
+    assert run_or_usage_error(capsys, "entropy", str(state))[0] == 1  # no --partition
+    with pytest.raises(SystemExit) as excinfo:
+        main(["entropy", "--help"])
+    assert excinfo.value.code == 0
+    capsys.readouterr()
+
+    again_code, again_out, again_err = run(capsys, *first)
+    assert again_code == code
+    assert again_out == out
+    assert options(again_err) == options(err)
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("command", ["validate", "spectrum"])

@@ -266,6 +266,27 @@ def test_entropy_invariant_under_local_symplectics():
     assert abs(entanglement_entropy(moved, part).total_bits - base_total) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "sigmas",
+    [
+        # within SIGMA_TOL of 1/2 on either side, just below 1/2, just above the band
+        [0.5 + 0.5 * SIGMA_TOL, 0.5 - 0.5 * SIGMA_TOL, 0.5 - 1e-12, 0.5 + 2 * SIGMA_TOL, 0.7, 3.0],
+        [0.5, np.nextafter(0.5, 0.0), 0.5 + SIGMA_TOL, 1.0 / math.sqrt(3.0)],
+    ],
+)
+def test_derived_mode_records_match_the_eager_records(sigmas):
+    n = len(sigmas)
+    gamma = np.diag(np.concatenate([sigmas, sigmas]))
+    partition = ModePartition.from_sides(range(1, n), [n])
+    report = entanglement_entropy(gamma, partition, include_b=True)
+    assert np.any(np.abs(report.spectrum_a - 0.5) <= SIGMA_TOL)
+    assert np.any(report.spectrum_a < 0.5)
+    eager = tuple(ThermalMode.from_sigma(max(s, 0.5)) for s in report.spectrum_a)
+    assert report.modes == eager
+    assert report.total_bits == float(sum(m.entropy_bits for m in eager))
+    assert report.to_json_dict()["modes"] == [m.to_json_dict() for m in eager]
+
+
 def test_report_serializes_with_inf_beta_as_string():
     report = entanglement_entropy(vacuum(2), ModePartition.from_string("1|2"))
     payload = report.to_json_dict()

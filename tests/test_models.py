@@ -21,6 +21,7 @@ from sympent import (
     symplectic_spectrum,
     validate,
 )
+from sympent.models import _laplacian_modes
 from sympent.symplectic import _fix_phases
 
 
@@ -179,6 +180,26 @@ def test_closed_form_modes_match_eigh(n, boundary):
         np.testing.assert_array_equal(w[1 : 2 * pairs : 2], w[2 : 2 * pairs + 1 : 2])
     # every column already leads with a positive entry: the sign rule is the identity
     np.testing.assert_array_equal(_fix_phases(vecs), vecs)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_chains_of_one_size_share_one_read_only_mode_table(boundary):
+    n = 64
+    a = chain_model(n, 1.0, 1.0, 0.5, boundary)
+    b = chain_model(n, 1.0, 1.0, 2.0, boundary)
+    assert b.eigenvectors is a.eigenvectors
+    mu, vecs = _laplacian_modes.__wrapped__(n, boundary)
+    for model, lam in ((a, 0.5), (b, 2.0)):
+        np.testing.assert_array_equal(model.eigenvectors, vecs)
+        np.testing.assert_array_equal(model.frequencies, np.sqrt(1.0 + 2.0 * lam * mu))
+    with pytest.raises(ValueError):
+        a.eigenvectors[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        _laplacian_modes(n, boundary)[0][0] = 1.0
+    # another size replaces the kept table; its own modes are still exact
+    c = chain_model(n + 1, 1.0, 1.0, 0.5, boundary)
+    np.testing.assert_array_equal(c.eigenvectors, _laplacian_modes.__wrapped__(n + 1, boundary)[1])
+    assert chain_model(n, 1.0, 1.0, 0.5, boundary).eigenvectors is not a.eigenvectors
 
 
 def exact_half_cut_excess(v, m):

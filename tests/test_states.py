@@ -395,11 +395,22 @@ def test_partition_string_round_trip(text):
 
 
 @pytest.mark.parametrize(
-    "text", ["1,2", "1|2|3", "|1,2", "1,2|", "1,2|2,3", "1,2|4", "a|b", "1,1|2"]
+    "text",
+    ["1,2", "1|2|3", "|1,2", "1,2|", "1,2|2,3", "1,2|4", "a|b", "1,1|2", "1,,2|3", "1,|2", "1|2,"],
 )
 def test_partition_rejects_bad_strings(text):
     with pytest.raises(InvalidPartitionError):
         ModePartition.from_string(text)
+
+
+@pytest.mark.parametrize("text", ["1,,2|3", "1,|2", "1|2,", "1| ,2", ",|1"])
+def test_partition_names_an_empty_index(text):
+    with pytest.raises(InvalidPartitionError, match="empty mode index"):
+        ModePartition.from_string(text)
+
+
+def test_partition_allows_spaces_around_indices():
+    assert ModePartition.from_string(" 1 , 3 |2, 4 ") == ModePartition.from_string("1,3|2,4")
 
 
 # --- serialization -----------------------------------------------------------
