@@ -30,7 +30,6 @@ from .errors import (
 )
 from .fock import (
     TAIL_LIMIT,
-    ThermalSpectrumTruncated,
     required_n_max,
     thermal_entropy_bruteforce,
     thermal_probabilities,
@@ -43,7 +42,6 @@ from .models import (
     TwoOscillatorParams,
     chain_model,
     ground_state_covariance,
-    normal_mode_transform,
 )
 from .states import (
     HBAR,
@@ -65,7 +63,6 @@ from .states import (
 from .symplectic import (
     DEFAULT_TOL,
     WilliamsonDecomposition,
-    is_symplectic,
     random_symplectic,
     symplectic_form,
     symplectic_spectrum,
@@ -94,7 +91,6 @@ __all__ = [
     "SympentError",
     "TAIL_LIMIT",
     "ThermalMode",
-    "ThermalSpectrumTruncated",
     "TruncationError",
     "TwoOscillatorParams",
     "UnphysicalEigenvalueError",
@@ -110,9 +106,7 @@ __all__ = [
     "entanglement_entropy",
     "ground_state_covariance",
     "heisenberg_margin",
-    "is_symplectic",
     "mode_entropy",
-    "normal_mode_transform",
     "random_symplectic",
     "reduce",
     "required_n_max",

@@ -29,7 +29,7 @@ from dataclasses import InitVar, dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidStateError, MalformedInputError, ParameterError
-from .symplectic import _check_condition, _fix_phases, _spd_eigh
+from .symplectic import _check_condition, _spd_eigh
 
 BOUNDARIES = ("open", "periodic")
 MODEL_TYPES = ("two_oscillator", "chain")
@@ -40,12 +40,17 @@ SWEEP_PARAMETERS = {"lambda": "lam", "omega": "omega", "m": "m"}
 MAX_MODES = 2048
 
 
-def _check_parameters(modes: int | None = None, **values: float) -> None:
+def _check_parameters(**values) -> None:
     """The one range check of model parameters: a given mode count ``modes``
-    must lie in 1..MAX_MODES, each given ``mass`` and ``frequency`` must be
-    finite and > 0, a ``coupling`` finite and >= 0."""
-    if modes is not None and not 1 <= modes <= MAX_MODES:
-        raise ParameterError(f"mode count must be in 1..MAX_MODES = {MAX_MODES}, got {modes}")
+    must be an integer (a numpy one too, but not a bool) in 1..MAX_MODES,
+    each given ``mass`` and ``frequency`` must be finite and > 0, a
+    ``coupling`` finite and >= 0."""
+    if "modes" in values:
+        modes = values.pop("modes")
+        if isinstance(modes, bool) or not isinstance(modes, (int, np.integer)):
+            raise ParameterError(f"mode count must be an integer, got {modes!r}")
+        if not 1 <= modes <= MAX_MODES:
+            raise ParameterError(f"mode count must be in 1..MAX_MODES = {MAX_MODES}, got {modes}")
     for name, value in values.items():
         zero_ok = name == "coupling"
         if not (math.isfinite(value) and (value > 0.0 or (zero_ok and value == 0.0))):
@@ -106,7 +111,8 @@ class QuadraticModel:
     ``_modes`` = (frequencies, eigenvectors) instead, after the same two
     checks (``_chain_potential_scales``); they are stored as given, so a
     chain's eigenvectors are the read-only table it shares with every chain
-    of the same n and boundary.
+    of the same n and boundary. ``mode_factors`` derives the factors of the
+    ground state from them once, on first use.
     """
 
     n: int
@@ -131,6 +137,14 @@ class QuadraticModel:
         object.__setattr__(self, "potential", v)
         object.__setattr__(self, "frequencies", _modes[0])
         object.__setattr__(self, "eigenvectors", _modes[1])
+
+    @functools.cached_property
+    def mode_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The factors (q, r) of ``_mode_factors``, computed on first use and
+        kept read-only: the ground state and its certificate read the same pair."""
+        q, r = _mode_factors(self)
+        q.flags.writeable = r.flags.writeable = False
+        return q, r
 
 
 @dataclass(frozen=True)
@@ -222,9 +236,9 @@ def chain_model(
     ground-state covariance must stay below 1/SINGULAR_RTOL
     (``symplectic._check_condition``; ParameterError).
     """
+    _check_parameters(modes=n, mass=m, frequency=omega, coupling=lam)
     if n < 2:
         raise ParameterError(f"chain needs at least 2 modes, got {n}")
-    _check_parameters(modes=n, mass=m, frequency=omega, coupling=lam)
     if boundary not in BOUNDARIES:
         raise ParameterError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
 
@@ -252,28 +266,13 @@ def _mode_factors(model: QuadraticModel) -> tuple[np.ndarray, np.ndarray]:
 
 def ground_state_covariance(model: QuadraticModel) -> np.ndarray:
     """Covariance matrix of the model's (pure, Gaussian) ground state, its
-    blocks Gram products (``_mode_factors``), so exactly symmetric."""
-    q, r = _mode_factors(model)
+    blocks Gram products of ``model.mode_factors``, so exactly symmetric."""
+    q, r = model.mode_factors
     n = model.n
     gamma = np.zeros((2 * n, 2 * n))
     gamma[:n, :n] = q @ q.T / 2.0
     gamma[n:, n:] = r @ r.T / 2.0
     return gamma
-
-
-def normal_mode_transform(model: QuadraticModel) -> np.ndarray:
-    """Orthosymplectic S = O (+) O that diagonalizes the ground-state covariance.
-
-    Rows of O are the potential's eigenvectors ordered by ascending
-    eigenfrequency, each sign-fixed (``symplectic._fix_phases``) so its first
-    significant component is positive; applying S Gamma S^T decouples the normal modes.
-    """
-    o = _fix_phases(model.eigenvectors).T
-    n = model.n
-    s = np.zeros((2 * n, 2 * n))
-    s[:n, :n] = o
-    s[n:, n:] = o
-    return s
 
 
 # --- serialization ---------------------------------------------------------

@@ -28,7 +28,7 @@ from .errors import (
     MalformedInputError,
     NumericalFailureError,
 )
-from .models import QuadraticModel, _check_fields, _is_json_int, _mode_factors, _unique_fields
+from .models import QuadraticModel, _check_fields, _is_json_int, _unique_fields
 from .symplectic import (
     DEFAULT_TOL,
     _check_finite,
@@ -166,7 +166,7 @@ def validate(
 
     Given the ``model`` whose ground state Gamma = X (+) P is, its stored
     normal modes certify Gamma with n x n products only: the factors
-    A = r^T and B = q^T of ``models._mode_factors`` make S = A (+) B
+    A = r^T and B = q^T of ``model.mode_factors`` make S = A (+) B
     symplectic with S Gamma S^T = I/2 (Audenaert, Eisert, Plenio, Werner,
     PRA 66, 042327 (2002)). Either residual of ``williamson``, congruence
     max(|A X A^T - I/2|, |B P B^T - I/2|) or symplectic max|A B^T - I|,
@@ -184,7 +184,7 @@ def validate(
                 f"covariance matrix is not the ground state of this {model.n}-mode model"
             )
         x, p = blocks
-        q, r = _mode_factors(model)
+        q, r = model.mode_factors
         a, b = r.T, q.T
         half = VACUUM_SIGMA * np.eye(n)
         # np.maximum keeps a NaN half, which the builtin max may drop

@@ -4,10 +4,6 @@ Conventions used throughout the package: the quadrature vector is
 r = (q_1..q_n, p_1..p_n), units are fixed so hbar = 1, the symplectic form is
 Omega = [[0, I], [-I, 0]], and a physical state has every symplectic
 eigenvalue >= 1/2 (vacuum covariance I/2).
-
-Only ``random_symplectic`` needs scipy (``scipy.linalg.expm``), and it
-imports it on its first call, so importing the package or running any CLI
-command loads no scipy module; everything else here runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -49,14 +45,6 @@ def mode_count(matrix: np.ndarray) -> int:
     if dim == 0 or dim % 2 != 0:
         raise DimensionError(f"expected even dimension 2n with n >= 1, got {dim}")
     return dim // 2
-
-
-def is_symplectic(s: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the max-abs entry of S Omega S^T - Omega is at most ``tol``."""
-    s = np.asarray(s, dtype=float)
-    n = mode_count(s)
-    omega = symplectic_form(n)
-    return bool(np.max(np.abs(s @ omega @ s.T - omega)) <= tol)
 
 
 # Row-panel height of ``_max_asymmetry``: a panel and its transposed partner
@@ -246,20 +234,32 @@ def williamson(gamma: np.ndarray, tol: float = DEFAULT_TOL) -> WilliamsonDecompo
     return WilliamsonDecomposition(spectrum=sigmas, transform=transform, normal_form=normal_form)
 
 
+def _haar_passive(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The passive (orthogonal symplectic) transform [[Re U, -Im U],
+    [Im U, Re U]], which maps the mode operators a = (q + i p)/sqrt(2) to
+    U a, of a Haar-random n x n unitary U: the Q of the QR decomposition of a
+    complex Gaussian matrix, each column scaled by the phase of R's diagonal
+    entry (Mezzadri, Notices AMS 54, 592 (2007))."""
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    d = np.diag(r)
+    u = q * (d / np.abs(d))
+    return np.block([[u.real, -u.imag], [u.imag, u.real]])
+
+
 def random_symplectic(n: int, seed: int, scale: float = 0.4) -> np.ndarray:
-    """Deterministic-for-seed random symplectic matrix.
+    """Deterministic-for-seed random symplectic matrix with singular values
+    in [e^-scale, e^scale].
 
-    Exponentiates Omega @ K for a random symmetric K, which always lands in
-    the symplectic group; ``scale`` controls how far from the identity the
-    result wanders (kept moderate so congruences stay well conditioned).
-    The one scipy call of the package; scipy is imported on the first call.
+    The Bloch-Messiah form passive(U_1) @ diag(e^-r, e^r) @ passive(U_2)
+    (Braunstein, PRA 71, 055801 (2005)): U_1 and U_2 Haar unitaries, then
+    one squeezing r_k per mode drawn uniformly from [-scale, scale]. Every
+    factor is symplectic and the passive ones are orthogonal, so the
+    singular values are the e^(+-r_k): ||S||_2 <= e^scale and cond(S) <=
+    e^(2 scale).
     """
-    # deferred: importing scipy.linalg costs every CLI run ~0.3 s, and none calls this
-    from scipy.linalg import expm
-
     if n < 1:
         raise DimensionError(f"mode count must be a positive integer, got {n}")
     rng = np.random.default_rng(seed)
-    g = rng.normal(size=(2 * n, 2 * n)) * (scale / np.sqrt(2 * n))
-    k = (g + g.T) / 2.0
-    return expm(symplectic_form(n) @ k)
+    passive_1, passive_2 = _haar_passive(rng, n), _haar_passive(rng, n)
+    r = rng.uniform(-scale, scale, size=n)
+    return (passive_1 * np.exp(np.concatenate([-r, r]))) @ passive_2

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sympent import random_symplectic
+from sympent import random_symplectic, symplectic_form
+from sympent.symplectic import mode_count
 
 
 def random_valid_covariance(n, seed, sigma_range=(0.5, 3.0)):
@@ -11,6 +12,13 @@ def random_valid_covariance(n, seed, sigma_range=(0.5, 3.0)):
     s = random_symplectic(n, seed + 10_000)
     d = np.diag(np.concatenate([sigmas, sigmas]))
     return s @ d @ s.T, sigmas
+
+
+def is_symplectic(s, tol=1e-8):
+    """True iff the max-abs entry of S Omega S^T - Omega is at most ``tol``."""
+    s = np.asarray(s, dtype=float)
+    omega = symplectic_form(mode_count(s))
+    return bool(np.max(np.abs(s @ omega @ s.T - omega)) <= tol)
 
 
 def two_mode_squeezed(r):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sympent.cli as cli
+import sympent.models as models
 from sympent import (
     MalformedInputError,
     QuadraticModel,
@@ -251,6 +252,20 @@ def test_model_entropy_is_certified_not_solved(capsys, tmp_path, linalg_calls):
     code, _, _ = run(capsys, "entropy", str(path), "--partition", partition)
     assert code == 0
     assert sorted(name for name, _ in linalg_calls) == ["eigh"] * 4 + ["svd"] * 2
+
+
+def test_model_entropy_computes_the_mode_factors_once(capsys, tmp_path, monkeypatch):
+    # the ground state and its certificate read one (q, r) pair per model
+    computed = []
+    real = models._mode_factors
+    monkeypatch.setattr(models, "_mode_factors", lambda model: computed.append(model) or real(model))
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(dict(CHAIN6, n=16)), encoding="utf-8")
+    partition = "1,2,3,4,5,6|" + ",".join(str(i) for i in range(7, 17))
+    for calls in (1, 2):
+        code, _, _ = run(capsys, "entropy", str(path), "--partition", partition)
+        assert code == 0
+        assert len(computed) == calls
 
 
 def test_model_validate_prints_a_zero_margin_without_a_solve(capsys, tmp_path, linalg_calls):

@@ -1,8 +1,8 @@
-"""Every CLI command and ``import sympent`` run without loading scipy.
+"""Every CLI command, ``import sympent`` and ``random_symplectic`` run
+without loading scipy: the package needs numpy alone.
 
 Each test starts a fresh interpreter, so the modules it loads are those of a
-real ``sympent`` process. ``random_symplectic`` is the only scipy user and
-imports ``scipy.linalg.expm`` on its first call.
+real ``sympent`` process.
 """
 
 import json
@@ -12,10 +12,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm
 
 import sympent
-from sympent import covariance_to_json_dict, random_symplectic, symplectic_form
+from sympent import covariance_to_json_dict
 
 from conftest import random_valid_covariance
 
@@ -88,15 +87,12 @@ def test_import_loads_no_scipy_module(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
-
-
-def seeded_expm(n, seed, scale):
-    """expm(Omega K) for the symmetric K that random_symplectic draws from default_rng(seed)."""
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(2 * n, 2 * n)) * (scale / np.sqrt(2 * n))
-    return expm(symplectic_form(n) @ ((g + g.T) / 2.0))
-
-
-def test_random_symplectic_is_expm_of_the_seeded_generator():
-    np.testing.assert_array_equal(random_symplectic(3, 7), seeded_expm(3, 7, 0.4))
-    np.testing.assert_array_equal(random_symplectic(2, 7, scale=0.7), seeded_expm(2, 7, 0.7))
+    # the whole package, random_symplectic included, runs with scipy blocked
+    proc = fresh_python(
+        "-c",
+        "import sys; sys.modules['scipy'] = None; "
+        "import sympent; print(sympent.random_symplectic(4, 0).shape)",
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "(8, 8)"

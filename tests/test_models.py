@@ -14,9 +14,7 @@ from sympent import (
     chain_model,
     entanglement_entropy,
     ground_state_covariance,
-    is_symplectic,
     ModePartition,
-    normal_mode_transform,
     reduce,
     symplectic_spectrum,
     validate,
@@ -328,33 +326,18 @@ def test_potential_is_decomposed_once_per_model(linalg_calls):
     # a chain's modes are in closed form; any other potential takes one eigh
     model = chain_model(6, 1.0, 1.0, 0.7, "periodic")
     ground_state_covariance(model)
-    normal_mode_transform(model)
     assert linalg_calls == []
     general = QuadraticModel(n=6, mass=1.0, potential=model.potential)
     ground_state_covariance(general)
-    normal_mode_transform(general)
     assert linalg_calls == [("eigh", "f")]
 
 
-def test_normal_mode_transform_two_oscillator():
-    model = chain_model(2, 1.0, 1.0, 2.0)
-    s = normal_mode_transform(model)
+def test_two_oscillator_normal_modes():
+    # the centre-of-mass mode (1, 1)/sqrt 2, then the relative mode (1, -1)/sqrt 2,
+    # each column up to sign
+    vecs = chain_model(2, 1.0, 1.0, 2.0).eigenvectors
     o = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    np.testing.assert_allclose(s[:2, :2], o, atol=1e-12)
-    np.testing.assert_allclose(s[2:, 2:], o, atol=1e-12)
-    assert is_symplectic(s, tol=1e-12)
-
-
-def test_normal_mode_transform_decouples_random_chains():
-    rng = np.random.default_rng(31)
-    for trial in range(8):
-        n = int(rng.integers(2, 9))
-        model = chain_model(n, 1.0, 1.0, float(rng.uniform(0.0, 3.0)), "open")
-        gamma = ground_state_covariance(model)
-        s = normal_mode_transform(model)
-        moved = s @ gamma @ s.T
-        off = moved - np.diag(np.diag(moved))
-        assert np.max(np.abs(off)) < 1e-10
+    np.testing.assert_allclose(np.abs(vecs.T @ o), np.eye(2), atol=1e-12)
 
 
 def test_scaling_leaves_reduced_spectra_invariant():
@@ -431,6 +414,21 @@ def test_mode_count_ceiling_is_checked_before_building(monkeypatch, n):
         chain_model(n, 1.0, 1.0, 0.5)
     with pytest.raises(ParameterError, match="MAX_MODES"):
         QuadraticModel(n=n, mass=1.0, potential=np.eye(2))
+
+
+@pytest.mark.parametrize("n", [4.0, np.float64(4.0), True, "4", None], ids=repr)
+def test_mode_count_must_be_an_integer(n):
+    # one check for every entry point; numpy integers are integers
+    with pytest.raises(ParameterError, match="mode count must be an integer"):
+        chain_model(n, 1.0, 1.0, 1.0)
+    with pytest.raises(ParameterError, match="mode count must be an integer"):
+        QuadraticModel(n=n, mass=1.0, potential=np.eye(4))
+    with pytest.raises(ParameterError, match="mode count must be an integer"):
+        ModelParams(type="chain", m=1.0, omega=1.0, lam=1.0, n=n)
+    k = np.int64(4)
+    assert chain_model(k, 1.0, 1.0, 1.0).n == 4
+    assert QuadraticModel(n=k, mass=1.0, potential=np.eye(4)).n == 4
+    assert ModelParams(type="chain", m=1.0, omega=1.0, lam=1.0, n=k).build().n == 4
 
 
 def test_model_params_rejects_boolean_mode_count():

@@ -1,3 +1,5 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -7,9 +9,9 @@ from sympent import (
     DimensionError,
     InvalidStateError,
     MalformedInputError,
+    NumericalFailureError,
     chain_model,
     ground_state_covariance,
-    is_symplectic,
     random_symplectic,
     reduce,
     symplectic_form,
@@ -17,7 +19,7 @@ from sympent import (
     williamson,
 )
 
-from conftest import random_valid_covariance, two_mode_squeezed
+from conftest import is_symplectic, random_valid_covariance, two_mode_squeezed
 
 
 def test_form_single_mode():
@@ -258,6 +260,32 @@ def test_williamson_spectrum_idempotent_on_normal_form():
     np.testing.assert_allclose(symplectic_spectrum(dec.normal_form), dec.spectrum, atol=1e-12)
 
 
+SQUEEZE_GRID = np.arange(0, 451) / 100  # r = 0, 0.01, ..., 4.5
+
+
+@pytest.mark.parametrize("nu", [0.5, 0.7, 2.0])
+def test_williamson_envelope_on_squeezed_thermal_states(nu):
+    # nu times the vacuum, two-mode squeezed by r: symplectic spectrum (nu, nu),
+    # condition number e^(4r). Inside r <= 4.5 both residuals stay within the
+    # default tol (the first failure is near r = 4.7 to 5.1, varying with nu)
+    # and the spectrum within 1e-8 (measured at most 2.7e-9).
+    for r in SQUEEZE_GRID:
+        dec = williamson(2.0 * nu * two_mode_squeezed(r))
+        np.testing.assert_allclose(dec.spectrum, [nu, nu], rtol=1e-8, err_msg=f"r = {r}")
+
+
+def test_williamson_beyond_its_envelope_fails_loudly_or_is_right():
+    # at r = 5.5 rounding the input to doubles alone moves its exact spectrum
+    # by up to ~1e-16 e^(4r) = 4e-7 relative; a wrong spectrum is never returned
+    nu = 2.0
+    try:
+        dec = williamson(2.0 * nu * two_mode_squeezed(5.5))
+    except NumericalFailureError as exc:
+        assert re.search(r"residuals \S+ \(congruence\), \S+ \(symplectic\)", str(exc))
+    else:
+        np.testing.assert_allclose(dec.spectrum, [nu, nu], rtol=1e-6)
+
+
 def test_williamson_rejects_indefinite():
     with pytest.raises(InvalidStateError):
         williamson(np.diag([1.0, 1.0, -0.5, 1.0]))
@@ -274,6 +302,20 @@ def test_random_symplectic_deterministic_for_seed():
     second = random_symplectic(2, seed=7)
     np.testing.assert_array_equal(first, second)
     assert not np.array_equal(first, random_symplectic(2, seed=8))
+
+
+@pytest.mark.parametrize("scale", [0.4, 2.0])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_random_symplectic_singular_values_are_bounded_by_scale(n, scale):
+    # Bloch-Messiah: orthogonal passive factors around squeezers e^(+-r_k),
+    # |r_k| <= scale, so the singular values lie in [e^-scale, e^scale]
+    # up to rounding
+    for seed in range(5):
+        s = random_symplectic(n, seed, scale)
+        assert is_symplectic(s, tol=1e-10 * np.exp(2 * scale))
+        sv = np.linalg.svd(s, compute_uv=False)
+        assert sv.max() <= np.exp(scale) * (1 + 1e-13)
+        assert sv.min() >= np.exp(-scale) * (1 - 1e-13)
 
 
 def test_random_symplectic_unit_determinant():
