@@ -44,6 +44,7 @@ from .models import (
     ground_state_covariance,
 )
 from .states import (
+    DEFAULT_TOL,
     HBAR,
     ORDERING,
     VACUUM_SIGMA,
@@ -61,7 +62,6 @@ from .states import (
     wigner_values,
 )
 from .symplectic import (
-    DEFAULT_TOL,
     WilliamsonDecomposition,
     random_symplectic,
     symplectic_form,

@@ -47,6 +47,7 @@ from .models import (
     ground_state_covariance,
 )
 from .states import (
+    DEFAULT_TOL,
     HBAR,
     ORDERING,
     VACUUM_SIGMA,
@@ -59,7 +60,7 @@ from .states import (
     validate,
     wigner_values,
 )
-from .symplectic import DEFAULT_TOL, mode_count, symplectic_spectrum
+from .symplectic import mode_count, symplectic_spectrum
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -465,7 +466,9 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     # Each subcommand takes only the shared options it reads.
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="residual/physicality tolerance")
+    tol.add_argument(
+        "--tol", type=_tolerance, default=DEFAULT_TOL, help="band around the vacuum floor 1/2: validity and purity"
+    )
     base = argparse.ArgumentParser(add_help=False)
     base.add_argument("--base", choices=LOG_BASES, default=BITS, help="entropy log base")
     out = argparse.ArgumentParser(add_help=False)

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPartitionError, UnphysicalEigenvalueError
+from .errors import InvalidPartitionError, MalformedInputError, UnphysicalEigenvalueError
 from .logbase import BITS, LN2, log_fn
 from .models import QuadraticModel
-from .states import ModePartition, reduce, validate
-from .symplectic import DEFAULT_TOL, mode_count, symplectic_spectrum
+from .states import DEFAULT_TOL, ModePartition, reduce, validate
+from .symplectic import mode_count, symplectic_spectrum
 
 # Eigenvalues within this band of 1/2 are treated as exactly pure; below the
 # band mode_entropy, thermal_parameter and ThermalMode.from_sigma raise, never
@@ -35,7 +35,11 @@ S_COUNT_TOL = 1e-7
 
 
 def _effective_sigma(sigma: float) -> float:
+    """``sigma`` as a float, snapped to 1/2 within SIGMA_TOL; MalformedInputError
+    if it is NaN or infinite, UnphysicalEigenvalueError below the snap."""
     sigma = float(sigma)
+    if not math.isfinite(sigma):
+        raise MalformedInputError(f"symplectic eigenvalue {sigma!r} is not finite")
     if sigma < 0.5 - SIGMA_TOL:
         raise UnphysicalEigenvalueError(
             f"symplectic eigenvalue {sigma!r} is below the vacuum floor 1/2"
@@ -54,12 +58,12 @@ def mode_entropy(sigma: float, base: str = BITS) -> float:
     log1p(d) + d log1p(1/d): two positive terms, so no cancellation at large
     sigma, where the two terms of the textbook form nearly cancel.
     """
+    log_fn(base)  # validate the base name
     s = _effective_sigma(sigma)
     if s == 0.5:
         return 0.0
     d = s - 0.5
     nats = math.log1p(d) + d * math.log1p(1.0 / d)
-    log_fn(base)  # validate the base name
     return nats / LN2 if base == BITS else nats
 
 

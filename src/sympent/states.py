@@ -30,7 +30,6 @@ from .errors import (
 )
 from .models import QuadraticModel, _check_fields, _is_json_int, _unique_fields
 from .symplectic import (
-    DEFAULT_TOL,
     _check_finite,
     _check_symmetric,
     _require_residuals,
@@ -44,6 +43,8 @@ from .symplectic import (
 ORDERING = "qqpp"
 HBAR = 1
 VACUUM_SIGMA = 0.5
+# Default tol of ``validate``: the band of the vacuum floor and of purity.
+DEFAULT_TOL = 1e-8
 
 _CSV_HEADER_PREFIX = "# sympent covariance"
 
@@ -170,8 +171,12 @@ def validate(
     symplectic with S Gamma S^T = I/2 (Audenaert, Eisert, Plenio, Werner,
     PRA 66, 042327 (2002)). Either residual of ``williamson``, congruence
     max(|A X A^T - I/2|, |B P B^T - I/2|) or symplectic max|A B^T - I|,
-    above ``tol`` raises NumericalFailureError
-    (``symplectic._require_residuals``); else the spectrum is n times 1/2. A Gamma of another mode count, or with q-p
+    above its rounding bound raises NumericalFailureError
+    (``symplectic._require_residuals``, d = n). With w the model's
+    frequencies, ||A||^2 = m w_max and ||X|| = 1/(2 m w_min), so both
+    congruence halves scale as w_max / (2 w_min) and A B^T as
+    sqrt(w_max / w_min). Else the spectrum is n times 1/2, valid and pure
+    at every ``tol``. A Gamma of another mode count, or with q-p
     correlations, is not the model's ground state (InvalidStateError).
     """
     gamma = np.asarray(gamma, dtype=float)
@@ -190,7 +195,9 @@ def validate(
         # np.maximum keeps a NaN half, which the builtin max may drop
         res_gamma = np.maximum(np.abs(a @ x @ a.T - half).max(), np.abs(b @ p @ b.T - half).max())
         res_omega = np.abs(a @ b.T - np.eye(n)).max()
-        _require_residuals("model ground-state certificate", res_gamma, res_omega, tol)
+        w_lo, w_hi = model.frequencies[[0, -1]]
+        scale_gamma, scale_omega = w_hi / (2.0 * w_lo), np.sqrt(w_hi / w_lo)
+        _require_residuals("model ground-state certificate", n, res_gamma, scale_gamma, res_omega, scale_omega)
         return ValidationReport.from_spectrum(np.full(n, VACUUM_SIGMA), tol)
     try:
         spectrum = symplectic_spectrum(gamma)

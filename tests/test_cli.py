@@ -233,15 +233,18 @@ CHAIN6 = {"type": "chain", "n": 6, "m": 1.0, "omega": 1.0, "lambda": 0.5, "bound
 @pytest.mark.parametrize(
     "command", [["validate"], ["entropy", "--partition", "1,2,3|4,5,6"]], ids=lambda c: c[0]
 )
-def test_model_below_the_certificate_residual_exits_one(capsys, tmp_path, command):
-    # a ground state is pure: a tol below the certificate's rounding is a
-    # numerical failure, not an unphysical state
+def test_model_at_tol_zero_is_valid_and_pure(capsys, tmp_path, command):
+    # the certificate's residuals answer to their rounding bound, not to
+    # --tol, so a ground state is valid and pure at every tol >= 0
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(CHAIN6), encoding="utf-8")
-    code, out, err = run(capsys, command[0], str(path), *command[1:], "--tol", "0")
-    assert (code, out) == (1, "")
-    assert "model ground-state certificate exceeded tolerance 0.0e+00" in err
-    assert "(congruence)" in err and "(symplectic)" in err
+    code, out, _ = run(capsys, command[0], str(path), *command[1:], "--tol", "0")
+    assert code == 0
+    report = json.loads(out)
+    if command[0] == "validate":
+        assert (report["valid"], report["min_symplectic_eigenvalue"], report["tol"]) == (True, 0.5, 0.0)
+    else:
+        assert report["pure_global_state"] and "spectrum_b" in report
 
 
 def test_model_entropy_is_certified_not_solved(capsys, tmp_path, linalg_calls):
@@ -853,7 +856,7 @@ def test_wigner_checks_the_mode_before_the_full_state_pass(capsys, tmp_path):
     code, out, err = run(capsys, "wigner", str(state), "--mode", "2", "--out", str(tmp_path / "w.csv"))
     assert_clean_failure(code, out, err)
     assert "--mode must be in 1..1, got 2" in err
-    # a model input fails its certificate at --tol 0, but the mode comes first
+    # a model input is checked for its mode before its certificate
     model = tmp_path / "chain.json"
     model.write_text(json.dumps(CHAIN6), encoding="utf-8")
     code, out, err = run(

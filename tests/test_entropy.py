@@ -8,22 +8,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sympent import (
+    DEFAULT_TOL,
     LN2,
     SIGMA_TOL,
     InvalidPartitionError,
     InvalidStateError,
+    MalformedInputError,
     ModePartition,
     ThermalMode,
     UnphysicalEigenvalueError,
     chain_model,
     entanglement_entropy,
     ground_state_covariance,
+    heisenberg_margin,
     mode_entropy,
     random_symplectic,
+    required_n_max,
+    symplectic_spectrum,
     thermal_entropy_bruteforce,
     thermal_parameter,
     vacuum,
     validate,
+    williamson,
 )
 
 from conftest import embed_symplectic, random_valid_covariance, two_mode_squeezed
@@ -46,6 +52,23 @@ def test_clamp_band_around_half():
         mode_entropy(0.5 - 2e-9)
     with pytest.raises(UnphysicalEigenvalueError):
         mode_entropy(0.49)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.7])
+def test_mode_entropy_checks_the_base_of_a_pure_mode_too(sigma):
+    with pytest.raises(ValueError, match="unknown log base 'foo'"):
+        mode_entropy(sigma, "foo")
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "entry",
+    [mode_entropy, thermal_parameter, ThermalMode.from_sigma],
+    ids=["mode_entropy", "thermal_parameter", "from_sigma"],
+)
+def test_non_finite_sigma_is_refused(entry, sigma):
+    with pytest.raises(MalformedInputError, match=f"symplectic eigenvalue {sigma!r} is not finite"):
+        entry(sigma)
 
 
 def test_unit_occupation_gives_two_bits():
@@ -294,3 +317,44 @@ def test_report_serializes_with_inf_beta_as_string():
     json.dumps(payload)  # must be valid JSON without Infinity literals
     assert payload["total_bits"] == 0.0
     assert payload["s_count"] == 0
+
+
+# --- agreement of every check ------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.floats(0.0, 2.0),
+    nus=st.lists(st.floats(0.3, 3.0), min_size=4, max_size=4),
+    pure=st.booleans(),
+)
+def test_every_check_agrees_on_planted_states(n, seed, scale, nus, pure):
+    # S diag(nu, nu) S^T with cond(S) <= e^(2 scale): cond(Gamma) < 3e4, so
+    # rounding moves each sigma by far less than DEFAULT_TOL
+    nu = np.full(n, 0.5) if pure else np.sort(nus[:n])[::-1]
+    s = random_symplectic(n, seed, scale)
+    gamma = s @ np.diag(np.concatenate([nu, nu])) @ s.T
+    gamma = (gamma + gamma.T) / 2
+    report = validate(gamma)
+    spectrum = symplectic_spectrum(gamma)
+    # williamson accepts every state validate judges, and finds its spectrum
+    dec = williamson(gamma)
+    w = np.linalg.eigvalsh(gamma)
+    np.testing.assert_allclose(dec.spectrum, spectrum, rtol=64 * np.finfo(float).eps * w[-1] / w[0])
+    if pure:
+        assert report.valid and report.pure
+    elif abs(nu[-1] - 0.5) > DEFAULT_TOL:
+        # outside the tol band the verdict and the margin's sign follow the planted floor:
+        # the margin is sigma_min - 1/2 times a factor in [1/||S^-1||^2, ||S||^2]
+        assert report.valid == (nu[-1] > 0.5) == (heisenberg_margin(gamma) > 0.0)
+    if pure and n > 1:
+        k = 1 + seed % (n - 1)
+        partition = ModePartition.from_sides(range(1, k + 1), range(k + 1, n + 1))
+        both = entanglement_entropy(gamma, partition, include_b=True)
+        assert abs(both.total_bits - both.total_b_bits) < 1e-8
+    for sigma in dec.spectrum[dec.spectrum > 0.5 + 1e-6]:
+        beta = thermal_parameter(sigma)
+        oracle = thermal_entropy_bruteforce(beta, required_n_max(beta) + 8)
+        assert abs(mode_entropy(sigma) - oracle) < 1e-8

@@ -149,16 +149,23 @@ def test_heisenberg_test_agrees_with_spectrum_test():
 def test_certificate_agrees_with_validate_on_chains(boundary, lam, n):
     model = chain_model(n, 1.0, 1.0, lam, boundary)
     gamma = ground_state_covariance(model)
-    # raises unless both residuals are <= 1e-13 (measured at most 2.6e-14 on this grid)
-    validate(gamma, 1e-13, model=model)
+    # the certificate's residuals, measured at most 2.6e-14 on this grid
+    q, r = model.mode_factors
+    half = 0.5 * np.eye(n)
+    assert np.abs(r.T @ gamma[:n, :n] @ r - half).max() <= 1e-13
+    assert np.abs(q.T @ gamma[n:, n:] @ q - half).max() <= 1e-13
+    assert np.abs(r.T @ q - np.eye(n)).max() <= 1e-13
     for tol in (1e-12, 1e-8):
         certified = validate(gamma, tol, model=model)
         solved = validate(gamma, tol)
         assert (certified.valid, certified.pure, certified.n) == (solved.valid, solved.pure, n)
         assert certified.min_symplectic_eigenvalue == 0.5
+    # the residuals answer to their rounding bound, not to tol
+    at_zero = validate(gamma, 0.0, model=model)
+    assert at_zero.valid and at_zero.pure
 
 
-RESIDUALS = r"residuals (\S+) \(congruence\), (\S+) \(symplectic\)"
+RESIDUALS = r"residuals (\S+) \(congruence\), (\S+) \(symplectic\) against bounds (\S+), (\S+)$"
 
 
 def test_perturbed_normal_modes_fail_the_certificate():
@@ -167,15 +174,19 @@ def test_perturbed_normal_modes_fail_the_certificate():
     perturbed = model.eigenvectors.copy()
     perturbed[0, 0] += 1e-6
     # one normal mode scaled by 1 + d: the congruence residual is ~d and the
-    # symplectic one ~2d, so at tol = 1.5 d only the symplectic residual fails
+    # symplectic one ~2d, both far above their rounding bounds (~1e-12), and
+    # the tol of the vacuum floor plays no part
     rescaled = model.eigenvectors.copy()
     rescaled[:, 0] *= 1 + 1e-6
-    for vectors, tol, both in ((perturbed, 1e-8, True), (rescaled, 1.5e-6, False)):
+    for vectors in (perturbed, rescaled):
         other = QuadraticModel(n=8, mass=1.0, potential=model.potential, _modes=(model.frequencies, vectors))
-        with pytest.raises(NumericalFailureError, match=RESIDUALS) as excinfo:
-            validate(gamma, tol, model=other)
-        congruence, symplectic = map(float, re.search(RESIDUALS, str(excinfo.value)).groups())
-        assert symplectic > tol and (congruence > tol) is both
+        for tol in (0.0, 1e-8, 1.5e-6):
+            with pytest.raises(NumericalFailureError, match=RESIDUALS) as excinfo:
+                validate(gamma, tol, model=other)
+            congruence, symplectic, bound_c, bound_s = map(
+                float, re.search(RESIDUALS, str(excinfo.value)).groups()
+            )
+            assert congruence > bound_c and symplectic > bound_s
 
 
 def test_certificate_refuses_other_states():
@@ -185,7 +196,7 @@ def test_certificate_refuses_other_states():
     for block in (slice(0, 4), slice(4, 8)):
         scaled = gamma.copy()
         scaled[block, block] *= 0.9
-        with pytest.raises(NumericalFailureError, match="certificate exceeded tolerance"):
+        with pytest.raises(NumericalFailureError, match="certificate exceeded its rounding bound"):
             validate(scaled, model=model)
     correlated = gamma.copy()
     correlated[0, 4] = correlated[4, 0] = 1e-3

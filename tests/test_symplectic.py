@@ -1,5 +1,3 @@
-import re
-
 import mpmath
 import numpy as np
 import pytest
@@ -16,6 +14,7 @@ from sympent import (
     reduce,
     symplectic_form,
     symplectic_spectrum,
+    validate,
     williamson,
 )
 
@@ -158,6 +157,43 @@ def test_squeezed_spectrum_matches_mpmath_of_rounded_input(r):
         assert max(abs(float(mpmath.mpf(g) - w)) for g, w in zip(got, want)) < 1e-10
 
 
+EPS = np.finfo(float).eps
+
+
+def planted_general_state(n, seed, cond):
+    """S diag(nu, nu) S^T with nu in [1/2, 1] and S = passive (squeezers) passive,
+    the largest squeezing ln(cond)/4: cond(Gamma) in [cond, 2 cond] up to rounding."""
+    rng = np.random.default_rng(seed)
+    nu = np.sort(rng.uniform(0.5, 1.0, size=n))[::-1]
+    r = rng.uniform(0.0, np.log(cond) / 4, size=n)
+    r[0] = np.log(cond) / 4
+    s = random_symplectic(n, seed, 0.0) * np.exp(np.concatenate([-r, r])) @ random_symplectic(n, seed + 1, 0.0)
+    gamma = s @ np.diag(np.concatenate([nu, nu])) @ s.T
+    return (gamma + gamma.T) / 2
+
+
+@pytest.mark.parametrize("cond", [1e2, 1e5, 1e8, 1e11])
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_general_route_matches_mpmath_of_rounded_input(n, cond):
+    # Reference: the eigenvalues +-i sigma of Gamma Omega of the rounded input
+    # at 50 digits. Bound: each of the two eigensolves (Gamma's, then the
+    # Hermitian form's) is backward stable, exact for a Gamma moved by at most
+    # d eps ||Gamma|| with d = 2n; since sigma is monotone in Gamma, such a move
+    # changes every sigma by at most d eps cond(Gamma) relative. Two steps:
+    # 4 n eps cond(Gamma).
+    gamma = planted_general_state(n, 10 * n + int(np.log10(cond)), cond)
+    assert symplectic._xp_blocks(gamma) is None
+    w = np.linalg.eigvalsh(gamma)
+    assert 0.99 * cond <= w[-1] / w[0] <= 2 * cond
+    with mpmath.workdps(50):
+        product = mpmath.matrix(gamma.tolist()) * mpmath.matrix(symplectic_form(n).tolist())
+        eigs = mpmath.eig(product, left=False, right=False)
+        want = sorted((abs(mpmath.im(e)) for e in eigs), reverse=True)[::2]
+        got = symplectic_spectrum(gamma)
+        rel = max(float(abs(g - v) / v) for g, v in zip(got, want))
+    assert rel <= 4 * n * EPS * w[-1] / w[0]
+
+
 def test_off_diagonal_entry_takes_general_route(linalg_calls):
     gamma = ground_state_covariance(chain_model(4, 1.0, 1.0, 0.7, "open"))
     assert symplectic._xp_blocks(gamma) is not None
@@ -260,30 +296,60 @@ def test_williamson_spectrum_idempotent_on_normal_form():
     np.testing.assert_allclose(symplectic_spectrum(dec.normal_form), dec.spectrum, atol=1e-12)
 
 
-SQUEEZE_GRID = np.arange(0, 451) / 100  # r = 0, 0.01, ..., 4.5
+SQUEEZE_GRID = np.arange(0, 690) / 100  # r = 0, 0.01, ..., 6.89: cond(Gamma) = e^(4r) < 1e12
 
 
 @pytest.mark.parametrize("nu", [0.5, 0.7, 2.0])
 def test_williamson_envelope_on_squeezed_thermal_states(nu):
     # nu times the vacuum, two-mode squeezed by r: symplectic spectrum (nu, nu),
-    # condition number e^(4r). Inside r <= 4.5 both residuals stay within the
-    # default tol (the first failure is near r = 4.7 to 5.1, varying with nu)
-    # and the spectrum within 1e-8 (measured at most 2.7e-9).
+    # condition number e^(4r). Every state validate accepts has a Williamson
+    # form, with the spectrum within 8 eps e^(4r) relative of nu: rounding the
+    # entries to doubles alone moves the exact spectrum by ~eps e^(4r)
+    # (measured at most 2.9 eps e^(4r)).
+    accepted = 0
     for r in SQUEEZE_GRID:
-        dec = williamson(2.0 * nu * two_mode_squeezed(r))
-        np.testing.assert_allclose(dec.spectrum, [nu, nu], rtol=1e-8, err_msg=f"r = {r}")
+        gamma = 2.0 * nu * two_mode_squeezed(r)
+        if not validate(gamma).valid:
+            continue
+        accepted += 1
+        dec = williamson(gamma)
+        np.testing.assert_allclose(dec.spectrum, [nu, nu], rtol=8 * EPS * np.exp(4 * r), err_msg=f"r = {r}")
+    assert accepted >= (600 if nu == 0.5 else len(SQUEEZE_GRID))
 
 
 def test_williamson_beyond_its_envelope_fails_loudly_or_is_right():
-    # at r = 5.5 rounding the input to doubles alone moves its exact spectrum
-    # by up to ~1e-16 e^(4r) = 4e-7 relative; a wrong spectrum is never returned
+    # the rounded pure states that validate refuses (from r ~ 5) still have a
+    # Williamson form within the input's rounding; beyond cond 1e12 williamson
+    # refuses the state as every check does
+    refused = 0
+    for r in SQUEEZE_GRID:
+        gamma = two_mode_squeezed(r)
+        if validate(gamma).valid:
+            continue
+        refused += 1
+        dec = williamson(gamma)
+        np.testing.assert_allclose(dec.spectrum, [0.5, 0.5], rtol=8 * EPS * np.exp(4 * r), err_msg=f"r = {r}")
+    assert refused > 0
+    with pytest.raises(InvalidStateError, match="SINGULAR_RTOL"):
+        williamson(2.0 * two_mode_squeezed(6.95))
+
+
+@pytest.mark.parametrize("r", [0.0, 2.0, 5.0, 6.8])
+def test_williamson_refuses_a_transform_ten_rounding_bounds_off(monkeypatch, r):
+    # scale one mode's (q, p) rows of the transform by 1 + d: the symplectic
+    # residual is ~2d, here ten times its bound RESIDUAL_FACTOR 2n eps
+    # sigma_max / w_min
     nu = 2.0
-    try:
-        dec = williamson(2.0 * nu * two_mode_squeezed(5.5))
-    except NumericalFailureError as exc:
-        assert re.search(r"residuals \S+ \(congruence\), \S+ \(symplectic\)", str(exc))
-    else:
-        np.testing.assert_allclose(dec.spectrum, [nu, nu], rtol=1e-6)
+    gamma = 2.0 * nu * two_mode_squeezed(r)
+    w = np.linalg.eigvalsh(gamma)
+    bound = symplectic.RESIDUAL_FACTOR * 4 * EPS * nu / w[0]
+    real = symplectic._fix_phases
+    scale = np.array([1.0 + 5.0 * bound, 1.0])
+    monkeypatch.setattr(symplectic, "_fix_phases", lambda vecs: real(vecs) * scale)
+    with pytest.raises(NumericalFailureError, match=r"residuals \S+ \(congruence\), \S+ \(symplectic\)"):
+        williamson(gamma)
+    scale[0] = 1.0 + 0.05 * bound
+    williamson(gamma)
 
 
 def test_williamson_rejects_indefinite():
