@@ -149,8 +149,19 @@ class EntropyReport:
 
 
 def _total_bits(spectrum: np.ndarray) -> float:
-    """Entropy in bits of a reduction's spectrum, each eigenvalue floored at 1/2."""
-    return float(sum(mode_entropy(max(s, 0.5), BITS) for s in spectrum))
+    """Entropy in bits of a reduction's spectrum, each eigenvalue floored at 1/2.
+
+    Only the eigenvalues outside the snap go through ``mode_entropy``: each
+    one within it would add exactly 0.0. A NaN is outside, so
+    ``mode_entropy`` refuses it."""
+    floored = np.maximum(spectrum, 0.5)
+    thermal = floored[~(np.abs(floored - 0.5) <= SIGMA_TOL)]
+    return float(sum(mode_entropy(s, BITS) for s in thermal))
+
+
+def _s_count(spectrum: np.ndarray) -> int:
+    """Number of thermal (entangled) modes: eigenvalues above 1/2 + S_COUNT_TOL."""
+    return int(np.sum(spectrum > 0.5 + S_COUNT_TOL))
 
 
 def entanglement_entropy(
@@ -171,9 +182,10 @@ def entanglement_entropy(
     Gamma must pass ``validate(gamma, tol, model)``, the only vacuum floor: a
     reduction eigenvalue below 1/2 then counts as 1/2 (``spectrum_a`` keeps
     its value). Given the ``model`` whose ground state Gamma is, that verdict
-    is the model's certificate, with no full-state solve. The partition is
-    checked against Gamma first.
+    is the model's certificate, with no full-state solve. The base name and
+    then the partition are checked first.
     """
+    log_fn(base)  # validate the base name
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
     if partition.n != n:
@@ -182,7 +194,7 @@ def entanglement_entropy(
     report.require_physical()
     spectrum_a = symplectic_spectrum(reduce(gamma, partition.set_a))
     total_bits = _total_bits(spectrum_a)
-    s_count = int(np.sum(spectrum_a > 0.5 + S_COUNT_TOL))
+    s_count = _s_count(spectrum_a)
 
     spectrum_b = None
     total_b_bits = None
@@ -190,7 +202,6 @@ def entanglement_entropy(
         spectrum_b = symplectic_spectrum(reduce(gamma, partition.set_b))
         total_b_bits = _total_bits(spectrum_b)
 
-    log_fn(base)  # validate the base name
     total = total_bits if base == BITS else total_bits * LN2
     return EntropyReport(
         partition=partition,

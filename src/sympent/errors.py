@@ -2,7 +2,12 @@
 
 
 class SympentError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``index`` is the slice of a stacked input the error is about, None when
+    the input was not a stack."""
+
+    index: int | None = None
 
 
 class DimensionError(SympentError):

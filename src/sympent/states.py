@@ -296,7 +296,7 @@ def reduce(gamma: np.ndarray, keep) -> np.ndarray:
         raise InvalidPartitionError(f"mode indices {bad} out of range 1..{n}")
     modes = sorted(int(m) for m in modes)
     idx = [m - 1 for m in modes] + [n + m - 1 for m in modes]
-    return gamma[np.ix_(idx, idx)].copy()
+    return gamma.take(idx, axis=0).take(idx, axis=1)
 
 
 def characteristic_function(gamma: np.ndarray, eta) -> float:

@@ -8,11 +8,19 @@ eigenvalue >= 1/2 (vacuum covariance I/2).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
-from .errors import DimensionError, InvalidStateError, MalformedInputError, NumericalFailureError
+from .errors import (
+    DimensionError,
+    InvalidStateError,
+    MalformedInputError,
+    NumericalFailureError,
+    SympentError,
+)
 
 # A normal-form residual may be this many times the rounding bound
 # d eps |A||B| of its matrix products (Higham, Accuracy and Stability of
@@ -56,22 +64,45 @@ def mode_count(matrix: np.ndarray) -> int:
 # stay in cache, where G - G^T strides across the whole of G.
 _SYMMETRY_PANEL = 64
 
+# The helpers below take a square matrix or a stack of them (leading axis)
+# and treat every slice alike. Each check first tests the whole input at
+# once; only a failure looks for the slice it names (``_fail``).
+
+
+def _fail(error: type[SympentError], ok: np.ndarray, message) -> NoReturn:
+    """Raise ``error`` about the first slice i whose entry of the per-slice
+    flags ``ok`` is False (0-d for one matrix), described by ``message(i)``
+    (i = () for one matrix). For a stack the message starts "slice i: " and
+    the error's ``index`` is i."""
+    if ok.ndim == 0:
+        raise error(message(()))
+    i = int(np.argmin(ok))
+    exc = error(f"slice {i}: {message(i)}")
+    exc.index = i
+    raise exc
+
 
 def _check_finite(matrix: np.ndarray) -> None:
     """The package's one NaN/inf test: MalformedInputError unless every entry is finite."""
     if not np.isfinite(matrix).all():
-        raise MalformedInputError("matrix has a NaN or infinite entry")
+        _fail(
+            MalformedInputError,
+            np.isfinite(matrix).all(axis=(-2, -1)),
+            lambda i: "matrix has a NaN or infinite entry",
+        )
 
 
-def _max_asymmetry(matrix: np.ndarray) -> float:
-    """max |G - G^T| of a square matrix, bit for bit, taken over row panels
-    G[i:i+b, i:] against their transposed column panels G[i:, i:i+b], which
-    cover every pair of mirrored entries."""
+def _max_asymmetry(matrix: np.ndarray, axis: tuple[int, int] | None = None):
+    """max |G - G^T| of a square matrix, or of a whole stack, bit for bit,
+    taken over row panels G[i:i+b, i:] against their transposed column
+    panels G[i:, i:i+b], which cover every pair of mirrored entries. With
+    ``axis=(-2, -1)``, one value per slice of a stack."""
     b = _SYMMETRY_PANEL
-    return max(
-        float(np.abs(matrix[i : i + b, i:] - matrix[i:, i : i + b].T).max())
-        for i in range(0, matrix.shape[0], b)
+    panels = (
+        np.abs(matrix[..., i : i + b, i:] - np.swapaxes(matrix[..., i:, i : i + b], -1, -2))
+        for i in range(0, matrix.shape[-1], b)
     )
+    return functools.reduce(np.maximum, (panel.max(axis=axis) for panel in panels))
 
 
 def _check_symmetric(matrix: np.ndarray) -> None:
@@ -79,28 +110,35 @@ def _check_symmetric(matrix: np.ndarray) -> None:
     float matrix is finite (``_check_finite``) and symmetric within
     SYMMETRY_ATOL."""
     _check_finite(matrix)
-    asym = _max_asymmetry(matrix)
-    if asym > SYMMETRY_ATOL:
-        raise MalformedInputError(
-            f"matrix is asymmetric: max |G - G^T| = {asym:.3e} > {SYMMETRY_ATOL:.0e}"
+    if _max_asymmetry(matrix) > SYMMETRY_ATOL:
+        asym = _max_asymmetry(matrix, axis=(-2, -1))
+        _fail(
+            MalformedInputError,
+            asym <= SYMMETRY_ATOL,
+            lambda i: f"matrix is asymmetric: max |G - G^T| = {asym[i]:.3e} > {SYMMETRY_ATOL:.0e}",
         )
 
 
-def _check_condition(lo: float, hi: float) -> None:
+def _check_condition(lo, hi) -> None:
     """The package's one SINGULAR_RTOL comparison: InvalidStateError unless a
-    symmetric matrix with eigenvalues in [lo, hi] is positive definite with a
-    condition number below 1/SINGULAR_RTOL. A NaN bound fails."""
-    if not (hi > 0.0 and lo > SINGULAR_RTOL * hi):
-        raise InvalidStateError(
-            "matrix is not positive definite or is too ill-conditioned: eigenvalues in "
-            f"[{lo:.3e}, {hi:.3e}], the smallest must exceed SINGULAR_RTOL = "
-            f"{SINGULAR_RTOL:.0e} times the largest"
+    symmetric matrix with eigenvalues in [lo, hi] (floats, or arrays with one
+    entry per slice) is positive definite with a condition number below
+    1/SINGULAR_RTOL. A NaN bound fails."""
+    ok = np.logical_and(hi > 0.0, lo > SINGULAR_RTOL * hi)
+    if not ok.all():
+        lo, hi = np.asarray(lo), np.asarray(hi)
+        _fail(
+            InvalidStateError,
+            ok,
+            lambda i: "matrix is not positive definite or is too ill-conditioned: eigenvalues in "
+            f"[{lo[i]:.3e}, {hi[i]:.3e}], the smallest must exceed SINGULAR_RTOL = "
+            f"{SINGULAR_RTOL:.0e} times the largest",
         )
 
 
 def _spd_eigh(*blocks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Eigenvalues (ascending) and eigenvectors of each diagonal block of a
-    symmetric positive-definite matrix.
+    symmetric positive-definite matrix, or of each slice of a stack of them.
 
     The package's one positive-definiteness test of a matrix, for covariance
     matrices and model potentials alike; pass a whole matrix as its only
@@ -113,23 +151,27 @@ def _spd_eigh(*blocks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     for block in blocks:
         _check_symmetric(block)
     pairs = [np.linalg.eigh(block) for block in blocks]
-    _check_condition(min(w[0] for w, _ in pairs), max(w[-1] for w, _ in pairs))
+    _check_condition(
+        functools.reduce(np.minimum, (w[..., 0] for w, _ in pairs)),
+        functools.reduce(np.maximum, (w[..., -1] for w, _ in pairs)),
+    )
     return pairs
 
 
 def _xp_blocks(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The blocks X = gamma_qq and P = gamma_pp of a 2n x 2n matrix whose q-p
-    blocks are both exactly zero, as every model ground state and each of its
-    reductions has; None for any other matrix."""
-    n = gamma.shape[0] // 2
-    if gamma[:n, n:].any() or gamma[n:, :n].any():
+    """The blocks X = gamma_qq and P = gamma_pp of a 2n x 2n matrix, or of
+    each slice of a stack, whose q-p blocks are all exactly zero, as every
+    model ground state and each of its reductions has; None for any other
+    matrix or stack."""
+    n = gamma.shape[-1] // 2
+    if gamma[..., :n, n:].any() or gamma[..., n:, :n].any():
         return None
-    return gamma[:n, :n], gamma[n:, n:]
+    return gamma[..., :n, :n], gamma[..., n:, n:]
 
 
 def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Symmetric square root of the matrix with eigenpairs (w, v)."""
-    return (v * np.sqrt(w)) @ v.T
+    return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
 
 
 def _hermitian_form(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -138,7 +180,7 @@ def _hermitian_form(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     built from."""
     [(w, v)] = _spd_eigh(gamma)
     root = _root(w, v)
-    return 1j * (root @ symplectic_form(len(w) // 2) @ root), w, v
+    return 1j * (root @ symplectic_form(w.shape[-1] // 2) @ root), w, v
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
@@ -171,7 +213,8 @@ def _require_residuals(
 
 
 def symplectic_spectrum(gamma: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues of a positive-definite matrix, sorted descending.
+    """Symplectic eigenvalues of a positive-definite matrix, sorted descending,
+    or of each slice of a stack of them.
 
     The eigenvalues of gamma @ Omega are purely imaginary pairs +-i*sigma_i;
     the returned sigma_i are their absolute values. They are computed as the
@@ -183,15 +226,24 @@ def symplectic_spectrum(gamma: np.ndarray) -> np.ndarray:
     (Peschel 2003; Audenaert, Eisert, Plenio, Werner 2002). The roots come
     from ``_spd_eigh``, so gamma's condition number must stay below
     1/SINGULAR_RTOL.
+
+    A (P, 2n, 2n) stack gives a (P, n) array whose row i is the spectrum of
+    slice i, bit for bit: numpy's stacked eigh, svd and matmul make the same
+    LAPACK and BLAS call for each slice. A stack takes the block route when
+    every slice has zero q-p blocks, else the general route. Each check runs
+    over the whole stack, finite and symmetric first, then the condition
+    number; the first check any slice fails raises, naming its first failing
+    slice ("slice i: ...", with the error's ``index`` set to i).
     """
     gamma = np.asarray(gamma, dtype=float)
-    n = mode_count(gamma)
+    # the slices of a stack share one shape; an empty stack fails mode_count
+    n = mode_count(gamma[0] if gamma.ndim == 3 and len(gamma) else gamma)
     blocks = _xp_blocks(gamma)
     if blocks is not None:
         (wx, vx), (wp, vp) = _spd_eigh(*blocks)
         return np.linalg.svd(_root(wx, vx) @ _root(wp, vp), compute_uv=False)
     eigs = np.linalg.eigvalsh(_hermitian_form(gamma)[0])
-    return eigs[::-1][:n].copy()
+    return eigs[..., ::-1][..., :n].copy()
 
 
 @dataclass(frozen=True, eq=False)

@@ -282,13 +282,64 @@ def test_model_validate_prints_a_zero_margin_without_a_solve(capsys, tmp_path, l
     assert linalg_calls == []
 
 
-def test_sweep_point_is_certified_not_solved(capsys, tmp_path, linalg_calls):
-    # per point, A only: two block eigh and one SVD
+def test_sweep_point_is_certified_not_solved(capsys, tmp_path, monkeypatch, linalg_calls):
+    # the 4 points' certificates run no eigensolver; their A sides are solved
+    # as one (4, 6, 6) stack: two block eigh of (4, 3, 3) and one SVD
+    shapes = []
+    for name in ("eigh", "svd"):
+        recorded = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg,
+            name,
+            lambda a, *args, _fn=recorded, _name=name, **kwargs: shapes.append((_name, a.shape))
+            or _fn(a, *args, **kwargs),
+        )
+    stacks = []
+    real = cli.symplectic_spectrum
+    monkeypatch.setattr(cli, "symplectic_spectrum", lambda g: stacks.append(g.shape) or real(g))
     spec = tmp_path / "sweep.json"
     write_sweep_json(spec, CHAIN6, count=4, partition="1,2,3|4,5,6")
     code, _, _ = run(capsys, "sweep", str(spec), "--out", str(tmp_path / "sweep.csv"))
     assert code == 0
-    assert sorted(name for name, _ in linalg_calls) == ["eigh"] * 2 * 4 + ["svd"] * 4
+    assert stacks == [(4, 6, 6)]
+    assert sorted(name for name, _ in linalg_calls) == ["eigh", "eigh", "svd"]
+    assert shapes == [("eigh", (4, 3, 3)), ("eigh", (4, 3, 3)), ("svd", (4, 3, 3))]
+
+
+def test_sweep_reports_a_failing_slice_as_its_grid_point(capsys, tmp_path, monkeypatch):
+    # certified points do not fail the spectrum's checks, so slice 2 of the
+    # stack is spoiled on its way in
+    real = cli.symplectic_spectrum
+
+    def spoiled(stack):
+        stack = stack.copy()
+        stack[2, 0, 1] += 1e-9
+        return real(stack)
+
+    monkeypatch.setattr(cli, "symplectic_spectrum", spoiled)
+    spec = tmp_path / "sweep.json"
+    out_csv = tmp_path / "sweep.csv"
+    write_sweep_json(spec, CHAIN6, start=0.0, stop=3.0, count=4, partition="1,2,3|4,5,6")
+    code, out, err = run(capsys, "sweep", str(spec), "--out", str(out_csv))
+    assert_clean_failure(code, out, err)
+    assert "sympent: error: grid point lambda=2: matrix is asymmetric: max |G - G^T| = 1.000e-09" in err
+    assert "slice" not in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("points", [1, 2, 3])
+def test_sweep_in_chunks_writes_the_same_csv(capsys, tmp_path, monkeypatch, points):
+    # chunks of 1, 2 or 3 points of 7 (the last one short) against one stack
+    spec = tmp_path / "sweep.json"
+    write_sweep_json(spec, CHAIN6, start=0.0, stop=3.0, count=7, partition="1,2,3|4,5,6")
+    assert run(capsys, "sweep", str(spec), "--out", str(tmp_path / "one.csv"))[0] == 0
+    monkeypatch.setattr(cli, "SWEEP_STACK_BYTES", points * 8 * 6 * 6)
+    stacks = []
+    real = cli.symplectic_spectrum
+    monkeypatch.setattr(cli, "symplectic_spectrum", lambda g: stacks.append(len(g)) or real(g))
+    assert run(capsys, "sweep", str(spec), "--out", str(tmp_path / "chunked.csv"))[0] == 0
+    assert stacks == [points] * (7 // points) + [7 % points] * (7 % points > 0)
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
 def write_two_mode_squeezed_json(path, r):

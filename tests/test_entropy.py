@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sympent.entropy as entropy
 from sympent import (
     DEFAULT_TOL,
     LN2,
@@ -23,6 +24,7 @@ from sympent import (
     heisenberg_margin,
     mode_entropy,
     random_symplectic,
+    reduce,
     required_n_max,
     symplectic_spectrum,
     thermal_entropy_bruteforce,
@@ -69,6 +71,24 @@ def test_mode_entropy_checks_the_base_of_a_pure_mode_too(sigma):
 def test_non_finite_sigma_is_refused(entry, sigma):
     with pytest.raises(MalformedInputError, match=f"symplectic eigenvalue {sigma!r} is not finite"):
         entry(sigma)
+
+
+@pytest.mark.parametrize("spectrum", [[math.nan], [0.7, math.nan, 0.5], [0.5, 0.4, math.nan]])
+def test_total_of_a_nan_sigma_is_refused(spectrum):
+    # the snap filter keeps a NaN, so mode_entropy still sees and refuses it
+    with pytest.raises(MalformedInputError, match="symplectic eigenvalue nan is not finite"):
+        entropy._total_bits(np.array(spectrum))
+
+
+@pytest.mark.parametrize("lam", [0.01, 1.0, 100.0])
+def test_total_bits_skips_only_terms_that_add_zero(lam):
+    # the reference sends every floored eigenvalue through mode_entropy
+    gamma = ground_state_covariance(chain_model(64, 1.0, 1.0, lam, "open"))
+    spectrum = symplectic_spectrum(reduce(gamma, range(1, 33)))
+    spectrum = np.concatenate([spectrum, [0.5 - 1e-10, 0.5 + 1e-10, 0.4]])
+    assert np.sum(np.abs(np.maximum(spectrum, 0.5) - 0.5) <= SIGMA_TOL) >= 4
+    want = float(sum(mode_entropy(max(s, 0.5)) for s in spectrum))
+    assert entropy._total_bits(spectrum) == want
 
 
 def test_unit_occupation_gives_two_bits():
@@ -197,6 +217,16 @@ def test_mismatched_partition_fails_before_the_full_state_pass(linalg_calls):
     # unphysical and over the wrong mode count: the cheap partition check names the cause
     with pytest.raises(InvalidPartitionError, match="partition is over 2 modes"):
         entanglement_entropy(0.4 * np.eye(6), ModePartition.from_string("1|2"))
+    assert linalg_calls == []
+
+
+def test_unknown_base_fails_before_the_verdict_and_any_solve(linalg_calls):
+    model = chain_model(8, 1.0, 1.0, 0.5, "periodic")
+    gamma = ground_state_covariance(model)
+    partition = ModePartition.from_sides(range(1, 5), range(5, 9))
+    del linalg_calls[:]
+    with pytest.raises(ValueError, match="unknown log base 'foo'"):
+        entanglement_entropy(gamma, partition, base="foo", include_b=True, model=model)
     assert linalg_calls == []
 
 

@@ -213,6 +213,86 @@ def test_block_route_keeps_the_joint_condition_limit():
     np.testing.assert_allclose(symplectic_spectrum(np.diag([1e5, 1e-5])), [1.0], rtol=1e-14)
 
 
+def chain_reductions(n, boundary, cut):
+    """Side-A reductions to the first ``cut`` modes of n-mode chains along 12 lambdas."""
+    return [
+        reduce(ground_state_covariance(chain_model(n, 1.0, 1.0, lam, boundary)), range(1, cut + 1))
+        for lam in np.linspace(0.1, 2.0, 12)
+    ]
+
+
+@pytest.mark.parametrize(
+    "make,route",
+    [
+        (lambda: chain_reductions(6, "open", 3), "block"),
+        (lambda: chain_reductions(64, "periodic", 32), "block"),
+        (lambda: chain_reductions(200, "open", 77), "block"),
+        (lambda: [planted_general_state(3, seed, 1e3) for seed in range(8)], "general"),
+        (lambda: [planted_general_state(40, seed, 1e6) for seed in range(5)], "general"),
+    ],
+    ids=["chain-6", "chain-64", "chain-200", "planted-3", "planted-40"],
+)
+def test_stacked_spectrum_is_each_slice_bit_for_bit(make, route):
+    slices = make()
+    assert all((symplectic._xp_blocks(g) is not None) == (route == "block") for g in slices)
+    stacked = symplectic_spectrum(np.stack(slices))
+    assert stacked.shape == (len(slices), slices[0].shape[0] // 2)
+    for got, alone in zip(stacked, slices):
+        np.testing.assert_array_equal(got, symplectic_spectrum(alone), strict=True)
+
+
+def make_asymmetric(g):
+    g[0, 1] += 1e-9
+
+
+def make_ill_conditioned(g):
+    # squeezing r = 7 on mode 1: condition number e^28 ~ 1.4e12
+    n = g.shape[0] // 2
+    g[:] = 0.5 * np.eye(2 * n)
+    g[0, 0], g[n, n] = np.exp(14.0) / 2, np.exp(-14.0) / 2
+
+
+def make_non_finite(g):
+    g[-1, -1] = np.nan
+
+
+@pytest.mark.parametrize(
+    "spoil,error,message",
+    [
+        (make_asymmetric, MalformedInputError, "matrix is asymmetric: max |G - G^T| = 1.000e-09 > 1e-12"),
+        (make_ill_conditioned, InvalidStateError, "matrix is not positive definite or is too ill-conditioned"),
+        (make_non_finite, MalformedInputError, "matrix has a NaN or infinite entry"),
+    ],
+    ids=["asymmetric", "ill-conditioned", "non-finite"],
+)
+@pytest.mark.parametrize("route", ["block", "general"])
+@pytest.mark.parametrize("bad", [0, 3, 4])
+def test_stack_names_its_failing_slice(spoil, error, message, route, bad):
+    if route == "block":
+        slices = np.stack(chain_reductions(10, "open", 4)[:5])
+    else:
+        slices = np.stack([planted_general_state(4, seed, 1e2) for seed in range(5)])
+    alone = slices[bad].copy()
+    spoil(alone)
+    slices[bad] = alone
+    with pytest.raises(error) as stacked:
+        symplectic_spectrum(slices)
+    with pytest.raises(error) as single:
+        symplectic_spectrum(alone)
+    assert str(stacked.value) == f"slice {bad}: {single.value}"
+    assert message in str(single.value)
+    assert (stacked.value.index, single.value.index) == (bad, None)
+
+
+def test_stack_names_the_first_of_its_failing_slices():
+    slices = np.stack(chain_reductions(10, "open", 4)[:5])
+    for i in (1, 3):
+        make_asymmetric(slices[i])
+    with pytest.raises(MalformedInputError, match=r"^slice 1: matrix is asymmetric") as excinfo:
+        symplectic_spectrum(slices)
+    assert excinfo.value.index == 1
+
+
 def test_gamma_omega_eigenvalues_are_imaginary_pairs():
     gamma, sigmas = random_valid_covariance(4, seed=11)
     eigs = np.linalg.eigvals(gamma @ symplectic_form(4))
