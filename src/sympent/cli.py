@@ -81,8 +81,9 @@ MAX_WIGNER_STEPS = 1001
 WIGNER_CHUNK_POINTS = 65_536
 # Largest point count of a sweep grid; each point builds and analyses one model.
 MAX_SWEEP_POINTS = 10_000
-# Most bytes of side-A covariances a sweep stacks for one spectrum call: 16
-# points of a 181-mode side A, 512 points of a 32-mode one.
+# Most bytes of the reduced covariances, of the smaller side of the cut, that
+# a sweep stacks for one spectrum call: 16 points of a 181-mode side, 512
+# points of a 32-mode one.
 SWEEP_STACK_BYTES = 16 * 2**20
 
 
@@ -292,20 +293,29 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     def at_point(exc: SympentError, value: float, detail: str) -> SympentError:
         return type(exc)(f"grid point {name}={_fmt(value)}: {detail}")
 
+    # Each point is a model ground state that ``validate`` certifies, and a
+    # certified state is pure at every tol. The two sides of a pure cut share
+    # their symplectic eigenvalues above 1/2, and the larger side's other
+    # |A| - |B| are exactly 1/2 (Botero and Reznik, PRA 67, 052311 (2003)).
+    # So the smaller side is solved (A on a tie) and a row of side A gains
+    # |A| - |B| values 0.5.
+    side = min(partition.set_a, partition.set_b, key=len)
+    pad = len(partition.set_a) - len(side)
+
     def reduction(value: float) -> np.ndarray:
-        """Side A of the certified ground state at one grid point."""
+        """The smaller side of the certified ground state at one grid point."""
         try:
             model = params.with_param(name, float(value)).build()
             gamma = ground_state_covariance(model)
             validate(gamma, args.tol, model).require_physical()
-            return reduce(gamma, partition.set_a)
+            return reduce(gamma, side)
         except SympentError as exc:
             raise at_point(exc, value, str(exc)) from exc
 
     # The points of a chunk are built, certified and reduced in order, then
     # one stacked call gives all their spectra, each bit for bit as if alone.
     # An error inside it names its slice, which is reported as the grid point.
-    width = 2 * len(partition.set_a)
+    width = 2 * len(side)
     chunk = max(1, SWEEP_STACK_BYTES // (8 * width * width))
     rows = []
     for start in range(0, len(grid), chunk):
@@ -318,6 +328,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         except SympentError as exc:
             detail = str(exc).removeprefix(f"slice {exc.index}: ")
             raise at_point(exc, values[exc.index], detail) from exc
+        # padded, then sorted descending again: a rounded 1/2 just below the
+        # pad stays last
+        spectra = np.pad(spectra, ((0, 0), (0, pad)), constant_values=VACUUM_SIGMA)
+        spectra = np.sort(spectra, axis=1)[:, ::-1]
         rows += [
             [_fmt(value)]
             + [_fmt(s) for s in spectrum]

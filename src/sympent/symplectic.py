@@ -180,7 +180,11 @@ def _hermitian_form(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     built from."""
     [(w, v)] = _spd_eigh(gamma)
     root = _root(w, v)
-    return 1j * (root @ symplectic_form(w.shape[-1] // 2) @ root), w, v
+    # root @ Omega, with Omega = [[0, I], [-I, 0]], is root's column halves
+    # swapped and the new first half negated: no product with Omega's zeros
+    n = w.shape[-1] // 2
+    root_omega = np.concatenate([-root[..., n:], root[..., :n]], axis=-1)
+    return 1j * (root_omega @ root), w, v
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:

@@ -306,6 +306,57 @@ def test_sweep_point_is_certified_not_solved(capsys, tmp_path, monkeypatch, lina
     assert shapes == [("eigh", (4, 3, 3)), ("eigh", (4, 3, 3)), ("svd", (4, 3, 3))]
 
 
+def test_sweep_solves_the_smaller_side_of_the_cut(capsys, tmp_path, monkeypatch, linalg_calls):
+    # side A has 4 of the 6 modes, so the 4 points stack side B: one (4, 4, 4)
+    # stack, two block eigh of (4, 2, 2) and one SVD
+    shapes = []
+    for name in ("eigh", "svd"):
+        recorded = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg,
+            name,
+            lambda a, *args, _fn=recorded, _name=name, **kwargs: shapes.append((_name, a.shape))
+            or _fn(a, *args, **kwargs),
+        )
+    stacks = []
+    real = cli.symplectic_spectrum
+    monkeypatch.setattr(cli, "symplectic_spectrum", lambda g: stacks.append(g.shape) or real(g))
+    spec = tmp_path / "sweep.json"
+    write_sweep_json(spec, CHAIN6, count=4, partition="1,2,3,4|5,6")
+    code, _, _ = run(capsys, "sweep", str(spec), "--out", str(tmp_path / "sweep.csv"))
+    assert code == 0
+    assert stacks == [(4, 4, 4)]
+    assert sorted(name for name, _ in linalg_calls) == ["eigh", "eigh", "svd"]
+    assert shapes == [("eigh", (4, 2, 2)), ("eigh", (4, 2, 2)), ("svd", (4, 2, 2))]
+
+
+def test_sweep_stacks_side_a_on_a_tie(capsys, tmp_path, monkeypatch):
+    stacks = []
+    real = cli.symplectic_spectrum
+    monkeypatch.setattr(cli, "symplectic_spectrum", lambda g: stacks.append(g) or real(g))
+    spec = tmp_path / "sweep.json"
+    write_sweep_json(spec, CHAIN6, start=0.5, stop=2.0, count=4, partition="4,5,6|1,2,3")
+    assert run(capsys, "sweep", str(spec), "--out", str(tmp_path / "sweep.csv"))[0] == 0
+    [stack] = stacks
+    for slice_, lam in zip(stack, np.linspace(0.5, 2.0, 4)):
+        model = chain_model(6, 1.0, 1.0, lam, "periodic")
+        np.testing.assert_array_equal(slice_, reduce(ground_state_covariance(model), [4, 5, 6]))
+
+
+def test_padded_sweep_row_stays_sorted_below_one_half(capsys, tmp_path):
+    # at lambda = 1e-9 both sigma of modes 5, 6 round to 0.49999999999999983,
+    # so the two 0.5 of the pad go before them
+    spec = tmp_path / "sweep.json"
+    out_csv = tmp_path / "sweep.csv"
+    write_sweep_json(spec, CHAIN6, start=0.0, stop=1e-9, count=2, partition="1,2,3,4|5,6")
+    assert run(capsys, "sweep", str(spec), "--out", str(out_csv))[0] == 0
+    _, _, rows = read_csv_rows(out_csv)
+    assert rows[1][1:5] == ["0.5", "0.5", "0.49999999999999983", "0.49999999999999983"]
+    for row in rows:
+        sigmas = [float(c) for c in row[1:5]]
+        assert sigmas == sorted(sigmas, reverse=True)
+
+
 def test_sweep_reports_a_failing_slice_as_its_grid_point(capsys, tmp_path, monkeypatch):
     # certified points do not fail the spectrum's checks, so slice 2 of the
     # stack is spoiled on its way in
@@ -610,6 +661,29 @@ def test_sweep_chain_sides_agree(capsys, tmp_path):
     _, _, rows_b = read_csv_rows(out_b)
     for ra, rb in zip(rows_a, rows_b):
         assert abs(float(ra[-2]) - float(rb[-2])) < 1e-8
+
+
+def test_mirror_sweeps_share_their_totals_and_spectrum(capsys, tmp_path):
+    # both stack the reduction to modes 1, 2, so param, total_bits and s_count
+    # are the same bytes, and the 4-mode side's sigma are the 2-mode side's
+    # followed by two exact 0.5. A certified point is pure at every tol, so
+    # the side chosen, and the CSV, are the same at --tol 0.
+    model = dict(CHAIN6, boundary="open")
+    outputs = {}
+    for partition, tol in (("1,2|3,4,5,6", "1e-8"), ("3,4,5,6|1,2", "1e-8"), ("3,4,5,6|1,2", "0")):
+        spec = tmp_path / "sweep.json"
+        out_csv = tmp_path / f"{partition}-{tol}.csv"
+        write_sweep_json(spec, model, start=0.5, stop=3.0, count=6, partition=partition)
+        assert run(capsys, "sweep", str(spec), "--out", str(out_csv), "--tol", tol)[0] == 0
+        outputs[partition, tol] = out_csv
+    small = read_csv_rows(outputs["1,2|3,4,5,6", "1e-8"])[2]
+    large = read_csv_rows(outputs["3,4,5,6|1,2", "1e-8"])[2]
+    assert len(small) == len(large) == 6
+    for s_row, l_row in zip(small, large):
+        assert [s_row[0]] + s_row[-2:] == [l_row[0]] + l_row[-2:]
+        assert l_row[1:-2] == s_row[1:-2] + ["0.5", "0.5"]
+        assert float(s_row[2]) > 0.5
+    assert outputs["3,4,5,6|1,2", "0"].read_bytes() == outputs["3,4,5,6|1,2", "1e-8"].read_bytes()
 
 
 def test_sweep_requires_out(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -19,6 +20,7 @@ from sympent import (
     symplectic_spectrum,
     validate,
 )
+from sympent.cli import main
 from sympent.models import _laplacian_modes
 from sympent.symplectic import _fix_phases
 
@@ -200,16 +202,16 @@ def test_chains_of_one_size_share_one_read_only_mode_table(boundary):
     assert chain_model(n, 1.0, 1.0, 0.5, boundary).eigenvectors is not a.eigenvectors
 
 
-def exact_half_cut_excess(v, m):
-    """sigma - 1/2 of the ground state's reduction to sites 1..n/2, descending,
+def exact_cut_excess(v, m, size):
+    """sigma - 1/2 of the ground state's reduction to sites 1..size, descending,
     from the 40-digit eigenpairs of the potential V itself."""
-    n, half = v.shape[0], v.shape[0] // 2
+    n = v.shape[0]
     with mpmath.workdps(40):
         e, q = mpmath.eigsy(mpmath.matrix(v.tolist()))
         root = [mpmath.sqrt(e[k]) for k in range(n)]
-        x, p = mpmath.matrix(half, half), mpmath.matrix(half, half)
-        for i in range(half):
-            for j in range(i, half):
+        x, p = mpmath.matrix(size, size), mpmath.matrix(size, size)
+        for i in range(size):
+            for j in range(i, size):
                 pair = [q[i, k] * q[j, k] for k in range(n)]
                 x[i, j] = x[j, i] = mpmath.fsum(a / r for a, r in zip(pair, root)) / (2 * m)
                 p[i, j] = p[j, i] = mpmath.fsum(a * r for a, r in zip(pair, root)) * m / 2
@@ -231,8 +233,26 @@ def test_half_cut_spectrum_matches_the_exact_model(n, boundary, lam):
     # modes), 2.5e-14 (modes from eigh of V, which fails this gate).
     model = chain_model(n, 1.0, 1.0, lam, boundary)
     got = symplectic_spectrum(reduce(ground_state_covariance(model), range(1, n // 2 + 1)))
-    want = exact_half_cut_excess(model.potential, 1.0)
+    want = exact_cut_excess(model.potential, 1.0, n // 2)
     assert max(abs(float(g - 0.5 - w)) for g, w in zip(got, want)) <= 1e-14
+
+
+@pytest.mark.parametrize("boundary,lam", [(b, lam) for b in ("open", "periodic") for lam in (0.01, 100.0)])
+def test_padded_sweep_row_matches_the_exact_model(tmp_path, boundary, lam):
+    # a sweep solves the 4 sites of B of a 12|4 cut and pads its row of side
+    # A with 8 values 0.5, against the exact reduction to sites 1..12
+    model = {"type": "chain", "n": 16, "m": 1.0, "omega": 1.0, "lambda": lam, "boundary": boundary}
+    spec = tmp_path / "sweep.json"
+    partition = ",".join(map(str, range(1, 13))) + "|13,14,15,16"
+    grid = {"start": lam, "stop": 2 * lam, "count": 2}
+    spec.write_text(json.dumps({"model": model, "parameter": "lambda", "grid": grid, "partition": partition}))
+    assert main(["sweep", str(spec), "--out", str(tmp_path / "sweep.csv")]) == 0
+    lines = (tmp_path / "sweep.csv").read_text(encoding="utf-8").splitlines()
+    row = lines[3].split(",")
+    assert float(row[0]) == lam
+    assert row[5:13] == ["0.5"] * 8
+    want = exact_cut_excess(chain_model(16, 1.0, 1.0, lam, boundary).potential, 1.0, 12)
+    assert max(abs(float(float(g) - 0.5 - w)) for g, w in zip(row[1:13], want)) <= 1e-14
 
 
 def test_ill_conditioned_chain_is_refused_without_an_eigensolver(linalg_calls):
