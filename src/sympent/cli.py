@@ -294,11 +294,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return type(exc)(f"grid point {name}={_fmt(value)}: {detail}")
 
     # Each point is a model ground state that ``validate`` certifies, and a
-    # certified state is pure at every tol. The two sides of a pure cut share
-    # their symplectic eigenvalues above 1/2, and the larger side's other
-    # |A| - |B| are exactly 1/2 (Botero and Reznik, PRA 67, 052311 (2003)).
-    # So the smaller side is solved (A on a tie) and a row of side A gains
-    # |A| - |B| values 0.5.
+    # certified state is valid and pure at every tol (so sweep reads none).
+    # The two sides of a pure cut share their symplectic eigenvalues above
+    # 1/2, and the larger side's other |A| - |B| are exactly 1/2 (Botero and
+    # Reznik, PRA 67, 052311 (2003)). So the smaller side is solved (A on a
+    # tie) and a row of side A gains |A| - |B| values 0.5.
     side = min(partition.set_a, partition.set_b, key=len)
     pad = len(partition.set_a) - len(side)
 
@@ -307,7 +307,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         try:
             model = params.with_param(name, float(value)).build()
             gamma = ground_state_covariance(model)
-            validate(gamma, args.tol, model).require_physical()
+            validate(gamma, model=model).require_physical()
             return reduce(gamma, side)
         except SympentError as exc:
             raise at_point(exc, value, str(exc)) from exc
@@ -535,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", required=True, help='partition string, e.g. "1,2|3,4" (1-based)')
     p.set_defaults(func=_cmd_entropy)
 
-    p = sub.add_parser("sweep", parents=[tol, out], help="entropy along a model parameter grid")
+    p = sub.add_parser("sweep", parents=[out], help="entropy along a model parameter grid")
     p.add_argument("spec", help="sweep spec JSON file")
     p.set_defaults(func=_cmd_sweep)
 

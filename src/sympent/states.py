@@ -419,6 +419,8 @@ def covariance_from_csv_text(text: str) -> np.ndarray:
         n = int(tags["n"])
     except (KeyError, ValueError) as exc:
         raise MalformedInputError("covariance CSV header must carry n=<modes>") from exc
+    if n < 1:
+        raise MalformedInputError(f"mode count must be a positive integer, got {n!r}")
     rows = lines[1:]
     if len(rows) != 2 * n:
         raise MalformedInputError(f"expected {2 * n} data rows for n={n}, got {len(rows)}")

@@ -169,22 +169,16 @@ def _xp_blocks(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return gamma[..., :n, :n], gamma[..., n:, n:]
 
 
-def _root(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Symmetric square root of the matrix with eigenpairs (w, v)."""
-    return (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v, -1, -2)
-
-
 def _hermitian_form(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """H = i gamma^{1/2} Omega gamma^{1/2}, Hermitian with eigenvalues
-    +-sigma_i, and the eigenpairs (w, v) of gamma (``_spd_eigh``) it is
-    built from."""
+    """H = i C^T Omega C, Hermitian with eigenvalues +-sigma_i, and the
+    eigenpairs (w, v) of gamma (``_spd_eigh``) it is built from. With
+    C = v diag(sqrt(w)), gamma = C C^T and C^T Omega C is similar to
+    gamma Omega; with C's row halves C_q, C_p it is M - M^T, M = C_q^T C_p."""
     [(w, v)] = _spd_eigh(gamma)
-    root = _root(w, v)
-    # root @ Omega, with Omega = [[0, I], [-I, 0]], is root's column halves
-    # swapped and the new first half negated: no product with Omega's zeros
+    c = v * np.sqrt(w)[..., None, :]
     n = w.shape[-1] // 2
-    root_omega = np.concatenate([-root[..., n:], root[..., :n]], axis=-1)
-    return 1j * (root_omega @ root), w, v
+    m = np.swapaxes(c[..., :n, :], -1, -2) @ c[..., n:, :]
+    return 1j * (m - np.swapaxes(m, -1, -2)), w, v
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
@@ -221,15 +215,14 @@ def symplectic_spectrum(gamma: np.ndarray) -> np.ndarray:
     or of each slice of a stack of them.
 
     The eigenvalues of gamma @ Omega are purely imaginary pairs +-i*sigma_i;
-    the returned sigma_i are their absolute values. They are computed as the
-    positive eigenvalues of the Hermitian matrix
-    i * gamma^{1/2} @ Omega @ gamma^{1/2}, which shares them exactly and keeps
-    the computation inside a symmetric eigensolver. When gamma = X (+) P has
-    no q-p correlations, gamma^{1/2} = X^{1/2} (+) P^{1/2} and the same
-    sigma_i are the singular values of the real n x n matrix X^{1/2} P^{1/2}
-    (Peschel 2003; Audenaert, Eisert, Plenio, Werner 2002). The roots come
-    from ``_spd_eigh``, so gamma's condition number must stay below
-    1/SINGULAR_RTOL.
+    the returned sigma_i are their absolute values: the positive eigenvalues
+    of the Hermitian i C^T Omega C of gamma's factor C (``_hermitian_form``),
+    from a symmetric eigensolver and with no matrix square root. When
+    gamma = X (+) P has no q-p correlations, C = C_x (+) C_p and
+    C^T Omega C = [[0, M], [-M^T, 0]], M = C_x^T C_p, so the sigma_i are the
+    singular values of the real n x n matrix M (Peschel 2003; Audenaert,
+    Eisert, Plenio, Werner 2002). Gamma's condition number must stay below
+    1/SINGULAR_RTOL (``_spd_eigh``).
 
     A (P, 2n, 2n) stack gives a (P, n) array whose row i is the spectrum of
     slice i, bit for bit: numpy's stacked eigh, svd and matmul make the same
@@ -245,7 +238,8 @@ def symplectic_spectrum(gamma: np.ndarray) -> np.ndarray:
     blocks = _xp_blocks(gamma)
     if blocks is not None:
         (wx, vx), (wp, vp) = _spd_eigh(*blocks)
-        return np.linalg.svd(_root(wx, vx) @ _root(wp, vp), compute_uv=False)
+        cx, cp = vx * np.sqrt(wx)[..., None, :], vp * np.sqrt(wp)[..., None, :]
+        return np.linalg.svd(np.swapaxes(cx, -1, -2) @ cp, compute_uv=False)
     eigs = np.linalg.eigvalsh(_hermitian_form(gamma)[0])
     return eigs[..., ::-1][..., :n].copy()
 
@@ -267,12 +261,14 @@ class WilliamsonDecomposition:
 def williamson(gamma: np.ndarray) -> WilliamsonDecomposition:
     """Williamson normal form of a symmetric positive-definite 2n x 2n matrix.
 
-    Construction: the Hermitian H = i A, A = gamma^{1/2} Omega gamma^{1/2}
-    (the matrix ``symplectic_spectrum`` takes its eigenvalues from), has
-    eigenvalues +-sigma_i. Its eigenvectors u = (a - i b)/sqrt(2) for the
-    n positive ones give each mode's orthonormal (q, p) basis pair (a, b):
-    A a = -sigma b and A b = sigma a. With O the rows a_1..a_n, b_1..b_n,
-    the symplectic congruence is S_w = normal_form^{1/2} @ O @ gamma^{-1/2}.
+    Construction: the eigenvectors of H = i C^T Omega C (``_hermitian_form``,
+    eigenvalues +-sigma_i), mapped back by gamma's eigenvectors v, are those
+    of i A, A = v C^T Omega C v^T = gamma^{1/2} Omega gamma^{1/2}. For the
+    n positive ones they are u = (a - i b)/sqrt(2), which give each mode's
+    orthonormal (q, p) basis pair (a, b): A a = -sigma b and A b = sigma a.
+    With O the rows a_1..a_n, b_1..b_n, the symplectic congruence is
+    S_w = normal_form^{1/2} @ O @ gamma^{-1/2}, with gamma^{-1/2} applied
+    as its factors v diag(w^{-1/2}) v^T.
 
     Modes are sorted by descending sigma; equal sigma keep the reverse of
     ``numpy.linalg.eigh``'s order, so identical input gives an identical
@@ -291,12 +287,13 @@ def williamson(gamma: np.ndarray) -> WilliamsonDecomposition:
     omega = symplectic_form(n)
     herm, w, v = _hermitian_form(gamma)
     eigs, vecs = np.linalg.eigh(herm)
+    vecs = v @ vecs
     sigmas = eigs[n:][::-1]
     u = _fix_phases(vecs[:, n:][:, ::-1])
     ortho = np.sqrt(2.0) * np.concatenate([u.real, -u.imag], axis=1).T
     sig_pair = np.concatenate([sigmas, sigmas])
     normal_form = np.diag(sig_pair)
-    transform = (np.sqrt(sig_pair)[:, None] * ortho) @ ((v / np.sqrt(w)) @ v.T)
+    transform = ((np.sqrt(sig_pair)[:, None] * ortho) @ v / np.sqrt(w)) @ v.T
 
     s_norm_sq = sigmas[0] / w[0]
     _require_residuals(

@@ -344,14 +344,14 @@ def test_sweep_stacks_side_a_on_a_tie(capsys, tmp_path, monkeypatch):
 
 
 def test_padded_sweep_row_stays_sorted_below_one_half(capsys, tmp_path):
-    # at lambda = 1e-9 both sigma of modes 5, 6 round to 0.49999999999999983,
-    # so the two 0.5 of the pad go before them
+    # at lambda = 1e-9 the sigma of modes 5, 6 round to 0.5 and
+    # 0.49999999999999978, so the two 0.5 of the pad go before the second
     spec = tmp_path / "sweep.json"
     out_csv = tmp_path / "sweep.csv"
     write_sweep_json(spec, CHAIN6, start=0.0, stop=1e-9, count=2, partition="1,2,3,4|5,6")
     assert run(capsys, "sweep", str(spec), "--out", str(out_csv))[0] == 0
     _, _, rows = read_csv_rows(out_csv)
-    assert rows[1][1:5] == ["0.5", "0.5", "0.49999999999999983", "0.49999999999999983"]
+    assert rows[1][1:5] == ["0.5", "0.5", "0.5", "0.49999999999999978"]
     for row in rows:
         sigmas = [float(c) for c in row[1:5]]
         assert sigmas == sorted(sigmas, reverse=True)
@@ -666,24 +666,22 @@ def test_sweep_chain_sides_agree(capsys, tmp_path):
 def test_mirror_sweeps_share_their_totals_and_spectrum(capsys, tmp_path):
     # both stack the reduction to modes 1, 2, so param, total_bits and s_count
     # are the same bytes, and the 4-mode side's sigma are the 2-mode side's
-    # followed by two exact 0.5. A certified point is pure at every tol, so
-    # the side chosen, and the CSV, are the same at --tol 0.
+    # followed by two exact 0.5
     model = dict(CHAIN6, boundary="open")
     outputs = {}
-    for partition, tol in (("1,2|3,4,5,6", "1e-8"), ("3,4,5,6|1,2", "1e-8"), ("3,4,5,6|1,2", "0")):
+    for partition in ("1,2|3,4,5,6", "3,4,5,6|1,2"):
         spec = tmp_path / "sweep.json"
-        out_csv = tmp_path / f"{partition}-{tol}.csv"
+        out_csv = tmp_path / f"{partition}.csv"
         write_sweep_json(spec, model, start=0.5, stop=3.0, count=6, partition=partition)
-        assert run(capsys, "sweep", str(spec), "--out", str(out_csv), "--tol", tol)[0] == 0
-        outputs[partition, tol] = out_csv
-    small = read_csv_rows(outputs["1,2|3,4,5,6", "1e-8"])[2]
-    large = read_csv_rows(outputs["3,4,5,6|1,2", "1e-8"])[2]
+        assert run(capsys, "sweep", str(spec), "--out", str(out_csv))[0] == 0
+        outputs[partition] = out_csv
+    small = read_csv_rows(outputs["1,2|3,4,5,6"])[2]
+    large = read_csv_rows(outputs["3,4,5,6|1,2"])[2]
     assert len(small) == len(large) == 6
     for s_row, l_row in zip(small, large):
         assert [s_row[0]] + s_row[-2:] == [l_row[0]] + l_row[-2:]
         assert l_row[1:-2] == s_row[1:-2] + ["0.5", "0.5"]
         assert float(s_row[2]) > 0.5
-    assert outputs["3,4,5,6|1,2", "0"].read_bytes() == outputs["3,4,5,6|1,2", "1e-8"].read_bytes()
 
 
 def test_sweep_requires_out(capsys, tmp_path):
@@ -1039,16 +1037,17 @@ def test_usage_errors_exit_one(capsys, tmp_path):
     "command,option",
     [
         ("sweep", ["--base", "nats"]),
+        ("sweep", ["--tol", "1e-3"]),
         ("spectrum", ["--tol", "1e-3"]),
         ("validate", ["--base", "nats"]),
         ("spectrum", ["--base", "nats"]),
         ("wigner", ["--base", "nats"]),
     ],
-    ids=["sweep-base", "spectrum-tol", "validate-base", "spectrum-base", "wigner-base"],
+    ids=["sweep-base", "sweep-tol", "spectrum-tol", "validate-base", "spectrum-base", "wigner-base"],
 )
 def test_unread_options_are_usage_errors(capsys, tmp_path, command, option):
-    # sweep always writes bits, spectrum has no tolerance, and validate,
-    # spectrum and wigner compute no entropy, so none takes the option
+    # sweep always writes bits, sweep and spectrum have no tolerance, and
+    # validate, spectrum and wigner compute no entropy, so none takes the option
     path = tmp_path / "input.json"
     model = {"type": "two_oscillator", "m": 1.0, "omega": 1.0, "lambda": 2.0}
     if command == "sweep":

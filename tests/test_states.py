@@ -506,6 +506,16 @@ def test_csv_hbar_tag_follows_the_json_rule(tag, accepted):
             read(value)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_csv_mode_count_tag_follows_the_json_rule(n):
+    # n=0 would otherwise fail on the row width, and n=-1 on the row count
+    text = f"# sympent covariance n={n} ordering=qqpp\n0.5,0\n0,0.5\n"
+    obj = {"n": n, "ordering": "qqpp", "matrix": [0.5, 0, 0, 0.5]}
+    for read, value in ((covariance_from_csv_text, text), (covariance_from_json_dict, obj)):
+        with pytest.raises(MalformedInputError, match=f"^mode count must be a positive integer, got {n}$"):
+            read(value)
+
+
 @pytest.mark.parametrize(
     "text,cause",
     [

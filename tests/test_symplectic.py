@@ -149,12 +149,14 @@ def mpmath_spectrum(gamma):
 
 @pytest.mark.parametrize("r", [1.0, 3.0, 5.0, 6.0, 6.5])
 def test_squeezed_spectrum_matches_mpmath_of_rounded_input(r):
-    # From r ~ 5 the rounded input itself is slightly unphysical: at r = 6
+    # The squeezed vacuum (nu = 1/2) and squeezed thermal states nu * 2 Gamma_TMSV.
+    # From r ~ 5 the rounded vacuum itself is slightly unphysical: at r = 6
     # its exact sigma is 1/2 - 3.4e-8, which both routes reproduce.
-    gamma = two_mode_squeezed(r)
-    want = mpmath_spectrum(gamma)
-    for got in [symplectic_spectrum(gamma)] + general_route_spectra([gamma]):
-        assert max(abs(float(mpmath.mpf(g) - w)) for g, w in zip(got, want)) < 1e-10
+    for nu in (0.5, 0.7, 2.0):
+        gamma = 2.0 * nu * two_mode_squeezed(r)
+        want = mpmath_spectrum(gamma)
+        for got in [symplectic_spectrum(gamma)] + general_route_spectra([gamma]):
+            assert max(abs(float(mpmath.mpf(g) - w)) for g, w in zip(got, want)) < 1e-10
 
 
 EPS = np.finfo(float).eps
