@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: validate, spectrum, entropy, sweep, verify, wigner. Inputs are
-covariance files (JSON or headered CSV) or model JSON files; model inputs are
-expanded to their ground-state covariance matrix. A command that checks
-physicality calls ``validate(gamma, tol, model)`` once, after any partition
-or mode check, which certifies a model and solves a file. All primary output is
+covariance files (JSON or headered CSV) or model JSON files. A model input
+stays a ``QuadraticModel``, which stands for its ground state: its 2n x 2n
+covariance matrix is never formed, its reductions come from rows of its
+normal-mode factors, and ``spectrum`` prints its certificate's n values of
+1/2. A command that checks physicality calls ``validate(state, tol)`` once,
+after any partition or mode check, which certifies a model and solves a
+file. All primary output is
 deterministic (byte-identical on identical inputs and options, at a fixed
 BLAS thread count); the run record, which carries a timestamp and names the
 CPU count and BLAS thread settings, goes to stderr. Output files are written
@@ -51,7 +54,6 @@ from .models import (
     _is_json_int,
     _json_number,
     _unique_fields,
-    ground_state_covariance,
 )
 from .states import (
     DEFAULT_TOL,
@@ -59,6 +61,7 @@ from .states import (
     ORDERING,
     VACUUM_SIGMA,
     ModePartition,
+    _as_state,
     _check_number_text,
     covariance_from_csv_text,
     covariance_from_json_dict,
@@ -67,7 +70,7 @@ from .states import (
     validate,
     wigner_values,
 )
-from .symplectic import mode_count, symplectic_spectrum
+from .symplectic import symplectic_spectrum
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -190,22 +193,21 @@ def _parse_json(text: str, path: str):
         raise MalformedInputError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _load_state(text: str, path: str) -> tuple[np.ndarray, dict, QuadraticModel | None]:
-    """Covariance matrix of the text of a covariance file (JSON or headered
-    CSV) or a model JSON file, its input metadata, and the model whose ground
-    state it is (None for a file): the one state loader of the CLI. The
-    commands pass the model on to ``validate``."""
+def _load_state(text: str, path: str) -> tuple[np.ndarray | QuadraticModel, dict]:
+    """The state of the text of a covariance file (JSON or headered CSV) or a
+    model JSON file, and its input metadata: the one state loader of the CLI.
+    A file gives its covariance matrix, a model file the model itself, which
+    ``validate``, ``reduce`` and ``entanglement_entropy`` take as its ground
+    state."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         obj = _parse_json(text, path)
         if isinstance(obj, dict) and "type" in obj:
             params = ModelParams.from_json_dict(obj)
-            model = params.build()
-            meta = {"kind": "model", "model": params.to_json_dict()}
-            return ground_state_covariance(model), meta, model
-        return covariance_from_json_dict(obj), {"kind": "covariance"}, None
+            return params.build(), {"kind": "model", "model": params.to_json_dict()}
+        return covariance_from_json_dict(obj), {"kind": "covariance"}
     if stripped.startswith("#"):
-        return covariance_from_csv_text(text), {"kind": "covariance"}, None
+        return covariance_from_csv_text(text), {"kind": "covariance"}
     raise MalformedInputError(
         "unrecognized covariance file: expected a JSON object or a headered CSV"
     )
@@ -216,32 +218,36 @@ def _load_state(text: str, path: str) -> tuple[np.ndarray, dict, QuadraticModel 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     text, digest = _read_input(args.file)
-    gamma, _, model = _load_state(text, args.file)
-    report = validate(gamma, args.tol, model)
+    state, _ = _load_state(text, args.file)
+    report = validate(state, args.tol)
     payload = report.to_json_dict()
     # A certified ground state X (+) P needs no solve: heisenberg_margin's real
     # form [[X, -I/2], [-I/2, P]] of Gamma + (i/2) Omega is orthogonally
     # similar to n blocks [[a, -1/2], [-1/2, b]] with ab = 1/4, each singular.
-    payload["min_heisenberg_eigenvalue"] = heisenberg_margin(gamma) if model is None else 0.0
+    certified = isinstance(state, QuadraticModel)
+    payload["min_heisenberg_eigenvalue"] = 0.0 if certified else heisenberg_margin(state)
     _finish(args, digest, payload)
     return EXIT_OK if report.valid else EXIT_UNPHYSICAL
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     text, digest = _read_input(args.input)
-    gamma, meta, _ = _load_state(text, args.input)
-    sigmas = symplectic_spectrum(gamma)
-    _finish(args, digest, {"n": mode_count(gamma), "input": meta, "sigmas": [float(s) for s in sigmas]})
+    state, meta = _load_state(text, args.input)
+    if isinstance(state, QuadraticModel):
+        # the certificate proves the ground state's spectrum: n values of 1/2
+        validate(state)
+        sigmas = np.full(state.n, VACUUM_SIGMA)
+    else:
+        sigmas = symplectic_spectrum(state)
+    _finish(args, digest, {"n": len(sigmas), "input": meta, "sigmas": [float(s) for s in sigmas]})
     return EXIT_OK
 
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
     text, digest = _read_input(args.input)
-    gamma, meta, model = _load_state(text, args.input)
+    state, meta = _load_state(text, args.input)
     partition = ModePartition.from_string(args.partition)
-    report = entanglement_entropy(
-        gamma, partition, base=args.base, include_b=True, tol=args.tol, model=model
-    )
+    report = entanglement_entropy(state, partition, base=args.base, include_b=True, tol=args.tol)
     payload = report.to_json_dict()
     payload["input"] = meta
     _finish(args, digest, payload, base=args.base)
@@ -306,9 +312,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         """The smaller side of the certified ground state at one grid point."""
         try:
             model = params.with_param(name, float(value)).build()
-            gamma = ground_state_covariance(model)
-            validate(gamma, model=model).require_physical()
-            return reduce(gamma, side)
+            validate(model).require_physical()
+            return reduce(model, side)
         except SympentError as exc:
             raise at_point(exc, value, str(exc)) from exc
 
@@ -431,12 +436,11 @@ def _cmd_wigner(args: argparse.Namespace) -> int:
         raise MalformedInputError("wigner writes a CSV file; pass --out <path>")
     extent, steps = _parse_wigner_grid(args.grid)
     text, digest = _read_input(args.input)
-    gamma, _, model = _load_state(text, args.input)
-    n = mode_count(gamma)
+    state, n = _as_state(_load_state(text, args.input)[0])
     if not (1 <= args.mode <= n):
         raise MalformedInputError(f"--mode must be in 1..{n}, got {args.mode}")
-    validate(gamma, args.tol, model).require_physical()
-    single = reduce(gamma, [args.mode])
+    validate(state, args.tol).require_physical()
+    single = reduce(state, [args.mode])
 
     axis = np.linspace(-extent, extent, steps)
     dx = axis[1] - axis[0]

@@ -21,8 +21,8 @@ import numpy as np
 from .errors import InvalidPartitionError, MalformedInputError, UnphysicalEigenvalueError
 from .logbase import BITS, LN2, log_fn
 from .models import QuadraticModel
-from .states import DEFAULT_TOL, ModePartition, reduce, validate
-from .symplectic import mode_count, symplectic_spectrum
+from .states import DEFAULT_TOL, ModePartition, _as_state, reduce, validate
+from .symplectic import symplectic_spectrum
 
 # Eigenvalues within this band of 1/2 are treated as exactly pure; below the
 # band mode_entropy, thermal_parameter and ThermalMode.from_sigma raise, never
@@ -165,41 +165,41 @@ def _s_count(spectrum: np.ndarray) -> int:
 
 
 def entanglement_entropy(
-    gamma: np.ndarray,
+    state: np.ndarray | QuadraticModel,
     partition: ModePartition,
     base: str = BITS,
     include_b: bool = False,
     tol: float = DEFAULT_TOL,
-    model: QuadraticModel | None = None,
 ) -> EntropyReport:
     """Entropy of the reduction to side A of ``partition``, with per-mode detail.
 
+    ``state`` is a covariance matrix Gamma or a ``QuadraticModel``, which
+    stands for its ground state: its verdict is the model's certificate and
+    its reductions come from rows of its factors, so no full Gamma is formed
+    and no full-state solve runs (``validate``, ``reduce``).
     For a pure global state this is the entanglement entropy between A and B
     (and equals the B-side total); pass ``include_b=True`` to also carry the
     B-side spectrum and total for that cross-check. ``include_b`` applies to
     pure global states only: for a mixed state the two sides need not agree,
     so the B side is not computed and ``spectrum_b`` stays None.
-    Gamma must pass ``validate(gamma, tol, model)``, the only vacuum floor: a
+    The state must pass ``validate(state, tol)``, the only vacuum floor: a
     reduction eigenvalue below 1/2 then counts as 1/2 (``spectrum_a`` keeps
-    its value). Given the ``model`` whose ground state Gamma is, that verdict
-    is the model's certificate, with no full-state solve. The base name and
-    then the partition are checked first.
+    its value). The base name and then the partition are checked first.
     """
     log_fn(base)  # validate the base name
-    gamma = np.asarray(gamma, dtype=float)
-    n = mode_count(gamma)
+    state, n = _as_state(state)
     if partition.n != n:
         raise InvalidPartitionError(f"partition is over {partition.n} modes but the state has {n}")
-    report = validate(gamma, tol, model)
+    report = validate(state, tol)
     report.require_physical()
-    spectrum_a = symplectic_spectrum(reduce(gamma, partition.set_a))
+    spectrum_a = symplectic_spectrum(reduce(state, partition.set_a))
     total_bits = _total_bits(spectrum_a)
     s_count = _s_count(spectrum_a)
 
     spectrum_b = None
     total_b_bits = None
     if include_b and report.pure:
-        spectrum_b = symplectic_spectrum(reduce(gamma, partition.set_b))
+        spectrum_b = symplectic_spectrum(reduce(state, partition.set_b))
         total_b_bits = _total_bits(spectrum_b)
 
     total = total_bits if base == BITS else total_bits * LN2

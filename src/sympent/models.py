@@ -35,8 +35,9 @@ BOUNDARIES = ("open", "periodic")
 MODEL_TYPES = ("two_oscillator", "chain")
 # Model JSON name of each parameter a sweep may vary -> its ModelParams field.
 SWEEP_PARAMETERS = {"lambda": "lam", "omega": "omega", "m": "m"}
-# Largest mode count of a model; its 2n x 2n covariance matrix then takes
-# 32 n^2 bytes = 128 MiB.
+# Largest mode count of a model. Its factors then take 16 n^2 bytes = 64 MiB;
+# its 2n x 2n covariance matrix, which only ``ground_state_covariance``
+# forms, would take 32 n^2 bytes = 128 MiB.
 MAX_MODES = 2048
 
 
@@ -141,7 +142,7 @@ class QuadraticModel:
     @functools.cached_property
     def mode_factors(self) -> tuple[np.ndarray, np.ndarray]:
         """The factors (q, r) of ``_mode_factors``, computed on first use and
-        kept read-only: the ground state and its certificate read the same pair."""
+        kept read-only: the certificate and every reduction read the same pair."""
         q, r = _mode_factors(self)
         q.flags.writeable = r.flags.writeable = False
         return q, r
@@ -264,15 +265,20 @@ def _mode_factors(model: QuadraticModel) -> tuple[np.ndarray, np.ndarray]:
     return model.eigenvectors / root, model.eigenvectors * root
 
 
-def ground_state_covariance(model: QuadraticModel) -> np.ndarray:
-    """Covariance matrix of the model's (pure, Gaussian) ground state, its
-    blocks Gram products of ``model.mode_factors``, so exactly symmetric."""
-    q, r = model.mode_factors
-    n = model.n
-    gamma = np.zeros((2 * n, 2 * n))
-    gamma[:n, :n] = q @ q.T / 2.0
-    gamma[n:, n:] = r @ r.T / 2.0
+def _gram_covariance(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """X (+) P with X = q q^T / 2 and P = r r^T / 2, for factor rows q and r
+    of one shape: Gram products, so exactly symmetric."""
+    k = len(q)
+    gamma = np.zeros((2 * k, 2 * k))
+    gamma[:k, :k] = q @ q.T / 2.0
+    gamma[k:, k:] = r @ r.T / 2.0
     return gamma
+
+
+def ground_state_covariance(model: QuadraticModel) -> np.ndarray:
+    """Covariance matrix of the model's (pure, Gaussian) ground state, from
+    all rows of ``model.mode_factors`` (``_gram_covariance``)."""
+    return _gram_covariance(*model.mode_factors)
 
 
 # --- serialization ---------------------------------------------------------

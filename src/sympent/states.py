@@ -28,7 +28,7 @@ from .errors import (
     MalformedInputError,
     NumericalFailureError,
 )
-from .models import QuadraticModel, _check_fields, _is_json_int, _unique_fields
+from .models import QuadraticModel, _check_fields, _gram_covariance, _is_json_int, _unique_fields
 from .symplectic import (
     _check_finite,
     _check_symmetric,
@@ -151,63 +151,94 @@ def heisenberg_margin(gamma: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(herm)[0])
 
 
-def validate(
-    gamma: np.ndarray, tol: float = DEFAULT_TOL, model: QuadraticModel | None = None
-) -> ValidationReport:
-    """Check that Gamma is a physical covariance matrix: the package's one
-    verdict, by the floor and purity rule of ``ValidationReport.from_spectrum``.
+def _as_state(state) -> tuple[np.ndarray | QuadraticModel, int]:
+    """A ``QuadraticModel`` as given, which stands for its ground state, or
+    else the covariance matrix as a float array; and the state's mode count."""
+    if isinstance(state, QuadraticModel):
+        return state, state.n
+    gamma = np.asarray(state, dtype=float)
+    return gamma, mode_count(gamma)
 
-    A NaN or infinite entry raises MalformedInputError on either route
-    (``symplectic._check_finite``). Without a ``model``, one symplectic
-    spectrum gives validity (min sigma >= 1/2 - tol) and purity; asymmetry
-    beyond 1e-12 raises MalformedInputError (``symplectic._check_symmetric``).
-    When Gamma fails the spectrum's positive-definite test,
-    ``heisenberg_margin`` decides: below -tol the report is unphysical, else
-    Gamma is physical but too ill-conditioned (NumericalFailureError).
 
-    Given the ``model`` whose ground state Gamma = X (+) P is, its stored
-    normal modes certify Gamma with n x n products only: the factors
-    A = r^T and B = q^T of ``model.mode_factors`` make S = A (+) B
-    symplectic with S Gamma S^T = I/2 (Audenaert, Eisert, Plenio, Werner,
-    PRA 66, 042327 (2002)). Either residual of ``williamson``, congruence
-    max(|A X A^T - I/2|, |B P B^T - I/2|) or symplectic max|A B^T - I|,
-    above its rounding bound raises NumericalFailureError
-    (``symplectic._require_residuals``, d = n). With w the model's
-    frequencies, ||A||^2 = m w_max and ||X|| = 1/(2 m w_min), so both
-    congruence halves scale as w_max / (2 w_min) and A B^T as
-    sqrt(w_max / w_min). Else the spectrum is n times 1/2, valid and pure
-    at every ``tol``. A Gamma of another mode count, or with q-p
-    correlations, is not the model's ground state (InvalidStateError).
+def validate(state: np.ndarray | QuadraticModel, tol: float = DEFAULT_TOL) -> ValidationReport:
+    """Check that a state, a covariance matrix Gamma or a ``QuadraticModel``'s
+    ground state, is physical: the package's one verdict, by the floor and
+    purity rule of ``ValidationReport.from_spectrum``.
+
+    For Gamma, one symplectic spectrum gives validity (min sigma >= 1/2 - tol)
+    and purity. A NaN or infinite entry, or asymmetry beyond 1e-12, raises
+    MalformedInputError (``symplectic._check_symmetric``). When Gamma fails
+    the spectrum's positive-definite test, ``heisenberg_margin`` decides:
+    below -tol the report is unphysical, else Gamma is physical but too
+    ill-conditioned (NumericalFailureError).
+
+    A model's ground state Gamma = X (+) P is never formed. With (q, r) its
+    ``mode_factors``, X = q q^T / 2 and P = r r^T / 2, so A = r^T and
+    B = q^T give S = A (+) B with S Omega S^T = [[0, G], [-G^T, 0]] and
+    S Gamma S^T = G G^T / 2 (+) G^T G / 2 exactly, for the one n x n product
+    G = r^T q (Audenaert, Eisert, Plenio, Werner, PRA 66, 042327 (2002)).
+    With E = G - I, the symplectic residual is max|E|. The congruence
+    residual max(|G G^T - I|, |G^T G - I|) / 2 is bounded from E alone:
+    G G^T - I = E + E^T + E E^T and G^T G - I = E + E^T + E^T E, whose
+    entries are at most 2 max|E| + ||E||_F^2, so it is taken as
+    max|E| + ||E||_F^2 / 2. Each is held to ``symplectic._require_residuals``
+    with d = n (NumericalFailureError above it). With w the model's
+    frequencies, ||r^T|| ||q|| = sqrt(w_max / w_min) scales G, and
+    ||G||^2 / 2 <= w_max / (2 w_min) scales the two Gram halves: the bounds
+    the five products of the formed Gamma's certificate were held to. A
+    non-finite entry of q or r raises the solve's MalformedInputError
+    (``symplectic._check_finite``) first. Else the spectrum is n times 1/2,
+    valid and pure at every ``tol``, with no eigensolver run.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    n = mode_count(gamma)
-    if model is not None:
-        _check_finite(gamma)
-        blocks = _xp_blocks(gamma)
-        if n != model.n or blocks is None:
-            raise InvalidStateError(
-                f"covariance matrix is not the ground state of this {model.n}-mode model"
-            )
-        x, p = blocks
-        q, r = model.mode_factors
-        a, b = r.T, q.T
-        half = VACUUM_SIGMA * np.eye(n)
-        # np.maximum keeps a NaN half, which the builtin max may drop
-        res_gamma = np.maximum(np.abs(a @ x @ a.T - half).max(), np.abs(b @ p @ b.T - half).max())
-        res_omega = np.abs(a @ b.T - np.eye(n)).max()
-        w_lo, w_hi = model.frequencies[[0, -1]]
-        scale_gamma, scale_omega = w_hi / (2.0 * w_lo), np.sqrt(w_hi / w_lo)
-        _require_residuals("model ground-state certificate", n, res_gamma, scale_gamma, res_omega, scale_omega)
+    state, n = _as_state(state)
+    if isinstance(state, QuadraticModel):
+        q, r = state.mode_factors
+        _check_finite(q)
+        _check_finite(r)
+        err = r.T @ q
+        err.flat[:: n + 1] -= 1.0  # E = G - I, in place
+        err = err.ravel()
+        res_omega = np.abs(err).max()
+        w_lo, w_hi = state.frequencies[[0, -1]]
+        _require_residuals(
+            "model ground-state certificate",
+            n,
+            res_omega + (err @ err) / 2.0,
+            w_hi / (2.0 * w_lo),
+            res_omega,
+            np.sqrt(w_hi / w_lo),
+        )
         return ValidationReport.from_spectrum(np.full(n, VACUUM_SIGMA), tol)
     try:
-        spectrum = symplectic_spectrum(gamma)
+        spectrum = symplectic_spectrum(state)
     except InvalidStateError as exc:
-        if heisenberg_margin(gamma) >= -tol:
+        if heisenberg_margin(state) >= -tol:
             raise NumericalFailureError(str(exc)) from exc
         return ValidationReport(
             valid=False, n=n, min_symplectic_eigenvalue=float("nan"), tol=float(tol), pure=False
         )
     return ValidationReport.from_spectrum(spectrum, tol)
+
+
+def _mode_indices(modes, n: int, what: str) -> tuple[int, ...]:
+    """The one check of a list of 1-based mode indices, sorted and returned
+    as ints: InvalidPartitionError naming ``what`` unless it is nonempty
+    and each index is an integer (a numpy one too, but not a bool, which
+    would read as 0 or 1) in 1..n, given once."""
+    modes = list(modes)
+    if not modes:
+        raise InvalidPartitionError(f"{what} must be nonempty")
+
+    def integer(kind: type) -> bool:
+        return kind is not bool and issubclass(kind, (int, np.integer))
+
+    # one type test per distinct type, and the range from the extremes
+    if not (all(map(integer, set(map(type, modes)))) and 1 <= min(modes) and max(modes) <= n):
+        bad = [m for m in modes if not (integer(type(m)) and 1 <= m <= n)]
+        raise InvalidPartitionError(f"mode indices {bad} of the {what} are not integers in 1..{n}")
+    if len(set(modes)) != len(modes):
+        raise InvalidPartitionError(f"duplicate mode index in {what} {modes}")
+    return tuple(sorted(map(int, modes)))
 
 
 @dataclass(frozen=True)
@@ -223,15 +254,11 @@ class ModePartition:
     set_b: tuple[int, ...]
 
     def __post_init__(self):
-        a = tuple(sorted(int(i) for i in self.set_a))
-        b = tuple(sorted(int(i) for i in self.set_b))
+        object.__setattr__(self, "n", int(self.n))
+        a = _mode_indices(self.set_a, self.n, "side A of the partition")
+        b = _mode_indices(self.set_b, self.n, "side B of the partition")
         object.__setattr__(self, "set_a", a)
         object.__setattr__(self, "set_b", b)
-        object.__setattr__(self, "n", int(self.n))
-        if not a or not b:
-            raise InvalidPartitionError("both sides of a partition must be nonempty")
-        if len(set(a)) != len(a) or len(set(b)) != len(b):
-            raise InvalidPartitionError("duplicate mode index in partition")
         if set(a) & set(b):
             raise InvalidPartitionError(f"sides overlap on modes {sorted(set(a) & set(b))}")
         if set(a) | set(b) != set(range(1, self.n + 1)):
@@ -278,25 +305,24 @@ class ModePartition:
         return {"n": self.n, "set_a": list(self.set_a), "set_b": list(self.set_b)}
 
 
-def reduce(gamma: np.ndarray, keep) -> np.ndarray:
-    """Covariance matrix of the kept modes (1-based indices), qqpp ordering.
+def reduce(state: np.ndarray | QuadraticModel, keep) -> np.ndarray:
+    """Covariance matrix of the kept modes (1-based indices, ``_mode_indices``),
+    qqpp ordering: the phase-space image of the partial trace.
 
-    This is the phase-space image of the partial trace: the submatrix of the
-    rows and columns {q_i, p_i : i in keep}.
+    Of a covariance matrix, it is the submatrix of the rows and columns
+    {q_i, p_i : i in keep}. Of a model's ground state, it is X_A (+) P_A
+    from the kept rows q_A, r_A of ``model.mode_factors``,
+    X_A = q_A q_A^T / 2 and P_A = r_A r_A^T / 2 (``models._gram_covariance``),
+    with no full Gamma formed.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    n = mode_count(gamma)
-    modes = list(keep)
-    if not modes:
-        raise InvalidPartitionError("keep list must be nonempty")
-    if len(set(modes)) != len(modes):
-        raise InvalidPartitionError(f"duplicate mode index in keep list {modes}")
-    bad = [m for m in modes if not (isinstance(m, (int, np.integer)) and 1 <= m <= n)]
-    if bad:
-        raise InvalidPartitionError(f"mode indices {bad} out of range 1..{n}")
-    modes = sorted(int(m) for m in modes)
+    state, n = _as_state(state)
+    modes = _mode_indices(keep, n, "keep list")
+    if isinstance(state, QuadraticModel):
+        rows = [m - 1 for m in modes]
+        q, r = state.mode_factors
+        return _gram_covariance(q[rows], r[rows])
     idx = [m - 1 for m in modes] + [n + m - 1 for m in modes]
-    return gamma.take(idx, axis=0).take(idx, axis=1)
+    return state.take(idx, axis=0).take(idx, axis=1)
 
 
 def characteristic_function(gamma: np.ndarray, eta) -> float:

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sympent
 import sympent.cli as cli
+import sympent.entropy as entropy
 import sympent.models as models
+import sympent.states as states
 from sympent import (
     MalformedInputError,
     QuadraticModel,
@@ -134,16 +137,15 @@ def test_validate_reads_model_json(capsys, tmp_path, model):
 def test_load_state_dispatches_on_content():
     gamma = vacuum(2)
     for text in (json.dumps(covariance_to_json_dict(gamma)), covariance_to_csv_text(gamma)):
-        loaded, meta, model = cli._load_state(text, "state")
+        loaded, meta = cli._load_state(text, "state")
         np.testing.assert_array_equal(loaded, gamma)
         assert meta == {"kind": "covariance"}
-        assert model is None
+    # a model file gives the model itself, which stands for its ground state
     params = {"type": "two_oscillator", "m": 1.0, "omega": 1.0, "lambda": 2.0}
-    loaded, meta, model = cli._load_state(json.dumps(params), "model.json")
-    assert loaded.shape == (4, 4)
+    loaded, meta = cli._load_state(json.dumps(params), "model.json")
     assert meta["kind"] == "model"
-    assert isinstance(model, QuadraticModel) and model.n == 2
-    np.testing.assert_array_equal(loaded, ground_state_covariance(model))
+    assert isinstance(loaded, QuadraticModel) and loaded.n == 2
+    np.testing.assert_array_equal(loaded.potential, chain_model(2, 1.0, 1.0, 2.0).potential)
     with pytest.raises(MalformedInputError):
         cli._load_state("not a state\n", "state")
     with pytest.raises(MalformedInputError, match="invalid JSON in state.json"):
@@ -230,6 +232,73 @@ def test_unphysical_message_prints_sigma_in_full(capsys, tmp_path, command):
 CHAIN6 = {"type": "chain", "n": 6, "m": 1.0, "omega": 1.0, "lambda": 0.5, "boundary": "periodic"}
 
 
+@pytest.fixture
+def no_gamma(monkeypatch):
+    """Every binding of ``ground_state_covariance`` in the package raises."""
+
+    def formed(model):
+        raise AssertionError("a model input formed its full covariance matrix")
+
+    for module in (sympent, models, states, entropy, cli):
+        monkeypatch.setattr(module, "ground_state_covariance", formed, raising=False)
+
+
+def test_model_commands_never_form_gamma(capsys, tmp_path, no_gamma):
+    # every command on a model file reads its factors only
+    path, spec = tmp_path / "chain.json", tmp_path / "sweep.json"
+    path.write_text(json.dumps(CHAIN6), encoding="utf-8")
+    write_sweep_json(spec, CHAIN6, count=3, partition="1,2|3,4,5,6")
+    for argv in (
+        ["validate", str(path)],
+        ["spectrum", str(path)],
+        ["entropy", str(path), "--partition", "1,2,3|4,5,6"],
+        ["sweep", str(spec), "--out", str(tmp_path / "s.csv")],
+        ["wigner", str(path), "--mode", "2", "--grid", "4,9", "--out", str(tmp_path / "w.csv")],
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
+
+
+def spoiled_laplacian_modes(kind):
+    """A stand-in for ``models._laplacian_modes`` whose closed-form table has
+    one entry perturbed by 1e-6 ("perturbed") or one normal mode scaled by
+    1 + 1e-6 ("rescaled")."""
+    real = models._laplacian_modes
+
+    def spoiled(n, boundary):
+        mu, vecs = real(n, boundary)
+        vecs = vecs.copy()
+        if kind == "perturbed":
+            vecs[0, 0] += 1e-6
+        else:
+            vecs[:, 0] *= 1 + 1e-6
+        return mu, vecs
+
+    return spoiled
+
+
+@pytest.mark.parametrize("kind", ["perturbed", "rescaled"])
+@pytest.mark.parametrize("command", ["spectrum", "entropy", "wigner", "sweep"])
+def test_spoiled_normal_modes_fail_every_model_command(capsys, tmp_path, monkeypatch, command, kind):
+    # the certificate answers to its rounding bound, not to --tol
+    monkeypatch.setattr(models, "_laplacian_modes", spoiled_laplacian_modes(kind))
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(CHAIN6), encoding="utf-8")
+    out_file = tmp_path / "out.csv"
+    if command == "sweep":
+        write_sweep_json(path, CHAIN6, count=3, partition="1,2,3|4,5,6")
+        runs = [["sweep", str(path), "--out", str(out_file)]]
+    elif command == "spectrum":
+        runs = [["spectrum", str(path)]]
+    else:
+        extra = ["--partition", "1,2,3|4,5,6"] if command == "entropy" else ["--out", str(out_file)]
+        runs = [[command, str(path), *extra, "--tol", tol] for tol in ("0", "1e-8", "1.5e-6")]
+    for argv in runs:
+        code, out, err = run(capsys, *argv)
+        assert_clean_failure(code, out, err)
+        assert "model ground-state certificate exceeded its rounding bound" in err
+        assert not out_file.exists()
+
+
 @pytest.mark.parametrize(
     "command", [["validate"], ["entropy", "--partition", "1,2,3|4,5,6"]], ids=lambda c: c[0]
 )
@@ -282,9 +351,10 @@ def test_model_validate_prints_a_zero_margin_without_a_solve(capsys, tmp_path, l
     assert linalg_calls == []
 
 
-def test_sweep_point_is_certified_not_solved(capsys, tmp_path, monkeypatch, linalg_calls):
-    # the 4 points' certificates run no eigensolver; their A sides are solved
-    # as one (4, 6, 6) stack: two block eigh of (4, 3, 3) and one SVD
+def test_sweep_point_is_certified_not_solved(capsys, tmp_path, monkeypatch, linalg_calls, no_gamma):
+    # each point's model is the state: its certificate runs no eigensolver
+    # and forms no Gamma, and the A sides, reduced from factor rows, are
+    # solved as one (4, 6, 6) stack: two block eigh of (4, 3, 3) and one SVD
     shapes = []
     for name in ("eigh", "svd"):
         recorded = getattr(np.linalg, name)
@@ -340,7 +410,7 @@ def test_sweep_stacks_side_a_on_a_tie(capsys, tmp_path, monkeypatch):
     [stack] = stacks
     for slice_, lam in zip(stack, np.linspace(0.5, 2.0, 4)):
         model = chain_model(6, 1.0, 1.0, lam, "periodic")
-        np.testing.assert_array_equal(slice_, reduce(ground_state_covariance(model), [4, 5, 6]))
+        np.testing.assert_array_equal(slice_, reduce(model, [4, 5, 6]))
 
 
 def test_padded_sweep_row_stays_sorted_below_one_half(capsys, tmp_path):
@@ -463,14 +533,17 @@ def test_model_envelope_verdict_is_the_same_in_every_command(capsys, tmp_path, n
 # --- spectrum ----------------------------------------------------------------
 
 
-def test_spectrum_of_model(capsys, tmp_path):
+def test_spectrum_of_model(capsys, tmp_path, linalg_calls):
+    # the certificate's spectrum, n values of exactly 1/2, with no solve
     model = tmp_path / "model.json"
     write_model_json(model, lam=2.0)
     code, out, _ = run(capsys, "spectrum", str(model))
     assert code == 0
     payload = json.loads(out)
     assert payload["n"] == 2
-    np.testing.assert_allclose(payload["sigmas"], [0.5, 0.5], atol=1e-12)
+    assert payload["sigmas"] == [0.5, 0.5]
+    assert '"sigmas": [\n    0.5,\n    0.5\n  ]' in out
+    assert linalg_calls == []
 
 
 # --- entropy -----------------------------------------------------------------

@@ -218,15 +218,22 @@ def test_mismatched_partition_fails_before_the_full_state_pass(linalg_calls):
     with pytest.raises(InvalidPartitionError, match="partition is over 2 modes"):
         entanglement_entropy(0.4 * np.eye(6), ModePartition.from_string("1|2"))
     assert linalg_calls == []
+    # a model's certificate reads its factors, which are never computed
+    model = chain_model(3, 1.0, 1.0, 0.8, "open")
+    with pytest.raises(InvalidPartitionError, match="partition is over 2 modes but the state has 3"):
+        entanglement_entropy(model, ModePartition.from_string("1|2"))
+    assert "mode_factors" not in vars(model)
+    assert linalg_calls == []
 
 
 def test_unknown_base_fails_before_the_verdict_and_any_solve(linalg_calls):
     model = chain_model(8, 1.0, 1.0, 0.5, "periodic")
-    gamma = ground_state_covariance(model)
+    gamma = ground_state_covariance(chain_model(8, 1.0, 1.0, 0.5, "periodic"))
     partition = ModePartition.from_sides(range(1, 5), range(5, 9))
-    del linalg_calls[:]
-    with pytest.raises(ValueError, match="unknown log base 'foo'"):
-        entanglement_entropy(gamma, partition, base="foo", include_b=True, model=model)
+    for state in (gamma, model):
+        with pytest.raises(ValueError, match="unknown log base 'foo'"):
+            entanglement_entropy(state, partition, base="foo", include_b=True)
+    assert "mode_factors" not in vars(model)
     assert linalg_calls == []
 
 
@@ -242,21 +249,23 @@ def test_chain_entropy_decomposes_each_state_once(linalg_calls):
 
 
 def test_certified_report_replaces_the_full_state_pass(linalg_calls):
-    # A and B only: two block eigh and one SVD each
+    # A and B only, reduced from factor rows: two block eigh and one SVD
+    # each; the certificate runs no eigensolver
     model = chain_model(16, 1.0, 1.0, 0.8, "periodic")
-    gamma = ground_state_covariance(model)
     partition = ModePartition.from_sides(range(1, 7), range(7, 17))
-    del linalg_calls[:]
-    certified = entanglement_entropy(gamma, partition, include_b=True, model=model)
+    certified = entanglement_entropy(model, partition, include_b=True)
     assert sorted(name for name, _ in linalg_calls) == ["eigh"] * 4 + ["svd"] * 2
-    solved = entanglement_entropy(gamma, partition, include_b=True)
-    assert certified.to_json_dict() == solved.to_json_dict()
+    solved = entanglement_entropy(ground_state_covariance(model), partition, include_b=True)
+    for side in ("spectrum_a", "spectrum_b"):
+        np.testing.assert_allclose(getattr(certified, side), getattr(solved, side), rtol=0, atol=1e-15)
+    assert abs(certified.total_bits - solved.total_bits) <= 1e-14
+    assert (certified.s_count, certified.pure_global_state) == (solved.s_count, True)
 
 
 def test_model_for_another_mode_count_is_rejected():
     model = chain_model(2, 1.0, 1.0, 0.8, "open")
-    with pytest.raises(InvalidStateError, match="not the ground state of this 2-mode model"):
-        entanglement_entropy(vacuum(3), ModePartition.from_string("1|2,3"), model=model)
+    with pytest.raises(InvalidPartitionError, match="partition is over 3 modes but the state has 2"):
+        entanglement_entropy(model, ModePartition.from_string("1|2,3"))
 
 
 def test_general_state_is_validated_by_one_spectrum(linalg_calls):

@@ -7,7 +7,6 @@ import pytest
 from sympent import (
     DimensionError,
     InvalidPartitionError,
-    InvalidStateError,
     MalformedInputError,
     ModePartition,
     NumericalFailureError,
@@ -149,28 +148,29 @@ def test_heisenberg_test_agrees_with_spectrum_test():
 def test_certificate_agrees_with_validate_on_chains(boundary, lam, n):
     model = chain_model(n, 1.0, 1.0, lam, boundary)
     gamma = ground_state_covariance(model)
-    # the certificate's residuals, measured at most 2.6e-14 on this grid
+    # the certificate's residuals, measured at most 2.8e-15 on this grid: the
+    # symplectic one of G = r^T q, and the exact congruence G G^T/2 (+) G^T G/2
     q, r = model.mode_factors
+    g = r.T @ q
     half = 0.5 * np.eye(n)
-    assert np.abs(r.T @ gamma[:n, :n] @ r - half).max() <= 1e-13
-    assert np.abs(q.T @ gamma[n:, n:] @ q - half).max() <= 1e-13
-    assert np.abs(r.T @ q - np.eye(n)).max() <= 1e-13
+    assert np.abs(g @ g.T / 2 - half).max() <= 1e-13
+    assert np.abs(g.T @ g / 2 - half).max() <= 1e-13
+    assert np.abs(g - np.eye(n)).max() <= 1e-13
     for tol in (1e-12, 1e-8):
-        certified = validate(gamma, tol, model=model)
+        certified = validate(model, tol)
         solved = validate(gamma, tol)
         assert (certified.valid, certified.pure, certified.n) == (solved.valid, solved.pure, n)
         assert certified.min_symplectic_eigenvalue == 0.5
     # the residuals answer to their rounding bound, not to tol
-    at_zero = validate(gamma, 0.0, model=model)
+    at_zero = validate(model, 0.0)
     assert at_zero.valid and at_zero.pure
 
 
 RESIDUALS = r"residuals (\S+) \(congruence\), (\S+) \(symplectic\) against bounds (\S+), (\S+)$"
 
 
-def test_perturbed_normal_modes_fail_the_certificate():
+def test_perturbed_normal_modes_fail_the_certificate(linalg_calls):
     model = chain_model(8, 1.0, 1.0, 0.8, "periodic")
-    gamma = ground_state_covariance(model)
     perturbed = model.eigenvectors.copy()
     perturbed[0, 0] += 1e-6
     # one normal mode scaled by 1 + d: the congruence residual is ~d and the
@@ -182,40 +182,48 @@ def test_perturbed_normal_modes_fail_the_certificate():
         other = QuadraticModel(n=8, mass=1.0, potential=model.potential, _modes=(model.frequencies, vectors))
         for tol in (0.0, 1e-8, 1.5e-6):
             with pytest.raises(NumericalFailureError, match=RESIDUALS) as excinfo:
-                validate(gamma, tol, model=other)
+                validate(other, tol)
             congruence, symplectic, bound_c, bound_s = map(
                 float, re.search(RESIDUALS, str(excinfo.value)).groups()
             )
             assert congruence > bound_c and symplectic > bound_s
+    # one n x n product, no eigensolver
+    assert linalg_calls == []
+
+
+def with_factors(model, q, r):
+    """``model`` with its ``mode_factors`` replaced by (q, r)."""
+    vars(model)["mode_factors"] = (q, r)
+    return model
 
 
 def test_certificate_refuses_other_states():
-    model = chain_model(4, 1.0, 1.0, 0.8, "open")
-    gamma = ground_state_covariance(model)
-    # unphysical through one block only: each congruence half must catch it
-    for block in (slice(0, 4), slice(4, 8)):
-        scaled = gamma.copy()
-        scaled[block, block] *= 0.9
+    # the ground state scaled by 0.9 in one block only, X = q q^T / 2 through
+    # q or P = r r^T / 2 through r, is unphysical: the certificate must catch
+    # either
+    for scale_q, scale_r in ((np.sqrt(0.9), 1.0), (1.0, np.sqrt(0.9))):
+        model = chain_model(4, 1.0, 1.0, 0.8, "open")
+        q, r = model.mode_factors
         with pytest.raises(NumericalFailureError, match="certificate exceeded its rounding bound"):
-            validate(scaled, model=model)
-    correlated = gamma.copy()
-    correlated[0, 4] = correlated[4, 0] = 1e-3
-    other = ground_state_covariance(chain_model(3, 1.0, 1.0, 0.8, "open"))
-    for state in (correlated, other):
-        with pytest.raises(InvalidStateError, match="not the ground state of this 4-mode model"):
-            validate(state, model=model)
+            validate(with_factors(model, scale_q * q, scale_r * r))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("entry", [(1, 1), (6, 6), (0, 5)], ids=["X", "P", "qp"])
 def test_certificate_rejects_non_finite_entries_as_the_solve_does(entry, value):
-    # the same MalformedInputError on both routes, before any residual or block test
+    # the same MalformedInputError on both routes, before any residual or
+    # block test: the solve of a Gamma with the non-finite entry, and the
+    # certificate of a model whose factor rows that entry is built from (q's
+    # for a q index, r's for a p index) hold it
     model = chain_model(4, 1.0, 1.0, 0.8, "open")
     broken = ground_state_covariance(model)
     broken[entry] = value
-    for given in (model, None):
+    factors = [f.copy() for f in model.mode_factors]
+    for i in entry:
+        factors[i // 4][i % 4, 0] = value
+    for state in (with_factors(model, *factors), broken):
         with pytest.raises(MalformedInputError, match="^matrix has a NaN or infinite entry$"):
-            validate(broken, model=given)
+            validate(state)
 
 
 # --- reduction -------------------------------------------------------------
@@ -242,8 +250,35 @@ def test_reduce_vacuum_factorizes():
 
 @pytest.mark.parametrize("keep", [[], [0], [3], [1, 1]])
 def test_reduce_rejects_bad_keep_lists(keep):
-    with pytest.raises(InvalidPartitionError):
-        reduce(vacuum(2), keep)
+    # one index check for a covariance matrix and a model's factor rows
+    for state in (vacuum(2), chain_model(2, 1.0, 1.0, 0.5)):
+        with pytest.raises(InvalidPartitionError):
+            reduce(state, keep)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_], ids=["True", "False", "np.True_"])
+def test_bool_mode_index_is_refused(flag):
+    # a bool is an int subclass: True would read as mode 1, False as mode 0
+    model = chain_model(2, 1.0, 1.0, 0.5)
+    for state in (vacuum(2), ground_state_covariance(model), model):
+        with pytest.raises(InvalidPartitionError, match=r"mode indices \[.*\] of the keep list"):
+            reduce(state, [flag])
+    with pytest.raises(InvalidPartitionError, match="side A of the partition"):
+        ModePartition.from_sides([flag], [2])
+    with pytest.raises(InvalidPartitionError, match="side B of the partition"):
+        ModePartition(n=2, set_a=(1,), set_b=(flag,))
+
+
+@pytest.mark.parametrize("keep", [[2], [3, 1], [5, 2, 4], range(1, 7)])
+def test_model_reduction_is_its_ground_state_reduction(keep):
+    # rows of the factors against the submatrix of the formed Gamma: the
+    # same Gram entries, summed over all n modes in one order or another
+    model = chain_model(6, 1.0, 1.0, 1.7, "periodic")
+    from_rows = reduce(model, keep)
+    np.testing.assert_allclose(from_rows, reduce(ground_state_covariance(model), keep), rtol=0, atol=1e-15)
+    k = len(from_rows) // 2
+    assert not from_rows[:k, k:].any() and not from_rows[k:, :k].any()
+    np.testing.assert_array_equal(from_rows, from_rows.T)
 
 
 def test_reduce_commutes_with_mode_relabeling():
