@@ -43,7 +43,7 @@ from .entropy import (
     mode_entropy,
     thermal_parameter,
 )
-from .errors import MalformedInputError, SympentError
+from .errors import MalformedInputError, ParameterError, SympentError
 from .fock import required_n_max, thermal_entropy_bruteforce
 from .logbase import BITS, LOG_BASES
 from .models import (
@@ -63,6 +63,7 @@ from .states import (
     ModePartition,
     _as_state,
     _check_number_text,
+    _check_tol,
     covariance_from_csv_text,
     covariance_from_json_dict,
     heisenberg_margin,
@@ -247,7 +248,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     text, digest = _read_input(args.input)
     state, meta = _load_state(text, args.input)
     partition = ModePartition.from_string(args.partition)
-    report = entanglement_entropy(state, partition, base=args.base, include_b=True, tol=args.tol)
+    report = entanglement_entropy(state, partition, base=args.base, tol=args.tol)
     payload = report.to_json_dict()
     payload["input"] = meta
     _finish(args, digest, payload, base=args.base)
@@ -296,8 +297,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     text, digest = _read_input(args.spec)
     params, name, grid, partition = _parse_sweep_spec(_parse_json(text, args.spec))
 
-    def at_point(exc: SympentError, value: float, detail: str) -> SympentError:
-        return type(exc)(f"grid point {name}={_fmt(value)}: {detail}")
+    def at_point(exc: SympentError, value: float) -> SympentError:
+        return type(exc)(f"grid point {name}={_fmt(value)}: {exc}")
 
     # Each point is a model ground state that ``validate`` certifies, and a
     # certified state is valid and pure at every tol (so sweep reads none).
@@ -315,11 +316,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             validate(model).require_physical()
             return reduce(model, side)
         except SympentError as exc:
-            raise at_point(exc, value, str(exc)) from exc
+            raise at_point(exc, value) from exc
 
     # The points of a chunk are built, certified and reduced in order, then
     # one stacked call gives all their spectra, each bit for bit as if alone.
-    # An error inside it names its slice, which is reported as the grid point.
+    # Its checks test the whole stack at once, so when it fails, the chunk's
+    # points are solved alone, in order, and the first to fail is reported.
     width = 2 * len(side)
     chunk = max(1, SWEEP_STACK_BYTES // (8 * width * width))
     rows = []
@@ -330,9 +332,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             stack[i] = reduction(value)
         try:
             spectra = symplectic_spectrum(stack)
-        except SympentError as exc:
-            detail = str(exc).removeprefix(f"slice {exc.index}: ")
-            raise at_point(exc, values[exc.index], detail) from exc
+        except SympentError:
+            for value, gamma in zip(values, stack):
+                try:
+                    symplectic_spectrum(gamma)
+                except SympentError as exc:
+                    raise at_point(exc, value) from exc
+            raise
         # padded, then sorted descending again: a rounded 1/2 just below the
         # pad stays last
         spectra = np.pad(spectra, ((0, 0), (0, pad)), constant_values=VACUUM_SIGMA)
@@ -484,14 +490,15 @@ def _cmd_wigner(args: argparse.Namespace) -> int:
 
 
 def _tolerance(text: str) -> float:
-    """Value of --tol: a finite number >= 0."""
+    """Value of --tol: a number that passes ``states._check_tol``."""
     try:
         _check_number_text(text, "--tol")
         value = float(text)
+        _check_tol(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}") from exc
     return value
 
 

@@ -110,7 +110,7 @@ class EntropyReport:
     Per-mode records and ``total_bits`` are always in bits; ``total`` repeats
     the total in the requested ``base``. ``pure_global_state`` is the purity
     of the whole state, as found by ``validate``. ``spectrum_b``/``total_b_bits``
-    are filled only when the B side was requested and the global state is pure.
+    are filled only when the global state is pure.
     """
 
     partition: ModePartition
@@ -168,7 +168,6 @@ def entanglement_entropy(
     state: np.ndarray | QuadraticModel,
     partition: ModePartition,
     base: str = BITS,
-    include_b: bool = False,
     tol: float = DEFAULT_TOL,
 ) -> EntropyReport:
     """Entropy of the reduction to side A of ``partition``, with per-mode detail.
@@ -178,10 +177,10 @@ def entanglement_entropy(
     its reductions come from rows of its factors, so no full Gamma is formed
     and no full-state solve runs (``validate``, ``reduce``).
     For a pure global state this is the entanglement entropy between A and B
-    (and equals the B-side total); pass ``include_b=True`` to also carry the
-    B-side spectrum and total for that cross-check. ``include_b`` applies to
-    pure global states only: for a mixed state the two sides need not agree,
-    so the B side is not computed and ``spectrum_b`` stays None.
+    and equals the B-side total, so the report also carries the B-side
+    spectrum and total for that cross-check. For a mixed state the two sides
+    need not agree, so the B side is not computed and ``spectrum_b`` stays
+    None.
     The state must pass ``validate(state, tol)``, the only vacuum floor: a
     reduction eigenvalue below 1/2 then counts as 1/2 (``spectrum_a`` keeps
     its value). The base name and then the partition are checked first.
@@ -198,7 +197,7 @@ def entanglement_entropy(
 
     spectrum_b = None
     total_b_bits = None
-    if include_b and report.pure:
+    if report.pure:
         spectrum_b = symplectic_spectrum(reduce(state, partition.set_b))
         total_b_bits = _total_bits(spectrum_b)
 

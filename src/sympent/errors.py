@@ -2,12 +2,7 @@
 
 
 class SympentError(Exception):
-    """Base class for every error this package raises but ``logbase.log_fn``'s ValueError.
-
-    ``index`` is the slice of a stacked input the error is about, None when
-    the input was not a stack."""
-
-    index: int | None = None
+    """Base class for every error this package raises but ``logbase.log_fn``'s ValueError."""
 
 
 class DimensionError(SympentError):

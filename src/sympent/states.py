@@ -17,6 +17,8 @@ and a field or tag that is unknown or given twice.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +29,7 @@ from .errors import (
     InvalidStateError,
     MalformedInputError,
     NumericalFailureError,
+    ParameterError,
 )
 from .models import QuadraticModel, _check_fields, _gram_covariance, _is_json_int, _unique_fields
 from .symplectic import (
@@ -160,6 +163,14 @@ def _as_state(state) -> tuple[np.ndarray | QuadraticModel, int]:
     return gamma, mode_count(gamma)
 
 
+def _check_tol(tol: float) -> None:
+    """The one rule of a tol: ParameterError naming it unless it is a finite
+    number >= 0. A bool is not a number here, though True == 1."""
+    number = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    if not (number and math.isfinite(tol) and tol >= 0.0):
+        raise ParameterError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def validate(state: np.ndarray | QuadraticModel, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check that a state, a covariance matrix Gamma or a ``QuadraticModel``'s
     ground state, is physical: the package's one verdict, by the floor and
@@ -189,7 +200,11 @@ def validate(state: np.ndarray | QuadraticModel, tol: float = DEFAULT_TOL) -> Va
     non-finite entry of q or r raises the solve's MalformedInputError
     (``symplectic._check_finite``) first. Else the spectrum is n times 1/2,
     valid and pure at every ``tol``, with no eigensolver run.
+
+    ``tol`` must pass ``_check_tol`` (ParameterError), which is tested
+    before any certificate or solve.
     """
+    _check_tol(tol)
     state, n = _as_state(state)
     if isinstance(state, QuadraticModel):
         q, r = state.mode_factors
@@ -384,7 +399,8 @@ def covariance_from_json_dict(obj) -> np.ndarray:
         raise MalformedInputError(
             f"unsupported quadrature ordering {obj['ordering']!r}; this tool only reads {ORDERING!r}"
         )
-    if obj.get("hbar", HBAR) != HBAR:
+    hbar = obj.get("hbar", HBAR)
+    if isinstance(hbar, bool) or hbar != HBAR:  # True == 1, but names no convention
         raise MalformedInputError(f"unsupported hbar convention {obj['hbar']!r}; expected {HBAR}")
     n = obj["n"]
     if not _is_json_int(n) or n < 1:

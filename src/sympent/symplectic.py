@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .errors import (
     InvalidStateError,
     MalformedInputError,
     NumericalFailureError,
-    SympentError,
 )
 
 # A normal-form residual may be this many times the rounding bound
@@ -65,44 +63,25 @@ def mode_count(matrix: np.ndarray) -> int:
 _SYMMETRY_PANEL = 64
 
 # The helpers below take a square matrix or a stack of them (leading axis)
-# and treat every slice alike. Each check first tests the whole input at
-# once; only a failure looks for the slice it names (``_fail``).
-
-
-def _fail(error: type[SympentError], ok: np.ndarray, message) -> NoReturn:
-    """Raise ``error`` about the first slice i whose entry of the per-slice
-    flags ``ok`` is False (0-d for one matrix), described by ``message(i)``
-    (i = () for one matrix). For a stack the message starts "slice i: " and
-    the error's ``index`` is i."""
-    if ok.ndim == 0:
-        raise error(message(()))
-    i = int(np.argmin(ok))
-    exc = error(f"slice {i}: {message(i)}")
-    exc.index = i
-    raise exc
+# and test the whole input at once.
 
 
 def _check_finite(matrix: np.ndarray) -> None:
     """The package's one NaN/inf test: MalformedInputError unless every entry is finite."""
     if not np.isfinite(matrix).all():
-        _fail(
-            MalformedInputError,
-            np.isfinite(matrix).all(axis=(-2, -1)),
-            lambda i: "matrix has a NaN or infinite entry",
-        )
+        raise MalformedInputError("matrix has a NaN or infinite entry")
 
 
-def _max_asymmetry(matrix: np.ndarray, axis: tuple[int, int] | None = None):
+def _max_asymmetry(matrix: np.ndarray):
     """max |G - G^T| of a square matrix, or of a whole stack, bit for bit,
     taken over row panels G[i:i+b, i:] against their transposed column
-    panels G[i:, i:i+b], which cover every pair of mirrored entries. With
-    ``axis=(-2, -1)``, one value per slice of a stack."""
+    panels G[i:, i:i+b], which cover every pair of mirrored entries."""
     b = _SYMMETRY_PANEL
     panels = (
         np.abs(matrix[..., i : i + b, i:] - np.swapaxes(matrix[..., i:, i : i + b], -1, -2))
         for i in range(0, matrix.shape[-1], b)
     )
-    return functools.reduce(np.maximum, (panel.max(axis=axis) for panel in panels))
+    return functools.reduce(np.maximum, (panel.max() for panel in panels))
 
 
 def _check_symmetric(matrix: np.ndarray) -> None:
@@ -110,12 +89,10 @@ def _check_symmetric(matrix: np.ndarray) -> None:
     float matrix is finite (``_check_finite``) and symmetric within
     SYMMETRY_ATOL."""
     _check_finite(matrix)
-    if _max_asymmetry(matrix) > SYMMETRY_ATOL:
-        asym = _max_asymmetry(matrix, axis=(-2, -1))
-        _fail(
-            MalformedInputError,
-            asym <= SYMMETRY_ATOL,
-            lambda i: f"matrix is asymmetric: max |G - G^T| = {asym[i]:.3e} > {SYMMETRY_ATOL:.0e}",
+    asym = _max_asymmetry(matrix)
+    if asym > SYMMETRY_ATOL:
+        raise MalformedInputError(
+            f"matrix is asymmetric: max |G - G^T| = {asym:.3e} > {SYMMETRY_ATOL:.0e}"
         )
 
 
@@ -123,16 +100,15 @@ def _check_condition(lo, hi) -> None:
     """The package's one SINGULAR_RTOL comparison: InvalidStateError unless a
     symmetric matrix with eigenvalues in [lo, hi] (floats, or arrays with one
     entry per slice) is positive definite with a condition number below
-    1/SINGULAR_RTOL. A NaN bound fails."""
+    1/SINGULAR_RTOL. A NaN bound fails; the message gives the range of the
+    first failing slice."""
     ok = np.logical_and(hi > 0.0, lo > SINGULAR_RTOL * hi)
     if not ok.all():
-        lo, hi = np.asarray(lo), np.asarray(hi)
-        _fail(
-            InvalidStateError,
-            ok,
-            lambda i: "matrix is not positive definite or is too ill-conditioned: eigenvalues in "
-            f"[{lo[i]:.3e}, {hi[i]:.3e}], the smallest must exceed SINGULAR_RTOL = "
-            f"{SINGULAR_RTOL:.0e} times the largest",
+        i = np.argmin(ok)
+        raise InvalidStateError(
+            "matrix is not positive definite or is too ill-conditioned: eigenvalues in "
+            f"[{np.ravel(lo)[i]:.3e}, {np.ravel(hi)[i]:.3e}], the smallest must exceed "
+            f"SINGULAR_RTOL = {SINGULAR_RTOL:.0e} times the largest"
         )
 
 
@@ -229,8 +205,8 @@ def symplectic_spectrum(gamma: np.ndarray) -> np.ndarray:
     LAPACK and BLAS call for each slice. A stack takes the block route when
     every slice has zero q-p blocks, else the general route. Each check runs
     over the whole stack, finite and symmetric first, then the condition
-    number; the first check any slice fails raises, naming its first failing
-    slice ("slice i: ...", with the error's ``index`` set to i).
+    number; the first check any slice fails raises the error of one matrix,
+    which names no slice.
     """
     gamma = np.asarray(gamma, dtype=float)
     # the slices of a stack share one shape; an empty stack fails mode_count

@@ -74,7 +74,7 @@ def test_criterion_3_purity_and_complementarity():
         size_a = int(rng.integers(1, n))
         modes = list(rng.permutation(np.arange(1, n + 1)))
         part = ModePartition.from_sides(modes[:size_a], modes[size_a:])
-        report = entanglement_entropy(gamma, part, include_b=True)
+        report = entanglement_entropy(gamma, part)
         total_b = sum(mode_entropy(s) for s in report.spectrum_b)
         worst_total = max(worst_total, abs(report.total_bits - total_b))
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 
@@ -14,6 +15,7 @@ import sympent.models as models
 import sympent.states as states
 from sympent import (
     MalformedInputError,
+    NumericalFailureError,
     QuadraticModel,
     chain_model,
     covariance_to_csv_text,
@@ -427,25 +429,81 @@ def test_padded_sweep_row_stays_sorted_below_one_half(capsys, tmp_path):
         assert sigmas == sorted(sigmas, reverse=True)
 
 
-def test_sweep_reports_a_failing_slice_as_its_grid_point(capsys, tmp_path, monkeypatch):
-    # certified points do not fail the spectrum's checks, so slice 2 of the
-    # stack is spoiled on its way in
-    real = cli.symplectic_spectrum
+def spoil_sweep_points(monkeypatch, spoils):
+    """Make the sweep's ``reduce`` spoil the reductions of the grid points
+    that ``spoils`` maps, by their index in the grid, to a function that
+    changes a matrix in place. Certified points never fail the spectrum's
+    checks, so a failing point is made this way."""
+    real = cli.reduce
+    points = itertools.count()
 
-    def spoiled(stack):
-        stack = stack.copy()
-        stack[2, 0, 1] += 1e-9
-        return real(stack)
+    def spoiled(model, keep):
+        gamma = real(model, keep)
+        spoils.get(next(points), lambda g: None)(gamma)
+        return gamma
 
-    monkeypatch.setattr(cli, "symplectic_spectrum", spoiled)
+    monkeypatch.setattr(cli, "reduce", spoiled)
+
+
+def make_asymmetric(gamma):
+    gamma[0, 1] += 1e-9
+
+
+def make_non_finite(gamma):
+    gamma[0, 0] = np.nan
+
+
+def run_failing_sweep(capsys, tmp_path):
+    """Run the sweep over lambda = 0, 1, 2, 3 of CHAIN6; assert it fails
+    cleanly and leaves no CSV, and return its stderr."""
     spec = tmp_path / "sweep.json"
     out_csv = tmp_path / "sweep.csv"
     write_sweep_json(spec, CHAIN6, start=0.0, stop=3.0, count=4, partition="1,2,3|4,5,6")
     code, out, err = run(capsys, "sweep", str(spec), "--out", str(out_csv))
     assert_clean_failure(code, out, err)
+    assert not out_csv.exists()
+    return err
+
+
+def test_sweep_reports_a_failing_slice_as_its_grid_point(capsys, tmp_path, monkeypatch):
+    spoil_sweep_points(monkeypatch, {2: make_asymmetric})
+    err = run_failing_sweep(capsys, tmp_path)
     assert "sympent: error: grid point lambda=2: matrix is asymmetric: max |G - G^T| = 1.000e-09" in err
     assert "slice" not in err
-    assert not out_csv.exists()
+
+
+def test_sweep_names_the_first_of_its_failing_grid_points(capsys, tmp_path, monkeypatch):
+    # the stack's finite check runs before its symmetry check, yet the
+    # asymmetric point comes first in the grid
+    spoil_sweep_points(monkeypatch, {1: make_asymmetric, 3: make_non_finite})
+    err = run_failing_sweep(capsys, tmp_path)
+    assert "sympent: error: grid point lambda=1: matrix is asymmetric" in err
+    assert "lambda=3" not in err
+
+
+def test_sweep_reports_a_failing_point_of_a_later_chunk(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "SWEEP_STACK_BYTES", 2 * 8 * 6 * 6)
+    stacks = []
+    real = cli.symplectic_spectrum
+    monkeypatch.setattr(cli, "symplectic_spectrum", lambda g: stacks.append(g.shape) or real(g))
+    spoil_sweep_points(monkeypatch, {3: make_asymmetric})
+    err = run_failing_sweep(capsys, tmp_path)
+    assert "sympent: error: grid point lambda=3: matrix is asymmetric: max |G - G^T| = 1.000e-09" in err
+    # the first chunk, the second, then its points alone up to the failing one
+    assert stacks == [(2, 6, 6), (2, 6, 6), (6, 6), (6, 6)]
+
+
+def test_sweep_reraises_a_stack_error_that_no_point_has_alone(capsys, tmp_path, monkeypatch):
+    real = cli.symplectic_spectrum
+
+    def stack_fails(gamma):
+        if gamma.ndim == 3:
+            raise NumericalFailureError("the stack failed")
+        return real(gamma)
+
+    monkeypatch.setattr(cli, "symplectic_spectrum", stack_fails)
+    err = run_failing_sweep(capsys, tmp_path)
+    assert err.startswith("sympent: error: the stack failed\n")
 
 
 @pytest.mark.parametrize("points", [1, 2, 3])
@@ -684,6 +742,14 @@ def test_unknown_or_repeated_fields_exit_one(capsys, tmp_path, name, text, cause
     code, out, err = run(capsys, *argv)
     assert_clean_failure(code, out, err)
     assert cause in err
+
+
+def test_boolean_hbar_exits_one(capsys, tmp_path):
+    state = tmp_path / "state.json"
+    state.write_text('{"n": 1, "ordering": "qqpp", "hbar": true, "matrix": [0.5, 0, 0, 0.5]}', encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(state))
+    assert_clean_failure(code, out, err)
+    assert "unsupported hbar convention True; expected 1" in err
 
 
 # --- sweep -------------------------------------------------------------------

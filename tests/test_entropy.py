@@ -158,7 +158,7 @@ def test_vacuum_has_zero_entropy_for_any_partition():
 
 def test_two_oscillator_reference_entropy():
     gamma = ground_state_covariance(chain_model(2, 1.0, 1.0, 2.0))
-    report = entanglement_entropy(gamma, ModePartition.from_string("1|2"), include_b=True)
+    report = entanglement_entropy(gamma, ModePartition.from_string("1|2"))
     assert abs(report.total_bits - REFERENCE_ENTROPY_BITS) < 1e-9
     assert report.s_count == 1
     assert abs(report.total_bits - report.total_b_bits) < 1e-10
@@ -188,10 +188,10 @@ def test_entropy_rejects_unphysical_state():
 
 def test_b_side_is_computed_for_pure_states_only():
     part = ModePartition.from_string("1|2")
-    pure = entanglement_entropy(vacuum(2), part, include_b=True)
+    pure = entanglement_entropy(vacuum(2), part)
     assert pure.pure_global_state
     np.testing.assert_allclose(pure.spectrum_b, [0.5], atol=1e-14)
-    mixed = entanglement_entropy(np.diag([1.2, 0.7, 1.2, 0.7]), part, include_b=True)
+    mixed = entanglement_entropy(np.diag([1.2, 0.7, 1.2, 0.7]), part)
     assert not mixed.pure_global_state
     assert mixed.spectrum_b is None
     assert mixed.total_b_bits is None
@@ -202,7 +202,7 @@ def test_chain_entropy_uses_real_eigensolvers_only(linalg_calls):
     gamma = ground_state_covariance(chain_model(16, 1.0, 1.0, 0.8, "periodic"))
     partition = ModePartition.from_sides(range(1, 7), range(7, 17))
     del linalg_calls[:]
-    report = entanglement_entropy(gamma, partition, include_b=True)
+    report = entanglement_entropy(gamma, partition)
     assert report.pure_global_state and report.spectrum_b is not None
     assert linalg_calls
     assert [kind for _, kind in linalg_calls] == ["f"] * len(linalg_calls)
@@ -232,7 +232,7 @@ def test_unknown_base_fails_before_the_verdict_and_any_solve(linalg_calls):
     partition = ModePartition.from_sides(range(1, 5), range(5, 9))
     for state in (gamma, model):
         with pytest.raises(ValueError, match="unknown log base 'foo'"):
-            entanglement_entropy(state, partition, base="foo", include_b=True)
+            entanglement_entropy(state, partition, base="foo")
     assert "mode_factors" not in vars(model)
     assert linalg_calls == []
 
@@ -242,7 +242,7 @@ def test_chain_entropy_decomposes_each_state_once(linalg_calls):
     gamma = ground_state_covariance(chain_model(16, 1.0, 1.0, 0.8, "periodic"))
     partition = ModePartition.from_sides(range(1, 7), range(7, 17))
     del linalg_calls[:]
-    report = entanglement_entropy(gamma, partition, include_b=True)
+    report = entanglement_entropy(gamma, partition)
     assert report.spectrum_b is not None
     names = [name for name, _ in linalg_calls]
     assert sorted(names) == ["eigh"] * 6 + ["svd"] * 3
@@ -253,9 +253,9 @@ def test_certified_report_replaces_the_full_state_pass(linalg_calls):
     # each; the certificate runs no eigensolver
     model = chain_model(16, 1.0, 1.0, 0.8, "periodic")
     partition = ModePartition.from_sides(range(1, 7), range(7, 17))
-    certified = entanglement_entropy(model, partition, include_b=True)
+    certified = entanglement_entropy(model, partition)
     assert sorted(name for name, _ in linalg_calls) == ["eigh"] * 4 + ["svd"] * 2
-    solved = entanglement_entropy(ground_state_covariance(model), partition, include_b=True)
+    solved = entanglement_entropy(ground_state_covariance(model), partition)
     for side in ("spectrum_a", "spectrum_b"):
         np.testing.assert_allclose(getattr(certified, side), getattr(solved, side), rtol=0, atol=1e-15)
     assert abs(certified.total_bits - solved.total_bits) <= 1e-14
@@ -306,7 +306,7 @@ def test_complementarity_for_random_chain_states():
         size_a = int(rng.integers(1, n))
         modes = list(rng.permutation(np.arange(1, n + 1)))
         part = ModePartition.from_sides(modes[:size_a], modes[size_a:])
-        report = entanglement_entropy(gamma, part, include_b=True)
+        report = entanglement_entropy(gamma, part)
         total_b = sum(mode_entropy(s) for s in report.spectrum_b)
         assert abs(report.total_bits - total_b) < 1e-8
         thermal_a = np.sort(report.spectrum_a[report.spectrum_a > 0.5 + 1e-7])
@@ -340,7 +340,7 @@ def test_derived_mode_records_match_the_eager_records(sigmas):
     n = len(sigmas)
     gamma = np.diag(np.concatenate([sigmas, sigmas]))
     partition = ModePartition.from_sides(range(1, n), [n])
-    report = entanglement_entropy(gamma, partition, include_b=True)
+    report = entanglement_entropy(gamma, partition)
     assert np.any(np.abs(report.spectrum_a - 0.5) <= SIGMA_TOL)
     assert np.any(report.spectrum_a < 0.5)
     eager = tuple(ThermalMode.from_sigma(max(s, 0.5)) for s in report.spectrum_a)
@@ -391,7 +391,7 @@ def test_every_check_agrees_on_planted_states(n, seed, scale, nus, pure):
     if pure and n > 1:
         k = 1 + seed % (n - 1)
         partition = ModePartition.from_sides(range(1, k + 1), range(k + 1, n + 1))
-        both = entanglement_entropy(gamma, partition, include_b=True)
+        both = entanglement_entropy(gamma, partition)
         assert abs(both.total_bits - both.total_b_bits) < 1e-8
     for sigma in dec.spectrum[dec.spectrum > 0.5 + 1e-6]:
         beta = thermal_parameter(sigma)

@@ -262,8 +262,8 @@ def test_model_route_agrees_with_the_gamma_route(n, boundary, lam, size, start):
     first = int(start * n)
     side_a = [(first + i) % n + 1 for i in range(k)]
     partition = ModePartition.from_sides(side_a, sorted(set(range(1, n + 1)) - set(side_a)))
-    by_model = entanglement_entropy(model, partition, include_b=True)
-    by_gamma = entanglement_entropy(gamma, partition, include_b=True)
+    by_model = entanglement_entropy(model, partition)
+    by_gamma = entanglement_entropy(gamma, partition)
     sigma_max = max(by_gamma.spectrum_a.max(), by_gamma.spectrum_b.max())
     bound = 8 * n * np.finfo(float).eps * sigma_max
     for side in ("spectrum_a", "spectrum_b"):

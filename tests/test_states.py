@@ -18,6 +18,7 @@ from sympent import (
     covariance_from_json_dict,
     covariance_to_csv_text,
     covariance_to_json_dict,
+    entanglement_entropy,
     ground_state_covariance,
     heisenberg_margin,
     reduce,
@@ -40,6 +41,30 @@ def test_vacuum_saturates_uncertainty_bound():
     assert report.valid
     assert abs(heisenberg_margin(vacuum(1))) < 1e-14
     assert abs(report.min_symplectic_eigenvalue - 0.5) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "tol", [np.nan, np.inf, -np.inf, -1e-300, "1e-8", None, True],
+    ids=["nan", "inf", "-inf", "-1e-300", "string", "none", "bool"],
+)
+def test_tol_must_be_finite_and_non_negative(linalg_calls, tol):
+    # refused, naming the value, before any certificate or solve
+    model = chain_model(4, 1.0, 1.0, 0.5, "open")
+    cause = re.escape(f"tol must be a finite number >= 0, got {tol!r}")
+    for state in (vacuum(1), model):
+        with pytest.raises(ParameterError, match=cause):
+            validate(state, tol)
+    with pytest.raises(ParameterError, match=cause):
+        entanglement_entropy(vacuum(2), ModePartition.from_string("1|2"), tol=tol)
+    assert "mode_factors" not in vars(model)
+    assert linalg_calls == []
+
+
+def test_zero_tol_is_accepted():
+    assert validate(vacuum(1), 0.0).valid
+    assert validate(vacuum(1), np.float64(0.0)).valid
+    report = validate(chain_model(4, 1.0, 1.0, 0.5, "open"), 0)
+    assert report.valid and report.pure and report.tol == 0.0
 
 
 def test_below_vacuum_noise_is_invalid():
@@ -485,6 +510,15 @@ def test_json_rejects_boolean_mode_count():
     obj = covariance_to_json_dict(vacuum(1))
     obj["n"] = True
     with pytest.raises(MalformedInputError):
+        covariance_from_json_dict(obj)
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_json_rejects_boolean_hbar(flag):
+    # True == 1, but a bool names no convention
+    obj = covariance_to_json_dict(vacuum(1))
+    obj["hbar"] = flag
+    with pytest.raises(MalformedInputError, match=f"^unsupported hbar convention {flag}; expected 1$"):
         covariance_from_json_dict(obj)
 
 
