@@ -1,19 +1,17 @@
-"""Ground-state covariance matrices of quadratic Hamiltonians.
+"""Quadratic Hamiltonians held as their normal modes, and their ground states.
 
-Builders cover H = (1/2m) p^T p + (m/2) q^T V q with uniform mass and a
-symmetric positive-definite potential matrix V (units of frequency^2):
-nearest-neighbor harmonic chains, of which the two position-coupled
-oscillators are the open chain of two modes. The ground state is Gaussian with
+H = (1/2m) p^T p + (m/2) q^T V q with uniform mass and a symmetric
+positive-definite potential matrix V (units of frequency^2). A model stores
+only V's normal modes: the frequencies w = sqrt(eig V) and the orthonormal
+eigenvectors O. The ground state is Gaussian with
 
-    Gamma_qq = (1/2m) V^{-1/2},   Gamma_pp = (m/2) V^{1/2},   Gamma_qp = 0,
+    Gamma_qq = (1/2m) O diag(1/w) O^T,   Gamma_pp = (m/2) O diag(w) O^T,   Gamma_qp = 0.
 
-so each normal mode of frequency w' carries the vacuum variances 1/(2 m w')
-and m w' / 2. Quadratic q-p cross terms and per-site masses are out of scope.
-
-A chain's normal modes are known in closed form (Fourier cos/sin pairs on
-the ring, the DCT-II basis on the path) and ``chain_model`` builds them with
-no eigensolver; any other potential given to ``QuadraticModel`` is
-decomposed by ``symplectic._spd_eigh``.
+Quadratic q-p cross terms and per-site masses are out of scope. A chain's
+normal modes are known in closed form (Fourier cos/sin pairs on the ring,
+the DCT-II basis on the path), and ``chain_model`` passes them with no
+eigensolver and no V; ``QuadraticModel.from_potential`` decomposes any
+other V by ``symplectic._spd_eigh``.
 
 Model JSON: ``{"type": "two_oscillator" | "chain", "n": int, "m": number,
 "omega": number, "lambda": number, "boundary": "open" | "periodic"}``
@@ -24,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,9 +33,10 @@ BOUNDARIES = ("open", "periodic")
 MODEL_TYPES = ("two_oscillator", "chain")
 # Model JSON name of each parameter a sweep may vary -> its ModelParams field.
 SWEEP_PARAMETERS = {"lambda": "lam", "omega": "omega", "m": "m"}
-# Largest mode count of a model. Its factors then take 16 n^2 bytes = 64 MiB;
-# its 2n x 2n covariance matrix, which only ``ground_state_covariance``
-# forms, would take 32 n^2 bytes = 128 MiB.
+# Largest mode count of a model. Its eigenvectors then take 8 n^2 bytes =
+# 32 MiB (a chain shares them with every chain of its size) and its two
+# factors 16 n^2 bytes = 64 MiB; its 2n x 2n covariance matrix, which only
+# ``ground_state_covariance`` forms, would take 32 n^2 bytes = 128 MiB.
 MAX_MODES = 2048
 
 
@@ -70,7 +69,7 @@ def _check_ground_state(m: float, w_lo: float, w_hi: float) -> None:
     1/(2 m w) and m w / 2; each bound is one product or quotient of
     positive floats, so an extreme m or w gives 0 or inf, which fails,
     and never an exception or a warning."""
-    m = float(m)
+    m, w_lo, w_hi = float(m), float(w_lo), float(w_hi)
     lo = min(0.5 / m / w_hi, 0.5 * m * w_lo)
     hi = max(0.5 / m / w_lo, 0.5 * m * w_hi)
     try:
@@ -82,62 +81,56 @@ def _check_ground_state(m: float, w_lo: float, w_hi: float) -> None:
         ) from exc
 
 
-def _chain_potential_scales(m: float, omega: float, lam: float, mu_top: float) -> tuple[float, float]:
-    """omega^2 and 2 lam / m, the floor and the Laplacian scale of a chain
-    potential V = omega^2 I + (2 lam / m) L, once two checks have passed:
-    ``_check_condition`` on V's eigenvalue range [omega^2, omega^2 +
-    (2 lam / m) mu_top] (mu_top: L's largest eigenvalue; its smallest is 0),
-    whose failure is the ``_no_ground_state`` ParameterError, then
-    ``_check_ground_state`` on the frequencies, the square roots of that
-    range."""
-    floor, scale = omega * omega, 2.0 * lam / m
-    top = floor + scale * mu_top
-    try:
-        _check_condition(floor, top)
-    except InvalidStateError as exc:
-        raise _no_ground_state(exc) from exc
-    _check_ground_state(m, math.sqrt(floor), math.sqrt(top))
-    return floor, scale
-
-
 @dataclass(frozen=True, eq=False)
 class QuadraticModel:
-    """Kinetic-plus-potential quadratic Hamiltonian with a normalizable ground state.
+    """Quadratic Hamiltonian with a normalizable ground state, held as its
+    normal modes: ``frequencies`` sqrt(eig V), ascending, and the matching
+    orthonormal ``eigenvectors`` (columns), kept as given (a chain's are the
+    read-only table it shares with every chain of its n and boundary).
 
-    Its normal modes are ``frequencies`` sqrt(eig V), ascending, and the
-    matching orthonormal ``eigenvectors`` (columns). ``QuadraticModel(n, mass,
-    potential)`` decomposes V once, by ``symplectic._spd_eigh``, and checks
-    the ground state (``_check_ground_state``); a failure of either raises
-    ParameterError. ``chain_model`` passes its closed-form modes as
-    ``_modes`` = (frequencies, eigenvectors) instead, after the same two
-    checks (``_chain_potential_scales``); they are stored as given, so a
-    chain's eigenvectors are the read-only table it shares with every chain
-    of the same n and boundary. ``mode_factors`` derives the factors of the
-    ground state from them once, on first use.
+    Every model is checked once, when it is made: the mode count and mass
+    (``_check_parameters``), finite, positive, ascending frequencies and
+    n x n eigenvectors, and the ground state's envelope
+    (``_check_ground_state``); a failure raises ParameterError.
+    ``mode_factors`` derives the ground state's factors once, on first use.
     """
 
-    n: int
     mass: float
-    potential: np.ndarray
-    frequencies: np.ndarray = field(init=False, repr=False)
-    eigenvectors: np.ndarray = field(init=False, repr=False)
-    _modes: InitVar[tuple[np.ndarray, np.ndarray] | None] = None
+    frequencies: np.ndarray = field(repr=False)
+    eigenvectors: np.ndarray = field(repr=False)
 
-    def __post_init__(self, _modes):
-        _check_parameters(modes=self.n, mass=self.mass)
-        v = np.asarray(self.potential, dtype=float)
-        if v.shape != (self.n, self.n):
-            raise ParameterError(f"potential must be {self.n}x{self.n}, got shape {v.shape}")
-        if _modes is None:
-            try:
-                [(w, vecs)] = _spd_eigh(v)
-            except (InvalidStateError, MalformedInputError) as exc:
-                raise _no_ground_state(exc) from exc
-            _check_ground_state(self.mass, math.sqrt(w[0]), math.sqrt(w[-1]))
-            _modes = np.sqrt(w), vecs
-        object.__setattr__(self, "potential", v)
-        object.__setattr__(self, "frequencies", _modes[0])
-        object.__setattr__(self, "eigenvectors", _modes[1])
+    def __post_init__(self):
+        w = np.asarray(self.frequencies, dtype=float)
+        vecs = np.asarray(self.eigenvectors, dtype=float)
+        if w.ndim != 1:
+            raise ParameterError(f"frequencies must be a 1-D array, got shape {w.shape}")
+        _check_parameters(modes=len(w), mass=self.mass)
+        if not (w[0] > 0.0 and math.isfinite(w[-1]) and np.all(np.diff(w) >= 0.0)):
+            raise ParameterError("normal-mode frequencies must be finite, > 0 and ascending")
+        if vecs.shape != (len(w), len(w)):
+            raise ParameterError(f"eigenvectors must be {len(w)}x{len(w)}, got shape {vecs.shape}")
+        _check_ground_state(self.mass, w[0], w[-1])
+        object.__setattr__(self, "frequencies", w)
+        object.__setattr__(self, "eigenvectors", vecs)
+
+    @classmethod
+    def from_potential(cls, mass: float, potential) -> "QuadraticModel":
+        """The model of a symmetric positive-definite n x n potential V, from
+        one ``symplectic._spd_eigh`` run after the mode count check; its
+        failure is the ``_no_ground_state`` ParameterError."""
+        v = np.asarray(potential, dtype=float)
+        if v.ndim != 2 or v.shape[0] != v.shape[1]:
+            raise ParameterError(f"potential must be a square matrix, got shape {v.shape}")
+        _check_parameters(modes=len(v))
+        try:
+            [(w, vecs)] = _spd_eigh(v)
+        except (InvalidStateError, MalformedInputError) as exc:
+            raise _no_ground_state(exc) from exc
+        return cls(mass, np.sqrt(w), vecs)
+
+    @property
+    def n(self) -> int:
+        return len(self.frequencies)
 
     @functools.cached_property
     def mode_factors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -153,9 +146,7 @@ class TwoOscillatorParams:
     """Two oscillators of mass m and frequency omega, position-coupled with strength lam.
 
     Accepts exactly the parameters ``chain_model(2, m, omega, lam)`` accepts,
-    with the same ParameterError otherwise: V's eigenvalues omega^2 and
-    omega^2 + 4 lam / m must pass ``symplectic._check_condition``, and so
-    must its ground state's covariance (``_chain_potential_scales``).
+    with the same ParameterError otherwise: it builds that chain.
     """
 
     m: float
@@ -163,8 +154,7 @@ class TwoOscillatorParams:
     lam: float
 
     def __post_init__(self):
-        _check_parameters(mass=self.m, frequency=self.omega, coupling=self.lam)
-        _chain_potential_scales(self.m, self.omega, self.lam, 2.0)  # the open pair's L has mu = 0, 2
+        chain_model(2, self.m, self.omega, self.lam)
 
     @property
     def alpha(self) -> float:
@@ -233,9 +223,9 @@ def chain_model(
     frequencies omega^2 + (2 lam / m) mu_k, with the ring's Fourier cos/sin
     pairs or the path's DCT-II basis as eigenvectors (Audenaert, Eisert,
     Plenio, Werner, PRA 66, 042327 (2002); Botero & Reznik, PRA 67, 052311
-    (2003)). No eigensolver runs. The condition numbers of V and of the
-    ground-state covariance must stay below 1/SINGULAR_RTOL
-    (``symplectic._check_condition``; ParameterError).
+    (2003)). No eigensolver runs and V is never formed. The condition
+    numbers of V and of the ground-state covariance must stay below
+    1/SINGULAR_RTOL (``symplectic._check_condition``; ParameterError).
     """
     _check_parameters(modes=n, mass=m, frequency=omega, coupling=lam)
     if n < 2:
@@ -244,16 +234,12 @@ def chain_model(
         raise ParameterError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
 
     mu, vecs = _laplacian_modes(n, boundary)
-    floor, scale = _chain_potential_scales(m, omega, lam, float(mu[-1]))
-    v = np.diag(np.full(n, floor + 2.0 * scale))
-    i = np.arange(n - 1)
-    v[i, i + 1] = v[i + 1, i] = -scale
-    if boundary == "open":
-        v[0, 0] = v[-1, -1] = floor + scale
-    else:
-        v[0, -1] -= scale
-        v[-1, 0] -= scale
-    return QuadraticModel(n=n, mass=m, potential=v, _modes=(np.sqrt(floor + scale * mu), vecs))
+    floor, scale = omega * omega, 2.0 * lam / m
+    try:
+        _check_condition(floor, floor + scale * float(mu[-1]))  # V's eigenvalue range
+    except InvalidStateError as exc:
+        raise _no_ground_state(exc) from exc
+    return QuadraticModel(m, np.sqrt(floor + scale * mu), vecs)
 
 
 def _mode_factors(model: QuadraticModel) -> tuple[np.ndarray, np.ndarray]:

@@ -382,6 +382,14 @@ def wigner_values(gamma: np.ndarray, points: np.ndarray) -> np.ndarray:
 # --- serialization ---------------------------------------------------------
 
 
+def _check_hbar(value, given) -> None:
+    """The one hbar rule of both covariance readers: MalformedInputError
+    naming ``given`` unless ``value`` is the number 1 and not a bool (True ==
+    1, but names no convention)."""
+    if isinstance(value, bool) or value != HBAR:
+        raise MalformedInputError(f"unsupported hbar convention {given!r}; expected {HBAR}")
+
+
 def covariance_to_json_dict(gamma: np.ndarray) -> dict:
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
@@ -400,8 +408,7 @@ def covariance_from_json_dict(obj) -> np.ndarray:
             f"unsupported quadrature ordering {obj['ordering']!r}; this tool only reads {ORDERING!r}"
         )
     hbar = obj.get("hbar", HBAR)
-    if isinstance(hbar, bool) or hbar != HBAR:  # True == 1, but names no convention
-        raise MalformedInputError(f"unsupported hbar convention {obj['hbar']!r}; expected {HBAR}")
+    _check_hbar(hbar, hbar)
     n = obj["n"]
     if not _is_json_int(n) or n < 1:
         raise MalformedInputError(f"mode count must be a positive integer, got {n!r}")
@@ -451,12 +458,16 @@ def covariance_from_csv_text(text: str) -> np.ndarray:
         raise MalformedInputError(
             f"unsupported quadrature ordering {tags.get('ordering')!r}; this tool only reads {ORDERING!r}"
         )
-    if tags.get("hbar", str(HBAR)) != str(HBAR):
-        raise MalformedInputError(f"unsupported hbar convention {tags['hbar']!r}; expected {HBAR}")
     try:
         _check_number_text(text, "covariance CSV")
     except ValueError as exc:
         raise MalformedInputError(str(exc)) from exc
+    hbar = tags.get("hbar", str(HBAR))
+    try:
+        value = float(hbar)  # the text has passed _check_number_text
+    except ValueError:
+        value = None
+    _check_hbar(value, hbar)
     try:
         n = int(tags["n"])
     except (KeyError, ValueError) as exc:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -27,15 +28,23 @@ from sympent.models import _laplacian_modes
 from sympent.symplectic import _fix_phases
 
 
+def modes_potential(model):
+    """O diag(w^2) O^T, the potential V that a model's normal modes stand for."""
+    return (model.eigenvectors * model.frequencies**2) @ model.eigenvectors.T
+
+
 def test_uncoupled_potential_is_diagonal():
     model = chain_model(2, 1.5, 2.0, 0.0)
-    np.testing.assert_array_equal(model.potential, 4.0 * np.eye(2))
+    np.testing.assert_array_equal(model.frequencies, [2.0, 2.0])
+    np.testing.assert_allclose(modes_potential(model), 4.0 * np.eye(2), rtol=0, atol=1e-14)
 
 
 def test_reference_potential_and_normal_modes():
     model = chain_model(2, 1.0, 1.0, 2.0)
-    np.testing.assert_array_equal(model.potential, [[5.0, -4.0], [-4.0, 5.0]])
-    w, vecs = np.linalg.eigh(model.potential)
+    v = bond_loop_potential(2, 1.0, 1.0, 2.0, "open")
+    np.testing.assert_array_equal(v, [[5.0, -4.0], [-4.0, 5.0]])
+    np.testing.assert_allclose(modes_potential(model), v, rtol=0, atol=1e-14)
+    w, vecs = np.linalg.eigh(v)
     np.testing.assert_allclose(w, [1.0, 9.0], atol=1e-12)
     np.testing.assert_allclose(np.abs(vecs[:, 0]), [1.0, 1.0] / np.sqrt(2.0), atol=1e-12)
     np.testing.assert_allclose(np.abs(vecs[:, 1]), [1.0, 1.0] / np.sqrt(2.0), atol=1e-12)
@@ -108,8 +117,11 @@ def test_chain_of_two_matches_two_oscillator():
     chain = chain_model(2, m, omega, lam, "open")
     pair = ModelParams(type="two_oscillator", m=m, omega=omega, lam=lam).build()
     coupling = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    np.testing.assert_array_equal(chain.potential, omega**2 * np.eye(2) + (2.0 * lam / m) * coupling)
-    np.testing.assert_array_equal(chain.potential, pair.potential)
+    np.testing.assert_allclose(
+        modes_potential(chain), omega**2 * np.eye(2) + (2.0 * lam / m) * coupling, rtol=0, atol=1e-14
+    )
+    np.testing.assert_array_equal(chain.frequencies, pair.frequencies)
+    np.testing.assert_array_equal(chain.eigenvectors, pair.eigenvectors)
     np.testing.assert_array_equal(
         ground_state_covariance(chain), ground_state_covariance(pair)
     )
@@ -119,14 +131,15 @@ def test_chain_of_two_matches_two_oscillator():
 
 def test_periodic_chain_zero_coupling():
     model = chain_model(4, 1.0, 2.0, 0.0, "periodic")
-    np.testing.assert_array_equal(model.potential, 4.0 * np.eye(4))
+    np.testing.assert_array_equal(model.frequencies, np.full(4, 2.0))
+    np.testing.assert_allclose(modes_potential(model), 4.0 * np.eye(4), rtol=0, atol=1e-14)
 
 
 def test_open_chain_three_sites_hand_expanded():
     model = chain_model(3, 1.0, 1.0, 1.0, "open")
-    np.testing.assert_array_equal(
-        model.potential, [[3.0, -2.0, 0.0], [-2.0, 5.0, -2.0], [0.0, -2.0, 3.0]]
-    )
+    v = [[3.0, -2.0, 0.0], [-2.0, 5.0, -2.0], [0.0, -2.0, 3.0]]
+    np.testing.assert_array_equal(bond_loop_potential(3, 1.0, 1.0, 1.0, "open"), v)
+    np.testing.assert_allclose(modes_potential(model), v, rtol=0, atol=1e-14)
 
 
 def bond_loop_potential(n, m, omega, lam, boundary):
@@ -164,8 +177,7 @@ def test_closed_form_modes_match_eigh(n, boundary):
     # the ring of two is the double bond; odd rings have no alternating mode
     m, omega, lam = 1.3, 0.9, 0.7
     model = chain_model(n, m, omega, lam, boundary)
-    v = model.potential
-    np.testing.assert_array_equal(v, bond_loop_potential(n, m, omega, lam, boundary))
+    v = bond_loop_potential(n, m, omega, lam, boundary)
     w, vecs = model.frequencies, model.eigenvectors
     eig_w = np.linalg.eigh(v)[0]
     assert np.max(np.abs(w - np.sqrt(eig_w))) <= 1e-14 * w[-1]
@@ -236,7 +248,7 @@ def test_half_cut_spectrum_matches_the_exact_model(n, boundary, lam):
     # reductions are gated: of the formed Gamma, and of the model from the
     # rows of its factors.
     model = chain_model(n, 1.0, 1.0, lam, boundary)
-    want = exact_cut_excess(model.potential, 1.0, n // 2)
+    want = exact_cut_excess(bond_loop_potential(n, 1.0, 1.0, lam, boundary), 1.0, n // 2)
     for state in (ground_state_covariance(model), model):
         got = symplectic_spectrum(reduce(state, range(1, n // 2 + 1)))
         assert max(abs(float(g - 0.5 - w)) for g, w in zip(got, want)) <= 1e-14
@@ -287,7 +299,7 @@ def test_padded_sweep_row_matches_the_exact_model(tmp_path, boundary, lam):
     row = lines[3].split(",")
     assert float(row[0]) == lam
     assert row[5:13] == ["0.5"] * 8
-    want = exact_cut_excess(chain_model(16, 1.0, 1.0, lam, boundary).potential, 1.0, 12)
+    want = exact_cut_excess(bond_loop_potential(16, 1.0, 1.0, lam, boundary), 1.0, 12)
     assert max(abs(float(float(g) - 0.5 - w)) for g, w in zip(row[1:13], want)) <= 1e-14
 
 
@@ -318,7 +330,7 @@ def test_chain_rejects_bad_parameters():
 
 def test_single_oscillator_ground_state():
     m, omega = 2.0, 3.0
-    model = QuadraticModel(n=1, mass=m, potential=np.array([[omega**2]]))
+    model = QuadraticModel.from_potential(m, [[omega**2]])
     gamma = ground_state_covariance(model)
     np.testing.assert_allclose(gamma, np.diag([1 / (2 * m * omega), m * omega / 2]), rtol=1e-14)
     np.testing.assert_allclose(symplectic_spectrum(gamma), [0.5], atol=1e-14)
@@ -359,14 +371,14 @@ def test_zero_mode_has_no_ground_state():
     # and so must an asymmetric or non-finite potential
     for potential in ([[1.0, -1.0], [-1.0, 1.0]], [[2.0, 0.5], [0.0, 2.0]], [[np.nan, 0.0], [0.0, 1.0]]):
         with pytest.raises(ParameterError):
-            QuadraticModel(n=2, mass=1.0, potential=np.array(potential))
+            QuadraticModel.from_potential(1.0, potential)
 
 
 def test_ground_state_outside_the_envelope_is_refused_at_build():
     # V = 1e-8 I is perfectly conditioned; the ground state's 1/(2 m w) =
     # 5e7 and m w / 2 = 5e-9 are not (condition number 1e16)
     with pytest.raises(ParameterError) as excinfo:
-        QuadraticModel(n=4, mass=1e-4, potential=1e-8 * np.eye(4))
+        QuadraticModel.from_potential(1e-4, 1e-8 * np.eye(4))
     assert str(excinfo.value).startswith(
         "ground state of mass m = 1.000e-04 and normal-mode frequencies omega in "
         "[1.000e-04, 1.000e-04] is outside the covariance envelope: "
@@ -375,7 +387,7 @@ def test_ground_state_outside_the_envelope_is_refused_at_build():
     # condition number 1.2e10: inside, and its Gram blocks are exactly symmetric
     gamma = ground_state_covariance(chain_model(8, 3e-3, 3e-3, 0.0, "open"))
     np.testing.assert_array_equal(gamma, gamma.T)
-    QuadraticModel(n=4, mass=3e-3, potential=9e-6 * np.eye(4))
+    QuadraticModel.from_potential(3e-3, 9e-6 * np.eye(4))
 
 
 def test_potential_is_decomposed_once_per_model(linalg_calls):
@@ -383,9 +395,59 @@ def test_potential_is_decomposed_once_per_model(linalg_calls):
     model = chain_model(6, 1.0, 1.0, 0.7, "periodic")
     ground_state_covariance(model)
     assert linalg_calls == []
-    general = QuadraticModel(n=6, mass=1.0, potential=model.potential)
+    general = QuadraticModel.from_potential(1.0, bond_loop_potential(6, 1.0, 1.0, 0.7, "periodic"))
     ground_state_covariance(general)
     assert linalg_calls == [("eigh", "f")]
+
+
+def test_chain_build_allocates_no_n_by_n_array():
+    # with the mode table cached, a chain is its n frequencies: a few
+    # length-n arrays, where a dense V alone would take 8 n^2 bytes = 8 MiB
+    n = 1024
+    chain_model(n, 1.0, 1.0, 0.5, "periodic")
+    tracemalloc.start()
+    try:
+        model = chain_model(n, 1.0, 1.0, 2.0, "periodic")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.n == n
+    assert held <= peak <= 64 * n
+
+
+@pytest.mark.parametrize(
+    "n,boundary,lam", [(2, "open", 2.0), (8, "periodic", 0.5), (16, "open", 100.0), (33, "periodic", 0.01)]
+)
+def test_a_chain_and_its_potential_give_one_ground_state(n, boundary, lam):
+    # the ring's degenerate pairs come back from eigh in another basis of
+    # each pair's plane; the ground state does not depend on it
+    m, omega = 1.3, 0.9
+    chain = chain_model(n, m, omega, lam, boundary)
+    general = QuadraticModel.from_potential(m, bond_loop_potential(n, m, omega, lam, boundary))
+    assert validate(general).to_json_dict() == validate(chain).to_json_dict()
+    assert validate(chain).valid and validate(chain).pure
+    half = ModePartition.from_sides(range(1, n // 2 + 1), range(n // 2 + 1, n + 1))
+    bits = [entanglement_entropy(model, half).total_bits for model in (chain, general)]
+    assert abs(bits[0] - bits[1]) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "frequencies,eigenvectors,cause",
+    [
+        ([2.0, 1.0], np.eye(2), "ascending"),
+        ([1.0, np.nan], np.eye(2), "ascending"),
+        ([np.nan], np.eye(1), "ascending"),
+        ([1.0, np.inf], np.eye(2), "ascending"),
+        ([0.0, 1.0], np.eye(2), "ascending"),
+        ([[1.0, 2.0]], np.eye(2), "1-D"),
+        ([1.0, 2.0], np.eye(3), "eigenvectors must be 2x2, got shape \\(3, 3\\)"),
+        ([1.0, 2.0], np.ones(2), "eigenvectors must be 2x2, got shape \\(2,\\)"),
+    ],
+    ids=["descending", "nan", "nan-alone", "inf", "zero", "2-D", "3x3-vectors", "1-D-vectors"],
+)
+def test_model_refuses_malformed_normal_modes(frequencies, eigenvectors, cause):
+    with pytest.raises(ParameterError, match=cause):
+        QuadraticModel(1.0, np.array(frequencies), eigenvectors)
 
 
 def test_two_oscillator_normal_modes():
@@ -432,7 +494,7 @@ def test_model_params_round_trip():
 
 def test_model_params_builds_models():
     two = ModelParams(type="two_oscillator", m=1.0, omega=1.0, lam=2.0)
-    np.testing.assert_array_equal(two.build().potential, [[5.0, -4.0], [-4.0, 5.0]])
+    np.testing.assert_allclose(modes_potential(two.build()), [[5.0, -4.0], [-4.0, 5.0]], rtol=0, atol=1e-14)
     chain = ModelParams(type="chain", m=1.0, omega=1.0, lam=1.0, n=3)
     assert chain.build().n == 3
 
@@ -468,8 +530,13 @@ def test_mode_count_ceiling_is_checked_before_building(monkeypatch, n):
         ModelParams.from_json_dict(record)
     with pytest.raises(ParameterError, match="MAX_MODES"):
         chain_model(n, 1.0, 1.0, 0.5)
-    with pytest.raises(ParameterError, match="MAX_MODES"):
-        QuadraticModel(n=n, mass=1.0, potential=np.eye(2))
+    # views with no storage: the count is refused before any entry is read
+    for build in (
+        lambda: QuadraticModel.from_potential(1.0, np.broadcast_to(1.0, (n, n))),
+        lambda: QuadraticModel(1.0, np.broadcast_to(1.0, n), np.broadcast_to(1.0, (n, n))),
+    ):
+        with pytest.raises(ParameterError, match="MAX_MODES"):
+            build()
 
 
 @pytest.mark.parametrize("n", [4.0, np.float64(4.0), True, "4", None], ids=repr)
@@ -478,12 +545,9 @@ def test_mode_count_must_be_an_integer(n):
     with pytest.raises(ParameterError, match="mode count must be an integer"):
         chain_model(n, 1.0, 1.0, 1.0)
     with pytest.raises(ParameterError, match="mode count must be an integer"):
-        QuadraticModel(n=n, mass=1.0, potential=np.eye(4))
-    with pytest.raises(ParameterError, match="mode count must be an integer"):
         ModelParams(type="chain", m=1.0, omega=1.0, lam=1.0, n=n)
     k = np.int64(4)
     assert chain_model(k, 1.0, 1.0, 1.0).n == 4
-    assert QuadraticModel(n=k, mass=1.0, potential=np.eye(4)).n == 4
     assert ModelParams(type="chain", m=1.0, omega=1.0, lam=1.0, n=k).build().n == 4
 
 

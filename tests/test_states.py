@@ -135,7 +135,7 @@ def test_validate_and_wigner_reject_non_finite_entries(gamma, cause):
     assert len(messages) == 1
     # a model potential with the same entries has no ground state
     with pytest.raises(ParameterError, match=cause):
-        QuadraticModel(n=2, mass=1.0, potential=gamma)
+        QuadraticModel.from_potential(1.0, gamma)
 
 
 @pytest.mark.parametrize("scale,valid", [(1.0, True), (0.9, False)])
@@ -204,7 +204,7 @@ def test_perturbed_normal_modes_fail_the_certificate(linalg_calls):
     rescaled = model.eigenvectors.copy()
     rescaled[:, 0] *= 1 + 1e-6
     for vectors in (perturbed, rescaled):
-        other = QuadraticModel(n=8, mass=1.0, potential=model.potential, _modes=(model.frequencies, vectors))
+        other = QuadraticModel(1.0, model.frequencies, vectors)
         for tol in (0.0, 1e-8, 1.5e-6):
             with pytest.raises(NumericalFailureError, match=RESIDUALS) as excinfo:
                 validate(other, tol)
@@ -559,13 +559,16 @@ def test_csv_rejects_wrong_ordering_tag():
 
 
 @pytest.mark.parametrize(
-    "tag,accepted", [("", True), (" hbar=1", True), (" hbar=2", False)], ids=["absent", "one", "two"]
+    "tag,accepted",
+    [("", True), (" hbar=1", True), (" hbar=1.0", True), (" hbar=2", False), (" hbar=true", False),
+     (" hbar=NaN", False)],
+    ids=["absent", "one", "one-float", "two", "true", "nan"],
 )
 def test_csv_hbar_tag_follows_the_json_rule(tag, accepted):
     text = f"# sympent covariance n=1 ordering=qqpp{tag}\n0.5,0\n0,0.5\n"
     obj = {"n": 1, "ordering": "qqpp", "matrix": [0.5, 0, 0, 0.5]}
     if tag:
-        obj["hbar"] = int(tag.split("=")[1])
+        obj["hbar"] = json.loads(tag.split("=")[1])
     if accepted:
         np.testing.assert_array_equal(covariance_from_csv_text(text), vacuum(1))
         np.testing.assert_array_equal(covariance_from_json_dict(obj), vacuum(1))
@@ -573,6 +576,13 @@ def test_csv_hbar_tag_follows_the_json_rule(tag, accepted):
     for read, value in ((covariance_from_csv_text, text), (covariance_from_json_dict, obj)):
         with pytest.raises(MalformedInputError, match="unsupported hbar convention"):
             read(value)
+
+
+@pytest.mark.parametrize("tag", ["1_0", "\u0661"], ids=["underscore", "arabic-indic-one"])
+def test_csv_hbar_tag_is_number_text(tag):
+    # float() reads both as a number, 10 and 1; the tag is refused as text
+    with pytest.raises(MalformedInputError, match="covariance CSV must"):
+        covariance_from_csv_text(f"# sympent covariance n=1 ordering=qqpp hbar={tag}\n0.5,0\n0,0.5\n")
 
 
 @pytest.mark.parametrize("n", [0, -1])
