@@ -64,6 +64,7 @@ from .states import (
     _as_state,
     _check_number_text,
     _check_tol,
+    _model_grams,
     covariance_from_csv_text,
     covariance_from_json_dict,
     heisenberg_margin,
@@ -71,7 +72,7 @@ from .states import (
     validate,
     wigner_values,
 )
-from .symplectic import symplectic_spectrum
+from .symplectic import _gram_spectrum, symplectic_spectrum
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -85,8 +86,9 @@ MAX_WIGNER_STEPS = 1001
 WIGNER_CHUNK_POINTS = 65_536
 # Largest point count of a sweep grid; each point builds and analyses one model.
 MAX_SWEEP_POINTS = 10_000
-# Most bytes of the reduced covariances, of the smaller side of the cut, that
-# a sweep stacks for one spectrum call: 16 points of a 181-mode side, 512
+# Most bytes of the Gram pairs, of the smaller side of the cut, that a sweep
+# stacks for one spectrum call: 16 k^2 bytes per point of a k-mode side,
+# half its 2k x 2k covariance matrix, so 32 points of a 181-mode side, 1024
 # points of a 32-mode one.
 SWEEP_STACK_BYTES = 16 * 2**20
 
@@ -309,33 +311,35 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     side = min(partition.set_a, partition.set_b, key=len)
     pad = len(partition.set_a) - len(side)
 
-    def reduction(value: float) -> np.ndarray:
-        """The smaller side of the certified ground state at one grid point."""
+    def grams(value: float) -> tuple[np.ndarray, np.ndarray]:
+        """The Gram pair of the smaller side of the certified ground state at
+        one grid point."""
         try:
             model = params.with_param(name, float(value)).build()
             validate(model).require_physical()
-            return reduce(model, side)
+            return _model_grams(model, side)
         except SympentError as exc:
             raise at_point(exc, value) from exc
 
-    # The points of a chunk are built, certified and reduced in order, then
-    # one stacked call gives all their spectra, each bit for bit as if alone.
-    # Its checks test the whole stack at once, so when it fails, the chunk's
-    # points are solved alone, in order, and the first to fail is reported.
-    width = 2 * len(side)
-    chunk = max(1, SWEEP_STACK_BYTES // (8 * width * width))
+    # The points of a chunk are built, certified and reduced to their Gram
+    # pairs in order, then one stacked call gives all their spectra, each bit
+    # for bit as if alone. Its checks test the whole stack at once, so when
+    # it fails, the chunk's points are solved alone, in order, and the first
+    # to fail is reported.
+    k = len(side)
+    chunk = max(1, SWEEP_STACK_BYTES // (16 * k * k))
     rows = []
     for start in range(0, len(grid), chunk):
         values = grid[start : start + chunk]
-        stack = np.empty((len(values), width, width))
+        xs, ps = np.empty((2, len(values), k, k))
         for i, value in enumerate(values):
-            stack[i] = reduction(value)
+            xs[i], ps[i] = grams(value)
         try:
-            spectra = symplectic_spectrum(stack)
+            spectra = _gram_spectrum(xs, ps)
         except SympentError:
-            for value, gamma in zip(values, stack):
+            for value, x, p in zip(values, xs, ps):
                 try:
-                    symplectic_spectrum(gamma)
+                    _gram_spectrum(x, p)
                 except SympentError as exc:
                     raise at_point(exc, value) from exc
             raise

@@ -21,8 +21,8 @@ import numpy as np
 from .errors import InvalidPartitionError, MalformedInputError, UnphysicalEigenvalueError
 from .logbase import BITS, LN2, log_fn
 from .models import QuadraticModel
-from .states import DEFAULT_TOL, ModePartition, _as_state, reduce, validate
-from .symplectic import symplectic_spectrum
+from .states import DEFAULT_TOL, ModePartition, _as_state, _model_grams, reduce, validate
+from .symplectic import _gram_spectrum, symplectic_spectrum
 
 # Eigenvalues within this band of 1/2 are treated as exactly pure; below the
 # band mode_entropy, thermal_parameter and ThermalMode.from_sigma raise, never
@@ -68,11 +68,16 @@ def mode_entropy(sigma: float, base: str = BITS) -> float:
 
 
 def thermal_parameter(sigma: float) -> float:
-    """Thermal parameter beta = ln((sigma + 1/2)/(sigma - 1/2)); inf for a pure mode."""
+    """Thermal parameter beta = ln((sigma + 1/2)/(sigma - 1/2)); inf for a pure mode.
+
+    Computed as log1p(1/d) with d = sigma - 1/2, as in ``mode_entropy``: the
+    quotient form rounds (sigma + 1/2)/(sigma - 1/2) to 1 + O(eps), which
+    costs a relative error of about eps sigma and reads 0 from sigma ~ 1e16.
+    """
     s = _effective_sigma(sigma)
     if s == 0.5:
         return math.inf
-    return math.log((s + 0.5) / (s - 0.5))
+    return math.log1p(1.0 / (s - 0.5))
 
 
 @dataclass(frozen=True)
@@ -159,6 +164,16 @@ def _total_bits(spectrum: np.ndarray) -> float:
     return float(sum(mode_entropy(s, BITS) for s in thermal))
 
 
+def _reduced_spectrum(state: np.ndarray | QuadraticModel, keep) -> np.ndarray:
+    """Symplectic spectrum, descending, of a state's reduction to the kept
+    modes: of a model's ground state from the Gram pair of its factor rows
+    (``states._model_grams``, ``symplectic._gram_spectrum``), of a
+    covariance matrix from its submatrix (``reduce``, ``symplectic_spectrum``)."""
+    if isinstance(state, QuadraticModel):
+        return _gram_spectrum(*_model_grams(state, keep))
+    return symplectic_spectrum(reduce(state, keep))
+
+
 def _s_count(spectrum: np.ndarray) -> int:
     """Number of thermal (entangled) modes: eigenvalues above 1/2 + S_COUNT_TOL."""
     return int(np.sum(spectrum > 0.5 + S_COUNT_TOL))
@@ -174,8 +189,9 @@ def entanglement_entropy(
 
     ``state`` is a covariance matrix Gamma or a ``QuadraticModel``, which
     stands for its ground state: its verdict is the model's certificate and
-    its reductions come from rows of its factors, so no full Gamma is formed
-    and no full-state solve runs (``validate``, ``reduce``).
+    its reduction spectra come from the Gram pairs of rows of its factors,
+    so no full Gamma is formed and no full-state solve runs (``validate``,
+    ``_reduced_spectrum``).
     For a pure global state this is the entanglement entropy between A and B
     and equals the B-side total, so the report also carries the B-side
     spectrum and total for that cross-check. For a mixed state the two sides
@@ -191,14 +207,14 @@ def entanglement_entropy(
         raise InvalidPartitionError(f"partition is over {partition.n} modes but the state has {n}")
     report = validate(state, tol)
     report.require_physical()
-    spectrum_a = symplectic_spectrum(reduce(state, partition.set_a))
+    spectrum_a = _reduced_spectrum(state, partition.set_a)
     total_bits = _total_bits(spectrum_a)
     s_count = _s_count(spectrum_a)
 
     spectrum_b = None
     total_b_bits = None
     if report.pure:
-        spectrum_b = symplectic_spectrum(reduce(state, partition.set_b))
+        spectrum_b = _reduced_spectrum(state, partition.set_b)
         total_b_bits = _total_bits(spectrum_b)
 
     total = total_bits if base == BITS else total_bits * LN2

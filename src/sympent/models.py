@@ -251,20 +251,26 @@ def _mode_factors(model: QuadraticModel) -> tuple[np.ndarray, np.ndarray]:
     return model.eigenvectors / root, model.eigenvectors * root
 
 
-def _gram_covariance(q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """X (+) P with X = q q^T / 2 and P = r r^T / 2, for factor rows q and r
-    of one shape: Gram products, so exactly symmetric."""
-    k = len(q)
+def _grams(q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram pair x = q q^T and p = r r^T of factor rows q and r of one
+    shape, whose state is X (+) P with X = x / 2 and P = p / 2: each is one
+    2-D product, so exactly symmetric."""
+    return q @ q.T, r @ r.T
+
+
+def _gram_covariance(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """X (+) P with X = x / 2 and P = p / 2, for a Gram pair (``_grams``)."""
+    k = len(x)
     gamma = np.zeros((2 * k, 2 * k))
-    gamma[:k, :k] = q @ q.T / 2.0
-    gamma[k:, k:] = r @ r.T / 2.0
+    gamma[:k, :k] = x / 2.0
+    gamma[k:, k:] = p / 2.0
     return gamma
 
 
 def ground_state_covariance(model: QuadraticModel) -> np.ndarray:
     """Covariance matrix of the model's (pure, Gaussian) ground state, from
     all rows of ``model.mode_factors`` (``_gram_covariance``)."""
-    return _gram_covariance(*model.mode_factors)
+    return _gram_covariance(*_grams(*model.mode_factors))
 
 
 # --- serialization ---------------------------------------------------------

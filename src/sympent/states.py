@@ -31,7 +31,14 @@ from .errors import (
     NumericalFailureError,
     ParameterError,
 )
-from .models import QuadraticModel, _check_fields, _gram_covariance, _is_json_int, _unique_fields
+from .models import (
+    QuadraticModel,
+    _check_fields,
+    _gram_covariance,
+    _grams,
+    _is_json_int,
+    _unique_fields,
+)
 from .symplectic import (
     _check_finite,
     _check_symmetric,
@@ -327,17 +334,26 @@ def reduce(state: np.ndarray | QuadraticModel, keep) -> np.ndarray:
     Of a covariance matrix, it is the submatrix of the rows and columns
     {q_i, p_i : i in keep}. Of a model's ground state, it is X_A (+) P_A
     from the kept rows q_A, r_A of ``model.mode_factors``,
-    X_A = q_A q_A^T / 2 and P_A = r_A r_A^T / 2 (``models._gram_covariance``),
-    with no full Gamma formed.
+    X_A = q_A q_A^T / 2 and P_A = r_A r_A^T / 2 (``_model_grams``,
+    ``models._gram_covariance``), with no full Gamma formed.
     """
     state, n = _as_state(state)
-    modes = _mode_indices(keep, n, "keep list")
     if isinstance(state, QuadraticModel):
-        rows = [m - 1 for m in modes]
-        q, r = state.mode_factors
-        return _gram_covariance(q[rows], r[rows])
+        return _gram_covariance(*_model_grams(state, keep))
+    modes = _mode_indices(keep, n, "keep list")
     idx = [m - 1 for m in modes] + [n + m - 1 for m in modes]
     return state.take(idx, axis=0).take(idx, axis=1)
+
+
+def _model_grams(model: QuadraticModel, keep) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram pair q_A q_A^T, r_A r_A^T (``models._grams``) of the kept rows
+    of ``model.mode_factors`` (1-based mode indices, ``_mode_indices``):
+    twice the X_A and P_A of the reduction, which
+    ``symplectic._gram_spectrum`` solves and ``reduce`` turns into its
+    covariance matrix."""
+    rows = [m - 1 for m in _mode_indices(keep, model.n, "keep list")]
+    q, r = model.mode_factors
+    return _grams(q[rows], r[rows])
 
 
 def characteristic_function(gamma: np.ndarray, eta) -> float:
@@ -360,9 +376,13 @@ def wigner_values(gamma: np.ndarray, points: np.ndarray) -> np.ndarray:
 
     W(x) = (2 pi)^-n det(Gamma)^-1/2 exp(-1/2 x^T Gamma^-1 x), normalized so
     the integral over phase space is 1 in the hbar = 1, vacuum = I/2
-    convention. A Gamma with a NaN or infinite entry, or an asymmetric one,
-    raises MalformedInputError; one that is not positive definite within
-    ``symplectic._spd_eigh`` raises NumericalFailureError.
+    convention. The normalization enters as a sum of logs of Gamma's
+    eigenvalues inside the one exp, so no det(Gamma) is formed: it would
+    overflow for a Gamma whose eigenvalues multiply past the float range,
+    though W itself is representable. A Gamma with a NaN or infinite entry,
+    or an asymmetric one, raises MalformedInputError; one that is not
+    positive definite within ``symplectic._spd_eigh`` raises
+    NumericalFailureError.
     """
     gamma = np.asarray(gamma, dtype=float)
     n = mode_count(gamma)
@@ -375,8 +395,8 @@ def wigner_values(gamma: np.ndarray, points: np.ndarray) -> np.ndarray:
         raise NumericalFailureError(str(exc)) from exc
     y = v.T @ points
     quad = np.sum(y * y / w[:, None], axis=0)
-    norm = (2.0 * np.pi) ** (-n) / np.sqrt(float(np.prod(w)))
-    return norm * np.exp(-0.5 * quad)
+    log_norm = -n * math.log(2.0 * math.pi) - 0.5 * float(np.sum(np.log(w)))
+    return np.exp(log_norm - 0.5 * quad)
 
 
 # --- serialization ---------------------------------------------------------

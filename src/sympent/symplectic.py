@@ -116,9 +116,10 @@ def _spd_eigh(*blocks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Eigenvalues (ascending) and eigenvectors of each diagonal block of a
     symmetric positive-definite matrix, or of each slice of a stack of them.
 
-    The package's one positive-definiteness test of a matrix, for covariance
-    matrices and model potentials alike; pass a whole matrix as its only
-    block. Each square float block goes through ``_check_symmetric``
+    The package's one positive-definiteness test of a formed matrix, for
+    covariance matrices and model potentials alike (a model reduction's Gram
+    pair is tested by its Cholesky factors, ``_gram_spectrum``); pass a
+    whole matrix as its only block. Each square float block goes through ``_check_symmetric``
     (MalformedInputError). Raises InvalidStateError (``_check_condition``) if
     the block-diagonal matrix they form has a condition number of
     1/SINGULAR_RTOL or more (its eigenvalues are those of all the blocks
@@ -218,6 +219,39 @@ def symplectic_spectrum(gamma: np.ndarray) -> np.ndarray:
         return np.linalg.svd(np.swapaxes(cx, -1, -2) @ cp, compute_uv=False)
     eigs = np.linalg.eigvalsh(_hermitian_form(gamma)[0])
     return eigs[..., ::-1][..., :n].copy()
+
+
+def _gram_spectrum(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues, sorted descending, of the state X (+) P with
+    X = x / 2 and P = p / 2, given its Gram pair x = q q^T and p = r r^T, or
+    of each slice of a stack of pairs: a model reduction's route.
+
+    With Cholesky factors x = L_x L_x^T and p = L_p L_p^T, X P is similar to
+    M M^T / 4, M = L_x^T L_p, so sigma = sv(M) / 2 (Audenaert, Eisert,
+    Plenio, Werner, PRA 66, 042327 (2002)). Each Gram goes through
+    ``_check_symmetric`` (MalformedInputError), and a failed Cholesky, the
+    positive-definite test, raises NumericalFailureError. No condition test
+    is needed: a reduction's X and P are principal submatrices of the
+    certified ground state's, so by Cauchy interlacing their condition
+    numbers are at most w_max / w_min over the model's frequencies, which
+    ``models._check_ground_state`` holds below 1/SINGULAR_RTOL.
+
+    A (P, k, k) stack pair gives a (P, k) array whose row i is bit for bit
+    the spectrum of pair i alone: numpy's stacked cholesky, matmul and svd
+    make the same LAPACK and BLAS call for each slice. Like
+    ``symplectic_spectrum``, each check tests the whole stack and names no
+    slice.
+    """
+    _check_symmetric(x)
+    _check_symmetric(p)
+    try:
+        lx, lp = np.linalg.cholesky(x), np.linalg.cholesky(p)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(
+            "model reduction is not positive definite: the Cholesky factorization "
+            "of its Gram pair failed"
+        ) from exc
+    return np.linalg.svd(np.swapaxes(lx, -1, -2) @ lp, compute_uv=False) / 2.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -44,9 +44,10 @@ def rng():
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Record (name, dtype kind) of each numpy.linalg eigensolver and SVD call."""
+    """Record (name, dtype kind) of each numpy.linalg eigensolver, SVD and
+    Cholesky call."""
     calls = []
-    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+    for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "cholesky"):
 
         def recorded(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
             calls.append((_name, np.asarray(a).dtype.kind))

@@ -321,13 +321,14 @@ def test_model_at_tol_zero_is_valid_and_pure(capsys, tmp_path, command):
 
 
 def test_model_entropy_is_certified_not_solved(capsys, tmp_path, linalg_calls):
-    # A and B only, two block eigh and one SVD each: the chain's modes are in closed form
+    # A and B only, two Cholesky of a Gram pair and one SVD each, and no
+    # eigensolver: the chain's modes are in closed form
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(dict(CHAIN6, n=16)), encoding="utf-8")
     partition = "1,2,3,4,5,6|" + ",".join(str(i) for i in range(7, 17))
     code, _, _ = run(capsys, "entropy", str(path), "--partition", partition)
     assert code == 0
-    assert sorted(name for name, _ in linalg_calls) == ["eigh"] * 4 + ["svd"] * 2
+    assert sorted(name for name, _ in linalg_calls) == ["cholesky"] * 4 + ["svd"] * 2
 
 
 def test_model_entropy_computes_the_mode_factors_once(capsys, tmp_path, monkeypatch):
@@ -357,10 +358,11 @@ def test_model_validate_prints_a_zero_margin_without_a_solve(capsys, tmp_path, l
 
 def test_sweep_point_is_certified_not_solved(capsys, tmp_path, monkeypatch, linalg_calls, no_gamma):
     # each point's model is the state: its certificate runs no eigensolver
-    # and forms no Gamma, and the A sides, reduced from factor rows, are
-    # solved as one (4, 6, 6) stack: two block eigh of (4, 3, 3) and one SVD
+    # and forms no Gamma, and the Gram pairs of the A sides, from factor
+    # rows, are solved as one stack pair of (4, 3, 3): two stacked Cholesky
+    # and one SVD, and no eigensolver
     shapes = []
-    for name in ("eigh", "svd"):
+    for name in ("cholesky", "svd"):
         recorded = getattr(np.linalg, name)
         monkeypatch.setattr(
             np.linalg,
@@ -368,23 +370,21 @@ def test_sweep_point_is_certified_not_solved(capsys, tmp_path, monkeypatch, lina
             lambda a, *args, _fn=recorded, _name=name, **kwargs: shapes.append((_name, a.shape))
             or _fn(a, *args, **kwargs),
         )
-    stacks = []
-    real = cli.symplectic_spectrum
-    monkeypatch.setattr(cli, "symplectic_spectrum", lambda g: stacks.append(g.shape) or real(g))
+    stacks = record_gram_stacks(monkeypatch)
     spec = tmp_path / "sweep.json"
     write_sweep_json(spec, CHAIN6, count=4, partition="1,2,3|4,5,6")
     code, _, _ = run(capsys, "sweep", str(spec), "--out", str(tmp_path / "sweep.csv"))
     assert code == 0
-    assert stacks == [(4, 6, 6)]
-    assert sorted(name for name, _ in linalg_calls) == ["eigh", "eigh", "svd"]
-    assert shapes == [("eigh", (4, 3, 3)), ("eigh", (4, 3, 3)), ("svd", (4, 3, 3))]
+    assert [(x.shape, p.shape) for x, p in stacks] == [((4, 3, 3), (4, 3, 3))]
+    assert sorted(name for name, _ in linalg_calls) == ["cholesky", "cholesky", "svd"]
+    assert shapes == [("cholesky", (4, 3, 3)), ("cholesky", (4, 3, 3)), ("svd", (4, 3, 3))]
 
 
 def test_sweep_solves_the_smaller_side_of_the_cut(capsys, tmp_path, monkeypatch, linalg_calls):
-    # side A has 4 of the 6 modes, so the 4 points stack side B: one (4, 4, 4)
-    # stack, two block eigh of (4, 2, 2) and one SVD
+    # side A has 4 of the 6 modes, so the 4 points stack side B: one stack
+    # pair of (4, 2, 2) Grams, two stacked Cholesky and one SVD
     shapes = []
-    for name in ("eigh", "svd"):
+    for name in ("cholesky", "svd"):
         recorded = getattr(np.linalg, name)
         monkeypatch.setattr(
             np.linalg,
@@ -392,67 +392,74 @@ def test_sweep_solves_the_smaller_side_of_the_cut(capsys, tmp_path, monkeypatch,
             lambda a, *args, _fn=recorded, _name=name, **kwargs: shapes.append((_name, a.shape))
             or _fn(a, *args, **kwargs),
         )
-    stacks = []
-    real = cli.symplectic_spectrum
-    monkeypatch.setattr(cli, "symplectic_spectrum", lambda g: stacks.append(g.shape) or real(g))
+    stacks = record_gram_stacks(monkeypatch)
     spec = tmp_path / "sweep.json"
     write_sweep_json(spec, CHAIN6, count=4, partition="1,2,3,4|5,6")
     code, _, _ = run(capsys, "sweep", str(spec), "--out", str(tmp_path / "sweep.csv"))
     assert code == 0
-    assert stacks == [(4, 4, 4)]
-    assert sorted(name for name, _ in linalg_calls) == ["eigh", "eigh", "svd"]
-    assert shapes == [("eigh", (4, 2, 2)), ("eigh", (4, 2, 2)), ("svd", (4, 2, 2))]
+    assert [(x.shape, p.shape) for x, p in stacks] == [((4, 2, 2), (4, 2, 2))]
+    assert sorted(name for name, _ in linalg_calls) == ["cholesky", "cholesky", "svd"]
+    assert shapes == [("cholesky", (4, 2, 2)), ("cholesky", (4, 2, 2)), ("svd", (4, 2, 2))]
 
 
 def test_sweep_stacks_side_a_on_a_tie(capsys, tmp_path, monkeypatch):
-    stacks = []
-    real = cli.symplectic_spectrum
-    monkeypatch.setattr(cli, "symplectic_spectrum", lambda g: stacks.append(g) or real(g))
+    # each stacked Gram pair is twice the X_A and P_A of reduce(model, A)
+    stacks = record_gram_stacks(monkeypatch)
     spec = tmp_path / "sweep.json"
     write_sweep_json(spec, CHAIN6, start=0.5, stop=2.0, count=4, partition="4,5,6|1,2,3")
     assert run(capsys, "sweep", str(spec), "--out", str(tmp_path / "sweep.csv"))[0] == 0
-    [stack] = stacks
-    for slice_, lam in zip(stack, np.linspace(0.5, 2.0, 4)):
-        model = chain_model(6, 1.0, 1.0, lam, "periodic")
-        np.testing.assert_array_equal(slice_, reduce(model, [4, 5, 6]))
+    [(xs, ps)] = stacks
+    for x, p, lam in zip(xs, ps, np.linspace(0.5, 2.0, 4)):
+        gamma = reduce(chain_model(6, 1.0, 1.0, lam, "periodic"), [4, 5, 6])
+        np.testing.assert_array_equal(x / 2.0, gamma[:3, :3])
+        np.testing.assert_array_equal(p / 2.0, gamma[3:, 3:])
 
 
 def test_padded_sweep_row_stays_sorted_below_one_half(capsys, tmp_path):
-    # at lambda = 1e-9 the sigma of modes 5, 6 round to 0.5 and
-    # 0.49999999999999978, so the two 0.5 of the pad go before the second
+    # at lambda = 1e-8 the sigma of modes 5, 6 round to 0.5 and
+    # 0.49999999999999994, so the two 0.5 of the pad go before the second
     spec = tmp_path / "sweep.json"
     out_csv = tmp_path / "sweep.csv"
-    write_sweep_json(spec, CHAIN6, start=0.0, stop=1e-9, count=2, partition="1,2,3,4|5,6")
+    write_sweep_json(spec, CHAIN6, start=0.0, stop=1e-8, count=2, partition="1,2,3,4|5,6")
     assert run(capsys, "sweep", str(spec), "--out", str(out_csv))[0] == 0
     _, _, rows = read_csv_rows(out_csv)
-    assert rows[1][1:5] == ["0.5", "0.5", "0.5", "0.49999999999999978"]
+    assert rows[1][1:5] == ["0.5", "0.5", "0.5", "0.49999999999999994"]
     for row in rows:
         sigmas = [float(c) for c in row[1:5]]
         assert sigmas == sorted(sigmas, reverse=True)
 
 
+def record_gram_stacks(monkeypatch):
+    """The (x, p) argument pairs of each of the sweep's ``_gram_spectrum``
+    calls, appended as the calls are made."""
+    stacks = []
+    real = cli._gram_spectrum
+    monkeypatch.setattr(cli, "_gram_spectrum", lambda x, p: stacks.append((x, p)) or real(x, p))
+    return stacks
+
+
 def spoil_sweep_points(monkeypatch, spoils):
-    """Make the sweep's ``reduce`` spoil the reductions of the grid points
-    that ``spoils`` maps, by their index in the grid, to a function that
-    changes a matrix in place. Certified points never fail the spectrum's
-    checks, so a failing point is made this way."""
-    real = cli.reduce
+    """Make the sweep's ``_model_grams`` spoil the q-side Gram of the grid
+    points that ``spoils`` maps, by their index in the grid, to a function
+    that changes a matrix in place. Certified points never fail the
+    spectrum's checks, so a failing point is made this way."""
+    real = cli._model_grams
     points = itertools.count()
 
     def spoiled(model, keep):
-        gamma = real(model, keep)
-        spoils.get(next(points), lambda g: None)(gamma)
-        return gamma
+        x, p = real(model, keep)
+        spoils.get(next(points), lambda g: None)(x)
+        return x, p
 
-    monkeypatch.setattr(cli, "reduce", spoiled)
-
-
-def make_asymmetric(gamma):
-    gamma[0, 1] += 1e-9
+    monkeypatch.setattr(cli, "_model_grams", spoiled)
 
 
-def make_non_finite(gamma):
-    gamma[0, 0] = np.nan
+def make_asymmetric(gram):
+    gram[0, 1] += 1e-9
+
+
+def make_non_finite(gram):
+    gram[0, 0] = np.nan
 
 
 def run_failing_sweep(capsys, tmp_path):
@@ -484,26 +491,24 @@ def test_sweep_names_the_first_of_its_failing_grid_points(capsys, tmp_path, monk
 
 
 def test_sweep_reports_a_failing_point_of_a_later_chunk(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "SWEEP_STACK_BYTES", 2 * 8 * 6 * 6)
-    stacks = []
-    real = cli.symplectic_spectrum
-    monkeypatch.setattr(cli, "symplectic_spectrum", lambda g: stacks.append(g.shape) or real(g))
+    monkeypatch.setattr(cli, "SWEEP_STACK_BYTES", 2 * 16 * 3 * 3)
+    stacks = record_gram_stacks(monkeypatch)
     spoil_sweep_points(monkeypatch, {3: make_asymmetric})
     err = run_failing_sweep(capsys, tmp_path)
     assert "sympent: error: grid point lambda=3: matrix is asymmetric: max |G - G^T| = 1.000e-09" in err
     # the first chunk, the second, then its points alone up to the failing one
-    assert stacks == [(2, 6, 6), (2, 6, 6), (6, 6), (6, 6)]
+    assert [x.shape for x, _ in stacks] == [(2, 3, 3), (2, 3, 3), (3, 3), (3, 3)]
 
 
 def test_sweep_reraises_a_stack_error_that_no_point_has_alone(capsys, tmp_path, monkeypatch):
-    real = cli.symplectic_spectrum
+    real = cli._gram_spectrum
 
-    def stack_fails(gamma):
-        if gamma.ndim == 3:
+    def stack_fails(x, p):
+        if x.ndim == 3:
             raise NumericalFailureError("the stack failed")
-        return real(gamma)
+        return real(x, p)
 
-    monkeypatch.setattr(cli, "symplectic_spectrum", stack_fails)
+    monkeypatch.setattr(cli, "_gram_spectrum", stack_fails)
     err = run_failing_sweep(capsys, tmp_path)
     assert err.startswith("sympent: error: the stack failed\n")
 
@@ -514,12 +519,10 @@ def test_sweep_in_chunks_writes_the_same_csv(capsys, tmp_path, monkeypatch, poin
     spec = tmp_path / "sweep.json"
     write_sweep_json(spec, CHAIN6, start=0.0, stop=3.0, count=7, partition="1,2,3|4,5,6")
     assert run(capsys, "sweep", str(spec), "--out", str(tmp_path / "one.csv"))[0] == 0
-    monkeypatch.setattr(cli, "SWEEP_STACK_BYTES", points * 8 * 6 * 6)
-    stacks = []
-    real = cli.symplectic_spectrum
-    monkeypatch.setattr(cli, "symplectic_spectrum", lambda g: stacks.append(len(g)) or real(g))
+    monkeypatch.setattr(cli, "SWEEP_STACK_BYTES", points * 16 * 3 * 3)
+    stacks = record_gram_stacks(monkeypatch)
     assert run(capsys, "sweep", str(spec), "--out", str(tmp_path / "chunked.csv"))[0] == 0
-    assert stacks == [points] * (7 // points) + [7 % points] * (7 % points > 0)
+    assert [len(x) for x, _ in stacks] == [points] * (7 // points) + [7 % points] * (7 % points > 0)
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
@@ -1023,6 +1026,23 @@ def test_wigner_thermal_mode_peak(capsys, tmp_path):
     sigma = 1.0 / math.sqrt(3.0)
     assert abs(payload["peak"] - 1.0 / (2.0 * math.pi * sigma)) < 1e-12
     assert abs(payload["grid_integral"] - 1.0) < 1e-6
+
+
+@pytest.mark.filterwarnings("error")
+def test_wigner_of_a_state_whose_determinant_overflows(capsys, tmp_path):
+    # Gamma = 1.5e308 I with q-p entries of 1e307: the kept mode's
+    # eigenvalues multiply past the float range, yet its peak is ~1.06e-309;
+    # stderr carries the run record alone, with no numpy warning
+    gamma = 1.5e308 * np.eye(4)
+    gamma[0, 2] = gamma[2, 0] = gamma[1, 3] = gamma[3, 1] = 1e307
+    state = tmp_path / "huge.json"
+    state.write_text(json.dumps(covariance_to_json_dict(gamma)), encoding="utf-8")
+    code, out, err = run(capsys, "wigner", str(state), "--out", str(tmp_path / "w.csv"))
+    assert code == 0
+    root_det = 1.5e308 * math.sqrt(1.0 - (1.0 / 15.0) ** 2)
+    assert json.loads(out)["peak"] == pytest.approx(1.0 / (2.0 * math.pi) / root_det, rel=1e-13)
+    [record] = err.splitlines()
+    assert "tool_version" in json.loads(record)
 
 
 def test_wigner_requires_out_and_valid_mode(capsys, tmp_path):

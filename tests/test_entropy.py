@@ -134,6 +134,19 @@ def test_mode_entropy_matches_mpmath_up_to_large_sigma(log_excess):
     assert rel <= 1e-14
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=math.log10(2 * SIGMA_TOL), max_value=300.0))
+def test_thermal_parameter_matches_mpmath_up_to_large_sigma(log_excess):
+    # ln((s + 1/2)/(s - 1/2)) = 2 atanh(1/(2 s)); the quotient form was off
+    # by 1.1e-8 relative at s = 1e8 and read 0.0 at 1e17 (measured worst of
+    # log1p(1/d): 0.92 eps)
+    sigma = 0.5 + 10.0**log_excess
+    with mpmath.workdps(50):
+        want = 2 * mpmath.atanh(1 / (2 * mpmath.mpf(sigma)))
+        rel = abs((thermal_parameter(sigma) - want) / want)
+    assert rel <= 2 * np.finfo(float).eps
+
+
 def test_mean_occupation_and_thermal_parameter():
     assert ThermalMode.from_sigma(0.5).n_bar == 0.0
     assert thermal_parameter(0.5) == math.inf
@@ -249,12 +262,12 @@ def test_chain_entropy_decomposes_each_state_once(linalg_calls):
 
 
 def test_certified_report_replaces_the_full_state_pass(linalg_calls):
-    # A and B only, reduced from factor rows: two block eigh and one SVD
-    # each; the certificate runs no eigensolver
+    # A and B only, from the Gram pairs of factor rows: two Cholesky and one
+    # SVD each; neither the certificate nor a reduction runs an eigensolver
     model = chain_model(16, 1.0, 1.0, 0.8, "periodic")
     partition = ModePartition.from_sides(range(1, 7), range(7, 17))
     certified = entanglement_entropy(model, partition)
-    assert sorted(name for name, _ in linalg_calls) == ["eigh"] * 4 + ["svd"] * 2
+    assert sorted(name for name, _ in linalg_calls) == ["cholesky"] * 4 + ["svd"] * 2
     solved = entanglement_entropy(ground_state_covariance(model), partition)
     for side in ("spectrum_a", "spectrum_b"):
         np.testing.assert_allclose(getattr(certified, side), getattr(solved, side), rtol=0, atol=1e-15)

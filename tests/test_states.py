@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -408,6 +409,18 @@ def test_wigner_squeezed_level_sets_have_axis_ratio_four():
     for a in (0.5, 1.0, 2.0, 3.0):
         on_q, on_p = wigner_values(gamma, np.array([[a, 0.0], [0.0, a / 4.0]]))
         np.testing.assert_allclose(on_q, on_p, rtol=1e-12)
+
+
+def test_wigner_normalizes_a_gamma_whose_determinant_overflows():
+    # the eigenvalues 1.6e308 and 1.4e308 multiply past the float range, but
+    # the peak 1/(2 pi sqrt(det Gamma)) ~ 1.06e-309 is representable
+    gamma = np.array([[1.5e308, 1e307], [1e307, 1.5e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        [peak] = wigner_values(gamma, np.zeros((2, 1)))
+    root_det = 1.5e308 * np.sqrt(1.0 - (1.0 / 15.0) ** 2)
+    # a subnormal peak keeps ~48 bits
+    np.testing.assert_allclose(peak, 1.0 / (2.0 * np.pi) / root_det, rtol=1e-13)
 
 
 def test_wigner_rejects_singular_matrix():

@@ -17,6 +17,7 @@ from sympent import (
     validate,
     williamson,
 )
+from sympent.states import _model_grams
 
 from conftest import is_symplectic, random_valid_covariance, two_mode_squeezed
 
@@ -285,6 +286,63 @@ def test_stack_names_its_failing_slice(spoil, error, message, route, bad):
     assert type(stacked.value) is type(single.value)
     assert str(stacked.value) == str(single.value)
     assert message in str(single.value)
+
+
+def chain_gram_pairs(n, boundary, cut):
+    """The stacked Gram pairs of the first ``cut`` modes of n-mode chains
+    along 12 lambdas."""
+    pairs = [
+        _model_grams(chain_model(n, 1.0, 1.0, lam, boundary), range(1, cut + 1))
+        for lam in np.linspace(0.1, 2.0, 12)
+    ]
+    return np.stack([x for x, _ in pairs]), np.stack([p for _, p in pairs])
+
+
+@pytest.mark.parametrize("n,boundary,cut", [(6, "open", 3), (64, "periodic", 32), (200, "open", 77)])
+def test_stacked_gram_spectrum_is_each_pair_bit_for_bit(n, boundary, cut):
+    xs, ps = chain_gram_pairs(n, boundary, cut)
+    stacked = symplectic._gram_spectrum(xs, ps)
+    assert stacked.shape == (12, cut)
+    for got, x, p in zip(stacked, xs, ps):
+        np.testing.assert_array_equal(got, symplectic._gram_spectrum(x, p), strict=True)
+        # descending, and within rounding of the eigenfactor route of its Gamma
+        assert np.all(np.diff(got) <= 0.0)
+        gamma = np.zeros((2 * cut, 2 * cut))
+        gamma[:cut, :cut], gamma[cut:, cut:] = x / 2.0, p / 2.0
+        np.testing.assert_allclose(got, symplectic_spectrum(gamma), rtol=0, atol=1e-13 * got[0])
+
+
+def make_indefinite(g):
+    g[0, 0] = -1.0
+
+
+@pytest.mark.parametrize(
+    "spoil,error,message",
+    [
+        (make_asymmetric, MalformedInputError, "matrix is asymmetric: max |G - G^T| = 1.000e-09 > 1e-12"),
+        (make_non_finite, MalformedInputError, "matrix has a NaN or infinite entry"),
+        (make_indefinite, NumericalFailureError, "model reduction is not positive definite"),
+    ],
+    ids=["asymmetric", "non-finite", "indefinite"],
+)
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("bad", [0, 3, 4])
+def test_gram_stack_fails_as_its_failing_pair(spoil, error, message, side, bad):
+    # a failed Cholesky is the package's NumericalFailureError, never numpy's
+    # LinAlgError, and a stack raises exactly what its spoiled pair raises alone
+    grams = [stack[:5].copy() for stack in chain_gram_pairs(10, "open", 4)]
+    alone = grams[side][bad].copy()
+    spoil(alone)
+    grams[side][bad] = alone
+    pair = [grams[0][bad], grams[1][bad]]
+    with pytest.raises(error) as stacked:
+        symplectic._gram_spectrum(*grams)
+    with pytest.raises(error) as single:
+        symplectic._gram_spectrum(*pair)
+    assert type(stacked.value) is type(single.value)
+    assert str(stacked.value) == str(single.value)
+    assert message in str(single.value)
+    assert not isinstance(single.value, np.linalg.LinAlgError)
 
 
 def test_gamma_omega_eigenvalues_are_imaginary_pairs():
