@@ -40,12 +40,12 @@ from .models import (
     _unique_fields,
 )
 from .symplectic import (
+    _as_matrix,
     _check_finite,
     _check_symmetric,
     _require_residuals,
     _spd_eigh,
     _xp_blocks,
-    mode_count,
     symplectic_form,
     symplectic_spectrum,
 )
@@ -149,8 +149,7 @@ def heisenberg_margin(gamma: np.ndarray) -> float:
     A NaN or infinite entry, or asymmetry beyond 1e-12, raises
     MalformedInputError (``symplectic._check_symmetric``).
     """
-    gamma = np.asarray(gamma, dtype=float)
-    n = mode_count(gamma)
+    gamma, n = _as_matrix(gamma)
     _check_symmetric(gamma)
     omega = symplectic_form(n)
     if _xp_blocks(gamma) is None:
@@ -163,11 +162,11 @@ def heisenberg_margin(gamma: np.ndarray) -> float:
 
 def _as_state(state) -> tuple[np.ndarray | QuadraticModel, int]:
     """A ``QuadraticModel`` as given, which stands for its ground state, or
-    else the covariance matrix as a float array; and the state's mode count."""
+    else the covariance matrix as a float array (``symplectic._as_matrix``);
+    and the state's mode count."""
     if isinstance(state, QuadraticModel):
         return state, state.n
-    gamma = np.asarray(state, dtype=float)
-    return gamma, mode_count(gamma)
+    return _as_matrix(state)
 
 
 def _check_tol(tol: float) -> None:
@@ -242,21 +241,22 @@ def validate(state: np.ndarray | QuadraticModel, tol: float = DEFAULT_TOL) -> Va
     return ValidationReport.from_spectrum(spectrum, tol)
 
 
+def _integer_type(kind: type) -> bool:
+    """The integer rule of mode indices and counts: an int or a numpy integer,
+    but not a bool, which would read as 0 or 1."""
+    return kind is not bool and issubclass(kind, (int, np.integer))
+
+
 def _mode_indices(modes, n: int, what: str) -> tuple[int, ...]:
     """The one check of a list of 1-based mode indices, sorted and returned
     as ints: InvalidPartitionError naming ``what`` unless it is nonempty
-    and each index is an integer (a numpy one too, but not a bool, which
-    would read as 0 or 1) in 1..n, given once."""
+    and each index is an integer (``_integer_type``) in 1..n, given once."""
     modes = list(modes)
     if not modes:
         raise InvalidPartitionError(f"{what} must be nonempty")
-
-    def integer(kind: type) -> bool:
-        return kind is not bool and issubclass(kind, (int, np.integer))
-
     # one type test per distinct type, and the range from the extremes
-    if not (all(map(integer, set(map(type, modes)))) and 1 <= min(modes) and max(modes) <= n):
-        bad = [m for m in modes if not (integer(type(m)) and 1 <= m <= n)]
+    if not (all(map(_integer_type, set(map(type, modes)))) and 1 <= min(modes) and max(modes) <= n):
+        bad = [m for m in modes if not (_integer_type(type(m)) and 1 <= m <= n)]
         raise InvalidPartitionError(f"mode indices {bad} of the {what} are not integers in 1..{n}")
     if len(set(modes)) != len(modes):
         raise InvalidPartitionError(f"duplicate mode index in {what} {modes}")
@@ -276,6 +276,8 @@ class ModePartition:
     set_b: tuple[int, ...]
 
     def __post_init__(self):
+        if not _integer_type(type(self.n)):
+            raise InvalidPartitionError(f"mode count n must be an integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
         a = _mode_indices(self.set_a, self.n, "side A of the partition")
         b = _mode_indices(self.set_b, self.n, "side B of the partition")
@@ -361,8 +363,7 @@ def characteristic_function(gamma: np.ndarray, eta) -> float:
 
     Zero-mean convention, so the displacement phase vanishes and chi(0) = 1.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    n = mode_count(gamma)
+    gamma, n = _as_matrix(gamma)
     eta = np.asarray(eta, dtype=float)
     if eta.shape != (2 * n,):
         raise DimensionError(f"phase point must have length {2 * n}, got shape {eta.shape}")
@@ -384,8 +385,7 @@ def wigner_values(gamma: np.ndarray, points: np.ndarray) -> np.ndarray:
     positive definite within ``symplectic._spd_eigh`` raises
     NumericalFailureError.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    n = mode_count(gamma)
+    gamma, n = _as_matrix(gamma)
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[0] != 2 * n:
         raise DimensionError(f"points must have shape (2n, k) = ({2 * n}, k), got {points.shape}")
@@ -411,8 +411,7 @@ def _check_hbar(value, given) -> None:
 
 
 def covariance_to_json_dict(gamma: np.ndarray) -> dict:
-    gamma = np.asarray(gamma, dtype=float)
-    n = mode_count(gamma)
+    gamma, n = _as_matrix(gamma)
     return {
         "n": n,
         "ordering": ORDERING,
@@ -457,8 +456,7 @@ def covariance_from_json_dict(obj) -> np.ndarray:
 
 
 def covariance_to_csv_text(gamma: np.ndarray) -> str:
-    gamma = np.asarray(gamma, dtype=float)
-    n = mode_count(gamma)
+    gamma, n = _as_matrix(gamma)
     lines = [f"{_CSV_HEADER_PREFIX} n={n} ordering={ORDERING}"]
     for row in gamma:
         lines.append(",".join(format(v, ".17g") for v in row))

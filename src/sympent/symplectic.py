@@ -58,12 +58,27 @@ def mode_count(matrix: np.ndarray) -> int:
     return dim // 2
 
 
+def _as_matrix(matrix) -> tuple[np.ndarray, int]:
+    """The one entry of a formed 2n x 2n matrix: it as a float array, and its
+    mode count (``mode_count``, DimensionError). A complex matrix raises
+    MalformedInputError naming its dtype before the float conversion, which
+    would drop its imaginary part: a quadrature covariance matrix is real."""
+    matrix = np.asarray(matrix)
+    if np.iscomplexobj(matrix):
+        raise MalformedInputError(
+            f"expected a real matrix of quadrature moments, got dtype {matrix.dtype}"
+        )
+    matrix = matrix.astype(float, copy=False)
+    return matrix, mode_count(matrix)
+
+
 # Row-panel height of ``_max_asymmetry``: a panel and its transposed partner
 # stay in cache, where G - G^T strides across the whole of G.
 _SYMMETRY_PANEL = 64
 
-# The helpers below take a square matrix or a stack of them (leading axis)
-# and test the whole input at once.
+# The three helpers below take a square matrix or, for the stacked Gram pairs
+# of ``_gram_spectrum``, a stack of them (leading axis), and test the whole
+# input at once.
 
 
 def _check_finite(matrix: np.ndarray) -> None:
@@ -96,25 +111,21 @@ def _check_symmetric(matrix: np.ndarray) -> None:
         )
 
 
-def _check_condition(lo, hi) -> None:
+def _check_condition(lo: float, hi: float) -> None:
     """The package's one SINGULAR_RTOL comparison: InvalidStateError unless a
-    symmetric matrix with eigenvalues in [lo, hi] (floats, or arrays with one
-    entry per slice) is positive definite with a condition number below
-    1/SINGULAR_RTOL. A NaN bound fails; the message gives the range of the
-    first failing slice."""
-    ok = np.logical_and(hi > 0.0, lo > SINGULAR_RTOL * hi)
-    if not ok.all():
-        i = np.argmin(ok)
+    symmetric matrix with eigenvalues in [lo, hi] is positive definite with a
+    condition number below 1/SINGULAR_RTOL. A NaN bound fails."""
+    if not (hi > 0.0 and lo > SINGULAR_RTOL * hi):
         raise InvalidStateError(
             "matrix is not positive definite or is too ill-conditioned: eigenvalues in "
-            f"[{np.ravel(lo)[i]:.3e}, {np.ravel(hi)[i]:.3e}], the smallest must exceed "
+            f"[{lo:.3e}, {hi:.3e}], the smallest must exceed "
             f"SINGULAR_RTOL = {SINGULAR_RTOL:.0e} times the largest"
         )
 
 
 def _spd_eigh(*blocks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Eigenvalues (ascending) and eigenvectors of each diagonal block of a
-    symmetric positive-definite matrix, or of each slice of a stack of them.
+    symmetric positive-definite matrix.
 
     The package's one positive-definiteness test of a formed matrix, for
     covariance matrices and model potentials alike (a model reduction's Gram
@@ -128,22 +139,18 @@ def _spd_eigh(*blocks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     for block in blocks:
         _check_symmetric(block)
     pairs = [np.linalg.eigh(block) for block in blocks]
-    _check_condition(
-        functools.reduce(np.minimum, (w[..., 0] for w, _ in pairs)),
-        functools.reduce(np.maximum, (w[..., -1] for w, _ in pairs)),
-    )
+    _check_condition(np.min([w[0] for w, _ in pairs]), np.max([w[-1] for w, _ in pairs]))
     return pairs
 
 
 def _xp_blocks(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The blocks X = gamma_qq and P = gamma_pp of a 2n x 2n matrix, or of
-    each slice of a stack, whose q-p blocks are all exactly zero, as every
-    model ground state and each of its reductions has; None for any other
-    matrix or stack."""
-    n = gamma.shape[-1] // 2
-    if gamma[..., :n, n:].any() or gamma[..., n:, :n].any():
+    """The blocks X = gamma_qq and P = gamma_pp of a 2n x 2n matrix whose q-p
+    blocks are exactly zero, as every model ground state and each of its
+    reductions has; None for any other matrix."""
+    n = len(gamma) // 2
+    if gamma[:n, n:].any() or gamma[n:, :n].any():
         return None
-    return gamma[..., :n, :n], gamma[..., n:, n:]
+    return gamma[:n, :n], gamma[n:, n:]
 
 
 def _hermitian_form(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -152,10 +159,10 @@ def _hermitian_form(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     C = v diag(sqrt(w)), gamma = C C^T and C^T Omega C is similar to
     gamma Omega; with C's row halves C_q, C_p it is M - M^T, M = C_q^T C_p."""
     [(w, v)] = _spd_eigh(gamma)
-    c = v * np.sqrt(w)[..., None, :]
-    n = w.shape[-1] // 2
-    m = np.swapaxes(c[..., :n, :], -1, -2) @ c[..., n:, :]
-    return 1j * (m - np.swapaxes(m, -1, -2)), w, v
+    c = v * np.sqrt(w)
+    n = len(w) // 2
+    m = c[:n].T @ c[n:]
+    return 1j * (m - m.T), w, v
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
@@ -188,8 +195,7 @@ def _require_residuals(
 
 
 def symplectic_spectrum(gamma: np.ndarray) -> np.ndarray:
-    """Symplectic eigenvalues of a positive-definite matrix, sorted descending,
-    or of each slice of a stack of them.
+    """Symplectic eigenvalues of a positive-definite matrix, sorted descending.
 
     The eigenvalues of gamma @ Omega are purely imaginary pairs +-i*sigma_i;
     the returned sigma_i are their absolute values: the positive eigenvalues
@@ -200,25 +206,14 @@ def symplectic_spectrum(gamma: np.ndarray) -> np.ndarray:
     singular values of the real n x n matrix M (Peschel 2003; Audenaert,
     Eisert, Plenio, Werner 2002). Gamma's condition number must stay below
     1/SINGULAR_RTOL (``_spd_eigh``).
-
-    A (P, 2n, 2n) stack gives a (P, n) array whose row i is the spectrum of
-    slice i, bit for bit: numpy's stacked eigh, svd and matmul make the same
-    LAPACK and BLAS call for each slice. A stack takes the block route when
-    every slice has zero q-p blocks, else the general route. Each check runs
-    over the whole stack, finite and symmetric first, then the condition
-    number; the first check any slice fails raises the error of one matrix,
-    which names no slice.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    # the slices of a stack share one shape; an empty stack fails mode_count
-    n = mode_count(gamma[0] if gamma.ndim == 3 and len(gamma) else gamma)
+    gamma, n = _as_matrix(gamma)
     blocks = _xp_blocks(gamma)
     if blocks is not None:
         (wx, vx), (wp, vp) = _spd_eigh(*blocks)
-        cx, cp = vx * np.sqrt(wx)[..., None, :], vp * np.sqrt(wp)[..., None, :]
-        return np.linalg.svd(np.swapaxes(cx, -1, -2) @ cp, compute_uv=False)
+        return np.linalg.svd((vx * np.sqrt(wx)).T @ (vp * np.sqrt(wp)), compute_uv=False)
     eigs = np.linalg.eigvalsh(_hermitian_form(gamma)[0])
-    return eigs[..., ::-1][..., :n].copy()
+    return eigs[::-1][:n].copy()
 
 
 def _gram_spectrum(x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -238,9 +233,8 @@ def _gram_spectrum(x: np.ndarray, p: np.ndarray) -> np.ndarray:
 
     A (P, k, k) stack pair gives a (P, k) array whose row i is bit for bit
     the spectrum of pair i alone: numpy's stacked cholesky, matmul and svd
-    make the same LAPACK and BLAS call for each slice. Like
-    ``symplectic_spectrum``, each check tests the whole stack and names no
-    slice.
+    make the same LAPACK and BLAS call for each slice. Each check tests the
+    whole stack and names no slice.
     """
     _check_symmetric(x)
     _check_symmetric(p)
@@ -292,8 +286,7 @@ def williamson(gamma: np.ndarray) -> WilliamsonDecomposition:
     eigenvalues w; so within gamma's condition limit a transform fails only
     when it is wrong, not when the state is squeezed.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    n = mode_count(gamma)
+    gamma, n = _as_matrix(gamma)
     omega = symplectic_form(n)
     herm, w, v = _hermitian_form(gamma)
     eigs, vecs = np.linalg.eigh(herm)

@@ -254,6 +254,54 @@ def test_half_cut_spectrum_matches_the_exact_model(n, boundary, lam):
         assert max(abs(float(g - 0.5 - w)) for g, w in zip(got, want)) <= 1e-14
 
 
+def schmidt_entropy_bits(v, m, cut, points, half_width=6.0):
+    """Entropy in bits between sites 1..cut and the rest of the ground state
+    psi(x) ~ exp(-(m/2) x^T V^(1/2) x) of the potential V, with no symplectic
+    algebra: psi sampled on a uniform grid of ``points`` per site over
+    [-half_width, half_width], reshaped to a (sites 1..cut) x (the rest)
+    matrix, whose squared singular values are the Schmidt weights
+    (Srednicki, PRL 71, 666 (1993))."""
+    n = len(v)
+    w, vecs = np.linalg.eigh(v)
+    root = (vecs * np.sqrt(w)) @ vecs.T
+    axis = np.linspace(-half_width, half_width, points)
+    coords = [axis.reshape([-1 if k == i else 1 for k in range(n)]) for i in range(n)]
+    exponent = sum(root[i, j] * coords[i] * coords[j] for i in range(n) for j in range(n))
+    psi = np.exp(-0.5 * m * exponent).reshape(points**cut, -1)
+    weights = np.linalg.svd(psi, compute_uv=False) ** 2
+    weights = weights[weights > 0.0] / weights.sum()
+    return float(-np.sum(weights * np.log2(weights)))
+
+
+@pytest.mark.parametrize(
+    "n,lam,points",
+    [(2, lam, 128) for lam in (0.1, 1.0, 10.0, 100.0)]
+    + [(4, 1.0, 36)]
+    + [
+        pytest.param(
+            4,
+            0.05,
+            36,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="SIGMA_TOL = 1e-9 snaps the reduction's sigma - 1/2 = 1.17e-10 to 1/2, "
+                "dropping 4.04e-9 bits",
+            ),
+        )
+    ],
+)
+def test_entropy_matches_the_schmidt_decomposition_of_the_ground_state(n, lam, points):
+    # the whole pipeline, model -> reduction -> sigma -> S, against the
+    # Schmidt weights of the sampled wavefunction of V built bond by bond;
+    # measured within 5.3e-15 bits (two oscillators) and 7.8e-16 bits
+    # (open chain of 4, 2|2 cut)
+    cut = n // 2
+    model = chain_model(n, 1.0, 1.0, lam, "open")
+    partition = ModePartition.from_sides(range(1, cut + 1), range(cut + 1, n + 1))
+    want = schmidt_entropy_bits(bond_loop_potential(n, 1.0, 1.0, lam, "open"), 1.0, cut, points)
+    assert abs(entanglement_entropy(model, partition).total_bits - want) <= 1e-12
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(2, 512),

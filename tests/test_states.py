@@ -139,6 +139,38 @@ def test_validate_and_wigner_reject_non_finite_entries(gamma, cause):
         QuadraticModel.from_potential(1.0, gamma)
 
 
+def complex_vacuum():
+    """The 2-mode vacuum with a Hermitian, not real, q_1-p_1 coupling 0.3i."""
+    gamma = vacuum(2).astype(complex)
+    gamma[0, 2], gamma[2, 0] = 0.3j, -0.3j
+    return gamma
+
+
+FORMED_ENTRY_POINTS = {
+    "symplectic_spectrum": symplectic_spectrum,
+    "validate": validate,
+    "reduce": lambda g: reduce(g, [1]),
+    "entanglement_entropy": lambda g: entanglement_entropy(g, ModePartition.from_string("1|2")),
+    "heisenberg_margin": heisenberg_margin,
+    "williamson": williamson,
+    "wigner_values": lambda g: wigner_values(g, np.zeros((4, 1))),
+    "characteristic_function": lambda g: characteristic_function(g, np.zeros(4)),
+    "covariance_to_json_dict": covariance_to_json_dict,
+    "covariance_to_csv_text": covariance_to_csv_text,
+}
+
+
+@pytest.mark.parametrize("name", FORMED_ENTRY_POINTS)
+def test_formed_entry_points_refuse_a_complex_matrix(name):
+    # a ladder-basis covariance matrix is complex; dropping its imaginary part
+    # would read another state, so every formed-Gamma entry refuses it, as an
+    # array and as nested lists
+    for gamma in (complex_vacuum(), complex_vacuum().tolist()):
+        with pytest.raises(MalformedInputError, match="got dtype complex128") as excinfo:
+            FORMED_ENTRY_POINTS[name](gamma)
+        assert type(excinfo.value) is MalformedInputError
+
+
 @pytest.mark.parametrize("scale,valid", [(1.0, True), (0.9, False)])
 def test_block_diagonal_heisenberg_margin_matches_complex_form(scale, valid):
     # a chain ground state (Gamma_qp = 0), and the same state scaled below
@@ -470,6 +502,15 @@ def test_partition_normalizes_numpy_indices():
     assert part.set_a == (1, 2)
     assert type(part.set_a[0]) is int
     json.dumps(part.to_json_dict())
+
+
+@pytest.mark.parametrize("n", [2.7, 2.0, "2", True, None], ids=["2.7", "2.0", "str", "True", "None"])
+def test_partition_refuses_a_non_integer_mode_count(n):
+    # the integer rule of mode indices: int() would read 2.7 and "2" as 2
+    with pytest.raises(InvalidPartitionError, match="mode count n must be an integer"):
+        ModePartition(n=n, set_a=(1,), set_b=(2,))
+    part = ModePartition(n=np.int64(2), set_a=(1,), set_b=(2,))
+    assert part.n == 2 and type(part.n) is int
 
 
 @pytest.mark.parametrize("text", ["1|2", "1,3|2,4", "4,1|3,2", "2,3,5|1,4,6"])
