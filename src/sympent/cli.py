@@ -38,6 +38,8 @@ from . import __version__
 from .entropy import (
     S_COUNT_TOL,
     _s_count,
+    _side_spectrum,
+    _solved_side,
     _total_bits,
     entanglement_entropy,
     mode_entropy,
@@ -304,12 +306,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     # Each point is a model ground state that ``validate`` certifies, and a
     # certified state is valid and pure at every tol (so sweep reads none).
-    # The two sides of a pure cut share their symplectic eigenvalues above
-    # 1/2, and the larger side's other |A| - |B| are exactly 1/2 (Botero and
-    # Reznik, PRA 67, 052311 (2003)). So the smaller side is solved (A on a
-    # tie) and a row of side A gains |A| - |B| values 0.5.
-    side = min(partition.set_a, partition.set_b, key=len)
-    pad = len(partition.set_a) - len(side)
+    # Its row is side A of the one spectrum of a pure cut, as in
+    # ``entanglement_entropy``: the ``_solved_side`` is solved and padded.
+    side = _solved_side(partition)
 
     def grams(value: float) -> tuple[np.ndarray, np.ndarray]:
         """The Gram pair of the smaller side of the certified ground state at
@@ -343,10 +342,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 except SympentError as exc:
                     raise at_point(exc, value) from exc
             raise
-        # padded, then sorted descending again: a rounded 1/2 just below the
-        # pad stays last
-        spectra = np.pad(spectra, ((0, 0), (0, pad)), constant_values=VACUUM_SIGMA)
-        spectra = np.sort(spectra, axis=1)[:, ::-1]
+        spectra = _side_spectrum(spectra, len(partition.set_a))
         rows += [
             [_fmt(value)]
             + [_fmt(s) for s in spectrum]

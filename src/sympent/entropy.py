@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidPartitionError, MalformedInputError, UnphysicalEigenvalueError
 from .logbase import BITS, LN2, log_fn
 from .models import QuadraticModel
-from .states import DEFAULT_TOL, ModePartition, _as_state, _model_grams, reduce, validate
+from .states import DEFAULT_TOL, VACUUM_SIGMA, ModePartition, _as_state, _model_grams, reduce, validate
 from .symplectic import _gram_spectrum, symplectic_spectrum
 
 # Eigenvalues within this band of 1/2 are treated as exactly pure; below the
@@ -115,7 +115,11 @@ class EntropyReport:
     Per-mode records and ``total_bits`` are always in bits; ``total`` repeats
     the total in the requested ``base``. ``pure_global_state`` is the purity
     of the whole state, as found by ``validate``. ``spectrum_b``/``total_b_bits``
-    are filled only when the global state is pure.
+    are filled only when the global state is pure. For a covariance matrix
+    they come from a second solve and check the A side; for a model they are
+    derived from the one solve of its cut (``entanglement_entropy``), so
+    ``total_b_bits`` equals ``total_bits`` and the JSON
+    ``ab_agreement_residual_bits`` reads 0.0.
     """
 
     partition: ModePartition
@@ -164,14 +168,25 @@ def _total_bits(spectrum: np.ndarray) -> float:
     return float(sum(mode_entropy(s, BITS) for s in thermal))
 
 
-def _reduced_spectrum(state: np.ndarray | QuadraticModel, keep) -> np.ndarray:
-    """Symplectic spectrum, descending, of a state's reduction to the kept
-    modes: of a model's ground state from the Gram pair of its factor rows
-    (``states._model_grams``, ``symplectic._gram_spectrum``), of a
-    covariance matrix from its submatrix (``reduce``, ``symplectic_spectrum``)."""
-    if isinstance(state, QuadraticModel):
-        return _gram_spectrum(*_model_grams(state, keep))
-    return symplectic_spectrum(reduce(state, keep))
+def _solved_side(partition: ModePartition) -> tuple[int, ...]:
+    """The side of a pure cut whose spectrum is solved: the smaller one, A on
+    a tie. ``_side_spectrum`` gives each side's spectrum from it."""
+    return min(partition.set_a, partition.set_b, key=len)
+
+
+def _side_spectrum(solved: np.ndarray, size: int) -> np.ndarray:
+    """The spectrum of a ``size``-mode side of a pure cut from the spectrum of
+    its ``_solved_side`` (last axis; any leading axes are a stack of cuts).
+
+    The two sides of a pure cut share their symplectic eigenvalues above 1/2,
+    and the larger side's other |A| - |B| are exactly 1/2 (Botero and Reznik,
+    PRA 67, 052311 (2003)). So the solved spectrum gains ``size`` minus its
+    length values 0.5 and is sorted descending again: a rounded 1/2 just
+    below the pad stays last.
+    """
+    width = [(0, 0)] * (solved.ndim - 1) + [(0, size - solved.shape[-1])]
+    padded = np.pad(solved, width, constant_values=VACUUM_SIGMA)
+    return np.sort(padded, axis=-1)[..., ::-1]
 
 
 def _s_count(spectrum: np.ndarray) -> int:
@@ -188,18 +203,22 @@ def entanglement_entropy(
     """Entropy of the reduction to side A of ``partition``, with per-mode detail.
 
     ``state`` is a covariance matrix Gamma or a ``QuadraticModel``, which
-    stands for its ground state: its verdict is the model's certificate and
-    its reduction spectra come from the Gram pairs of rows of its factors,
-    so no full Gamma is formed and no full-state solve runs (``validate``,
-    ``_reduced_spectrum``).
-    For a pure global state this is the entanglement entropy between A and B
-    and equals the B-side total, so the report also carries the B-side
-    spectrum and total for that cross-check. For a mixed state the two sides
-    need not agree, so the B side is not computed and ``spectrum_b`` stays
-    None.
-    The state must pass ``validate(state, tol)``, the only vacuum floor: a
-    reduction eigenvalue below 1/2 then counts as 1/2 (``spectrum_a`` keeps
-    its value). The base name and then the partition are checked first.
+    stands for its ground state. The state must pass ``validate(state, tol)``,
+    the only vacuum floor: a reduction eigenvalue below 1/2 then counts as
+    1/2 (``spectrum_a`` keeps its value). The base name and then the
+    partition are checked first.
+
+    A model's verdict is its certificate, which makes its ground state pure,
+    so its cut has one spectrum: the ``_solved_side``, from the Gram pair of
+    its rows of the model's factors (``states._model_grams``,
+    ``symplectic._gram_spectrum``), gives both sides (``_side_spectrum``).
+    No full Gamma is formed and no full-state solve runs, and the B fields
+    are derived: ``total_b_bits`` equals ``total_bits``.
+    A covariance matrix's side A is ``symplectic_spectrum(reduce(...))``.
+    Its purity is a verdict within ``tol``, so when it is pure side B is
+    solved the same way, and the B fields cross-check the entanglement
+    entropy. For a mixed state the two sides need not agree, so the B side is
+    not computed and ``spectrum_b`` stays None.
     """
     log_fn(base)  # validate the base name
     state, n = _as_state(state)
@@ -207,25 +226,23 @@ def entanglement_entropy(
         raise InvalidPartitionError(f"partition is over {partition.n} modes but the state has {n}")
     report = validate(state, tol)
     report.require_physical()
-    spectrum_a = _reduced_spectrum(state, partition.set_a)
+    if isinstance(state, QuadraticModel):
+        solved = _gram_spectrum(*_model_grams(state, _solved_side(partition)))
+        spectrum_a = _side_spectrum(solved, len(partition.set_a))
+        spectrum_b = _side_spectrum(solved, len(partition.set_b))
+    else:
+        spectrum_a = symplectic_spectrum(reduce(state, partition.set_a))
+        spectrum_b = symplectic_spectrum(reduce(state, partition.set_b)) if report.pure else None
     total_bits = _total_bits(spectrum_a)
-    s_count = _s_count(spectrum_a)
-
-    spectrum_b = None
-    total_b_bits = None
-    if report.pure:
-        spectrum_b = _reduced_spectrum(state, partition.set_b)
-        total_b_bits = _total_bits(spectrum_b)
-
     total = total_bits if base == BITS else total_bits * LN2
     return EntropyReport(
         partition=partition,
         spectrum_a=spectrum_a,
         total_bits=total_bits,
-        s_count=s_count,
+        s_count=_s_count(spectrum_a),
         base=base,
         total=total,
         pure_global_state=report.pure,
         spectrum_b=spectrum_b,
-        total_b_bits=total_b_bits,
+        total_b_bits=None if spectrum_b is None else _total_bits(spectrum_b),
     )

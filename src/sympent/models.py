@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidStateError, MalformedInputError, ParameterError
-from .symplectic import _check_condition, _spd_eigh
+from .symplectic import _check_condition, _real_array, _spd_eigh
 
 BOUNDARIES = ("open", "periodic")
 MODEL_TYPES = ("two_oscillator", "chain")
@@ -100,8 +100,8 @@ class QuadraticModel:
     eigenvectors: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        w = np.asarray(self.frequencies, dtype=float)
-        vecs = np.asarray(self.eigenvectors, dtype=float)
+        w = _real_array(self.frequencies, "real normal-mode frequencies", ParameterError)
+        vecs = _real_array(self.eigenvectors, "real normal-mode eigenvectors", ParameterError)
         if w.ndim != 1:
             raise ParameterError(f"frequencies must be a 1-D array, got shape {w.shape}")
         _check_parameters(modes=len(w), mass=self.mass)
@@ -118,7 +118,7 @@ class QuadraticModel:
         """The model of a symmetric positive-definite n x n potential V, from
         one ``symplectic._spd_eigh`` run after the mode count check; its
         failure is the ``_no_ground_state`` ParameterError."""
-        v = np.asarray(potential, dtype=float)
+        v = _real_array(potential, "a real potential matrix", ParameterError)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ParameterError(f"potential must be a square matrix, got shape {v.shape}")
         _check_parameters(modes=len(v))

@@ -43,6 +43,7 @@ from .symplectic import (
     _as_matrix,
     _check_finite,
     _check_symmetric,
+    _real_array,
     _require_residuals,
     _spd_eigh,
     _xp_blocks,
@@ -364,7 +365,7 @@ def characteristic_function(gamma: np.ndarray, eta) -> float:
     Zero-mean convention, so the displacement phase vanishes and chi(0) = 1.
     """
     gamma, n = _as_matrix(gamma)
-    eta = np.asarray(eta, dtype=float)
+    eta = _real_array(eta, "a real phase point")
     if eta.shape != (2 * n,):
         raise DimensionError(f"phase point must have length {2 * n}, got shape {eta.shape}")
     omega = symplectic_form(n)
@@ -386,7 +387,7 @@ def wigner_values(gamma: np.ndarray, points: np.ndarray) -> np.ndarray:
     NumericalFailureError.
     """
     gamma, n = _as_matrix(gamma)
-    points = np.asarray(points, dtype=float)
+    points = _real_array(points, "real phase points")
     if points.ndim != 2 or points.shape[0] != 2 * n:
         raise DimensionError(f"points must have shape (2n, k) = ({2 * n}, k), got {points.shape}")
     try:

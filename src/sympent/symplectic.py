@@ -58,17 +58,22 @@ def mode_count(matrix: np.ndarray) -> int:
     return dim // 2
 
 
+def _real_array(value, what: str, error: type[Exception] = MalformedInputError) -> np.ndarray:
+    """The one real-array rule: ``value`` as a float array. A complex value,
+    an array or nested lists, raises ``error`` naming ``what`` and its dtype
+    before the float conversion, which would drop its imaginary part: every
+    quadrature moment, phase point and model parameter is real."""
+    array = np.asarray(value)
+    if np.iscomplexobj(array):
+        raise error(f"expected {what}, got dtype {array.dtype}")
+    return array.astype(float, copy=False)
+
+
 def _as_matrix(matrix) -> tuple[np.ndarray, int]:
-    """The one entry of a formed 2n x 2n matrix: it as a float array, and its
-    mode count (``mode_count``, DimensionError). A complex matrix raises
-    MalformedInputError naming its dtype before the float conversion, which
-    would drop its imaginary part: a quadrature covariance matrix is real."""
-    matrix = np.asarray(matrix)
-    if np.iscomplexobj(matrix):
-        raise MalformedInputError(
-            f"expected a real matrix of quadrature moments, got dtype {matrix.dtype}"
-        )
-    matrix = matrix.astype(float, copy=False)
+    """The one entry of a formed 2n x 2n matrix: it as a real float array
+    (``_real_array``, MalformedInputError), and its mode count
+    (``mode_count``, DimensionError)."""
+    matrix = _real_array(matrix, "a real matrix of quadrature moments")
     return matrix, mode_count(matrix)
 
 

@@ -55,3 +55,17 @@ def linalg_calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, recorded)
     return calls
+
+
+@pytest.fixture
+def linalg_shapes(monkeypatch):
+    """Record (name, argument shape) of each numpy.linalg Cholesky and SVD call."""
+    shapes = []
+    for name in ("cholesky", "svd"):
+
+        def recorded(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            shapes.append((_name, np.shape(a)))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return shapes

@@ -15,11 +15,13 @@ import sympent.models as models
 import sympent.states as states
 from sympent import (
     MalformedInputError,
+    ModePartition,
     NumericalFailureError,
     QuadraticModel,
     chain_model,
     covariance_to_csv_text,
     covariance_to_json_dict,
+    entanglement_entropy,
     ground_state_covariance,
     random_symplectic,
     reduce,
@@ -320,15 +322,17 @@ def test_model_at_tol_zero_is_valid_and_pure(capsys, tmp_path, command):
         assert report["pure_global_state"] and "spectrum_b" in report
 
 
-def test_model_entropy_is_certified_not_solved(capsys, tmp_path, linalg_calls):
-    # A and B only, two Cholesky of a Gram pair and one SVD each, and no
-    # eigensolver: the chain's modes are in closed form
+def test_model_entropy_is_certified_not_solved(capsys, tmp_path, linalg_calls, linalg_shapes):
+    # one solve of the cut's smaller side, A's 6 modes: two Cholesky of its
+    # Gram pair and one SVD, and no eigensolver: the chain's modes are in
+    # closed form
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(dict(CHAIN6, n=16)), encoding="utf-8")
     partition = "1,2,3,4,5,6|" + ",".join(str(i) for i in range(7, 17))
     code, _, _ = run(capsys, "entropy", str(path), "--partition", partition)
     assert code == 0
-    assert sorted(name for name, _ in linalg_calls) == ["cholesky"] * 4 + ["svd"] * 2
+    assert sorted(name for name, _ in linalg_calls) == ["cholesky"] * 2 + ["svd"]
+    assert linalg_shapes == [("cholesky", (6, 6)), ("cholesky", (6, 6)), ("svd", (6, 6))]
 
 
 def test_model_entropy_computes_the_mode_factors_once(capsys, tmp_path, monkeypatch):
@@ -356,20 +360,13 @@ def test_model_validate_prints_a_zero_margin_without_a_solve(capsys, tmp_path, l
     assert linalg_calls == []
 
 
-def test_sweep_point_is_certified_not_solved(capsys, tmp_path, monkeypatch, linalg_calls, no_gamma):
+def test_sweep_point_is_certified_not_solved(
+    capsys, tmp_path, monkeypatch, linalg_calls, linalg_shapes, no_gamma
+):
     # each point's model is the state: its certificate runs no eigensolver
     # and forms no Gamma, and the Gram pairs of the A sides, from factor
     # rows, are solved as one stack pair of (4, 3, 3): two stacked Cholesky
     # and one SVD, and no eigensolver
-    shapes = []
-    for name in ("cholesky", "svd"):
-        recorded = getattr(np.linalg, name)
-        monkeypatch.setattr(
-            np.linalg,
-            name,
-            lambda a, *args, _fn=recorded, _name=name, **kwargs: shapes.append((_name, a.shape))
-            or _fn(a, *args, **kwargs),
-        )
     stacks = record_gram_stacks(monkeypatch)
     spec = tmp_path / "sweep.json"
     write_sweep_json(spec, CHAIN6, count=4, partition="1,2,3|4,5,6")
@@ -377,21 +374,12 @@ def test_sweep_point_is_certified_not_solved(capsys, tmp_path, monkeypatch, lina
     assert code == 0
     assert [(x.shape, p.shape) for x, p in stacks] == [((4, 3, 3), (4, 3, 3))]
     assert sorted(name for name, _ in linalg_calls) == ["cholesky", "cholesky", "svd"]
-    assert shapes == [("cholesky", (4, 3, 3)), ("cholesky", (4, 3, 3)), ("svd", (4, 3, 3))]
+    assert linalg_shapes == [("cholesky", (4, 3, 3)), ("cholesky", (4, 3, 3)), ("svd", (4, 3, 3))]
 
 
-def test_sweep_solves_the_smaller_side_of_the_cut(capsys, tmp_path, monkeypatch, linalg_calls):
+def test_sweep_solves_the_smaller_side_of_the_cut(capsys, tmp_path, monkeypatch, linalg_calls, linalg_shapes):
     # side A has 4 of the 6 modes, so the 4 points stack side B: one stack
     # pair of (4, 2, 2) Grams, two stacked Cholesky and one SVD
-    shapes = []
-    for name in ("cholesky", "svd"):
-        recorded = getattr(np.linalg, name)
-        monkeypatch.setattr(
-            np.linalg,
-            name,
-            lambda a, *args, _fn=recorded, _name=name, **kwargs: shapes.append((_name, a.shape))
-            or _fn(a, *args, **kwargs),
-        )
     stacks = record_gram_stacks(monkeypatch)
     spec = tmp_path / "sweep.json"
     write_sweep_json(spec, CHAIN6, count=4, partition="1,2,3,4|5,6")
@@ -399,7 +387,7 @@ def test_sweep_solves_the_smaller_side_of_the_cut(capsys, tmp_path, monkeypatch,
     assert code == 0
     assert [(x.shape, p.shape) for x, p in stacks] == [((4, 2, 2), (4, 2, 2))]
     assert sorted(name for name, _ in linalg_calls) == ["cholesky", "cholesky", "svd"]
-    assert shapes == [("cholesky", (4, 2, 2)), ("cholesky", (4, 2, 2)), ("svd", (4, 2, 2))]
+    assert linalg_shapes == [("cholesky", (4, 2, 2)), ("cholesky", (4, 2, 2)), ("svd", (4, 2, 2))]
 
 
 def test_sweep_stacks_side_a_on_a_tie(capsys, tmp_path, monkeypatch):
@@ -427,6 +415,23 @@ def test_padded_sweep_row_stays_sorted_below_one_half(capsys, tmp_path):
     for row in rows:
         sigmas = [float(c) for c in row[1:5]]
         assert sigmas == sorted(sigmas, reverse=True)
+
+
+@pytest.mark.parametrize("partition", ["1,2,3|4,5,6", "1,2,3,4|5,6", "5,6|1,2,3,4"])
+def test_sweep_rows_are_the_entropy_of_their_points(capsys, tmp_path, partition):
+    # a tie, |A| > |B| and |A| < |B|: each row's sigma, total_bits and
+    # s_count are the bytes of entanglement_entropy on that point's model
+    spec = tmp_path / "sweep.json"
+    out_csv = tmp_path / "sweep.csv"
+    write_sweep_json(spec, CHAIN6, start=0.25, stop=4.0, count=16, partition=partition)
+    assert run(capsys, "sweep", str(spec), "--out", str(out_csv))[0] == 0
+    _, _, rows = read_csv_rows(out_csv)
+    cut = ModePartition.from_string(partition)
+    assert len(rows) == 16
+    for row, lam in zip(rows, np.linspace(0.25, 4.0, 16)):
+        report = entanglement_entropy(chain_model(6, 1.0, 1.0, lam, "periodic"), cut)
+        want = [cli._fmt(s) for s in report.spectrum_a] + [cli._fmt(report.total_bits), str(report.s_count)]
+        assert row == [cli._fmt(lam)] + want
 
 
 def record_gram_stacks(monkeypatch):

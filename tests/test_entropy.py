@@ -261,18 +261,39 @@ def test_chain_entropy_decomposes_each_state_once(linalg_calls):
     assert sorted(names) == ["eigh"] * 6 + ["svd"] * 3
 
 
-def test_certified_report_replaces_the_full_state_pass(linalg_calls):
-    # A and B only, from the Gram pairs of factor rows: two Cholesky and one
-    # SVD each; neither the certificate nor a reduction runs an eigensolver
+def test_certified_report_replaces_the_full_state_pass(linalg_calls, linalg_shapes):
+    # one solve of the cut's smaller side, A or B, from the Gram pair of its
+    # factor rows: two Cholesky and one SVD of 6 x 6; neither the certificate
+    # nor the reduction runs an eigensolver
     model = chain_model(16, 1.0, 1.0, 0.8, "periodic")
-    partition = ModePartition.from_sides(range(1, 7), range(7, 17))
-    certified = entanglement_entropy(model, partition)
-    assert sorted(name for name, _ in linalg_calls) == ["cholesky"] * 4 + ["svd"] * 2
-    solved = entanglement_entropy(ground_state_covariance(model), partition)
-    for side in ("spectrum_a", "spectrum_b"):
-        np.testing.assert_allclose(getattr(certified, side), getattr(solved, side), rtol=0, atol=1e-15)
-    assert abs(certified.total_bits - solved.total_bits) <= 1e-14
-    assert (certified.s_count, certified.pure_global_state) == (solved.s_count, True)
+    for sides in ((range(1, 7), range(7, 17)), (range(7, 17), range(1, 7))):
+        partition = ModePartition.from_sides(*sides)
+        del linalg_calls[:], linalg_shapes[:]
+        certified = entanglement_entropy(model, partition)
+        assert sorted(name for name, _ in linalg_calls) == ["cholesky"] * 2 + ["svd"]
+        assert linalg_shapes == [("cholesky", (6, 6)), ("cholesky", (6, 6)), ("svd", (6, 6))]
+        solved = entanglement_entropy(ground_state_covariance(model), partition)
+        for side in ("spectrum_a", "spectrum_b"):
+            np.testing.assert_allclose(getattr(certified, side), getattr(solved, side), rtol=0, atol=1e-15)
+        assert abs(certified.total_bits - solved.total_bits) <= 1e-14
+        assert (certified.s_count, certified.pure_global_state) == (solved.s_count, True)
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_model_cut_has_one_spectrum(boundary):
+    # A|B and B|A swap their spectra bit for bit, the larger side's extra
+    # eigenvalues are exactly 1/2, and the B fields repeat the A total
+    model = chain_model(12, 1.0, 1.0, 1.5, boundary)
+    small, large = [2, 5, 9], [1, 3, 4, 6, 7, 8, 10, 11, 12]
+    forward = entanglement_entropy(model, ModePartition.from_sides(small, large))
+    backward = entanglement_entropy(model, ModePartition.from_sides(large, small))
+    np.testing.assert_array_equal(forward.spectrum_a, backward.spectrum_b, strict=True)
+    np.testing.assert_array_equal(forward.spectrum_b, backward.spectrum_a, strict=True)
+    np.testing.assert_array_equal(forward.spectrum_b[:3], forward.spectrum_a, strict=True)
+    assert list(forward.spectrum_b[3:]) == [0.5] * 6
+    for report in (forward, backward):
+        assert report.total_b_bits == report.total_bits
+        assert report.to_json_dict()["ab_agreement_residual_bits"] == 0.0
 
 
 def test_model_for_another_mode_count_is_rejected():

@@ -571,6 +571,26 @@ def test_model_refuses_malformed_normal_modes(frequencies, eigenvectors, cause):
         QuadraticModel(1.0, np.array(frequencies), eigenvectors)
 
 
+HERMITIAN_V = [[2.0, 0.5j], [-0.5j, 2.0]]
+
+
+@pytest.mark.parametrize(
+    "build,what",
+    [
+        (lambda: QuadraticModel.from_potential(1.0, HERMITIAN_V), "a real potential matrix"),
+        (lambda: QuadraticModel.from_potential(1.0, np.array(HERMITIAN_V)), "a real potential matrix"),
+        (lambda: QuadraticModel(1.0, np.array([1.0, 2.0 + 0j]), np.eye(2)), "real normal-mode frequencies"),
+        (lambda: QuadraticModel(1.0, np.ones(2), np.eye(2, dtype=complex)), "real normal-mode eigenvectors"),
+    ],
+    ids=["potential-list", "potential-array", "frequencies", "eigenvectors"],
+)
+def test_model_refuses_complex_input(build, what):
+    # a potential and its normal modes are real: a float conversion would drop
+    # the imaginary part and build the model of another V
+    with pytest.raises(ParameterError, match=f"expected {what}, got dtype complex128"):
+        build()
+
+
 def test_two_oscillator_normal_modes():
     # the centre-of-mass mode (1, 1)/sqrt 2, then the relative mode (1, -1)/sqrt 2,
     # each column up to sign

@@ -411,6 +411,20 @@ def test_characteristic_function_rejects_wrong_length():
         characteristic_function(vacuum(2), [1.0, 2.0])
 
 
+@pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+@pytest.mark.parametrize(
+    "function,points",
+    [(characteristic_function, np.array([0.1j, 0.0])), (wigner_values, np.array([[0.1j], [0.0]]))],
+    ids=["characteristic_function", "wigner_values"],
+)
+def test_phase_points_must_be_real(function, points, as_list):
+    # a phase point is real: a float conversion would drop the imaginary part,
+    # so a complex one is refused, as an array and as nested lists
+    with pytest.raises(MalformedInputError, match="got dtype complex128") as excinfo:
+        function(vacuum(1), points.tolist() if as_list else points)
+    assert type(excinfo.value) is MalformedInputError
+
+
 # --- Wigner function ---------------------------------------------------------
 
 
