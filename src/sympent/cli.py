@@ -2,12 +2,14 @@
 
 Subcommands: validate, spectrum, entropy, sweep, verify, wigner. Inputs are
 covariance files (JSON or headered CSV) or model JSON files. A model input
-stays a ``QuadraticModel``, which stands for its ground state: its 2n x 2n
-covariance matrix is never formed, its reductions come from rows of its
-normal-mode factors, and ``spectrum`` prints its certificate's n values of
-1/2. A command that checks physicality calls ``validate(state, tol)`` once,
-after any partition or mode check, which certifies a model and solves a
-file. All primary output is
+stays a ``QuadraticModel``, which stands for its ground state: the model is
+certified when it is built (its normal modes are orthonormal, so its ground
+state is pure), its 2n x 2n covariance matrix is never formed, its
+reductions come from rows of its normal-mode factors, and ``spectrum``
+prints its n values of 1/2. A command that checks physicality calls
+``validate(state, tol)`` once, after any partition or mode check, which
+solves a file and reads a model's certificate as valid and pure. All
+primary output is
 deterministic (byte-identical on identical inputs and options, at a fixed
 BLAS thread count); the run record, which carries a timestamp and names the
 CPU count and BLAS thread settings, goes to stderr. Output files are written
@@ -239,8 +241,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     text, digest = _read_input(args.input)
     state, meta = _load_state(text, args.input)
     if isinstance(state, QuadraticModel):
-        # the certificate proves the ground state's spectrum: n values of 1/2
-        validate(state)
+        # the build's certificate proves the ground state's spectrum: n values of 1/2
         sigmas = np.full(state.n, VACUUM_SIGMA)
     else:
         sigmas = symplectic_spectrum(state)
@@ -304,7 +305,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     def at_point(exc: SympentError, value: float) -> SympentError:
         return type(exc)(f"grid point {name}={_fmt(value)}: {exc}")
 
-    # Each point is a model ground state that ``validate`` certifies, and a
+    # Each point is a model ground state, certified when it is built, and a
     # certified state is valid and pure at every tol (so sweep reads none).
     # Its row is side A of the one spectrum of a pure cut, as in
     # ``entanglement_entropy``: the ``_solved_side`` is solved and padded.
@@ -314,17 +315,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         """The Gram pair of the smaller side of the certified ground state at
         one grid point."""
         try:
-            model = params.with_param(name, float(value)).build()
-            validate(model).require_physical()
-            return _model_grams(model, side)
+            return _model_grams(params.with_param(name, float(value)).build(), side)
         except SympentError as exc:
             raise at_point(exc, value) from exc
 
-    # The points of a chunk are built, certified and reduced to their Gram
-    # pairs in order, then one stacked call gives all their spectra, each bit
-    # for bit as if alone. Its checks test the whole stack at once, so when
-    # it fails, the chunk's points are solved alone, in order, and the first
-    # to fail is reported.
+    # The points of a chunk are built (and so certified) and reduced to their
+    # Gram pairs in order, then one stacked call gives all their spectra, each
+    # bit for bit as if alone. Its checks test the whole stack at once, so
+    # when it fails, the chunk's points are solved alone, in order, and the
+    # first to fail is reported.
     k = len(side)
     chunk = max(1, SWEEP_STACK_BYTES // (16 * k * k))
     rows = []

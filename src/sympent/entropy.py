@@ -208,11 +208,12 @@ def entanglement_entropy(
     1/2 (``spectrum_a`` keeps its value). The base name and then the
     partition are checked first.
 
-    A model's verdict is its certificate, which makes its ground state pure,
-    so its cut has one spectrum: the ``_solved_side``, from the Gram pair of
-    its rows of the model's factors (``states._model_grams``,
+    A model's ground state was certified pure when the model was built
+    (``models._check_normal_modes``), so its verdict needs no work and its
+    cut has one spectrum: the ``_solved_side``, from the Gram pair of its
+    rows of the model's factors (``states._model_grams``,
     ``symplectic._gram_spectrum``), gives both sides (``_side_spectrum``).
-    No full Gamma is formed and no full-state solve runs, and the B fields
+    No n x n array is formed and no full-state solve runs, and the B fields
     are derived: ``total_b_bits`` equals ``total_bits``.
     A covariance matrix's side A is ``symplectic_spectrum(reduce(...))``.
     Its purity is a verdict within ``tol``, so when it is pure side B is

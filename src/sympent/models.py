@@ -11,7 +11,9 @@ Quadratic q-p cross terms and per-site masses are out of scope. A chain's
 normal modes are known in closed form (Fourier cos/sin pairs on the ring,
 the DCT-II basis on the path), and ``chain_model`` passes them with no
 eigensolver and no V; ``QuadraticModel.from_potential`` decomposes any
-other V by ``symplectic._spd_eigh``.
+other V by ``symplectic._spd_eigh``. A model is certified when it is built:
+O must be orthonormal to rounding (``_check_normal_modes``), so its ground
+state is pure.
 
 Model JSON: ``{"type": "two_oscillator" | "chain", "n": int, "m": number,
 "omega": number, "lambda": number, "boundary": "open" | "periodic"}``
@@ -27,16 +29,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidStateError, MalformedInputError, ParameterError
-from .symplectic import _check_condition, _real_array, _spd_eigh
+from .symplectic import _check_condition, _real_array, _require_residuals, _spd_eigh
 
 BOUNDARIES = ("open", "periodic")
 MODEL_TYPES = ("two_oscillator", "chain")
 # Model JSON name of each parameter a sweep may vary -> its ModelParams field.
 SWEEP_PARAMETERS = {"lambda": "lam", "omega": "omega", "m": "m"}
 # Largest mode count of a model. Its eigenvectors then take 8 n^2 bytes =
-# 32 MiB (a chain shares them with every chain of its size) and its two
-# factors 16 n^2 bytes = 64 MiB; its 2n x 2n covariance matrix, which only
-# ``ground_state_covariance`` forms, would take 32 n^2 bytes = 128 MiB.
+# 32 MiB (a chain shares them with every chain of its size); its 2n x 2n
+# covariance matrix, which only ``ground_state_covariance`` forms, would
+# take 32 n^2 bytes = 128 MiB.
 MAX_MODES = 2048
 
 
@@ -60,6 +62,56 @@ def _check_parameters(**values) -> None:
 def _no_ground_state(exc: Exception) -> ParameterError:
     """The error of a potential that fails ``_spd_eigh`` or ``_check_condition``."""
     return ParameterError(f"potential has no normalizable ground state: {exc}")
+
+
+_checked_table = None  # the last read-only table to pass ``_check_normal_modes``
+
+
+def _check_normal_modes(vecs: np.ndarray) -> None:
+    """The ground-state certificate of a model's n x n float eigenvectors U:
+    ParameterError unless every entry is finite and F = U^T U - I has
+    max|F| <= RESIDUAL_FACTOR n eps / 4, held by
+    ``symplectic._require_residuals`` with d = n and scale 1/4 as both its
+    residuals.
+
+    A read-only array that owns its data is checked once: when it passes, it
+    is kept as ``_checked_table`` and skipped while it is the last such array
+    checked, since numpy refuses writes to it (only its owner could turn
+    them back on, which the package never does). That is a chain's cached
+    ``_laplacian_modes`` table, which every build of a chain of its n and
+    boundary is handed again. Any other array is checked on every build.
+
+    With D = diag(sqrt(m w)), the factors q = U D^-1 and r = U D
+    (``_factor_rows``) give X = q q^T / 2 and P = r r^T / 2, and A = r^T,
+    B = q^T make S = A (+) B with S Omega S^T = [[0, G], [-G^T, 0]] and
+    S Gamma S^T = G G^T / 2 (+) G^T G / 2 exactly, for G = r^T q
+    (Audenaert, Eisert, Plenio, Werner, PRA 66, 042327 (2002)). So S is the
+    ground state's Williamson transform, every normal mode a vacuum, exactly
+    when U is orthonormal. The certificate once formed G = D (U^T U) D^-1
+    and held E = G - I = D F D^-1 to the rounding bounds u sqrt(kappa) of
+    its symplectic residual max|E| and u kappa / 2 of its congruence
+    residual, taken as max|E| + ||E||_F^2 / 2, with u = RESIDUAL_FACTOR n eps
+    and kappa = w_max / w_min >= 1. Each entry of E is F_ij sqrt(w_i / w_j),
+    so max|E| <= sqrt(kappa) max|F| and ||E||_F^2 <= kappa n^2 max|F|^2. At
+    max|F| <= u / 4 the symplectic residual is at most sqrt(kappa) u / 4,
+    and the congruence residual at most kappa u / 4 + kappa n^2 u^2 / 32,
+    which is <= kappa u / 2 while n^2 u <= 8, i.e. n^3 <= 1 / (8 eps), for
+    n up to 82 000, far beyond MAX_MODES. So every U this check passes
+    passed both old bounds at every kappa: it is never looser than the old
+    certificate, and it needs no frequencies.
+    """
+    global _checked_table
+    if vecs is _checked_table:
+        return
+    if not np.isfinite(vecs).all():
+        raise ParameterError("normal-mode eigenvectors have a NaN or infinite entry")
+    n = len(vecs)
+    err = vecs.T @ vecs
+    err.flat[:: n + 1] -= 1.0  # F = U^T U - I, in place
+    res = np.abs(err, out=err).max()
+    _require_residuals("model ground-state certificate", n, res, 0.25, res, 0.25, ParameterError)
+    if vecs.flags.owndata and not vecs.flags.writeable:
+        _checked_table = vecs
 
 
 def _check_ground_state(m: float, w_lo: float, w_hi: float) -> None:
@@ -90,9 +142,10 @@ class QuadraticModel:
 
     Every model is checked once, when it is made: the mode count and mass
     (``_check_parameters``), finite, positive, ascending frequencies and
-    n x n eigenvectors, and the ground state's envelope
-    (``_check_ground_state``); a failure raises ParameterError.
-    ``mode_factors`` derives the ground state's factors once, on first use.
+    n x n eigenvectors, the ground state's envelope
+    (``_check_ground_state``), and last its certificate, the orthonormality
+    of the eigenvectors (``_check_normal_modes``, once per chain table); a
+    failure raises ParameterError. A built model's ground state is pure.
     """
 
     mass: float
@@ -110,6 +163,7 @@ class QuadraticModel:
         if vecs.shape != (len(w), len(w)):
             raise ParameterError(f"eigenvectors must be {len(w)}x{len(w)}, got shape {vecs.shape}")
         _check_ground_state(self.mass, w[0], w[-1])
+        _check_normal_modes(vecs)
         object.__setattr__(self, "frequencies", w)
         object.__setattr__(self, "eigenvectors", vecs)
 
@@ -131,14 +185,6 @@ class QuadraticModel:
     @property
     def n(self) -> int:
         return len(self.frequencies)
-
-    @functools.cached_property
-    def mode_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """The factors (q, r) of ``_mode_factors``, computed on first use and
-        kept read-only: the certificate and every reduction read the same pair."""
-        q, r = _mode_factors(self)
-        q.flags.writeable = r.flags.writeable = False
-        return q, r
 
 
 @dataclass(frozen=True)
@@ -173,7 +219,8 @@ def _laplacian_modes(n: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
     graph Laplacian L of the ring ("periodic") or the path ("open") of n >= 2
     sites j = 0..n-1, in closed form. The last table is kept, as read-only
     arrays, for the next call with the same n and boundary: every point of a
-    sweep, and every chain model it backs, shares it.
+    sweep, and every chain model it backs, shares it, and the first build
+    from it checks it (``_check_normal_modes``).
 
     Ring: the constant column (k = 0), then for each 1 <= k < n/2, k
     ascending, the pair sqrt(2/n) cos(2 pi k j / n), sqrt(2/n) sin(2 pi k j / n),
@@ -242,13 +289,16 @@ def chain_model(
     return QuadraticModel(m, np.sqrt(floor + scale * mu), vecs)
 
 
-def _mode_factors(model: QuadraticModel) -> tuple[np.ndarray, np.ndarray]:
-    """q = O / sqrt(m w) and r = O sqrt(m w), the eigenvectors O with column
-    k scaled by the normal mode's 1/sqrt(m w_k) or sqrt(m w_k): the ground
-    state is X = q q^T / 2, P = r r^T / 2, and A = r^T, B = q^T make
-    A (+) B symplectic with (A (+) B) Gamma (A (+) B)^T = I/2."""
+def _factor_rows(model: QuadraticModel, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``rows`` (0-based, any numpy row index) of the ground state's
+    factors q = O / sqrt(m w) and r = O sqrt(m w): the eigenvectors O with
+    column k scaled by the normal mode's 1/sqrt(m w_k) or sqrt(m w_k). The
+    ground state is X = q q^T / 2, P = r r^T / 2 (``_check_normal_modes``),
+    so a reduction needs its kept rows alone, and no n x n factor is formed
+    for them."""
     root = np.sqrt(model.mass * model.frequencies)
-    return model.eigenvectors / root, model.eigenvectors * root
+    vecs = model.eigenvectors[rows]
+    return vecs / root, vecs * root
 
 
 def _grams(q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -269,8 +319,8 @@ def _gram_covariance(x: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def ground_state_covariance(model: QuadraticModel) -> np.ndarray:
     """Covariance matrix of the model's (pure, Gaussian) ground state, from
-    all rows of ``model.mode_factors`` (``_gram_covariance``)."""
-    return _gram_covariance(*_grams(*model.mode_factors))
+    all rows of its factors (``_factor_rows``, ``_gram_covariance``)."""
+    return _gram_covariance(*_grams(*_factor_rows(model, slice(None))))
 
 
 # --- serialization ---------------------------------------------------------

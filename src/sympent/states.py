@@ -34,6 +34,7 @@ from .errors import (
 from .models import (
     QuadraticModel,
     _check_fields,
+    _factor_rows,
     _gram_covariance,
     _grams,
     _is_json_int,
@@ -44,7 +45,6 @@ from .symplectic import (
     _check_finite,
     _check_symmetric,
     _real_array,
-    _require_residuals,
     _spd_eigh,
     _xp_blocks,
     symplectic_form,
@@ -190,46 +190,17 @@ def validate(state: np.ndarray | QuadraticModel, tol: float = DEFAULT_TOL) -> Va
     below -tol the report is unphysical, else Gamma is physical but too
     ill-conditioned (NumericalFailureError).
 
-    A model's ground state Gamma = X (+) P is never formed. With (q, r) its
-    ``mode_factors``, X = q q^T / 2 and P = r r^T / 2, so A = r^T and
-    B = q^T give S = A (+) B with S Omega S^T = [[0, G], [-G^T, 0]] and
-    S Gamma S^T = G G^T / 2 (+) G^T G / 2 exactly, for the one n x n product
-    G = r^T q (Audenaert, Eisert, Plenio, Werner, PRA 66, 042327 (2002)).
-    With E = G - I, the symplectic residual is max|E|. The congruence
-    residual max(|G G^T - I|, |G^T G - I|) / 2 is bounded from E alone:
-    G G^T - I = E + E^T + E E^T and G^T G - I = E + E^T + E^T E, whose
-    entries are at most 2 max|E| + ||E||_F^2, so it is taken as
-    max|E| + ||E||_F^2 / 2. Each is held to ``symplectic._require_residuals``
-    with d = n (NumericalFailureError above it). With w the model's
-    frequencies, ||r^T|| ||q|| = sqrt(w_max / w_min) scales G, and
-    ||G||^2 / 2 <= w_max / (2 w_min) scales the two Gram halves: the bounds
-    the five products of the formed Gamma's certificate were held to. A
-    non-finite entry of q or r raises the solve's MalformedInputError
-    (``symplectic._check_finite``) first. Else the spectrum is n times 1/2,
-    valid and pure at every ``tol``, with no eigensolver run.
+    A model's ground state is certified when the model is built
+    (``models._check_normal_modes``): it is pure, its spectrum n times 1/2,
+    so its report is valid and pure at every ``tol``, with no product, no
+    solve and no Gamma formed.
 
     ``tol`` must pass ``_check_tol`` (ParameterError), which is tested
-    before any certificate or solve.
+    before any solve.
     """
     _check_tol(tol)
     state, n = _as_state(state)
     if isinstance(state, QuadraticModel):
-        q, r = state.mode_factors
-        _check_finite(q)
-        _check_finite(r)
-        err = r.T @ q
-        err.flat[:: n + 1] -= 1.0  # E = G - I, in place
-        err = err.ravel()
-        res_omega = np.abs(err).max()
-        w_lo, w_hi = state.frequencies[[0, -1]]
-        _require_residuals(
-            "model ground-state certificate",
-            n,
-            res_omega + (err @ err) / 2.0,
-            w_hi / (2.0 * w_lo),
-            res_omega,
-            np.sqrt(w_hi / w_lo),
-        )
         return ValidationReport.from_spectrum(np.full(n, VACUUM_SIGMA), tol)
     try:
         spectrum = symplectic_spectrum(state)
@@ -336,9 +307,9 @@ def reduce(state: np.ndarray | QuadraticModel, keep) -> np.ndarray:
 
     Of a covariance matrix, it is the submatrix of the rows and columns
     {q_i, p_i : i in keep}. Of a model's ground state, it is X_A (+) P_A
-    from the kept rows q_A, r_A of ``model.mode_factors``,
+    from the kept rows q_A, r_A of its factors (``models._factor_rows``),
     X_A = q_A q_A^T / 2 and P_A = r_A r_A^T / 2 (``_model_grams``,
-    ``models._gram_covariance``), with no full Gamma formed.
+    ``models._gram_covariance``), with no full factor or Gamma formed.
     """
     state, n = _as_state(state)
     if isinstance(state, QuadraticModel):
@@ -350,13 +321,12 @@ def reduce(state: np.ndarray | QuadraticModel, keep) -> np.ndarray:
 
 def _model_grams(model: QuadraticModel, keep) -> tuple[np.ndarray, np.ndarray]:
     """The Gram pair q_A q_A^T, r_A r_A^T (``models._grams``) of the kept rows
-    of ``model.mode_factors`` (1-based mode indices, ``_mode_indices``):
-    twice the X_A and P_A of the reduction, which
+    of the model's factors (``models._factor_rows``; 1-based mode indices,
+    ``_mode_indices``): twice the X_A and P_A of the reduction, which
     ``symplectic._gram_spectrum`` solves and ``reduce`` turns into its
     covariance matrix."""
     rows = [m - 1 for m in _mode_indices(keep, model.n, "keep list")]
-    q, r = model.mode_factors
-    return _grams(q[rows], r[rows])
+    return _grams(*_factor_rows(model, rows))
 
 
 def characteristic_function(gamma: np.ndarray, eta) -> float:

@@ -59,12 +59,18 @@ def mode_count(matrix: np.ndarray) -> int:
 
 
 def _real_array(value, what: str, error: type[Exception] = MalformedInputError) -> np.ndarray:
-    """The one real-array rule: ``value`` as a float array. A complex value,
-    an array or nested lists, raises ``error`` naming ``what`` and its dtype
-    before the float conversion, which would drop its imaginary part: every
-    quadrature moment, phase point and model parameter is real."""
-    array = np.asarray(value)
-    if np.iscomplexobj(array):
+    """The one real-array rule: ``value`` as a float array. Every quadrature
+    moment, phase point and model parameter is a real number, so only an
+    integer or float dtype is converted. Any other, complex, bool, string or
+    object, raises ``error`` naming ``what`` and the dtype (the conversion
+    would drop an imaginary part, read a bool as 0 or 1 and parse a string),
+    and ragged nested lists, which numpy cannot make an array of, raise it
+    naming ``what`` and numpy's cause."""
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:
+        raise error(f"expected {what}: {exc}") from exc
+    if array.dtype.kind not in "iuf":
         raise error(f"expected {what}, got dtype {array.dtype}")
     return array.astype(float, copy=False)
 
@@ -181,18 +187,19 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
 
 
 def _require_residuals(
-    what: str, d: int, res_gamma: float, scale_gamma: float, res_omega: float, scale_omega: float
+    what: str, d: int, res_gamma: float, scale_gamma: float, res_omega: float, scale_omega: float,
+    error: type[Exception] = NumericalFailureError,
 ) -> None:
-    """The one residual rule of a normal-form transform S: raise
-    NumericalFailureError naming both residuals and their bounds unless each
-    is at most RESIDUAL_FACTOR * d * eps times its scale, a bound on the
-    product of its factors' 2-norms: ``scale_gamma`` for the congruence
-    S Gamma S^T, ``scale_omega`` for S Omega S^T. ``d`` is the length of the
-    products' sums. A NaN residual fails."""
+    """The one residual rule of a normal-form transform S: raise ``error``
+    naming both residuals and their bounds unless each is at most
+    RESIDUAL_FACTOR * d * eps times its scale, a bound on the product of its
+    factors' 2-norms: ``scale_gamma`` for the congruence S Gamma S^T,
+    ``scale_omega`` for S Omega S^T. ``d`` is the length of the products'
+    sums. A NaN residual fails."""
     unit = RESIDUAL_FACTOR * d * np.finfo(float).eps
     bound_gamma, bound_omega = unit * scale_gamma, unit * scale_omega
     if not (res_gamma <= bound_gamma and res_omega <= bound_omega):
-        raise NumericalFailureError(
+        raise error(
             f"{what} exceeded its rounding bound: residuals "
             f"{res_gamma:.3e} (congruence), {res_omega:.3e} (symplectic) "
             f"against bounds {bound_gamma:.3e}, {bound_omega:.3e}"

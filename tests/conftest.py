@@ -69,3 +69,21 @@ def linalg_shapes(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, recorded)
     return shapes
+
+
+@pytest.fixture
+def factor_rows_calls(monkeypatch):
+    """Record the row index of each ``models._factor_rows`` call, the one
+    source of a model's factor rows, by whichever module calls it."""
+    from sympent import models, states
+
+    calls = []
+    real = models._factor_rows
+
+    def recorded(model, rows):
+        calls.append(rows)
+        return real(model, rows)
+
+    for module in (models, states):
+        monkeypatch.setattr(module, "_factor_rows", recorded)
+    return calls

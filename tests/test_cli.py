@@ -335,18 +335,16 @@ def test_model_entropy_is_certified_not_solved(capsys, tmp_path, linalg_calls, l
     assert linalg_shapes == [("cholesky", (6, 6)), ("cholesky", (6, 6)), ("svd", (6, 6))]
 
 
-def test_model_entropy_computes_the_mode_factors_once(capsys, tmp_path, monkeypatch):
-    # the ground state and its certificate read one (q, r) pair per model
-    computed = []
-    real = models._mode_factors
-    monkeypatch.setattr(models, "_mode_factors", lambda model: computed.append(model) or real(model))
+def test_model_entropy_computes_the_mode_factors_once(capsys, tmp_path, factor_rows_calls):
+    # the factors are formed once per run, for the rows of the solved side
+    # alone (A's 6 modes, 0-based): the certificate was passed at build
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(dict(CHAIN6, n=16)), encoding="utf-8")
     partition = "1,2,3,4,5,6|" + ",".join(str(i) for i in range(7, 17))
     for calls in (1, 2):
         code, _, _ = run(capsys, "entropy", str(path), "--partition", partition)
         assert code == 0
-        assert len(computed) == calls
+        assert factor_rows_calls == [[0, 1, 2, 3, 4, 5]] * calls
 
 
 def test_model_validate_prints_a_zero_margin_without_a_solve(capsys, tmp_path, linalg_calls):

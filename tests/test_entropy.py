@@ -226,27 +226,28 @@ def test_entropy_rejects_mismatched_partition():
         entanglement_entropy(vacuum(3), ModePartition.from_string("1|2"))
 
 
-def test_mismatched_partition_fails_before_the_full_state_pass(linalg_calls):
+def test_mismatched_partition_fails_before_the_full_state_pass(linalg_calls, factor_rows_calls):
     # unphysical and over the wrong mode count: the cheap partition check names the cause
     with pytest.raises(InvalidPartitionError, match="partition is over 2 modes"):
         entanglement_entropy(0.4 * np.eye(6), ModePartition.from_string("1|2"))
     assert linalg_calls == []
-    # a model's certificate reads its factors, which are never computed
+    # a model's reduction reads its factor rows, which are never computed
     model = chain_model(3, 1.0, 1.0, 0.8, "open")
     with pytest.raises(InvalidPartitionError, match="partition is over 2 modes but the state has 3"):
         entanglement_entropy(model, ModePartition.from_string("1|2"))
-    assert "mode_factors" not in vars(model)
+    assert factor_rows_calls == []
     assert linalg_calls == []
 
 
-def test_unknown_base_fails_before_the_verdict_and_any_solve(linalg_calls):
+def test_unknown_base_fails_before_the_verdict_and_any_solve(linalg_calls, factor_rows_calls):
     model = chain_model(8, 1.0, 1.0, 0.5, "periodic")
     gamma = ground_state_covariance(chain_model(8, 1.0, 1.0, 0.5, "periodic"))
     partition = ModePartition.from_sides(range(1, 5), range(5, 9))
+    del factor_rows_calls[:]  # those of ground_state_covariance
     for state in (gamma, model):
         with pytest.raises(ValueError, match="unknown log base 'foo'"):
             entanglement_entropy(state, partition, base="foo")
-    assert "mode_factors" not in vars(model)
+    assert factor_rows_calls == []
     assert linalg_calls == []
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sympent.models as models
 from sympent import (
     MAX_MODES,
     MalformedInputError,
@@ -24,7 +25,7 @@ from sympent import (
     validate,
 )
 from sympent.cli import main
-from sympent.models import _laplacian_modes
+from sympent.models import _factor_rows, _laplacian_modes
 from sympent.symplectic import _fix_phases
 
 
@@ -359,10 +360,9 @@ def exact_gram_sigma(model, keep):
     """sigma of the reduction to the kept modes, descending, at 60 digits from
     the same rounded factor rows the model route reads: sigma^2 are the
     eigenvalues of X P, and so of L^T P L with X = L L^T."""
-    rows = [k - 1 for k in keep]
-    q, r = model.mode_factors
+    q, r = _factor_rows(model, [k - 1 for k in keep])
     with mpmath.workdps(60):
-        q_a, r_a = mpmath.matrix(q[rows].tolist()), mpmath.matrix(r[rows].tolist())
+        q_a, r_a = mpmath.matrix(q.tolist()), mpmath.matrix(r.tolist())
         low = mpmath.cholesky(q_a * q_a.T / 2)
         squares = mpmath.eigsy(low.T * (r_a * r_a.T / 2) * low, eigvals_only=True)
         return sorted((mpmath.sqrt(s) for s in squares), reverse=True)
@@ -534,6 +534,54 @@ def test_chain_build_allocates_no_n_by_n_array():
         tracemalloc.stop()
     assert model.n == n
     assert held <= peak <= 64 * n
+
+
+def test_a_chain_table_is_checked_once_and_any_other_array_every_build(monkeypatch):
+    # the certificate's one residual test runs when a chain table is made,
+    # not again for the chains that share it; a writeable copy of that
+    # table is checked on every build
+    checks = []
+    real = models._require_residuals
+    monkeypatch.setattr(models, "_require_residuals", lambda *a: checks.append(a[1]) or real(*a))
+    _laplacian_modes.cache_clear()
+    for lam in (0.5, 1.0, 2.0):
+        model = chain_model(32, 1.0, 1.0, lam, "open")
+    assert checks == [32]
+    for _ in range(2):
+        QuadraticModel(1.0, model.frequencies, model.eigenvectors.copy())
+    assert checks == [32] * 3
+
+
+def test_a_spoiled_copy_of_the_chain_table_fails_the_build(monkeypatch):
+    # a stand-in for the cached table is an array like any other: checked
+    real = models._laplacian_modes
+
+    def spoiled(n, boundary):
+        mu, vecs = real(n, boundary)
+        vecs = vecs.copy()
+        vecs[0, 0] += 1e-6
+        return mu, vecs
+
+    monkeypatch.setattr(models, "_laplacian_modes", spoiled)
+    for _ in range(2):
+        with pytest.raises(ParameterError, match="model ground-state certificate exceeded"):
+            chain_model(8, 1.0, 1.0, 0.5, "periodic")
+
+
+def test_model_entropy_forms_no_n_by_n_array():
+    # a 16|1008 cut reads 16 rows of each factor: the full q and r would
+    # take 16 n^2 bytes = 16 MiB, one n x n array 8 MiB
+    n = 1024
+    model = chain_model(n, 1.0, 1.0, 0.5, "periodic")
+    partition = ModePartition.from_sides(range(1, 17), range(17, n + 1))
+    tracemalloc.start()
+    try:
+        report = entanglement_entropy(model, partition)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.s_count > 0
+    assert peak < 8 * n * n
 
 
 @pytest.mark.parametrize(

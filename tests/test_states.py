@@ -30,6 +30,7 @@ from sympent import (
     wigner_values,
     williamson,
 )
+from sympent.models import _factor_rows
 
 from conftest import embed_symplectic, random_valid_covariance, two_mode_squeezed
 
@@ -48,8 +49,8 @@ def test_vacuum_saturates_uncertainty_bound():
     "tol", [np.nan, np.inf, -np.inf, -1e-300, "1e-8", None, True],
     ids=["nan", "inf", "-inf", "-1e-300", "string", "none", "bool"],
 )
-def test_tol_must_be_finite_and_non_negative(linalg_calls, tol):
-    # refused, naming the value, before any certificate or solve
+def test_tol_must_be_finite_and_non_negative(linalg_calls, factor_rows_calls, tol):
+    # refused, naming the value, before any factor row or solve
     model = chain_model(4, 1.0, 1.0, 0.5, "open")
     cause = re.escape(f"tol must be a finite number >= 0, got {tol!r}")
     for state in (vacuum(1), model):
@@ -57,7 +58,7 @@ def test_tol_must_be_finite_and_non_negative(linalg_calls, tol):
             validate(state, tol)
     with pytest.raises(ParameterError, match=cause):
         entanglement_entropy(vacuum(2), ModePartition.from_string("1|2"), tol=tol)
-    assert "mode_factors" not in vars(model)
+    assert factor_rows_calls == []
     assert linalg_calls == []
 
 
@@ -206,9 +207,13 @@ def test_heisenberg_test_agrees_with_spectrum_test():
 def test_certificate_agrees_with_validate_on_chains(boundary, lam, n):
     model = chain_model(n, 1.0, 1.0, lam, boundary)
     gamma = ground_state_covariance(model)
-    # the certificate's residuals, measured at most 2.8e-15 on this grid: the
-    # symplectic one of G = r^T q, and the exact congruence G G^T/2 (+) G^T G/2
-    q, r = model.mode_factors
+    # the build's residual max|U^T U - I|, and the residuals of the
+    # Williamson transform it certifies, measured at most 2.8e-15 on this
+    # grid: the symplectic one of G = r^T q, and the exact congruence
+    # G G^T/2 (+) G^T G/2, from the factors of all rows
+    u = model.eigenvectors
+    assert np.abs(u.T @ u - np.eye(n)).max() <= 1e-13
+    q, r = _factor_rows(model, slice(None))
     g = r.T @ q
     half = 0.5 * np.eye(n)
     assert np.abs(g @ g.T / 2 - half).max() <= 1e-13
@@ -231,57 +236,93 @@ def test_perturbed_normal_modes_fail_the_certificate(linalg_calls):
     model = chain_model(8, 1.0, 1.0, 0.8, "periodic")
     perturbed = model.eigenvectors.copy()
     perturbed[0, 0] += 1e-6
-    # one normal mode scaled by 1 + d: the congruence residual is ~d and the
-    # symplectic one ~2d, both far above their rounding bounds (~1e-12), and
-    # the tol of the vacuum floor plays no part
+    # one entry moved by d, or one normal mode scaled by 1 + d: max|U^T U - I|
+    # is ~d or ~2d, far above its rounding bound 16 n eps (~3e-14), so the
+    # build refuses the model; no tol plays a part
     rescaled = model.eigenvectors.copy()
     rescaled[:, 0] *= 1 + 1e-6
     for vectors in (perturbed, rescaled):
-        other = QuadraticModel(1.0, model.frequencies, vectors)
-        for tol in (0.0, 1e-8, 1.5e-6):
-            with pytest.raises(NumericalFailureError, match=RESIDUALS) as excinfo:
-                validate(other, tol)
-            congruence, symplectic, bound_c, bound_s = map(
-                float, re.search(RESIDUALS, str(excinfo.value)).groups()
-            )
-            assert congruence > bound_c and symplectic > bound_s
+        with pytest.raises(ParameterError, match=RESIDUALS) as excinfo:
+            QuadraticModel(1.0, model.frequencies, vectors)
+        congruence, symplectic, bound_c, bound_s = map(
+            float, re.search(RESIDUALS, str(excinfo.value)).groups()
+        )
+        assert congruence > bound_c and symplectic > bound_s
+        assert "model ground-state certificate exceeded its rounding bound" in str(excinfo.value)
     # one n x n product, no eigensolver
     assert linalg_calls == []
 
 
-def with_factors(model, q, r):
-    """``model`` with its ``mode_factors`` replaced by (q, r)."""
-    vars(model)["mode_factors"] = (q, r)
-    return model
-
-
 def test_certificate_refuses_other_states():
-    # the ground state scaled by 0.9 in one block only, X = q q^T / 2 through
-    # q or P = r r^T / 2 through r, is unphysical: the certificate must catch
-    # either
-    for scale_q, scale_r in ((np.sqrt(0.9), 1.0), (1.0, np.sqrt(0.9))):
-        model = chain_model(4, 1.0, 1.0, 0.8, "open")
-        q, r = model.mode_factors
-        with pytest.raises(NumericalFailureError, match="certificate exceeded its rounding bound"):
-            validate(with_factors(model, scale_q * q, scale_r * r))
+    # the ground state scaled by 0.9 (every sigma 0.45, unphysical) or by
+    # 1/0.9 (every sigma 0.556, mixed), X = q q^T / 2 and P = r r^T / 2 both
+    # through U scaled by the root: a model's q and r share U, so the build
+    # must refuse either
+    model = chain_model(4, 1.0, 1.0, 0.8, "open")
+    for scale in (np.sqrt(0.9), 1 / np.sqrt(0.9)):
+        with pytest.raises(ParameterError, match="certificate exceeded its rounding bound"):
+            QuadraticModel(1.0, model.frequencies, scale * model.eigenvectors)
+
+
+def test_a_writeable_eigenvector_array_is_checked_on_every_build():
+    # only a read-only table is trusted after its first check: an array
+    # changed in place between two builds fails the second
+    model = chain_model(8, 1.0, 1.0, 0.8, "periodic")
+    vectors = model.eigenvectors.copy()
+    assert QuadraticModel(1.0, model.frequencies, vectors).eigenvectors is vectors
+    vectors[0, 0] += 1e-6
+    with pytest.raises(ParameterError, match="certificate exceeded its rounding bound"):
+        QuadraticModel(1.0, model.frequencies, vectors)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("entry", [(1, 1), (6, 6), (0, 5)], ids=["X", "P", "qp"])
 def test_certificate_rejects_non_finite_entries_as_the_solve_does(entry, value):
-    # the same MalformedInputError on both routes, before any residual or
-    # block test: the solve of a Gamma with the non-finite entry, and the
-    # certificate of a model whose factor rows that entry is built from (q's
-    # for a q index, r's for a p index) hold it
+    # refused before any residual or block test on both routes: the solve of
+    # a Gamma with the non-finite entry with its MalformedInputError, and
+    # the build of a model whose eigenvector rows that entry is built from
+    # (row i mod n of U gives q_i and p_i) hold it with a ParameterError
     model = chain_model(4, 1.0, 1.0, 0.8, "open")
     broken = ground_state_covariance(model)
     broken[entry] = value
-    factors = [f.copy() for f in model.mode_factors]
+    with pytest.raises(MalformedInputError, match="^matrix has a NaN or infinite entry$"):
+        validate(broken)
+    vectors = model.eigenvectors.copy()
     for i in entry:
-        factors[i // 4][i % 4, 0] = value
-    for state in (with_factors(model, *factors), broken):
-        with pytest.raises(MalformedInputError, match="^matrix has a NaN or infinite entry$"):
-            validate(state)
+        vectors[i % 4, 0] = value
+    with pytest.raises(ParameterError, match="^normal-mode eigenvectors have a NaN or infinite entry$"):
+        QuadraticModel(1.0, model.frequencies, vectors)
+
+
+REAL_ARRAY_CALLS = {
+    "validate": (validate, MalformedInputError, "a real matrix of quadrature moments", (2, 2)),
+    "characteristic_function": (
+        lambda v: characteristic_function(vacuum(1), v), MalformedInputError, "a real phase point", (2,)
+    ),
+    "wigner_values": (
+        lambda v: wigner_values(vacuum(1), v), MalformedInputError, "real phase points", (2, 1)
+    ),
+    "QuadraticModel": (
+        lambda v: QuadraticModel(1.0, [1.0, 2.0], v), ParameterError, "real normal-mode eigenvectors", (2, 2)
+    ),
+}
+RAGGED = {(2, 2): [[0.5, 0.0], [0.0]], (2,): [1.0, [0.0, 0.0]], (2, 1): [[0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("kind", ["ragged", "string", "bool"])
+@pytest.mark.parametrize("call", list(REAL_ARRAY_CALLS))
+def test_real_array_rule_refuses_ragged_and_non_numeric_input(call, kind):
+    # one rule for every array input: numbers only, each entry an int or a
+    # float; a bool would read as 0 or 1 and a numeric string would be parsed
+    fn, error, what, shape = REAL_ARRAY_CALLS[call]
+    identity = np.eye(*shape) if len(shape) == 2 else np.array([1.0, 0.0])
+    value = {
+        "ragged": RAGGED[shape],
+        "string": identity.astype(str).tolist(),
+        "bool": identity.astype(bool).tolist(),
+    }[kind]
+    with pytest.raises(error, match="^expected " + re.escape(what)):
+        fn(value)
 
 
 # --- reduction -------------------------------------------------------------
