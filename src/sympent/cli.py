@@ -32,6 +32,8 @@ import sys
 import tempfile
 from collections.abc import Iterable
 from datetime import datetime, timezone
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +104,62 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+# The exact types json writes as one token; a subclass of any of them is not
+# one here, so a dict or list subclass never passes for a scalar.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _flat_json(depth: int):
+    """``encode`` of json's C encoder with keys sorted and each item separator
+    a newline and the indent of the items of a container ``depth`` levels
+    deep: a flat container there (every value one of ``_SCALARS``) comes out
+    as its indent=2 text but for the newline and indent after its opening
+    bracket and before its closing one."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": ")).encode
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` byte for byte, for a
+    value ``depth`` levels deep (its lines after the first indented to it)
+    whose dicts that hold a container have str keys, as every report's do.
+
+    json runs its C encoder only without ``indent``. So this walks in Python
+    just the containers that hold containers, and hands each flat container,
+    and each list of flat non-empty dicts (a report's ``modes``), whole to
+    ``_flat_json``. That is exact because with ``ensure_ascii`` the encoder
+    escapes every control character in a string: each newline it writes is a
+    separator, and in a list of flat dicts each "}," before a newline and a
+    "{" ends one dict and starts the next.
+    """
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, (list, tuple))):
+        return _flat_json(0)(value)
+    if not value:
+        return "{}" if is_dict else "[]"
+    i0 = "\n" + "  " * depth
+    i1 = i0 + "  "
+    types = set(map(type, value.values() if is_dict else value))
+    if types <= _SCALARS:
+        text = _flat_json(depth)(value)
+        return text[0] + i1 + text[1:-1] + i0 + text[-1]
+    if is_dict:
+        parts = [
+            encode_basestring_ascii(k) + ": " + _json_text(v, depth + 1)
+            for k, v in sorted(value.items())
+        ]
+        return "{" + i1 + ("," + i1).join(parts) + i0 + "}"
+    if (
+        types == {dict}
+        and all(value)
+        and set(map(type, chain.from_iterable(map(dict.values, value)))) <= _SCALARS
+    ):
+        i2 = i1 + "  "
+        text = _flat_json(depth + 1)(value)[2:-2].replace("}," + i2 + "{", i1 + "}," + i1 + "{" + i2)
+        return "[" + i1 + "{" + i2 + text + i1 + "}" + i0 + "]"
+    return "[" + i1 + ("," + i1).join([_json_text(v, depth + 1) for v in value]) + i0 + "]"
+
+
 def _conventions(base: str) -> dict:
     return {"ordering": ORDERING, "hbar": HBAR, "vacuum_sigma": VACUUM_SIGMA, "log_base": base}
 
@@ -140,18 +198,18 @@ def _finish(
     """The one output door of every command, called once its work is done.
 
     ``payload`` gains ``conventions`` (``log_base`` = ``base``). The command's
-    primary output, the CSV chunks ``csv`` or else the payload as JSON, goes
-    to ``args.out`` (``_write_text_atomic``) or to stdout. When a CSV went to
-    ``args.out``, the payload, with an ``out`` field naming that file, is
-    printed on stdout as a summary. Last, the run record (provenance, one
-    JSON line with a timestamp, the CPU count and the BLAS thread-count
-    environment variables) goes to stderr.
+    primary output, the CSV chunks ``csv`` or else the payload as indent-2
+    JSON (``_json_text``), goes to ``args.out`` (``_write_text_atomic``) or
+    to stdout. When a CSV went to ``args.out``, the payload, with an ``out``
+    field naming that file, is printed on stdout as a summary. Last, the run
+    record (provenance, one JSON line with a timestamp, the CPU count and the
+    BLAS thread-count environment variables) goes to stderr.
     """
     payload["conventions"] = _conventions(base)
     summarized = csv is not None and bool(args.out)
     if summarized:
         payload["out"] = args.out
-    report = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    report = _json_text(payload) + "\n"
     primary = [report] if csv is None else csv
     if args.out:
         _write_text_atomic(args.out, primary)

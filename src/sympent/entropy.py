@@ -139,10 +139,17 @@ class EntropyReport:
         return tuple(ThermalMode.from_sigma(max(s, 0.5)) for s in self.spectrum_a)
 
     def to_json_dict(self) -> dict:
+        spectrum_a = self.spectrum_a.tolist()
+        # Every sigma up to 1/2 + SIGMA_TOL, the pads of a pure cut among them,
+        # has the pure mode's record: one dict serves them all.
+        pure = ThermalMode.from_sigma(0.5).to_json_dict()
         out = {
             "partition": self.partition.to_json_dict(),
-            "spectrum_a": [float(s) for s in self.spectrum_a],
-            "modes": [m.to_json_dict() for m in self.modes],
+            "spectrum_a": spectrum_a,
+            "modes": [
+                pure if s - 0.5 <= SIGMA_TOL else ThermalMode.from_sigma(s).to_json_dict()
+                for s in spectrum_a
+            ],
             "total_bits": self.total_bits,
             "s_count": self.s_count,
             "s_count_tol": S_COUNT_TOL,
@@ -151,7 +158,7 @@ class EntropyReport:
             "pure_global_state": self.pure_global_state,
         }
         if self.spectrum_b is not None:
-            out["spectrum_b"] = [float(s) for s in self.spectrum_b]
+            out["spectrum_b"] = self.spectrum_b.tolist()
             out["total_b_bits"] = self.total_b_bits
             out["ab_agreement_residual_bits"] = abs(self.total_bits - self.total_b_bits)
         return out
@@ -231,10 +238,13 @@ def entanglement_entropy(
         solved = _gram_spectrum(*_model_grams(state, _solved_side(partition)))
         spectrum_a = _side_spectrum(solved, len(partition.set_a))
         spectrum_b = _side_spectrum(solved, len(partition.set_b))
+        # both sides share the solved sigmas above 1/2: one sum is both totals
+        total_bits = total_b_bits = _total_bits(spectrum_a)
     else:
         spectrum_a = symplectic_spectrum(reduce(state, partition.set_a))
         spectrum_b = symplectic_spectrum(reduce(state, partition.set_b)) if report.pure else None
-    total_bits = _total_bits(spectrum_a)
+        total_bits = _total_bits(spectrum_a)
+        total_b_bits = None if spectrum_b is None else _total_bits(spectrum_b)
     total = total_bits if base == BITS else total_bits * LN2
     return EntropyReport(
         partition=partition,
@@ -245,5 +255,5 @@ def entanglement_entropy(
         total=total,
         pure_global_state=report.pure,
         spectrum_b=spectrum_b,
-        total_b_bits=None if spectrum_b is None else _total_bits(spectrum_b),
+        total_b_bits=total_b_bits,
     )

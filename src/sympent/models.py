@@ -45,8 +45,9 @@ MAX_MODES = 2048
 def _check_parameters(**values) -> None:
     """The one range check of model parameters: a given mode count ``modes``
     must be an integer (a numpy one too, but not a bool) in 1..MAX_MODES,
-    each given ``mass`` and ``frequency`` must be finite and > 0, a
-    ``coupling`` finite and >= 0."""
+    each other value a number by the readers' rule (``_json_number``: not a
+    bool or a string), each given ``mass`` and ``frequency`` finite and > 0,
+    a ``coupling`` finite and >= 0. ParameterError names the parameter."""
     if "modes" in values:
         modes = values.pop("modes")
         if isinstance(modes, bool) or not isinstance(modes, (int, np.integer)):
@@ -54,8 +55,12 @@ def _check_parameters(**values) -> None:
         if not 1 <= modes <= MAX_MODES:
             raise ParameterError(f"mode count must be in 1..MAX_MODES = {MAX_MODES}, got {modes}")
     for name, value in values.items():
+        try:
+            number = _json_number(value)
+        except (TypeError, OverflowError) as exc:
+            raise ParameterError(f"{name}: {exc}") from exc
         zero_ok = name == "coupling"
-        if not (math.isfinite(value) and (value > 0.0 or (zero_ok and value == 0.0))):
+        if not (math.isfinite(number) and (number > 0.0 or (zero_ok and number == 0.0))):
             raise ParameterError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value}")
 
 
@@ -192,7 +197,11 @@ class TwoOscillatorParams:
     """Two oscillators of mass m and frequency omega, position-coupled with strength lam.
 
     Accepts exactly the parameters ``chain_model(2, m, omega, lam)`` accepts,
-    with the same ParameterError otherwise: it builds that chain.
+    with the same ParameterError otherwise: it runs that chain's parameter,
+    condition and ground-state checks, in its order (frequencies that pass
+    them are finite, > 0 and ascending), but not the certificate of its
+    fixed, orthonormal 2-mode table. So it builds no model and leaves the
+    cached chain table (``_laplacian_modes``) alone.
     """
 
     m: float
@@ -200,7 +209,9 @@ class TwoOscillatorParams:
     lam: float
 
     def __post_init__(self):
-        chain_model(2, self.m, self.omega, self.lam)
+        _check_parameters(mass=self.m, frequency=self.omega, coupling=self.lam)
+        w = _chain_frequencies(self.m, self.omega, self.lam, _path_eigenvalues(2))
+        _check_ground_state(self.m, w[0], w[-1])
 
     @property
     def alpha(self) -> float:
@@ -211,6 +222,12 @@ class TwoOscillatorParams:
         """Symplectic eigenvalue of either single-oscillator reduction, (1+a)/(4 sqrt(a))."""
         a = self.alpha
         return (1.0 + a) / (4.0 * math.sqrt(a))
+
+
+def _path_eigenvalues(n: int) -> np.ndarray:
+    """The path Laplacian's eigenvalues mu = 4 sin^2(pi k / 2n), k = 0..n-1
+    (ascending), as ``_laplacian_modes`` gives them."""
+    return 4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
 
 
 @functools.lru_cache(maxsize=1)
@@ -248,7 +265,7 @@ def _laplacian_modes(n: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
         if n % 2 == 0:
             vecs[:, -1] = np.where(j % 2 == 0, 1.0, -1.0) / math.sqrt(n)
     else:
-        mu = 4.0 * np.sin(np.pi * j / (2 * n)) ** 2
+        mu = _path_eigenvalues(n)
         table = np.cos(2.0 * np.pi * np.arange(4 * n) / (4 * n))
         vecs = math.sqrt(2.0 / n) * table[np.outer(2 * j + 1, j) % (4 * n)]
         vecs[:, 0] = 1.0 / math.sqrt(n)
@@ -281,12 +298,20 @@ def chain_model(
         raise ParameterError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
 
     mu, vecs = _laplacian_modes(n, boundary)
+    return QuadraticModel(m, _chain_frequencies(m, omega, lam, mu), vecs)
+
+
+def _chain_frequencies(m: float, omega: float, lam: float, mu: np.ndarray) -> np.ndarray:
+    """The normal-mode frequencies sqrt(omega^2 + (2 lam / m) mu) of a chain
+    whose Laplacian has the ascending eigenvalues ``mu``, once V's eigenvalue
+    range passes ``symplectic._check_condition`` (else the
+    ``_no_ground_state`` ParameterError)."""
     floor, scale = omega * omega, 2.0 * lam / m
     try:
         _check_condition(floor, floor + scale * float(mu[-1]))  # V's eigenvalue range
     except InvalidStateError as exc:
         raise _no_ground_state(exc) from exc
-    return QuadraticModel(m, np.sqrt(floor + scale * mu), vecs)
+    return np.sqrt(floor + scale * mu)
 
 
 def _factor_rows(model: QuadraticModel, rows) -> tuple[np.ndarray, np.ndarray]:

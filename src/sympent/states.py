@@ -284,11 +284,11 @@ class ModePartition:
         sides = []
         for part in parts:
             tokens = part.split(",") if part.strip() else []
-            if any(not tok.strip() for tok in tokens):
+            if not all(map(str.strip, tokens)):
                 raise InvalidPartitionError(f"empty mode index in {part!r} of partition {text!r}")
             try:
                 _check_number_text(part, "partition")
-                sides.append(tuple(int(tok) for tok in tokens))
+                sides.append(tuple(map(int, tokens)))
             except ValueError as exc:
                 raise InvalidPartitionError(f"cannot parse mode indices in {part!r}: {exc}") from exc
         return cls.from_sides(*sides)

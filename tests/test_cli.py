@@ -1184,6 +1184,123 @@ def test_primary_output_is_byte_identical_across_runs(capsys, tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def chain_json(path, n=8):
+    path.write_text(json.dumps(
+        {"type": "chain", "n": n, "m": 1.0, "omega": 1.0, "lambda": 0.5, "boundary": "periodic"}
+    ), encoding="utf-8")
+    return str(path)
+
+
+def cov_json(path, gamma):
+    path.write_text(json.dumps(covariance_to_json_dict(gamma)), encoding="utf-8")
+    return str(path)
+
+
+def write_spec(directory):
+    spec = directory / "sweep.json"
+    write_sweep_json(spec, {"type": "two_oscillator", "m": 1.0, "omega": 1.0, "lambda": 0.0})
+    return str(spec)
+
+
+REPORT_COMMANDS = {
+    "validate-pure": lambda d: ["validate", cov_json(d / "tms.json", two_mode_squeezed(0.4))],
+    "validate-mixed": lambda d: ["validate", cov_json(d / "mixed.json", random_valid_covariance(3, 7)[0])],
+    "validate-not-pd": lambda d: ["validate", cov_json(d / "notpd.json", np.diag([0.5, -0.5, 0.5, 0.5]))],
+    "validate-model": lambda d: ["validate", chain_json(d / "chain.json")],
+    "spectrum": lambda d: ["spectrum", cov_json(d / "mixed.json", random_valid_covariance(3, 7)[0])],
+    "spectrum-model": lambda d: ["spectrum", chain_json(d / "chain.json")],
+    "entropy-model-large-a": lambda d: [
+        "entropy", chain_json(d / "chain.json"), "--partition", "1,2,3,4,5,6|7,8"
+    ],
+    "entropy-file": lambda d: [
+        "entropy", cov_json(d / "tms.json", two_mode_squeezed(0.4)), "--partition", "2|1"
+    ],
+    "entropy-mixed-nats": lambda d: [
+        "entropy", cov_json(d / "mixed.json", random_valid_covariance(3, 7)[0]),
+        "--partition", "1,3|2", "--base", "nats",
+    ],
+    "sweep": lambda d: ["sweep", write_spec(d), "--out", str(d / "sweep.csv")],
+    "wigner": lambda d: ["wigner", chain_json(d / "chain.json"), "--grid", "3,5", "--out", str(d / "w.csv")],
+    "verify": lambda d: ["verify", "--out", str(d / "verify.csv")],
+}
+
+
+@pytest.mark.parametrize("name", REPORT_COMMANDS)
+def test_json_reports_are_indent_2_json_dumps(capsys, tmp_path, name):
+    # every JSON report on stdout is exactly json.dumps(..., indent=2, sort_keys=True)
+    code, out, _ = run(capsys, *REPORT_COMMANDS[name](tmp_path))
+    assert code in (0, 2)
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    if name == "validate-not-pd":  # its NaN minimum is written null
+        assert json.loads(out)["min_symplectic_eigenvalue"] is None
+
+
+def test_report_modes_share_one_record_for_every_snapped_sigma():
+    spectrum = np.array([0.9, 0.5 + 2e-9, 0.5 + 1e-9, 0.5, 0.5 - 1e-12, 0.5 - 1e-3])
+    report = entropy.EntropyReport(
+        partition=ModePartition.from_sides(range(1, 7), [7]),
+        spectrum_a=spectrum,
+        total_bits=0.0,
+        s_count=0,
+        base="bits",
+        total=0.0,
+        pure_global_state=False,
+    )
+    modes = report.to_json_dict()["modes"]
+    assert modes == [m.to_json_dict() for m in report.modes]
+    assert modes[1] is not modes[2]
+    assert modes[2] is modes[3] is modes[4] is modes[5]
+
+
+# Strings that an emitter splitting json text on newlines or brackets would misread.
+TRICKY_TEXT = ['"', "\\", "\n", "\r\n", "\u2028", "\u00e9\u20ac", "[", "]", "{", "}", "},\n    {\"", ": ", ",\n  "]
+json_text = st.text() | st.sampled_from(TRICKY_TEXT)
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**70)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    | json_text
+)
+flat_dicts = st.dictionaries(json_text, json_scalars, min_size=1)
+
+
+class DictSubclass(dict):
+    pass
+
+
+class ListSubclass(list):
+    pass
+
+
+json_values = st.recursive(
+    json_scalars,
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.lists(children).map(ListSubclass)
+        | st.dictionaries(json_text, children)
+        | st.dictionaries(json_text, children).map(DictSubclass)
+        | st.dictionaries(st.integers(), json_scalars)
+        | st.lists(flat_dicts)
+        | st.lists(flat_dicts | st.just({}))
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+@example({"modes": [{"sigma": 0.5, "beta": "inf"}] * 3, "spectrum_a": [0.5, -0.0, 2**65]})
+@example([{"a": "},\n    {\"b\": 1"}, {"b": [1]}, {"c": 1}])
+@example({"a": ListSubclass([1, [2]]), "b": DictSubclass(c=[])})
+@example([[], {}, (), [{}], [[{}]]])
+def test_json_text_is_indent_2_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
 def test_usage_errors_exit_one(capsys, tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])

@@ -80,6 +80,10 @@ def test_alpha_and_reduced_sigma():
         (1.0, 1e-7, 1.0),  # V's condition number 4e14 is above 1/SINGULAR_RTOL
         (1e-300, 1e-150, 0.0),  # m omega underflows: Gamma's variances would overflow
         (1e-4, 1e-4, 0.0),  # V = 1e-8 I, but Gamma's condition number is 1e16
+        (True, 1.0, 0.5),  # not numbers by the readers' rule
+        (1.0, "1", 0.5),
+        (1.0, 1.0, None),
+        (1.0, 1.0, 10**400),
     ],
 )
 def test_two_oscillator_rejects_bad_parameters(m, omega, lam):
@@ -738,6 +742,37 @@ def test_mode_count_must_be_an_integer(n):
     k = np.int64(4)
     assert chain_model(k, 1.0, 1.0, 1.0).n == 4
     assert ModelParams(type="chain", m=1.0, omega=1.0, lam=1.0, n=k).build().n == 4
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: QuadraticModel(True, [1.0], [[1.0]]), "mass"),
+        (lambda: QuadraticModel("1", [1.0], [[1.0]]), "mass"),
+        (lambda: chain_model(4, 1.0, 1.0, True), "coupling"),
+        (lambda: chain_model(4, None, 1.0, 1.0), "mass"),
+        (lambda: chain_model(4, 1.0, "1", 1.0), "frequency"),
+        (lambda: chain_model(4, 1.0, 1.0, 10**400), "coupling"),
+        (lambda: TwoOscillatorParams(1.0, False, 1.0), "frequency"),
+    ],
+    ids=["bool-mass", "str-mass", "bool-coupling", "none-mass", "str-frequency", "huge-int", "pair"],
+)
+def test_model_parameters_are_numbers_by_the_readers_rule(build, name):
+    # the one range check refuses a bool, a string or None as the JSON readers do, naming it
+    with pytest.raises(ParameterError, match=f"^{name}: "):
+        build()
+
+
+def test_two_oscillator_check_leaves_the_cached_chain_table_alone():
+    chain_model(256, 1.0, 1.0, 1.0, "periodic")
+    table = models._checked_table
+    before = _laplacian_modes.cache_info()
+    for lam in (0.5, 1.0, 2.0):
+        TwoOscillatorParams(1.0, 1.0, lam)
+        chain_model(256, 1.0, 1.0, lam, "periodic")
+    after = _laplacian_modes.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 3, before.misses)
+    assert models._checked_table is table
 
 
 def test_model_params_rejects_boolean_mode_count():
