@@ -57,8 +57,6 @@ from .models import (
     ModelParams,
     QuadraticModel,
     _check_fields,
-    _is_json_int,
-    _json_number,
     _unique_fields,
 )
 from .states import (
@@ -69,7 +67,6 @@ from .states import (
     ModePartition,
     _as_state,
     _check_number_text,
-    _check_tol,
     _model_grams,
     covariance_from_csv_text,
     covariance_from_json_dict,
@@ -78,7 +75,7 @@ from .states import (
     validate,
     wigner_values,
 )
-from .symplectic import _gram_spectrum, symplectic_spectrum
+from .symplectic import _gram_spectrum, _is_count, _nonnegative_number, _number, symplectic_spectrum
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -327,12 +324,12 @@ def _parse_sweep_spec(obj) -> tuple[ModelParams, str, np.ndarray, ModePartition]
     grid = obj["grid"]
     _check_fields(grid, "sweep grid", optional=("start", "stop", "count"))
     try:
-        start = _json_number(grid["start"])
-        stop = _json_number(grid["stop"])
+        start = _number(grid["start"])
+        stop = _number(grid["stop"])
         count = grid["count"]
     except (KeyError, TypeError, OverflowError) as exc:
         raise MalformedInputError(f"sweep grid needs numeric start, stop, count: {exc}") from exc
-    if not _is_json_int(count):
+    if not _is_count(type(count)):
         raise MalformedInputError(f"sweep grid count must be an integer, got {count!r}")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise MalformedInputError(f"sweep grid needs finite start and stop, got [{start}, {stop}]")
@@ -547,16 +544,14 @@ def _cmd_wigner(args: argparse.Namespace) -> int:
 
 
 def _tolerance(text: str) -> float:
-    """Value of --tol: a number that passes ``states._check_tol``."""
+    """Value of --tol: a finite number >= 0 (``symplectic._nonnegative_number``)."""
     try:
         _check_number_text(text, "--tol")
-        value = float(text)
-        _check_tol(value)
+        return _nonnegative_number(float(text), "tol")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     except ParameterError as exc:
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}") from exc
-    return value
 
 
 def _mode_index(text: str) -> int:

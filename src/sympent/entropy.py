@@ -22,7 +22,7 @@ from .errors import InvalidPartitionError, MalformedInputError, UnphysicalEigenv
 from .logbase import BITS, LN2, log_fn
 from .models import QuadraticModel
 from .states import DEFAULT_TOL, VACUUM_SIGMA, ModePartition, _as_state, _model_grams, reduce, validate
-from .symplectic import _gram_spectrum, symplectic_spectrum
+from .symplectic import _gram_spectrum, _number, symplectic_spectrum
 
 # Eigenvalues within this band of 1/2 are treated as exactly pure; below the
 # band mode_entropy, thermal_parameter and ThermalMode.from_sigma raise, never
@@ -35,9 +35,15 @@ S_COUNT_TOL = 1e-7
 
 
 def _effective_sigma(sigma: float) -> float:
-    """``sigma`` as a float, snapped to 1/2 within SIGMA_TOL; MalformedInputError
-    if it is NaN or infinite, UnphysicalEigenvalueError below the snap."""
-    sigma = float(sigma)
+    """``sigma`` as a float (``symplectic._number``), snapped to 1/2 within
+    SIGMA_TOL; MalformedInputError if it is not a real number, or is NaN or
+    infinite, UnphysicalEigenvalueError below the snap."""
+    try:
+        sigma = _number(sigma)
+    except (TypeError, OverflowError) as exc:
+        raise MalformedInputError(
+            f"symplectic eigenvalue {sigma!r} is not a finite real number"
+        ) from exc
     if not math.isfinite(sigma):
         raise MalformedInputError(f"symplectic eigenvalue {sigma!r} is not finite")
     if sigma < 0.5 - SIGMA_TOL:

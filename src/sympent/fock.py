@@ -26,11 +26,35 @@ from .logbase import BITS, log_fn
 TAIL_LIMIT = 1e-12
 
 
+def _thermal_beta(beta) -> float:
+    """``beta`` as a float: ParameterError naming it unless it is a Python or
+    numpy integer or float, not a bool, finite and > 0 (a pure mode's inf has
+    no distribution to truncate). This and ``_truncation_level`` are the
+    oracle's own copies of the engine's number and count rules, since it
+    shares only ``errors`` and ``logbase`` with the engine."""
+    number = not isinstance(beta, bool) and isinstance(beta, (int, float, np.integer, np.floating))
+    try:
+        value = float(beta) if number else math.nan
+    except OverflowError:  # an integer beyond float range
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ParameterError(f"thermal parameter must be a finite number > 0, got {beta!r}")
+    return value
+
+
+def _truncation_level(n_max) -> int:
+    """``n_max`` as an int: ParameterError naming it unless it is a Python or
+    numpy integer, not a bool, >= 1."""
+    if isinstance(n_max, bool) or not isinstance(n_max, (int, np.integer)):
+        raise ParameterError(f"truncation level must be an integer, got {n_max!r}")
+    if n_max < 1:
+        raise ParameterError(f"truncation level must be >= 1, got {n_max}")
+    return int(n_max)
+
+
 def required_n_max(beta: float) -> int:
     """Truncation level guaranteeing tail mass below TAIL_LIMIT, ceil(-ln(limit)/beta)."""
-    if not (beta > 0.0):
-        raise ParameterError(f"thermal parameter must be positive, got {beta}")
-    return int(math.ceil(-math.log(TAIL_LIMIT) / beta))
+    return int(math.ceil(-math.log(TAIL_LIMIT) / _thermal_beta(beta)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,15 +73,13 @@ class ThermalSpectrumTruncated:
 
 
 def thermal_probabilities(beta: float, n_max: int) -> ThermalSpectrumTruncated:
-    """Truncated geometric distribution of a thermal oscillator."""
-    if not (beta > 0.0):
-        raise ParameterError(f"thermal parameter must be positive, got {beta}")
-    if n_max < 1:
-        raise ParameterError(f"truncation level must be >= 1, got {n_max}")
+    """Truncated geometric distribution of a thermal oscillator: ``beta`` a
+    finite number > 0 and ``n_max`` an integer >= 1, else ParameterError."""
+    beta, n_max = _thermal_beta(beta), _truncation_level(n_max)
     levels = np.arange(n_max + 1)
     probs = -np.expm1(-beta) * np.exp(-beta * levels)
     tail = math.exp(-(n_max + 1) * beta)
-    return ThermalSpectrumTruncated(beta=float(beta), n_max=int(n_max), probabilities=probs, tail_mass=tail)
+    return ThermalSpectrumTruncated(beta=beta, n_max=n_max, probabilities=probs, tail_mass=tail)
 
 
 def _entropy_of(probs: np.ndarray, base: str) -> float:

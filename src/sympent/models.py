@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidStateError, MalformedInputError, ParameterError
-from .symplectic import _check_condition, _real_array, _require_residuals, _spd_eigh
+from .symplectic import _check_condition, _is_count, _number, _real_array, _require_residuals, _spd_eigh
 
 BOUNDARIES = ("open", "periodic")
 MODEL_TYPES = ("two_oscillator", "chain")
@@ -42,26 +42,29 @@ SWEEP_PARAMETERS = {"lambda": "lam", "omega": "omega", "m": "m"}
 MAX_MODES = 2048
 
 
-def _check_parameters(**values) -> None:
-    """The one range check of model parameters: a given mode count ``modes``
-    must be an integer (a numpy one too, but not a bool) in 1..MAX_MODES,
-    each other value a number by the readers' rule (``_json_number``: not a
-    bool or a string), each given ``mass`` and ``frequency`` finite and > 0,
-    a ``coupling`` finite and >= 0. ParameterError names the parameter."""
+def _check_parameters(**values) -> list[float]:
+    """The one range check of model parameters, by the readers' count and number
+    rules: a given ``modes`` a count (``symplectic._is_count``) in 1..MAX_MODES,
+    each other value a real number (``symplectic._number``), a ``mass`` and
+    ``frequency`` finite and > 0, a ``coupling`` finite and >= 0, else a
+    ParameterError naming it. Returns the others, in order, as floats."""
     if "modes" in values:
         modes = values.pop("modes")
-        if isinstance(modes, bool) or not isinstance(modes, (int, np.integer)):
+        if not _is_count(type(modes)):
             raise ParameterError(f"mode count must be an integer, got {modes!r}")
         if not 1 <= modes <= MAX_MODES:
             raise ParameterError(f"mode count must be in 1..MAX_MODES = {MAX_MODES}, got {modes}")
+    numbers = []
     for name, value in values.items():
         try:
-            number = _json_number(value)
+            number = _number(value)
         except (TypeError, OverflowError) as exc:
             raise ParameterError(f"{name}: {exc}") from exc
         zero_ok = name == "coupling"
         if not (math.isfinite(number) and (number > 0.0 or (zero_ok and number == 0.0))):
             raise ParameterError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0, got {value}")
+        numbers.append(number)
+    return numbers
 
 
 def _no_ground_state(exc: Exception) -> ParameterError:
@@ -162,13 +165,14 @@ class QuadraticModel:
         vecs = _real_array(self.eigenvectors, "real normal-mode eigenvectors", ParameterError)
         if w.ndim != 1:
             raise ParameterError(f"frequencies must be a 1-D array, got shape {w.shape}")
-        _check_parameters(modes=len(w), mass=self.mass)
+        [mass] = _check_parameters(modes=len(w), mass=self.mass)
         if not (w[0] > 0.0 and math.isfinite(w[-1]) and np.all(np.diff(w) >= 0.0)):
             raise ParameterError("normal-mode frequencies must be finite, > 0 and ascending")
         if vecs.shape != (len(w), len(w)):
             raise ParameterError(f"eigenvectors must be {len(w)}x{len(w)}, got shape {vecs.shape}")
-        _check_ground_state(self.mass, w[0], w[-1])
+        _check_ground_state(mass, w[0], w[-1])
         _check_normal_modes(vecs)
+        object.__setattr__(self, "mass", mass)
         object.__setattr__(self, "frequencies", w)
         object.__setattr__(self, "eigenvectors", vecs)
 
@@ -196,12 +200,8 @@ class QuadraticModel:
 class TwoOscillatorParams:
     """Two oscillators of mass m and frequency omega, position-coupled with strength lam.
 
-    Accepts exactly the parameters ``chain_model(2, m, omega, lam)`` accepts,
-    with the same ParameterError otherwise: it runs that chain's parameter,
-    condition and ground-state checks, in its order (frequencies that pass
-    them are finite, > 0 and ascending), but not the certificate of its
-    fixed, orthonormal 2-mode table. So it builds no model and leaves the
-    cached chain table (``_laplacian_modes``) alone.
+    Takes what ``chain_model(2, m, omega, lam)`` takes, by its ``_check_chain``,
+    as floats, and builds no model, so the cached chain table is left alone.
     """
 
     m: float
@@ -209,9 +209,9 @@ class TwoOscillatorParams:
     lam: float
 
     def __post_init__(self):
-        _check_parameters(mass=self.m, frequency=self.omega, coupling=self.lam)
-        w = _chain_frequencies(self.m, self.omega, self.lam, _path_eigenvalues(2))
-        _check_ground_state(self.m, w[0], w[-1])
+        checked = _check_chain(2, self.m, self.omega, self.lam, "open")
+        for name, value in zip(("m", "omega", "lam"), checked):
+            object.__setattr__(self, name, value)
 
     @property
     def alpha(self) -> float:
@@ -224,10 +224,10 @@ class TwoOscillatorParams:
         return (1.0 + a) / (4.0 * math.sqrt(a))
 
 
-def _path_eigenvalues(n: int) -> np.ndarray:
-    """The path Laplacian's eigenvalues mu = 4 sin^2(pi k / 2n), k = 0..n-1
-    (ascending), as ``_laplacian_modes`` gives them."""
-    return 4.0 * np.sin(np.pi * np.arange(n) / (2 * n)) ** 2
+def _laplacian_eigenvalues(k, period: int):
+    """The Laplacian eigenvalues mu = 4 sin^2(pi k / N) at the wave numbers ``k``
+    (the ring's N = n, the path's 2n); one k's mu is bit for bit an array's entry."""
+    return 4.0 * np.sin(np.pi * k / period) ** 2
 
 
 @functools.lru_cache(maxsize=1)
@@ -255,7 +255,7 @@ def _laplacian_modes(n: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
     if boundary == "periodic":
         ks = np.arange(1, (n + 1) // 2)
         k = np.concatenate(([0], np.repeat(ks, 2), [n // 2] if n % 2 == 0 else []))
-        mu = 4.0 * np.sin(np.pi * k / n) ** 2
+        mu = _laplacian_eigenvalues(k, n)
         angle = 2.0 * np.pi * j / n
         t = np.outer(j, ks) % n
         vecs = np.empty((n, n))
@@ -265,7 +265,7 @@ def _laplacian_modes(n: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
         if n % 2 == 0:
             vecs[:, -1] = np.where(j % 2 == 0, 1.0, -1.0) / math.sqrt(n)
     else:
-        mu = _path_eigenvalues(n)
+        mu = _laplacian_eigenvalues(j, 2 * n)
         table = np.cos(2.0 * np.pi * np.arange(4 * n) / (4 * n))
         vecs = math.sqrt(2.0 / n) * table[np.outer(2 * j + 1, j) % (4 * n)]
         vecs[:, 0] = 1.0 / math.sqrt(n)
@@ -289,29 +289,32 @@ def chain_model(
     Plenio, Werner, PRA 66, 042327 (2002); Botero & Reznik, PRA 67, 052311
     (2003)). No eigensolver runs and V is never formed. The condition
     numbers of V and of the ground-state covariance must stay below
-    1/SINGULAR_RTOL (``symplectic._check_condition``; ParameterError).
+    1/SINGULAR_RTOL (``_check_chain``; ParameterError).
     """
-    _check_parameters(modes=n, mass=m, frequency=omega, coupling=lam)
+    m, omega, lam = _check_chain(n, m, omega, lam, boundary)
+    mu, vecs = _laplacian_modes(int(n), boundary)
+    return QuadraticModel(m, np.sqrt(omega * omega + 2.0 * lam / m * mu), vecs)
+
+
+def _check_chain(n, m, omega, lam, boundary: str) -> list[float]:
+    """The one check of a chain, for ``chain_model`` and ``TwoOscillatorParams``:
+    ``_check_parameters``, n >= 2, the boundary, the condition of V's range
+    [omega^2, omega^2 + (2 lam / m) mu_max], with mu_max in closed form and no
+    table read, and the ground-state envelope. Returns m, omega, lam as floats."""
+    m, omega, lam = _check_parameters(modes=n, mass=m, frequency=omega, coupling=lam)
     if n < 2:
         raise ParameterError(f"chain needs at least 2 modes, got {n}")
     if boundary not in BOUNDARIES:
         raise ParameterError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
-
-    mu, vecs = _laplacian_modes(n, boundary)
-    return QuadraticModel(m, _chain_frequencies(m, omega, lam, mu), vecs)
-
-
-def _chain_frequencies(m: float, omega: float, lam: float, mu: np.ndarray) -> np.ndarray:
-    """The normal-mode frequencies sqrt(omega^2 + (2 lam / m) mu) of a chain
-    whose Laplacian has the ascending eigenvalues ``mu``, once V's eigenvalue
-    range passes ``symplectic._check_condition`` (else the
-    ``_no_ground_state`` ParameterError)."""
-    floor, scale = omega * omega, 2.0 * lam / m
+    period, k = (n, n // 2) if boundary == "periodic" else (2 * n, n - 1)  # mu_max's k
+    floor = omega * omega
+    top = floor + 2.0 * lam / m * float(_laplacian_eigenvalues(k, period))
     try:
-        _check_condition(floor, floor + scale * float(mu[-1]))  # V's eigenvalue range
+        _check_condition(floor, top)  # V's eigenvalue range
     except InvalidStateError as exc:
         raise _no_ground_state(exc) from exc
-    return np.sqrt(floor + scale * mu)
+    _check_ground_state(m, math.sqrt(floor), math.sqrt(top))
+    return [m, omega, lam]
 
 
 def _factor_rows(model: QuadraticModel, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -349,20 +352,6 @@ def ground_state_covariance(model: QuadraticModel) -> np.ndarray:
 
 
 # --- serialization ---------------------------------------------------------
-
-
-def _json_number(value) -> float:
-    """float(value) for a JSON number; TypeError for anything else, a bool or
-    a numeric string included. An integer beyond float range raises
-    OverflowError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a JSON number, got {value!r}")
-    return float(value)
-
-
-def _is_json_int(value) -> bool:
-    """True for a JSON integer: an int that is not a bool (bool is an int subclass)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _unique_fields(pairs: list, what: str) -> dict:
@@ -428,13 +417,13 @@ class ModelParams:
         _check_fields(obj, "model JSON", ("type",), ("n", "m", "omega", "lambda", "boundary"))
         try:
             kind = obj["type"]
-            m = _json_number(obj["m"])
-            omega = _json_number(obj["omega"])
-            lam = _json_number(obj["lambda"])
+            m = _number(obj["m"])
+            omega = _number(obj["omega"])
+            lam = _number(obj["lambda"])
         except (KeyError, TypeError, OverflowError) as exc:
             raise MalformedInputError(f"model JSON needs numeric m, omega, lambda: {exc}") from exc
         n = obj.get("n", 2)
-        if not _is_json_int(n):
+        if not _is_count(type(n)):
             raise MalformedInputError(f"model n must be an integer, got {n!r}")
         boundary = obj.get("boundary", "open")
         return cls(type=kind, m=m, omega=omega, lam=lam, n=n, boundary=boundary)

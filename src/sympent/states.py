@@ -18,7 +18,6 @@ and a field or tag that is unknown or given twice.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ from .errors import (
     InvalidStateError,
     MalformedInputError,
     NumericalFailureError,
-    ParameterError,
 )
 from .models import (
     QuadraticModel,
@@ -37,13 +35,16 @@ from .models import (
     _factor_rows,
     _gram_covariance,
     _grams,
-    _is_json_int,
     _unique_fields,
 )
 from .symplectic import (
     _as_matrix,
     _check_finite,
     _check_symmetric,
+    _is_count,
+    _is_real,
+    _nonnegative_number,
+    _positive_count,
     _real_array,
     _spd_eigh,
     _xp_blocks,
@@ -73,10 +74,9 @@ def _check_number_text(text: str, field: str) -> None:
 
 
 def vacuum(n: int) -> np.ndarray:
-    """Covariance matrix of the n-mode vacuum, I/2."""
-    if n < 1:
-        raise DimensionError(f"mode count must be a positive integer, got {n}")
-    return 0.5 * np.eye(2 * n)
+    """Covariance matrix of the n-mode vacuum, I/2; ``n`` must be a count >= 1
+    (``symplectic._positive_count``, DimensionError)."""
+    return 0.5 * np.eye(2 * _positive_count(n))
 
 
 @dataclass(frozen=True)
@@ -170,14 +170,6 @@ def _as_state(state) -> tuple[np.ndarray | QuadraticModel, int]:
     return _as_matrix(state)
 
 
-def _check_tol(tol: float) -> None:
-    """The one rule of a tol: ParameterError naming it unless it is a finite
-    number >= 0. A bool is not a number here, though True == 1."""
-    number = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-    if not (number and math.isfinite(tol) and tol >= 0.0):
-        raise ParameterError(f"tol must be a finite number >= 0, got {tol!r}")
-
-
 def validate(state: np.ndarray | QuadraticModel, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check that a state, a covariance matrix Gamma or a ``QuadraticModel``'s
     ground state, is physical: the package's one verdict, by the floor and
@@ -195,10 +187,10 @@ def validate(state: np.ndarray | QuadraticModel, tol: float = DEFAULT_TOL) -> Va
     so its report is valid and pure at every ``tol``, with no product, no
     solve and no Gamma formed.
 
-    ``tol`` must pass ``_check_tol`` (ParameterError), which is tested
-    before any solve.
+    ``tol`` must pass ``symplectic._nonnegative_number`` (ParameterError),
+    which is tested before any solve; a numpy tol is compared as its float.
     """
-    _check_tol(tol)
+    tol = _nonnegative_number(tol, "tol")
     state, n = _as_state(state)
     if isinstance(state, QuadraticModel):
         return ValidationReport.from_spectrum(np.full(n, VACUUM_SIGMA), tol)
@@ -213,22 +205,16 @@ def validate(state: np.ndarray | QuadraticModel, tol: float = DEFAULT_TOL) -> Va
     return ValidationReport.from_spectrum(spectrum, tol)
 
 
-def _integer_type(kind: type) -> bool:
-    """The integer rule of mode indices and counts: an int or a numpy integer,
-    but not a bool, which would read as 0 or 1."""
-    return kind is not bool and issubclass(kind, (int, np.integer))
-
-
 def _mode_indices(modes, n: int, what: str) -> tuple[int, ...]:
     """The one check of a list of 1-based mode indices, sorted and returned
     as ints: InvalidPartitionError naming ``what`` unless it is nonempty
-    and each index is an integer (``_integer_type``) in 1..n, given once."""
+    and each index is a count (``symplectic._is_count``) in 1..n, given once."""
     modes = list(modes)
     if not modes:
         raise InvalidPartitionError(f"{what} must be nonempty")
     # one type test per distinct type, and the range from the extremes
-    if not (all(map(_integer_type, set(map(type, modes)))) and 1 <= min(modes) and max(modes) <= n):
-        bad = [m for m in modes if not (_integer_type(type(m)) and 1 <= m <= n)]
+    if not (all(map(_is_count, set(map(type, modes)))) and 1 <= min(modes) and max(modes) <= n):
+        bad = [m for m in modes if not (_is_count(type(m)) and 1 <= m <= n)]
         raise InvalidPartitionError(f"mode indices {bad} of the {what} are not integers in 1..{n}")
     if len(set(modes)) != len(modes):
         raise InvalidPartitionError(f"duplicate mode index in {what} {modes}")
@@ -248,7 +234,7 @@ class ModePartition:
     set_b: tuple[int, ...]
 
     def __post_init__(self):
-        if not _integer_type(type(self.n)):
+        if not _is_count(type(self.n)):
             raise InvalidPartitionError(f"mode count n must be an integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
         a = _mode_indices(self.set_a, self.n, "side A of the partition")
@@ -375,9 +361,9 @@ def wigner_values(gamma: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def _check_hbar(value, given) -> None:
     """The one hbar rule of both covariance readers: MalformedInputError
-    naming ``given`` unless ``value`` is the number 1 and not a bool (True ==
-    1, but names no convention)."""
-    if isinstance(value, bool) or value != HBAR:
+    naming ``given`` unless ``value`` is a real number (``symplectic._is_real``,
+    so not a bool: True == 1, but names no convention) equal to 1."""
+    if not _is_real(type(value)) or value != HBAR:
         raise MalformedInputError(f"unsupported hbar convention {given!r}; expected {HBAR}")
 
 
@@ -400,7 +386,7 @@ def covariance_from_json_dict(obj) -> np.ndarray:
     hbar = obj.get("hbar", HBAR)
     _check_hbar(hbar, hbar)
     n = obj["n"]
-    if not _is_json_int(n) or n < 1:
+    if not _is_count(type(n)) or n < 1:
         raise MalformedInputError(f"mode count must be a positive integer, got {n!r}")
     flat = obj["matrix"]
     if not isinstance(flat, list):
@@ -411,11 +397,9 @@ def covariance_from_json_dict(obj) -> np.ndarray:
         raise MalformedInputError(
             f"matrix field has {len(flat)} entries, expected {(2 * n) * (2 * n)} for n={n}"
         )
-    # One test per distinct entry type: bool is an int subclass, and nested
-    # lists would otherwise be flattened by the reshape.
-    bad = sorted(
-        t.__name__ for t in set(map(type, flat)) if t is bool or not issubclass(t, (int, float))
-    )
+    # One number test per distinct entry type: nested lists would otherwise
+    # be flattened by the reshape.
+    bad = sorted(t.__name__ for t in set(map(type, flat)) if not _is_real(t))
     if bad:
         raise MalformedInputError(f"matrix entries must be numbers, got {', '.join(bad)}")
     try:

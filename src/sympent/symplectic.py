@@ -18,6 +18,7 @@ from .errors import (
     InvalidStateError,
     MalformedInputError,
     NumericalFailureError,
+    ParameterError,
 )
 
 # A normal-form residual may be this many times the rounding bound
@@ -40,8 +41,7 @@ def symplectic_form(n: int) -> np.ndarray:
 
     Omega is skew-symmetric with Omega^T = Omega^{-1} = -Omega.
     """
-    if n < 1:
-        raise DimensionError(f"mode count must be a positive integer, got {n}")
+    n = _positive_count(n)
     eye = np.eye(n)
     zero = np.zeros((n, n))
     return np.block([[zero, eye], [-eye, zero]])
@@ -58,14 +58,53 @@ def mode_count(matrix: np.ndarray) -> int:
     return dim // 2
 
 
+def _is_count(kind: type) -> bool:
+    """The one count rule, on a value's type: a Python or numpy integer, never
+    a bool (True == 1, but counts nothing). Exact int, the common case, goes first."""
+    return kind is int or (kind is not bool and issubclass(kind, (int, np.integer)))
+
+
+def _is_real(kind: type) -> bool:
+    """The one real-number rule, on a value's type: a Python or numpy float or
+    a count (``_is_count``), so never a bool, a string, a complex or None."""
+    return kind is float or issubclass(kind, (float, np.floating)) or _is_count(kind)
+
+
+def _number(value) -> float:
+    """``value`` as the float to compute with: TypeError unless it is a real number
+    (``_is_real``), OverflowError for an integer beyond float range."""
+    if not _is_real(type(value)):
+        raise TypeError(f"expected a real number, got {value!r}")
+    return float(value)
+
+
+def _nonnegative_number(value, what: str) -> float:
+    """``value`` as a float (``_number``): ParameterError naming ``what`` unless finite, >= 0."""
+    try:
+        number = _number(value)
+    except (TypeError, OverflowError):
+        number = np.nan
+    if not 0.0 <= number < np.inf:
+        raise ParameterError(f"{what} must be a finite number >= 0, got {value!r}")
+    return number
+
+
+def _positive_count(n) -> int:
+    """The mode count ``n`` of a state or transform to build, as an int:
+    DimensionError unless it is a count (``_is_count``) >= 1."""
+    if not (_is_count(type(n)) and n >= 1):
+        raise DimensionError(f"mode count must be a positive integer, got {n!r}")
+    return int(n)
+
+
 def _real_array(value, what: str, error: type[Exception] = MalformedInputError) -> np.ndarray:
     """The one real-array rule: ``value`` as a float array. Every quadrature
-    moment, phase point and model parameter is a real number, so only an
-    integer or float dtype is converted. Any other, complex, bool, string or
-    object, raises ``error`` naming ``what`` and the dtype (the conversion
-    would drop an imaginary part, read a bool as 0 or 1 and parse a string),
-    and ragged nested lists, which numpy cannot make an array of, raise it
-    naming ``what`` and numpy's cause."""
+    moment, phase point and model parameter is a real number (``_is_real``),
+    so only an integer or float dtype is converted. Any other, complex,
+    bool, string or object, raises ``error`` naming ``what`` and the dtype
+    (the conversion would drop an imaginary part, read a bool as 0 or 1 and
+    parse a string), and ragged nested lists, which numpy cannot make an
+    array of, raise it naming ``what`` and numpy's cause."""
     try:
         array = np.asarray(value)
     except ValueError as exc:
@@ -344,10 +383,13 @@ def random_symplectic(n: int, seed: int, scale: float = 0.4) -> np.ndarray:
     factor is symplectic and the passive ones are orthogonal, so the
     singular values are the e^(+-r_k): ||S||_2 <= e^scale and cond(S) <=
     e^(2 scale).
+
+    ``n`` must be a count >= 1 (DimensionError) and ``scale`` a finite real
+    number >= 0 (ParameterError).
     """
-    if n < 1:
-        raise DimensionError(f"mode count must be a positive integer, got {n}")
+    n = _positive_count(n)
+    width = _nonnegative_number(scale, "scale")
     rng = np.random.default_rng(seed)
     passive_1, passive_2 = _haar_passive(rng, n), _haar_passive(rng, n)
-    r = rng.uniform(-scale, scale, size=n)
+    r = rng.uniform(-width, width, size=n)
     return (passive_1 * np.exp(np.concatenate([-r, r]))) @ passive_2

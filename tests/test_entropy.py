@@ -432,3 +432,11 @@ def test_every_check_agrees_on_planted_states(n, seed, scale, nus, pure):
         beta = thermal_parameter(sigma)
         oracle = thermal_entropy_bruteforce(beta, required_n_max(beta) + 8)
         assert abs(mode_entropy(sigma) - oracle) < 1e-8
+
+
+@pytest.mark.parametrize("sigma", ["0.7", True, False, None, 0.7j, np.array([0.7])], ids=repr)
+def test_sigma_must_be_a_real_number(sigma):
+    # float() once read "0.7" as 0.780 bits and True as sigma = 1
+    for call in (mode_entropy, thermal_parameter, ThermalMode.from_sigma):
+        with pytest.raises(MalformedInputError, match="not a finite real number"):
+            call(sigma)

@@ -195,3 +195,34 @@ def test_oracle_imports_nothing_from_the_symplectic_path():
         imported = set(package_imports(ast.parse(fh.read())))
     assert "errors" in imported  # the walk sees the package imports at all
     assert imported <= {"errors", "logbase"}, f"fock.py imports {sorted(imported)}"
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: thermal_probabilities(1.0, 1.5), "1.5"),  # once read as n_max = 1 with 3 levels
+        (lambda: thermal_probabilities(1.0, True), "True"),  # once read as n_max = 1
+        (lambda: thermal_probabilities(1.0, "3"), "'3'"),
+        (lambda: thermal_entropy_bruteforce(5.0, 40.5), "40.5"),
+        (lambda: thermal_probabilities(math.inf, 3), "inf"),  # once [nan, 0, 0, 0] and a warning
+        (lambda: required_n_max(math.inf), "inf"),  # once 0, a level nothing accepts
+        (lambda: thermal_entropy_bruteforce(math.nan, 40), "nan"),
+        (lambda: required_n_max("1.0"), "'1.0'"),
+        (lambda: required_n_max(True), "True"),
+        (lambda: required_n_max(10**400), "1000"),
+    ],
+    ids=["n_max-float", "n_max-bool", "n_max-str", "bruteforce-n_max-float", "beta-inf",
+         "required-beta-inf", "beta-nan", "beta-str", "beta-bool", "beta-huge-int"],
+)
+def test_oracle_refuses_arguments_that_are_not_its_numbers(call, named):
+    # the oracle's own short check: an integer n_max, a finite number beta
+    with pytest.raises(ParameterError, match=f"got {named}"):
+        call()
+
+
+def test_probabilities_and_tail_sum_to_one_at_every_accepted_level():
+    for n_max in (1, np.int64(1), np.int32(7)):
+        spectrum = thermal_probabilities(np.float32(1.0), n_max)
+        assert spectrum.n_max == int(n_max) and type(spectrum.n_max) is int
+        assert len(spectrum.probabilities) == n_max + 1
+        assert abs(spectrum.probabilities.sum() + spectrum.tail_mass - 1.0) < 1e-15

@@ -780,3 +780,17 @@ def test_model_params_rejects_boolean_mode_count():
         ModelParams.from_json_dict(
             {"type": "chain", "n": True, "m": 1.0, "omega": 1.0, "lambda": 0.5}
         )
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_chain_check_reads_the_tables_largest_eigenvalue_bit_for_bit(boundary, monkeypatch):
+    # the chain check reads mu_max in closed form, with no table: at omega = 1 and
+    # 2 lam / m = 1, V's range must be [1, 1 + mu_max] with the table's own mu_max
+    ranges = []
+    monkeypatch.setattr(models, "_check_condition", lambda lo, hi: ranges.append((lo, hi)))
+    for n in [*range(2, 70), 127, 128, 1023, 1024, 2047, 2048]:
+        mu = _laplacian_modes.__wrapped__(n, boundary)[0]
+        for count in (n, np.int64(n)):
+            ranges.clear()
+            models._check_chain(count, 1.0, 1.0, 0.5, boundary)
+            assert ranges[0] == (1.0, 1.0 + mu[-1]) and mu[-1] == mu.max()

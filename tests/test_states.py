@@ -718,3 +718,11 @@ def test_csv_rejects_underscores_and_non_ascii_digits(text, cause):
     # int() and float() accept all four, reading 10, 1, 1 and 1
     with pytest.raises(MalformedInputError, match=cause):
         covariance_from_csv_text(text)
+
+
+@pytest.mark.parametrize("n", [True, 2.5, 0, "2", None], ids=repr)
+def test_vacuum_mode_count_is_a_positive_integer(n):
+    # True once built the one-mode vacuum, and 2.5 raised numpy's bare TypeError
+    with pytest.raises(DimensionError, match=f"mode count must be a positive integer, got {n!r}"):
+        vacuum(n)
+    np.testing.assert_array_equal(vacuum(np.int64(2)), vacuum(2))

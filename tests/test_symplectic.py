@@ -8,6 +8,7 @@ from sympent import (
     InvalidStateError,
     MalformedInputError,
     NumericalFailureError,
+    ParameterError,
     chain_model,
     ground_state_covariance,
     random_symplectic,
@@ -502,3 +503,31 @@ def test_random_symplectic_unit_determinant():
     for seed in range(10):
         s = random_symplectic(3, seed=seed)
         assert abs(np.linalg.det(s) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: symplectic_form(2.0),  # numpy's bare TypeError before
+        lambda: random_symplectic(2.5, 1),
+        lambda: random_symplectic(True, 1),
+        lambda: symplectic_form(0),
+        lambda: symplectic_form(np.int64(-1)),
+    ],
+    ids=["form-float", "random-float", "random-bool", "form-zero", "form-negative-numpy"],
+)
+def test_mode_counts_of_built_matrices_are_positive_integers(build):
+    with pytest.raises(DimensionError, match="mode count must be a positive integer"):
+        build()
+
+
+@pytest.mark.parametrize("scale", [-1, -0.1, np.nan, np.inf, True, "0.4", None], ids=repr)
+def test_random_symplectic_scale_is_a_finite_number_at_least_zero(scale):
+    # numpy raised ValueError for -1 and OverflowError for nan, and read True as 1
+    with pytest.raises(ParameterError, match=f"scale must be a finite number >= 0, got {scale!r}"):
+        random_symplectic(2, 1, scale=scale)
+
+
+def test_random_symplectic_reads_a_numpy_scale_as_its_float():
+    s = random_symplectic(np.int64(3), 7, scale=np.float32(0.3))
+    np.testing.assert_array_equal(s, random_symplectic(3, 7, scale=float(np.float32(0.3))))
