@@ -41,6 +41,7 @@ import numpy as np
 from . import __version__
 from .entropy import (
     S_COUNT_TOL,
+    _model_cut_spectra,
     _s_count,
     _side_spectrum,
     _solved_side,
@@ -52,13 +53,7 @@ from .entropy import (
 from .errors import MalformedInputError, ParameterError, SympentError
 from .fock import required_n_max, thermal_entropy_bruteforce
 from .logbase import BITS, LOG_BASES
-from .models import (
-    SWEEP_PARAMETERS,
-    ModelParams,
-    QuadraticModel,
-    _check_fields,
-    _unique_fields,
-)
+from .models import SWEEP_PARAMETERS, ModelParams, _check_fields, _unique_fields
 from .states import (
     DEFAULT_TOL,
     HBAR,
@@ -67,7 +62,7 @@ from .states import (
     ModePartition,
     _as_state,
     _check_number_text,
-    _model_grams,
+    _spectrum,
     covariance_from_csv_text,
     covariance_from_json_dict,
     heisenberg_margin,
@@ -75,7 +70,7 @@ from .states import (
     validate,
     wigner_values,
 )
-from .symplectic import _gram_spectrum, _is_count, _nonnegative_number, _number, symplectic_spectrum
+from .symplectic import _is_count, _nonnegative_number, _number
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -92,7 +87,8 @@ MAX_SWEEP_POINTS = 10_000
 # Most bytes of the Gram pairs, of the smaller side of the cut, that a sweep
 # stacks for one spectrum call: 16 k^2 bytes per point of a k-mode side,
 # half its 2k x 2k covariance matrix, so 32 points of a 181-mode side, 1024
-# points of a 32-mode one.
+# points of a 32-mode one. The n frequencies of each point's model, 8 n
+# bytes, are held to the same budget, which binds only when 2 k^2 < n.
 SWEEP_STACK_BYTES = 16 * 2**20
 
 
@@ -255,12 +251,12 @@ def _parse_json(text: str, path: str):
         raise MalformedInputError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def _load_state(text: str, path: str) -> tuple[np.ndarray | QuadraticModel, dict]:
+def _load_state(text: str, path: str) -> tuple:
     """The state of the text of a covariance file (JSON or headered CSV) or a
     model JSON file, and its input metadata: the one state loader of the CLI.
-    A file gives its covariance matrix, a model file the model itself, which
-    ``validate``, ``reduce`` and ``entanglement_entropy`` take as its ground
-    state."""
+    A file gives its covariance matrix, a model file the ``QuadraticModel``
+    itself, which every state function of ``states`` and
+    ``entanglement_entropy`` take as its ground state."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         obj = _parse_json(text, path)
@@ -283,11 +279,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     state, _ = _load_state(text, args.file)
     report = validate(state, args.tol)
     payload = report.to_json_dict()
-    # A certified ground state X (+) P needs no solve: heisenberg_margin's real
-    # form [[X, -I/2], [-I/2, P]] of Gamma + (i/2) Omega is orthogonally
-    # similar to n blocks [[a, -1/2], [-1/2, b]] with ab = 1/4, each singular.
-    certified = isinstance(state, QuadraticModel)
-    payload["min_heisenberg_eigenvalue"] = 0.0 if certified else heisenberg_margin(state)
+    payload["min_heisenberg_eigenvalue"] = heisenberg_margin(state)
     _finish(args, digest, payload)
     return EXIT_OK if report.valid else EXIT_UNPHYSICAL
 
@@ -295,11 +287,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     text, digest = _read_input(args.input)
     state, meta = _load_state(text, args.input)
-    if isinstance(state, QuadraticModel):
-        # the build's certificate proves the ground state's spectrum: n values of 1/2
-        sigmas = np.full(state.n, VACUUM_SIGMA)
-    else:
-        sigmas = symplectic_spectrum(state)
+    sigmas = _spectrum(state)
     _finish(args, digest, {"n": len(sigmas), "input": meta, "sigmas": [float(s) for s in sigmas]})
     return EXIT_OK
 
@@ -360,39 +348,31 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     def at_point(exc: SympentError, value: float) -> SympentError:
         return type(exc)(f"grid point {name}={_fmt(value)}: {exc}")
 
-    # Each point is a model ground state, certified when it is built, and a
-    # certified state is valid and pure at every tol (so sweep reads none).
-    # Its row is side A of the one spectrum of a pure cut, as in
-    # ``entanglement_entropy``: the ``_solved_side`` is solved and padded.
-    side = _solved_side(partition)
-
-    def grams(value: float) -> tuple[np.ndarray, np.ndarray]:
-        """The Gram pair of the smaller side of the certified ground state at
-        one grid point."""
+    def build(value: float):
         try:
-            return _model_grams(params.with_param(name, float(value)).build(), side)
+            return params.with_param(name, float(value)).build()
         except SympentError as exc:
             raise at_point(exc, value) from exc
 
-    # The points of a chunk are built (and so certified) and reduced to their
-    # Gram pairs in order, then one stacked call gives all their spectra, each
-    # bit for bit as if alone. Its checks test the whole stack at once, so
-    # when it fails, the chunk's points are solved alone, in order, and the
-    # first to fail is reported.
-    k = len(side)
-    chunk = max(1, SWEEP_STACK_BYTES // (16 * k * k))
+    # Each point is a model ground state, certified when it is built, and a
+    # certified state is valid and pure at every tol (so sweep reads none).
+    # Its row is side A of the solve of its cut that ``entanglement_entropy``
+    # runs, ``_model_cut_spectra``, here once per chunk of points built in
+    # order: each row is bit for bit its point's alone. The stacked call's
+    # checks test the whole chunk at once, so when it fails, the chunk's
+    # points are solved alone, in order, and the first to fail is reported.
+    k = len(_solved_side(partition))
+    chunk = max(1, SWEEP_STACK_BYTES // max(16 * k * k, 8 * params.n))
     rows = []
     for start in range(0, len(grid), chunk):
         values = grid[start : start + chunk]
-        xs, ps = np.empty((2, len(values), k, k))
-        for i, value in enumerate(values):
-            xs[i], ps[i] = grams(value)
+        models = [build(value) for value in values]
         try:
-            spectra = _gram_spectrum(xs, ps)
+            spectra = _model_cut_spectra(models, partition)
         except SympentError:
-            for value, x, p in zip(values, xs, ps):
+            for value, model in zip(values, models):
                 try:
-                    _gram_spectrum(x, p)
+                    _model_cut_spectra([model], partition)
                 except SympentError as exc:
                     raise at_point(exc, value) from exc
             raise

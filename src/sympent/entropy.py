@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import InvalidPartitionError, MalformedInputError, UnphysicalEigenvalueError
 from .logbase import BITS, LN2, log_fn
-from .models import QuadraticModel
-from .states import DEFAULT_TOL, VACUUM_SIGMA, ModePartition, _as_state, _model_grams, reduce, validate
+from .models import QuadraticModel, _cut_grams
+from .states import DEFAULT_TOL, VACUUM_SIGMA, ModePartition, _as_state, reduce, validate
 from .symplectic import _gram_spectrum, _number, symplectic_spectrum
 
 # Eigenvalues within this band of 1/2 are treated as exactly pure; below the
@@ -34,10 +34,18 @@ SIGMA_TOL = 1e-9
 S_COUNT_TOL = 1e-7
 
 
-def _effective_sigma(sigma: float) -> float:
-    """``sigma`` as a float (``symplectic._number``), snapped to 1/2 within
-    SIGMA_TOL; MalformedInputError if it is not a real number, or is NaN or
-    infinite, UnphysicalEigenvalueError below the snap."""
+def _thermal(sigma: float) -> tuple[float, float, float]:
+    """The one thermal-mode formula: ``sigma`` as a float (``symplectic._number``)
+    snapped to 1/2 within SIGMA_TOL, its thermal parameter beta and its
+    entropy in nats; (0.5, inf, 0.0) for a pure mode. MalformedInputError if
+    sigma is not a real number, or is NaN or infinite, UnphysicalEigenvalueError
+    below the snap.
+
+    With d = sigma - 1/2 (exact in floating point), beta = log1p(1/d): the
+    quotient ln((sigma + 1/2)/(sigma - 1/2)) rounds to ln(1 + O(eps)) and
+    reads 0 from sigma ~ 1e16. The nats are log1p(d) + d beta, two positive
+    terms, where the two terms of the textbook form nearly cancel.
+    """
     try:
         sigma = _number(sigma)
     except (TypeError, OverflowError) as exc:
@@ -51,39 +59,27 @@ def _effective_sigma(sigma: float) -> float:
             f"symplectic eigenvalue {sigma!r} is below the vacuum floor 1/2"
         )
     if abs(sigma - 0.5) <= SIGMA_TOL:
-        return 0.5
-    return sigma
+        return 0.5, math.inf, 0.0
+    d = sigma - 0.5
+    beta = math.log1p(1.0 / d)
+    return sigma, beta, math.log1p(d) + d * beta
 
 
 def mode_entropy(sigma: float, base: str = BITS) -> float:
-    """Entropy of one thermal mode with symplectic eigenvalue ``sigma``.
+    """Entropy of one thermal mode with symplectic eigenvalue ``sigma`` (``_thermal``).
 
     Returns exactly 0 for sigma within 1e-9 of 1/2 (the x log x -> 0 limit).
     Computed in nats and converted, so bits == nats / ln 2 holds exactly.
-    With d = sigma - 1/2 (exact in floating point), the nats are
-    log1p(d) + d log1p(1/d): two positive terms, so no cancellation at large
-    sigma, where the two terms of the textbook form nearly cancel.
     """
     log_fn(base)  # validate the base name
-    s = _effective_sigma(sigma)
-    if s == 0.5:
-        return 0.0
-    d = s - 0.5
-    nats = math.log1p(d) + d * math.log1p(1.0 / d)
+    nats = _thermal(sigma)[2]
     return nats / LN2 if base == BITS else nats
 
 
 def thermal_parameter(sigma: float) -> float:
-    """Thermal parameter beta = ln((sigma + 1/2)/(sigma - 1/2)); inf for a pure mode.
-
-    Computed as log1p(1/d) with d = sigma - 1/2, as in ``mode_entropy``: the
-    quotient form rounds (sigma + 1/2)/(sigma - 1/2) to 1 + O(eps), which
-    costs a relative error of about eps sigma and reads 0 from sigma ~ 1e16.
-    """
-    s = _effective_sigma(sigma)
-    if s == 0.5:
-        return math.inf
-    return math.log1p(1.0 / (s - 0.5))
+    """Thermal parameter beta = ln((sigma + 1/2)/(sigma - 1/2)) (``_thermal``);
+    inf for a pure mode."""
+    return _thermal(sigma)[1]
 
 
 @dataclass(frozen=True)
@@ -97,13 +93,8 @@ class ThermalMode:
 
     @classmethod
     def from_sigma(cls, sigma: float) -> "ThermalMode":
-        s = _effective_sigma(sigma)
-        return cls(
-            sigma=s,
-            n_bar=s - 0.5,
-            beta=thermal_parameter(s),
-            entropy_bits=mode_entropy(s, BITS),
-        )
+        s, beta, nats = _thermal(sigma)
+        return cls(sigma=s, n_bar=s - 0.5, beta=beta, entropy_bits=nats / LN2)
 
     def to_json_dict(self) -> dict:
         return {
@@ -187,6 +178,23 @@ def _solved_side(partition: ModePartition) -> tuple[int, ...]:
     return min(partition.set_a, partition.set_b, key=len)
 
 
+def _model_cut_spectra(models, partition: ModePartition) -> np.ndarray:
+    """The one solve of a model's cut: row i is the spectrum of the checked
+    ``partition``'s ``_solved_side`` in ``models[i]``'s ground state, from
+    the Gram pair of that side's factor rows (``models._cut_grams``). One
+    model's pair goes to ``symplectic._gram_spectrum`` as it is; several are
+    written into one preallocated stack for one stacked call, whose row i is
+    bit for bit the solve of ``models[i]`` alone and whose checks test the
+    whole stack and name no model."""
+    rows = [m - 1 for m in _solved_side(partition)]
+    if len(models) == 1:
+        return _gram_spectrum(*_cut_grams(models[0], rows))[None]
+    xs, ps = np.empty((2, len(models), len(rows), len(rows)))
+    for i, model in enumerate(models):
+        xs[i], ps[i] = _cut_grams(model, rows)
+    return _gram_spectrum(xs, ps)
+
+
 def _side_spectrum(solved: np.ndarray, size: int) -> np.ndarray:
     """The spectrum of a ``size``-mode side of a pure cut from the spectrum of
     its ``_solved_side`` (last axis; any leading axes are a stack of cuts).
@@ -223,9 +231,8 @@ def entanglement_entropy(
 
     A model's ground state was certified pure when the model was built
     (``models._check_normal_modes``), so its verdict needs no work and its
-    cut has one spectrum: the ``_solved_side``, from the Gram pair of its
-    rows of the model's factors (``states._model_grams``,
-    ``symplectic._gram_spectrum``), gives both sides (``_side_spectrum``).
+    cut has one spectrum: the ``_solved_side``'s (``_model_cut_spectra``,
+    which ``sweep`` runs too) gives both sides (``_side_spectrum``).
     No n x n array is formed and no full-state solve runs, and the B fields
     are derived: ``total_b_bits`` equals ``total_bits``.
     A covariance matrix's side A is ``symplectic_spectrum(reduce(...))``.
@@ -241,7 +248,7 @@ def entanglement_entropy(
     report = validate(state, tol)
     report.require_physical()
     if isinstance(state, QuadraticModel):
-        solved = _gram_spectrum(*_model_grams(state, _solved_side(partition)))
+        [solved] = _model_cut_spectra([state], partition)
         spectrum_a = _side_spectrum(solved, len(partition.set_a))
         spectrum_b = _side_spectrum(solved, len(partition.set_b))
         # both sides share the solved sigmas above 1/2: one sum is both totals

@@ -53,8 +53,12 @@ def _truncation_level(n_max) -> int:
 
 
 def required_n_max(beta: float) -> int:
-    """Truncation level guaranteeing tail mass below TAIL_LIMIT, ceil(-ln(limit)/beta)."""
-    return int(math.ceil(-math.log(TAIL_LIMIT) / _thermal_beta(beta)))
+    """Truncation level guaranteeing tail mass below TAIL_LIMIT, ceil(-ln(limit)/beta);
+    ParameterError naming a beta below about 1.5e-307, where the quotient overflows."""
+    level = -math.log(TAIL_LIMIT) / _thermal_beta(beta)
+    if level == math.inf:
+        raise ParameterError(f"thermal parameter {beta!r} is too small: -ln(TAIL_LIMIT)/beta overflows")
+    return int(math.ceil(level))
 
 
 @dataclass(frozen=True, eq=False)

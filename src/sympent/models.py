@@ -300,7 +300,13 @@ def _check_chain(n, m, omega, lam, boundary: str) -> list[float]:
     """The one check of a chain, for ``chain_model`` and ``TwoOscillatorParams``:
     ``_check_parameters``, n >= 2, the boundary, the condition of V's range
     [omega^2, omega^2 + (2 lam / m) mu_max], with mu_max in closed form and no
-    table read, and the ground-state envelope. Returns m, omega, lam as floats."""
+    table read, and the ground-state envelope. Returns m, omega, lam as floats.
+
+    The envelope is checked here, before ``chain_model`` reads the mode
+    table, so that a refused chain never builds a table nor evicts the
+    cached one (``_laplacian_modes`` keeps one), and ``TwoOscillatorParams``,
+    which builds no model, gets the same verdict. ``QuadraticModel`` checks
+    it again on the built frequencies, since it is also built directly."""
     m, omega, lam = _check_parameters(modes=n, mass=m, frequency=omega, coupling=lam)
     if n < 2:
         raise ParameterError(f"chain needs at least 2 modes, got {n}")
@@ -329,15 +335,17 @@ def _factor_rows(model: QuadraticModel, rows) -> tuple[np.ndarray, np.ndarray]:
     return vecs / root, vecs * root
 
 
-def _grams(q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Gram pair x = q q^T and p = r r^T of factor rows q and r of one
-    shape, whose state is X (+) P with X = x / 2 and P = p / 2: each is one
-    2-D product, so exactly symmetric."""
+def _cut_grams(model: QuadraticModel, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram pair x = q q^T and p = r r^T of the rows ``rows`` (0-based,
+    as ``_factor_rows`` takes them) of the model's factors q and r, whose
+    state is X (+) P with X = x / 2 and P = p / 2: each is one 2-D product,
+    so exactly symmetric."""
+    q, r = _factor_rows(model, rows)
     return q @ q.T, r @ r.T
 
 
 def _gram_covariance(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """X (+) P with X = x / 2 and P = p / 2, for a Gram pair (``_grams``)."""
+    """X (+) P with X = x / 2 and P = p / 2, for a Gram pair (``_cut_grams``)."""
     k = len(x)
     gamma = np.zeros((2 * k, 2 * k))
     gamma[:k, :k] = x / 2.0
@@ -347,8 +355,8 @@ def _gram_covariance(x: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def ground_state_covariance(model: QuadraticModel) -> np.ndarray:
     """Covariance matrix of the model's (pure, Gaussian) ground state, from
-    all rows of its factors (``_factor_rows``, ``_gram_covariance``)."""
-    return _gram_covariance(*_grams(*_factor_rows(model, slice(None))))
+    all rows of its factors (``_cut_grams``, ``_gram_covariance``)."""
+    return _gram_covariance(*_cut_grams(model, slice(None)))
 
 
 # --- serialization ---------------------------------------------------------

@@ -29,14 +29,7 @@ from .errors import (
     MalformedInputError,
     NumericalFailureError,
 )
-from .models import (
-    QuadraticModel,
-    _check_fields,
-    _factor_rows,
-    _gram_covariance,
-    _grams,
-    _unique_fields,
-)
+from .models import QuadraticModel, _check_fields, _cut_grams, _gram_covariance, _unique_fields
 from .symplectic import (
     _as_matrix,
     _check_finite,
@@ -138,8 +131,9 @@ class ValidationReport:
         }
 
 
-def heisenberg_margin(gamma: np.ndarray) -> float:
-    """Smallest eigenvalue of the Hermitian matrix Gamma + (i/2) Omega.
+def heisenberg_margin(state: np.ndarray | QuadraticModel) -> float:
+    """Smallest eigenvalue of the Hermitian matrix Gamma + (i/2) Omega of a
+    state, a covariance matrix Gamma or a ``QuadraticModel``'s ground state.
 
     A diagnostic: it is >= 0 exactly for physical states, but it is not
     symplectically invariant. Squeezing shrinks it, so an absolute tol on it
@@ -149,8 +143,15 @@ def heisenberg_margin(gamma: np.ndarray) -> float:
     matrix [[X, -I/2], [-I/2, P]], unitarily similar to Gamma + (i/2) Omega.
     A NaN or infinite entry, or asymmetry beyond 1e-12, raises
     MalformedInputError (``symplectic._check_symmetric``).
+
+    A model's margin is exactly 0.0, with no solve and no Gamma formed: its
+    certified ground state X (+) P (``models._check_normal_modes``) has
+    [[X, -I/2], [-I/2, P]] orthogonally similar to n blocks
+    [[a, -1/2], [-1/2, b]] with ab = 1/4, each singular.
     """
-    gamma, n = _as_matrix(gamma)
+    if isinstance(state, QuadraticModel):
+        return 0.0
+    gamma, n = _as_matrix(state)
     _check_symmetric(gamma)
     omega = symplectic_form(n)
     if _xp_blocks(gamma) is None:
@@ -185,17 +186,15 @@ def validate(state: np.ndarray | QuadraticModel, tol: float = DEFAULT_TOL) -> Va
     A model's ground state is certified when the model is built
     (``models._check_normal_modes``): it is pure, its spectrum n times 1/2,
     so its report is valid and pure at every ``tol``, with no product, no
-    solve and no Gamma formed.
+    solve and no Gamma formed (``_spectrum``).
 
     ``tol`` must pass ``symplectic._nonnegative_number`` (ParameterError),
     which is tested before any solve; a numpy tol is compared as its float.
     """
     tol = _nonnegative_number(tol, "tol")
     state, n = _as_state(state)
-    if isinstance(state, QuadraticModel):
-        return ValidationReport.from_spectrum(np.full(n, VACUUM_SIGMA), tol)
     try:
-        spectrum = symplectic_spectrum(state)
+        spectrum = _spectrum(state)
     except InvalidStateError as exc:
         if heisenberg_margin(state) >= -tol:
             raise NumericalFailureError(str(exc)) from exc
@@ -203,6 +202,15 @@ def validate(state: np.ndarray | QuadraticModel, tol: float = DEFAULT_TOL) -> Va
             valid=False, n=n, min_symplectic_eigenvalue=float("nan"), tol=float(tol), pure=False
         )
     return ValidationReport.from_spectrum(spectrum, tol)
+
+
+def _spectrum(state: np.ndarray | QuadraticModel) -> np.ndarray:
+    """The symplectic spectrum of a state, sorted descending: n values of 1/2,
+    with no solve, for a model, whose ground state is certified pure
+    (``models._check_normal_modes``), and ``symplectic_spectrum``'s for Gamma."""
+    if isinstance(state, QuadraticModel):
+        return np.full(state.n, VACUUM_SIGMA)
+    return symplectic_spectrum(state)
 
 
 def _mode_indices(modes, n: int, what: str) -> tuple[int, ...]:
@@ -293,26 +301,16 @@ def reduce(state: np.ndarray | QuadraticModel, keep) -> np.ndarray:
 
     Of a covariance matrix, it is the submatrix of the rows and columns
     {q_i, p_i : i in keep}. Of a model's ground state, it is X_A (+) P_A
-    from the kept rows q_A, r_A of its factors (``models._factor_rows``),
-    X_A = q_A q_A^T / 2 and P_A = r_A r_A^T / 2 (``_model_grams``,
-    ``models._gram_covariance``), with no full factor or Gamma formed.
+    from the kept rows q_A, r_A of its factors, X_A = q_A q_A^T / 2 and
+    P_A = r_A r_A^T / 2 (``models._cut_grams``, ``models._gram_covariance``),
+    with no full factor or Gamma formed.
     """
     state, n = _as_state(state)
+    rows = [m - 1 for m in _mode_indices(keep, n, "keep list")]
     if isinstance(state, QuadraticModel):
-        return _gram_covariance(*_model_grams(state, keep))
-    modes = _mode_indices(keep, n, "keep list")
-    idx = [m - 1 for m in modes] + [n + m - 1 for m in modes]
+        return _gram_covariance(*_cut_grams(state, rows))
+    idx = rows + [n + i for i in rows]
     return state.take(idx, axis=0).take(idx, axis=1)
-
-
-def _model_grams(model: QuadraticModel, keep) -> tuple[np.ndarray, np.ndarray]:
-    """The Gram pair q_A q_A^T, r_A r_A^T (``models._grams``) of the kept rows
-    of the model's factors (``models._factor_rows``; 1-based mode indices,
-    ``_mode_indices``): twice the X_A and P_A of the reduction, which
-    ``symplectic._gram_spectrum`` solves and ``reduce`` turns into its
-    covariance matrix."""
-    rows = [m - 1 for m in _mode_indices(keep, model.n, "keep list")]
-    return _grams(*_factor_rows(model, rows))
 
 
 def characteristic_function(gamma: np.ndarray, eta) -> float:

@@ -74,8 +74,8 @@ def linalg_shapes(monkeypatch):
 @pytest.fixture
 def factor_rows_calls(monkeypatch):
     """Record the row index of each ``models._factor_rows`` call, the one
-    source of a model's factor rows, by whichever module calls it."""
-    from sympent import models, states
+    source of a model's factor rows (``models._cut_grams`` calls it)."""
+    from sympent import models
 
     calls = []
     real = models._factor_rows
@@ -84,6 +84,5 @@ def factor_rows_calls(monkeypatch):
         calls.append(rows)
         return real(model, rows)
 
-    for module in (models, states):
-        monkeypatch.setattr(module, "_factor_rows", recorded)
+    monkeypatch.setattr(models, "_factor_rows", recorded)
     return calls

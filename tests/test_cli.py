@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import json
 import math
 
@@ -433,28 +432,42 @@ def test_sweep_rows_are_the_entropy_of_their_points(capsys, tmp_path, partition)
 
 
 def record_gram_stacks(monkeypatch):
-    """The (x, p) argument pairs of each of the sweep's ``_gram_spectrum``
-    calls, appended as the calls are made."""
+    """The (x, p) argument pairs of each ``_gram_spectrum`` call of the
+    model-cut solve (``entropy._model_cut_spectra``), appended as the calls
+    are made."""
     stacks = []
-    real = cli._gram_spectrum
-    monkeypatch.setattr(cli, "_gram_spectrum", lambda x, p: stacks.append((x, p)) or real(x, p))
+    real = entropy._gram_spectrum
+    monkeypatch.setattr(entropy, "_gram_spectrum", lambda x, p: stacks.append((x, p)) or real(x, p))
     return stacks
 
 
-def spoil_sweep_points(monkeypatch, spoils):
-    """Make the sweep's ``_model_grams`` spoil the q-side Gram of the grid
-    points that ``spoils`` maps, by their index in the grid, to a function
-    that changes a matrix in place. Certified points never fail the
-    spectrum's checks, so a failing point is made this way."""
-    real = cli._model_grams
-    points = itertools.count()
+def record_sweep_chunks(monkeypatch):
+    """The number of models of each of the sweep's ``_model_cut_spectra``
+    calls, appended as the calls are made."""
+    chunks = []
+    real = cli._model_cut_spectra
+    monkeypatch.setattr(cli, "_model_cut_spectra", lambda ms, cut: chunks.append(len(ms)) or real(ms, cut))
+    return chunks
 
-    def spoiled(model, keep):
-        x, p = real(model, keep)
-        spoils.get(next(points), lambda g: None)(x)
+
+def spoil_sweep_points(monkeypatch, spoils):
+    """Make the model-cut solve's ``_cut_grams`` spoil the q-side Gram of the
+    grid points that ``spoils`` maps, by their index in the grid, to a
+    function that changes a matrix in place; a point is known by its model,
+    which a solve of it alone is handed again. Certified points never fail
+    the spectrum's checks, so a failing point is made this way."""
+    real = entropy._cut_grams
+    points = []  # each point's model, in grid order
+
+    def spoiled(model, rows):
+        x, p = real(model, rows)
+        if not any(model is seen for seen in points):
+            points.append(model)
+        index = next(i for i, seen in enumerate(points) if model is seen)
+        spoils.get(index, lambda g: None)(x)
         return x, p
 
-    monkeypatch.setattr(cli, "_model_grams", spoiled)
+    monkeypatch.setattr(entropy, "_cut_grams", spoiled)
 
 
 def make_asymmetric(gram):
@@ -504,14 +517,14 @@ def test_sweep_reports_a_failing_point_of_a_later_chunk(capsys, tmp_path, monkey
 
 
 def test_sweep_reraises_a_stack_error_that_no_point_has_alone(capsys, tmp_path, monkeypatch):
-    real = cli._gram_spectrum
+    real = entropy._gram_spectrum
 
     def stack_fails(x, p):
         if x.ndim == 3:
             raise NumericalFailureError("the stack failed")
         return real(x, p)
 
-    monkeypatch.setattr(cli, "_gram_spectrum", stack_fails)
+    monkeypatch.setattr(entropy, "_gram_spectrum", stack_fails)
     err = run_failing_sweep(capsys, tmp_path)
     assert err.startswith("sympent: error: the stack failed\n")
 
@@ -523,9 +536,23 @@ def test_sweep_in_chunks_writes_the_same_csv(capsys, tmp_path, monkeypatch, poin
     write_sweep_json(spec, CHAIN6, start=0.0, stop=3.0, count=7, partition="1,2,3|4,5,6")
     assert run(capsys, "sweep", str(spec), "--out", str(tmp_path / "one.csv"))[0] == 0
     monkeypatch.setattr(cli, "SWEEP_STACK_BYTES", points * 16 * 3 * 3)
-    stacks = record_gram_stacks(monkeypatch)
+    chunks = record_sweep_chunks(monkeypatch)
     assert run(capsys, "sweep", str(spec), "--out", str(tmp_path / "chunked.csv"))[0] == 0
-    assert [len(x) for x, _ in stacks] == [points] * (7 // points) + [7 % points] * (7 % points > 0)
+    assert chunks == [points] * (7 // points) + [7 % points] * (7 % points > 0)
+    assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+def test_sweep_chunk_holds_its_models_frequencies_to_the_budget(capsys, tmp_path, monkeypatch):
+    # on a one-mode side of a 64-mode chain, each point's 8 n = 512 bytes of
+    # frequencies, not its 16-byte Gram pair, set the chunk
+    spec = tmp_path / "sweep.json"
+    partition = "1|" + ",".join(map(str, range(2, 65)))
+    write_sweep_json(spec, dict(CHAIN6, n=64), start=0.0, stop=3.0, count=5, partition=partition)
+    assert run(capsys, "sweep", str(spec), "--out", str(tmp_path / "one.csv"))[0] == 0
+    monkeypatch.setattr(cli, "SWEEP_STACK_BYTES", 2 * 8 * 64)
+    chunks = record_sweep_chunks(monkeypatch)
+    assert run(capsys, "sweep", str(spec), "--out", str(tmp_path / "chunked.csv"))[0] == 0
+    assert chunks == [2, 2, 1]
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 

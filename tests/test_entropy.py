@@ -280,6 +280,50 @@ def test_certified_report_replaces_the_full_state_pass(linalg_calls, linalg_shap
         assert (certified.s_count, certified.pure_global_state) == (solved.s_count, True)
 
 
+@pytest.mark.parametrize("n,side_a", [(6, [1, 2, 3]), (6, [1, 2, 3, 4]), (6, [5, 6]), (64, [3, 9, 40])])
+def test_model_cut_spectra_rows_are_each_model_alone(n, side_a):
+    # a tie, |A| > |B| and |A| < |B|: each row of one stacked solve is bit
+    # for bit the solve of its model alone, which is the entanglement_entropy path
+    partition = ModePartition.from_sides(side_a, [m for m in range(1, n + 1) if m not in side_a])
+    models = [chain_model(n, 1.0, 1.0, lam, "periodic") for lam in np.linspace(0.0, 4.0, 9)]
+    stacked = entropy._model_cut_spectra(models, partition)
+    k = len(entropy._solved_side(partition))
+    assert stacked.shape == (9, k)
+    for row, model in zip(stacked, models):
+        np.testing.assert_array_equal(row, entropy._model_cut_spectra([model], partition)[0], strict=True)
+        report = entanglement_entropy(model, partition)
+        padded = entropy._side_spectrum(row, len(partition.set_a))
+        np.testing.assert_array_equal(report.spectrum_a, padded, strict=True)
+
+
+def test_critical_chain_entropy_has_the_conformal_slope():
+    # Calabrese and Cardy, J. Stat. Mech. (2004) P06002: a critical chain
+    # (c = 1) has S = (1/3) ln((n/pi) sin(pi l/n)) + const in nats. The
+    # periodic chain at omega = 1e-5 is near enough to criticality: its
+    # local slopes measured 0.3330-0.3336 (worst 2.9e-4 from 1/3); at
+    # omega = 1e-3 they fall to 0.306-0.309
+    n = 256
+    model = chain_model(n, 1.0, 1e-5, 1.0, "periodic")
+    cuts = [4, 8, 16, 32, 64, 128]
+    nats = [
+        entanglement_entropy(model, ModePartition.from_sides(range(1, ell + 1), range(ell + 1, n + 1)), "nats").total
+        for ell in cuts
+    ]
+    chord = [math.log(n / math.pi * math.sin(math.pi * ell / n)) for ell in cuts]
+    slopes = np.diff(nats) / np.diff(chord)
+    assert np.abs(slopes - 1.0 / 3.0).max() <= 2e-3, slopes
+
+
+def test_thermal_mode_checks_its_sigma_once(monkeypatch):
+    # one formula gives the record's sigma, beta and entropy
+    calls = []
+    real = entropy._number
+    monkeypatch.setattr(entropy, "_number", lambda s: calls.append(s) or real(s))
+    mode = ThermalMode.from_sigma(1.5)
+    assert calls == [1.5]
+    assert (mode.beta, mode.entropy_bits) == (thermal_parameter(1.5), mode_entropy(1.5))
+
+
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
 def test_model_cut_has_one_spectrum(boundary):
     # A|B and B|A swap their spectra bit for bit, the larger side's extra

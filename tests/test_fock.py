@@ -108,6 +108,22 @@ def test_required_n_max_formula():
         assert required_n_max(beta) == math.ceil(-math.log(1e-12) / beta)
 
 
+def test_required_n_max_names_a_beta_whose_level_overflows():
+    # -ln(TAIL_LIMIT)/beta is inf below beta ~ 1.5e-307: once a bare
+    # OverflowError from ceil; 3e-307 still has its 308-digit level
+    assert len(str(required_n_max(3e-307))) == 308
+    for beta in (1.5e-307, 5e-324):
+        with pytest.raises(ParameterError, match=f"thermal parameter {beta!r} is too small"):
+            required_n_max(beta)
+
+
+def test_bruteforce_names_a_beta_whose_level_overflows():
+    # the tail mass of beta = 5e-324 is 1, so the refusal reports the
+    # level it needs, which overflows
+    with pytest.raises(ParameterError, match="thermal parameter 5e-324 is too small"):
+        thermal_entropy_bruteforce(5e-324, 10)
+
+
 def test_two_mode_squeezed_two_bits():
     # either reduction of the two-mode squeezed vacuum with cosh 2r = 3 is
     # the thermal mode sigma = 3/2, beta = ln 2, which carries two bits

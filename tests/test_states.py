@@ -198,6 +198,23 @@ def test_heisenberg_test_agrees_with_spectrum_test():
         assert heisenberg_margin(gamma) < -1e-8
 
 
+def test_model_heisenberg_margin_is_exactly_zero(linalg_calls):
+    # a certified ground state's margin is 0.0 with no solve
+    for boundary in ("open", "periodic"):
+        assert heisenberg_margin(chain_model(8, 1.0, 1.0, 0.5, boundary)) == 0.0
+    assert linalg_calls == []
+
+
+@pytest.mark.parametrize("n", [2, 8, 64, 256])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 100.0])
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+def test_formed_ground_state_heisenberg_margin_is_zero(boundary, lam, n):
+    # the model's 0.0 is its formed Gamma's margin to rounding: measured at
+    # most 2.8e-15 ||Gamma||_2 on this grid
+    gamma = ground_state_covariance(chain_model(n, 1.0, 1.0, lam, boundary))
+    assert abs(heisenberg_margin(gamma)) <= 1e-13 * np.linalg.norm(gamma, 2)
+
+
 # --- model ground-state certificate -----------------------------------------
 
 

@@ -18,7 +18,7 @@ from sympent import (
     validate,
     williamson,
 )
-from sympent.states import _model_grams
+from sympent.models import _cut_grams
 
 from conftest import is_symplectic, random_valid_covariance, two_mode_squeezed
 
@@ -275,7 +275,7 @@ def chain_gram_pairs(n, boundary, cut):
     """The stacked Gram pairs of the first ``cut`` modes of n-mode chains
     along 12 lambdas."""
     pairs = [
-        _model_grams(chain_model(n, 1.0, 1.0, lam, boundary), range(1, cut + 1))
+        _cut_grams(chain_model(n, 1.0, 1.0, lam, boundary), range(cut))
         for lam in np.linspace(0.1, 2.0, 12)
     ]
     return np.stack([x for x, _ in pairs]), np.stack([p for _, p in pairs])
