@@ -37,6 +37,7 @@ from .fock import (
 from .logbase import BITS, LN2, NATS
 from .models import (
     MAX_MODES,
+    ChainModel,
     ModelParams,
     QuadraticModel,
     TwoOscillatorParams,
@@ -71,6 +72,7 @@ from .symplectic import (
 
 __all__ = [
     "BITS",
+    "ChainModel",
     "DEFAULT_TOL",
     "DimensionError",
     "EntropyReport",

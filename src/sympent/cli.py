@@ -2,13 +2,12 @@
 
 Subcommands: validate, spectrum, entropy, sweep, verify, wigner. Inputs are
 covariance files (JSON or headered CSV) or model JSON files. A model input
-stays a ``QuadraticModel``, which stands for its ground state: the model is
-certified when it is built (its normal modes are orthonormal, so its ground
-state is pure), its 2n x 2n covariance matrix is never formed, its
-reductions come from rows of its normal-mode factors, and ``spectrum``
-prints its n values of 1/2. A command that checks physicality calls
+stays a ``ChainModel``, which stands for its ground state: pure by
+construction, its 2n x 2n covariance matrix is never formed, its reductions
+come from its closed-form correlators, and ``spectrum`` prints its n values
+of 1/2. A command that checks physicality calls
 ``validate(state, tol)`` once, after any partition or mode check, which
-solves a file and reads a model's certificate as valid and pure. All
+solves a file and reads a model's ground state as valid and pure. All
 primary output is
 deterministic (byte-identical on identical inputs and options, at a fixed
 BLAS thread count); the run record, which carries a timestamp and names the
@@ -87,8 +86,7 @@ MAX_SWEEP_POINTS = 10_000
 # Most bytes of the Gram pairs, of the smaller side of the cut, that a sweep
 # stacks for one spectrum call: 16 k^2 bytes per point of a k-mode side,
 # half its 2k x 2k covariance matrix, so 32 points of a 181-mode side, 1024
-# points of a 32-mode one. The n frequencies of each point's model, 8 n
-# bytes, are held to the same budget, which binds only when 2 k^2 < n.
+# points of a 32-mode one.
 SWEEP_STACK_BYTES = 16 * 2**20
 
 
@@ -166,19 +164,22 @@ def _csv_header(kind: str, base: str, **tags) -> str:
 
 def _write_text_atomic(path: str, chunks: Iterable[str]) -> None:
     """Write the chunks, in order, to a temporary file next to ``path`` as
-    they are produced, then rename it to ``path``."""
+    they are produced, then rename it to ``path``. On any failure the
+    temporary file is removed, and an OSError is raised again naming
+    ``path``, the file the user gave, not the temporary one."""
     target = Path(path)
     parent = target.parent if str(target.parent) else Path(".")
-    fd, tmp = tempfile.mkstemp(dir=str(parent), prefix=target.name + ".", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=str(parent), prefix=target.name + ".", suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            fh.writelines(chunks)
         os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _finish(
@@ -254,7 +255,7 @@ def _parse_json(text: str, path: str):
 def _load_state(text: str, path: str) -> tuple:
     """The state of the text of a covariance file (JSON or headered CSV) or a
     model JSON file, and its input metadata: the one state loader of the CLI.
-    A file gives its covariance matrix, a model file the ``QuadraticModel``
+    A file gives its covariance matrix, a model file the ``ChainModel``
     itself, which every state function of ``states`` and
     ``entanglement_entropy`` take as its ground state."""
     stripped = text.lstrip()
@@ -319,8 +320,8 @@ def _parse_sweep_spec(obj) -> tuple[ModelParams, str, np.ndarray, ModePartition]
         raise MalformedInputError(f"sweep grid needs numeric start, stop, count: {exc}") from exc
     if not _is_count(type(count)):
         raise MalformedInputError(f"sweep grid count must be an integer, got {count!r}")
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise MalformedInputError(f"sweep grid needs finite start and stop, got [{start}, {stop}]")
+    if not math.isfinite(stop - start):  # also when start or stop is not finite
+        raise MalformedInputError(f"sweep grid needs finite start, stop and stop - start, got [{start}, {stop}]")
     if not 2 <= count <= MAX_SWEEP_POINTS:
         raise MalformedInputError(
             f"sweep grid count must be in 2..MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}, got {count}"
@@ -354,15 +355,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         except SympentError as exc:
             raise at_point(exc, value) from exc
 
-    # Each point is a model ground state, certified when it is built, and a
-    # certified state is valid and pure at every tol (so sweep reads none).
+    # Each point is a chain's ground state, pure by construction, so valid
+    # and pure at every tol (so sweep reads none).
     # Its row is side A of the solve of its cut that ``entanglement_entropy``
     # runs, ``_model_cut_spectra``, here once per chunk of points built in
     # order: each row is bit for bit its point's alone. The stacked call's
     # checks test the whole chunk at once, so when it fails, the chunk's
     # points are solved alone, in order, and the first to fail is reported.
     k = len(_solved_side(partition))
-    chunk = max(1, SWEEP_STACK_BYTES // max(16 * k * k, 8 * params.n))
+    chunk = max(1, SWEEP_STACK_BYTES // (16 * k * k))
     rows = []
     for start in range(0, len(grid), chunk):
         values = grid[start : start + chunk]
@@ -385,10 +386,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ]
 
     sigma_cols = [f"sigma_{i + 1}" for i in range(len(partition.set_a))]
+    fixed = "".join(f"{k}={_fmt(getattr(params, field))} " for k, field in SWEEP_PARAMETERS.items() if k != name)
     header_meta = (
         _csv_header("sweep", BITS, s_count_tol=f"{S_COUNT_TOL:g}") + "\n"
-        f"# model_type={params.type} n={params.n} m={_fmt(params.m)} "
-        f"omega={_fmt(params.omega)} boundary={params.boundary} parameter={name} "
+        f"# model_type={params.type} n={params.n} {fixed}"
+        f"boundary={params.boundary} parameter={name} "
         f"start={_fmt(grid[0])} stop={_fmt(grid[-1])} count={len(grid)} "
         f"partition={partition}\n"
     )

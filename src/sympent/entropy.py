@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidPartitionError, MalformedInputError, UnphysicalEigenvalueError
 from .logbase import BITS, LN2, log_fn
-from .models import QuadraticModel, _cut_grams
+from .models import Model, _cut_grams
 from .states import DEFAULT_TOL, VACUUM_SIGMA, ModePartition, _as_state, reduce, validate
 from .symplectic import _gram_spectrum, _number, symplectic_spectrum
 
@@ -181,7 +181,7 @@ def _solved_side(partition: ModePartition) -> tuple[int, ...]:
 def _model_cut_spectra(models, partition: ModePartition) -> np.ndarray:
     """The one solve of a model's cut: row i is the spectrum of the checked
     ``partition``'s ``_solved_side`` in ``models[i]``'s ground state, from
-    the Gram pair of that side's factor rows (``models._cut_grams``). One
+    the Gram pair of that side's sites (``models._cut_grams``). One
     model's pair goes to ``symplectic._gram_spectrum`` as it is; several are
     written into one preallocated stack for one stacked call, whose row i is
     bit for bit the solve of ``models[i]`` alone and whose checks test the
@@ -216,23 +216,23 @@ def _s_count(spectrum: np.ndarray) -> int:
 
 
 def entanglement_entropy(
-    state: np.ndarray | QuadraticModel,
+    state: np.ndarray | Model,
     partition: ModePartition,
     base: str = BITS,
     tol: float = DEFAULT_TOL,
 ) -> EntropyReport:
     """Entropy of the reduction to side A of ``partition``, with per-mode detail.
 
-    ``state`` is a covariance matrix Gamma or a ``QuadraticModel``, which
-    stands for its ground state. The state must pass ``validate(state, tol)``,
+    ``state`` is a covariance matrix Gamma or a model (``models.Model``),
+    which stands for its ground state. The state must pass ``validate(state, tol)``,
     the only vacuum floor: a reduction eigenvalue below 1/2 then counts as
     1/2 (``spectrum_a`` keeps its value). The base name and then the
     partition are checked first.
 
-    A model's ground state was certified pure when the model was built
-    (``models._check_normal_modes``), so its verdict needs no work and its
-    cut has one spectrum: the ``_solved_side``'s (``_model_cut_spectra``,
-    which ``sweep`` runs too) gives both sides (``_side_spectrum``).
+    A model's ground state is pure (``validate``), so its verdict needs no
+    work and its cut has one spectrum: the ``_solved_side``'s
+    (``_model_cut_spectra``, which ``sweep`` runs too) gives both sides
+    (``_side_spectrum``).
     No n x n array is formed and no full-state solve runs, and the B fields
     are derived: ``total_b_bits`` equals ``total_bits``.
     A covariance matrix's side A is ``symplectic_spectrum(reduce(...))``.
@@ -247,7 +247,7 @@ def entanglement_entropy(
         raise InvalidPartitionError(f"partition is over {partition.n} modes but the state has {n}")
     report = validate(state, tol)
     report.require_physical()
-    if isinstance(state, QuadraticModel):
+    if isinstance(state, Model):
         [solved] = _model_cut_spectra([state], partition)
         spectrum_a = _side_spectrum(solved, len(partition.set_a))
         spectrum_b = _side_spectrum(solved, len(partition.set_b))

@@ -1,19 +1,21 @@
-"""Quadratic Hamiltonians held as their normal modes, and their ground states.
+"""Quadratic Hamiltonians and their ground states.
 
 H = (1/2m) p^T p + (m/2) q^T V q with uniform mass and a symmetric
-positive-definite potential matrix V (units of frequency^2). A model stores
-only V's normal modes: the frequencies w = sqrt(eig V) and the orthonormal
-eigenvectors O. The ground state is Gaussian with
+positive-definite potential matrix V (units of frequency^2). With V's normal
+modes, the frequencies w = sqrt(eig V) and the orthonormal eigenvectors O,
+the ground state is Gaussian with
 
     Gamma_qq = (1/2m) O diag(1/w) O^T,   Gamma_pp = (m/2) O diag(w) O^T,   Gamma_qp = 0.
 
-Quadratic q-p cross terms and per-site masses are out of scope. A chain's
-normal modes are known in closed form (Fourier cos/sin pairs on the ring,
-the DCT-II basis on the path), and ``chain_model`` passes them with no
-eigensolver and no V; ``QuadraticModel.from_potential`` decomposes any
-other V by ``symplectic._spd_eigh``. A model is certified when it is built:
-O must be orthonormal to rounding (``_check_normal_modes``), so its ground
-state is pure.
+Quadratic q-p cross terms and per-site masses are out of scope. Two kinds of
+model stand for such a ground state. A ``QuadraticModel`` stores w and O;
+``QuadraticModel.from_potential`` decomposes any V by
+``symplectic._spd_eigh``, and a model is certified when it is built: O must
+be orthonormal to rounding (``_check_normal_modes``), so its ground state is
+pure. A ``ChainModel`` (``chain_model``) stores its five parameters and no
+array: its frequencies are in closed form, and its correlators are
+circulant on the ring and Toeplitz plus Hankel on the path, one real FFT
+each (``_cut_grams``), so its ground state is pure by construction.
 
 Model JSON: ``{"type": "two_oscillator" | "chain", "n": int, "m": number,
 "omega": number, "lambda": number, "boundary": "open" | "periodic"}``
@@ -22,7 +24,6 @@ Model JSON: ``{"type": "two_oscillator" | "chain", "n": int, "m": number,
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -33,12 +34,13 @@ from .symplectic import _check_condition, _is_count, _number, _real_array, _requ
 
 BOUNDARIES = ("open", "periodic")
 MODEL_TYPES = ("two_oscillator", "chain")
-# Model JSON name of each parameter a sweep may vary -> its ModelParams field.
-SWEEP_PARAMETERS = {"lambda": "lam", "omega": "omega", "m": "m"}
-# Largest mode count of a model. Its eigenvectors then take 8 n^2 bytes =
-# 32 MiB (a chain shares them with every chain of its size); its 2n x 2n
-# covariance matrix, which only ``ground_state_covariance`` forms, would
-# take 32 n^2 bytes = 128 MiB.
+# Model JSON name of each parameter a sweep may vary -> its ModelParams field,
+# in the order a sweep CSV's model line writes those it does not vary.
+SWEEP_PARAMETERS = {"m": "m", "omega": "omega", "lambda": "lam"}
+# Largest mode count of a model. A ``QuadraticModel``'s eigenvectors then take
+# 8 n^2 bytes = 32 MiB (a ``ChainModel`` holds no array); the 2n x 2n
+# covariance matrix, which only ``ground_state_covariance`` forms, would take
+# 32 n^2 bytes = 128 MiB.
 MAX_MODES = 2048
 
 
@@ -72,22 +74,12 @@ def _no_ground_state(exc: Exception) -> ParameterError:
     return ParameterError(f"potential has no normalizable ground state: {exc}")
 
 
-_checked_table = None  # the last read-only table to pass ``_check_normal_modes``
-
-
 def _check_normal_modes(vecs: np.ndarray) -> None:
     """The ground-state certificate of a model's n x n float eigenvectors U:
     ParameterError unless every entry is finite and F = U^T U - I has
     max|F| <= RESIDUAL_FACTOR n eps / 4, held by
     ``symplectic._require_residuals`` with d = n and scale 1/4 as both its
     residuals.
-
-    A read-only array that owns its data is checked once: when it passes, it
-    is kept as ``_checked_table`` and skipped while it is the last such array
-    checked, since numpy refuses writes to it (only its owner could turn
-    them back on, which the package never does). That is a chain's cached
-    ``_laplacian_modes`` table, which every build of a chain of its n and
-    boundary is handed again. Any other array is checked on every build.
 
     With D = diag(sqrt(m w)), the factors q = U D^-1 and r = U D
     (``_factor_rows``) give X = q q^T / 2 and P = r r^T / 2, and A = r^T,
@@ -108,9 +100,6 @@ def _check_normal_modes(vecs: np.ndarray) -> None:
     passed both old bounds at every kappa: it is never looser than the old
     certificate, and it needs no frequencies.
     """
-    global _checked_table
-    if vecs is _checked_table:
-        return
     if not np.isfinite(vecs).all():
         raise ParameterError("normal-mode eigenvectors have a NaN or infinite entry")
     n = len(vecs)
@@ -118,8 +107,6 @@ def _check_normal_modes(vecs: np.ndarray) -> None:
     err.flat[:: n + 1] -= 1.0  # F = U^T U - I, in place
     res = np.abs(err, out=err).max()
     _require_residuals("model ground-state certificate", n, res, 0.25, res, 0.25, ParameterError)
-    if vecs.flags.owndata and not vecs.flags.writeable:
-        _checked_table = vecs
 
 
 def _check_ground_state(m: float, w_lo: float, w_hi: float) -> None:
@@ -145,15 +132,14 @@ def _check_ground_state(m: float, w_lo: float, w_hi: float) -> None:
 class QuadraticModel:
     """Quadratic Hamiltonian with a normalizable ground state, held as its
     normal modes: ``frequencies`` sqrt(eig V), ascending, and the matching
-    orthonormal ``eigenvectors`` (columns), kept as given (a chain's are the
-    read-only table it shares with every chain of its n and boundary).
+    orthonormal ``eigenvectors`` (columns), kept as given.
 
     Every model is checked once, when it is made: the mode count and mass
     (``_check_parameters``), finite, positive, ascending frequencies and
     n x n eigenvectors, the ground state's envelope
     (``_check_ground_state``), and last its certificate, the orthonormality
-    of the eigenvectors (``_check_normal_modes``, once per chain table); a
-    failure raises ParameterError. A built model's ground state is pure.
+    of the eigenvectors (``_check_normal_modes``); a failure raises
+    ParameterError. A built model's ground state is pure.
     """
 
     mass: float
@@ -200,8 +186,8 @@ class QuadraticModel:
 class TwoOscillatorParams:
     """Two oscillators of mass m and frequency omega, position-coupled with strength lam.
 
-    Takes what ``chain_model(2, m, omega, lam)`` takes, by its ``_check_chain``,
-    as floats, and builds no model, so the cached chain table is left alone.
+    Takes what ``chain_model(2, m, omega, lam)`` takes, by the one chain check
+    (``ChainModel``), as floats.
     """
 
     m: float
@@ -209,8 +195,8 @@ class TwoOscillatorParams:
     lam: float
 
     def __post_init__(self):
-        checked = _check_chain(2, self.m, self.omega, self.lam, "open")
-        for name, value in zip(("m", "omega", "lam"), checked):
+        pair = ChainModel(2, self.m, self.omega, self.lam)
+        for name, value in zip(("m", "omega", "lam"), (pair.mass, pair.omega, pair.lam)):
             object.__setattr__(self, name, value)
 
     @property
@@ -230,97 +216,79 @@ def _laplacian_eigenvalues(k, period: int):
     return 4.0 * np.sin(np.pi * k / period) ** 2
 
 
-@functools.lru_cache(maxsize=1)
-def _laplacian_modes(n: int, boundary: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues mu (ascending) and orthonormal eigenvectors (columns) of the
-    graph Laplacian L of the ring ("periodic") or the path ("open") of n >= 2
-    sites j = 0..n-1, in closed form. The last table is kept, as read-only
-    arrays, for the next call with the same n and boundary: every point of a
-    sweep, and every chain model it backs, shares it, and the first build
-    from it checks it (``_check_normal_modes``).
+@dataclass(frozen=True)
+class ChainModel:
+    """Harmonic chain of ``n`` sites with nearest-neighbor coupling
+    ``lam`` sum_i (q_i - q_{i+1})^2 (``chain_model``), held as its five
+    parameters and no array.
 
-    Ring: the constant column (k = 0), then for each 1 <= k < n/2, k
-    ascending, the pair sqrt(2/n) cos(2 pi k j / n), sqrt(2/n) sin(2 pi k j / n),
-    cos first, then for even n the alternating column (-1)^j / sqrt(n)
-    (k = n/2); mu = 4 sin^2(pi k / n), equal within each pair. Path: the
-    DCT-II columns c_k cos(pi k (2j + 1) / 2n), k = 0..n-1, c_0 = 1/sqrt(n),
-    c_k = sqrt(2/n); mu = 4 sin^2(pi k / 2n). Every column's first entry
-    that is not zero is positive.
+    The one check of a chain runs when it is made: ``_check_parameters``,
+    n >= 2, the boundary, the condition of V's range
+    [omega^2, omega^2 + (2 lam / m) mu_max], with mu_max of one wave number,
+    and the ground-state envelope (``_check_ground_state``); a failure
+    raises ParameterError.
 
-    Each angle is 2 pi t / N for an integer numerator t reduced mod its period
-    N (kj mod n on the ring, (2j+1)k mod 4n on the path) and read from a table
-    of the N cos (and sin) values, so no angle loses digits to a large argument.
+    Its normal modes are those of the graph Laplacian L of the path
+    ("open") or the ring ("periodic"): the path's DCT-II basis
+    c_k cos(pi k (2j + 1) / 2n), k = 0..n-1, and the ring's Fourier modes
+    (a cos/sin pair of each 0 < k < n/2), with mu_k = 4 sin^2(pi k / N),
+    N = 2n on the path and n on the ring (Audenaert, Eisert, Plenio, Werner,
+    PRA 66, 042327 (2002); Botero & Reznik, PRA 67, 052311 (2003)).
+
+    Its ground state is pure by construction: X and P (``_cut_grams``) are
+    O diag(1/(2 m w)) O^T and O diag(m w / 2) O^T for one orthogonal O, the
+    Fourier or DCT-II basis, so X P = O diag(1/4) O^T = I/4, and every
+    symplectic eigenvalue, the square root of an eigenvalue of X P, is 1/2.
     """
-    j = np.arange(n)
-    if boundary == "periodic":
-        ks = np.arange(1, (n + 1) // 2)
-        k = np.concatenate(([0], np.repeat(ks, 2), [n // 2] if n % 2 == 0 else []))
-        mu = _laplacian_eigenvalues(k, n)
-        angle = 2.0 * np.pi * j / n
-        t = np.outer(j, ks) % n
-        vecs = np.empty((n, n))
-        vecs[:, 0] = 1.0 / math.sqrt(n)
-        vecs[:, 1 : 2 * len(ks) + 1 : 2] = math.sqrt(2.0 / n) * np.cos(angle)[t]
-        vecs[:, 2 : 2 * len(ks) + 1 : 2] = math.sqrt(2.0 / n) * np.sin(angle)[t]
-        if n % 2 == 0:
-            vecs[:, -1] = np.where(j % 2 == 0, 1.0, -1.0) / math.sqrt(n)
-    else:
-        mu = _laplacian_eigenvalues(j, 2 * n)
-        table = np.cos(2.0 * np.pi * np.arange(4 * n) / (4 * n))
-        vecs = math.sqrt(2.0 / n) * table[np.outer(2 * j + 1, j) % (4 * n)]
-        vecs[:, 0] = 1.0 / math.sqrt(n)
-    mu.flags.writeable = vecs.flags.writeable = False
-    return mu, vecs
+
+    n: int
+    mass: float
+    omega: float
+    lam: float
+    boundary: str = "open"
+
+    def __post_init__(self):
+        n = self.n
+        m, omega, lam = _check_parameters(modes=n, mass=self.mass, frequency=self.omega, coupling=self.lam)
+        if n < 2:
+            raise ParameterError(f"chain needs at least 2 modes, got {n}")
+        if self.boundary not in BOUNDARIES:
+            raise ParameterError(f"boundary must be one of {BOUNDARIES}, got {self.boundary!r}")
+        period, k = (n, n // 2) if self.boundary == "periodic" else (2 * n, n - 1)  # mu_max's k
+        floor = omega * omega
+        top = floor + 2.0 * lam / m * float(_laplacian_eigenvalues(k, period))
+        try:
+            _check_condition(floor, top)  # V's eigenvalue range
+        except InvalidStateError as exc:
+            raise _no_ground_state(exc) from exc
+        _check_ground_state(m, math.sqrt(floor), math.sqrt(top))
+        for name, value in zip(("n", "mass", "omega", "lam"), (int(n), m, omega, lam)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        """sqrt(omega^2 + (2 lam / m) mu_k), ascending: the path's k = 0..n-1,
+        the ring's k = 0, 1, 1, 2, 2, ..., n // 2 (each 0 < k < n/2 twice)."""
+        j = np.arange(self.n)
+        k, period = ((j + 1) // 2, self.n) if self.boundary == "periodic" else (j, 2 * self.n)
+        return np.sqrt(self.omega * self.omega + 2.0 * self.lam / self.mass * _laplacian_eigenvalues(k, period))
 
 
-def chain_model(
-    n: int, m: float, omega: float, lam: float, boundary: str = "open"
-) -> QuadraticModel:
+def chain_model(n: int, m: float, omega: float, lam: float, boundary: str = "open") -> ChainModel:
     """Harmonic chain with nearest-neighbor coupling lam sum_i (q_i - q_{i+1})^2.
 
     V = omega^2 I + (2 lam / m) L with L the graph Laplacian of the path
     ("open") or the ring ("periodic", which adds the (n, 1) bond; the ring of
     two has a double bond). The open chain of two modes is the two coupled
-    oscillators (``TwoOscillatorParams``).
-
-    The normal modes are L's, in closed form (``_laplacian_modes``): squared
-    frequencies omega^2 + (2 lam / m) mu_k, with the ring's Fourier cos/sin
-    pairs or the path's DCT-II basis as eigenvectors (Audenaert, Eisert,
-    Plenio, Werner, PRA 66, 042327 (2002); Botero & Reznik, PRA 67, 052311
-    (2003)). No eigensolver runs and V is never formed. The condition
-    numbers of V and of the ground-state covariance must stay below
-    1/SINGULAR_RTOL (``_check_chain``; ParameterError).
+    oscillators (``TwoOscillatorParams``). No eigensolver runs and V is
+    never formed (``ChainModel``). The condition numbers of V and of the
+    ground-state covariance must stay below 1/SINGULAR_RTOL (ParameterError).
     """
-    m, omega, lam = _check_chain(n, m, omega, lam, boundary)
-    mu, vecs = _laplacian_modes(int(n), boundary)
-    return QuadraticModel(m, np.sqrt(omega * omega + 2.0 * lam / m * mu), vecs)
+    return ChainModel(n, m, omega, lam, boundary)
 
 
-def _check_chain(n, m, omega, lam, boundary: str) -> list[float]:
-    """The one check of a chain, for ``chain_model`` and ``TwoOscillatorParams``:
-    ``_check_parameters``, n >= 2, the boundary, the condition of V's range
-    [omega^2, omega^2 + (2 lam / m) mu_max], with mu_max in closed form and no
-    table read, and the ground-state envelope. Returns m, omega, lam as floats.
-
-    The envelope is checked here, before ``chain_model`` reads the mode
-    table, so that a refused chain never builds a table nor evicts the
-    cached one (``_laplacian_modes`` keeps one), and ``TwoOscillatorParams``,
-    which builds no model, gets the same verdict. ``QuadraticModel`` checks
-    it again on the built frequencies, since it is also built directly."""
-    m, omega, lam = _check_parameters(modes=n, mass=m, frequency=omega, coupling=lam)
-    if n < 2:
-        raise ParameterError(f"chain needs at least 2 modes, got {n}")
-    if boundary not in BOUNDARIES:
-        raise ParameterError(f"boundary must be one of {BOUNDARIES}, got {boundary!r}")
-    period, k = (n, n // 2) if boundary == "periodic" else (2 * n, n - 1)  # mu_max's k
-    floor = omega * omega
-    top = floor + 2.0 * lam / m * float(_laplacian_eigenvalues(k, period))
-    try:
-        _check_condition(floor, top)  # V's eigenvalue range
-    except InvalidStateError as exc:
-        raise _no_ground_state(exc) from exc
-    _check_ground_state(m, math.sqrt(floor), math.sqrt(top))
-    return [m, omega, lam]
+# The model kinds, each of which every state function takes as its ground state.
+Model = QuadraticModel | ChainModel
 
 
 def _factor_rows(model: QuadraticModel, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -335,13 +303,35 @@ def _factor_rows(model: QuadraticModel, rows) -> tuple[np.ndarray, np.ndarray]:
     return vecs / root, vecs * root
 
 
-def _cut_grams(model: QuadraticModel, rows) -> tuple[np.ndarray, np.ndarray]:
-    """The Gram pair x = q q^T and p = r r^T of the rows ``rows`` (0-based,
-    as ``_factor_rows`` takes them) of the model's factors q and r, whose
-    state is X (+) P with X = x / 2 and P = p / 2: each is one 2-D product,
-    so exactly symmetric."""
-    q, r = _factor_rows(model, rows)
-    return q @ q.T, r @ r.T
+def _cut_grams(model: Model, rows) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram pair x = 2 X and p = 2 P of the ground state's sites ``rows``
+    (0-based, any numpy row index), whose reduction is X (+) P; each is
+    exactly symmetric.
+
+    A ``QuadraticModel``'s are q q^T and r r^T of its factor rows
+    (``_factor_rows``), each one 2-D product. A chain's entries
+    sum_k O_ik O_jk f_k, with f_k = 1/(m w_k) for x and m w_k for p, come
+    from one inverse real FFT h of the f_k over the wave numbers k
+    (Peschel, J. Phys. A 36, L205 (2003)), gathered by an index map that is
+    symmetric in i and j: h[min(d, n - d)] with d = |i - j| on the ring,
+    where h = irfft(f_0..f_{n//2}, n); h[|i - j|] + h[i + j + 1] on the
+    path, where h = irfft(f_0..f_{n-1}, 0; 2n). No n x n array is formed
+    for a cut.
+    """
+    if isinstance(model, QuadraticModel):
+        q, r = _factor_rows(model, rows)
+        return q @ q.T, r @ r.T
+    n = model.n
+    i = np.arange(n)[rows][:, None]
+    d = abs(i - i.T)
+    mw = model.mass * model.frequencies
+    if model.boundary == "periodic":
+        mw = np.concatenate((mw[:1], mw[1::2]))  # one per wave number k = 0..n//2
+        j = np.arange(n)
+        h = np.fft.irfft([1.0 / mw, mw], n)[:, np.minimum(j, n - j)]  # h[d] is h[n - d]
+        return tuple(h.take(d, axis=1))
+    h = np.fft.irfft([1.0 / mw, mw], 2 * n)  # f_n = 0: irfft pads to n + 1 terms
+    return tuple(h.take(d, axis=1) + h.take(i + i.T + 1, axis=1))
 
 
 def _gram_covariance(x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -353,9 +343,9 @@ def _gram_covariance(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def ground_state_covariance(model: QuadraticModel) -> np.ndarray:
+def ground_state_covariance(model: Model) -> np.ndarray:
     """Covariance matrix of the model's (pure, Gaussian) ground state, from
-    all rows of its factors (``_cut_grams``, ``_gram_covariance``)."""
+    the Gram pair of all its sites (``_cut_grams``, ``_gram_covariance``)."""
     return _gram_covariance(*_cut_grams(model, slice(None)))
 
 
@@ -411,7 +401,7 @@ class ModelParams:
             )
         _check_parameters(modes=self.n)
 
-    def build(self) -> QuadraticModel:
+    def build(self) -> ChainModel:
         """The model; two oscillators are the open chain of two modes."""
         return chain_model(self.n, self.m, self.omega, self.lam, self.boundary)
 

@@ -29,7 +29,7 @@ from .errors import (
     MalformedInputError,
     NumericalFailureError,
 )
-from .models import QuadraticModel, _check_fields, _cut_grams, _gram_covariance, _unique_fields
+from .models import Model, _check_fields, _cut_grams, _gram_covariance, _unique_fields
 from .symplectic import (
     _as_matrix,
     _check_finite,
@@ -131,9 +131,9 @@ class ValidationReport:
         }
 
 
-def heisenberg_margin(state: np.ndarray | QuadraticModel) -> float:
+def heisenberg_margin(state: np.ndarray | Model) -> float:
     """Smallest eigenvalue of the Hermitian matrix Gamma + (i/2) Omega of a
-    state, a covariance matrix Gamma or a ``QuadraticModel``'s ground state.
+    state, a covariance matrix Gamma or a model's ground state.
 
     A diagnostic: it is >= 0 exactly for physical states, but it is not
     symplectically invariant. Squeezing shrinks it, so an absolute tol on it
@@ -145,11 +145,12 @@ def heisenberg_margin(state: np.ndarray | QuadraticModel) -> float:
     MalformedInputError (``symplectic._check_symmetric``).
 
     A model's margin is exactly 0.0, with no solve and no Gamma formed: its
-    certified ground state X (+) P (``models._check_normal_modes``) has
+    pure ground state X (+) P (certified, ``models._check_normal_modes``, or
+    pure by construction, ``models.ChainModel``) has
     [[X, -I/2], [-I/2, P]] orthogonally similar to n blocks
     [[a, -1/2], [-1/2, b]] with ab = 1/4, each singular.
     """
-    if isinstance(state, QuadraticModel):
+    if isinstance(state, Model):
         return 0.0
     gamma, n = _as_matrix(state)
     _check_symmetric(gamma)
@@ -162,18 +163,18 @@ def heisenberg_margin(state: np.ndarray | QuadraticModel) -> float:
     return float(np.linalg.eigvalsh(herm)[0])
 
 
-def _as_state(state) -> tuple[np.ndarray | QuadraticModel, int]:
-    """A ``QuadraticModel`` as given, which stands for its ground state, or
-    else the covariance matrix as a float array (``symplectic._as_matrix``);
+def _as_state(state) -> tuple[np.ndarray | Model, int]:
+    """A model (``models.Model``) as given, which stands for its ground state,
+    or else the covariance matrix as a float array (``symplectic._as_matrix``);
     and the state's mode count."""
-    if isinstance(state, QuadraticModel):
+    if isinstance(state, Model):
         return state, state.n
     return _as_matrix(state)
 
 
-def validate(state: np.ndarray | QuadraticModel, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Check that a state, a covariance matrix Gamma or a ``QuadraticModel``'s
-    ground state, is physical: the package's one verdict, by the floor and
+def validate(state: np.ndarray | Model, tol: float = DEFAULT_TOL) -> ValidationReport:
+    """Check that a state, a covariance matrix Gamma or a model's ground
+    state, is physical: the package's one verdict, by the floor and
     purity rule of ``ValidationReport.from_spectrum``.
 
     For Gamma, one symplectic spectrum gives validity (min sigma >= 1/2 - tol)
@@ -183,8 +184,9 @@ def validate(state: np.ndarray | QuadraticModel, tol: float = DEFAULT_TOL) -> Va
     below -tol the report is unphysical, else Gamma is physical but too
     ill-conditioned (NumericalFailureError).
 
-    A model's ground state is certified when the model is built
-    (``models._check_normal_modes``): it is pure, its spectrum n times 1/2,
+    A model's ground state is pure, certified when a ``QuadraticModel`` is
+    built (``models._check_normal_modes``) and by construction for a
+    ``ChainModel``: its spectrum is n times 1/2,
     so its report is valid and pure at every ``tol``, with no product, no
     solve and no Gamma formed (``_spectrum``).
 
@@ -204,11 +206,11 @@ def validate(state: np.ndarray | QuadraticModel, tol: float = DEFAULT_TOL) -> Va
     return ValidationReport.from_spectrum(spectrum, tol)
 
 
-def _spectrum(state: np.ndarray | QuadraticModel) -> np.ndarray:
+def _spectrum(state: np.ndarray | Model) -> np.ndarray:
     """The symplectic spectrum of a state, sorted descending: n values of 1/2,
-    with no solve, for a model, whose ground state is certified pure
-    (``models._check_normal_modes``), and ``symplectic_spectrum``'s for Gamma."""
-    if isinstance(state, QuadraticModel):
+    with no solve, for a model, whose ground state is pure (``validate``),
+    and ``symplectic_spectrum``'s for Gamma."""
+    if isinstance(state, Model):
         return np.full(state.n, VACUUM_SIGMA)
     return symplectic_spectrum(state)
 
@@ -295,19 +297,18 @@ class ModePartition:
         return {"n": self.n, "set_a": list(self.set_a), "set_b": list(self.set_b)}
 
 
-def reduce(state: np.ndarray | QuadraticModel, keep) -> np.ndarray:
+def reduce(state: np.ndarray | Model, keep) -> np.ndarray:
     """Covariance matrix of the kept modes (1-based indices, ``_mode_indices``),
     qqpp ordering: the phase-space image of the partial trace.
 
     Of a covariance matrix, it is the submatrix of the rows and columns
     {q_i, p_i : i in keep}. Of a model's ground state, it is X_A (+) P_A
-    from the kept rows q_A, r_A of its factors, X_A = q_A q_A^T / 2 and
-    P_A = r_A r_A^T / 2 (``models._cut_grams``, ``models._gram_covariance``),
-    with no full factor or Gamma formed.
+    from the Gram pair of the kept sites (``models._cut_grams``,
+    ``models._gram_covariance``), with no Gamma formed.
     """
     state, n = _as_state(state)
     rows = [m - 1 for m in _mode_indices(keep, n, "keep list")]
-    if isinstance(state, QuadraticModel):
+    if isinstance(state, Model):
         return _gram_covariance(*_cut_grams(state, rows))
     idx = rows + [n + i for i in rows]
     return state.take(idx, axis=0).take(idx, axis=1)
@@ -418,11 +419,13 @@ def covariance_to_csv_text(gamma: np.ndarray) -> str:
 
 def covariance_from_csv_text(text: str) -> np.ndarray:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith(_CSV_HEADER_PREFIX):
+    # the prefix ends at whitespace or the end of the line: "covariancen=1" is no header
+    head = lines[0] if lines else ""
+    if not head.startswith(_CSV_HEADER_PREFIX) or head[len(_CSV_HEADER_PREFIX) :][:1].strip():
         raise MalformedInputError(
             f"covariance CSV must start with a {_CSV_HEADER_PREFIX!r} header line"
         )
-    pairs = [tok.partition("=")[::2] for tok in lines[0][len(_CSV_HEADER_PREFIX):].split()]
+    pairs = [tok.partition("=")[::2] for tok in head[len(_CSV_HEADER_PREFIX) :].split()]
     tags = _unique_fields(pairs, "covariance CSV header")
     _check_fields(tags, "covariance CSV header", optional=("n", "ordering", "hbar"))
     if tags.get("ordering") != ORDERING:

@@ -269,8 +269,8 @@ def symplectic_spectrum(gamma: np.ndarray) -> np.ndarray:
 
 def _gram_spectrum(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Symplectic eigenvalues, sorted descending, of the state X (+) P with
-    X = x / 2 and P = p / 2, given its Gram pair x = q q^T and p = r r^T, or
-    of each slice of a stack of pairs: a model reduction's route.
+    X = x / 2 and P = p / 2, given its Gram pair x and p (``models._cut_grams``),
+    or of each slice of a stack of pairs: a model reduction's route.
 
     With Cholesky factors x = L_x L_x^T and p = L_p L_p^T, X P is similar to
     M M^T / 4, M = L_x^T L_p, so sigma = sv(M) / 2 (Audenaert, Eisert,
@@ -278,7 +278,7 @@ def _gram_spectrum(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     ``_check_symmetric`` (MalformedInputError), and a failed Cholesky, the
     positive-definite test, raises NumericalFailureError. No condition test
     is needed: a reduction's X and P are principal submatrices of the
-    certified ground state's, so by Cauchy interlacing their condition
+    pure ground state's, so by Cauchy interlacing their condition
     numbers are at most w_max / w_min over the model's frequencies, which
     ``models._check_ground_state`` holds below 1/SINGULAR_RTOL.
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sympent import random_symplectic, symplectic_form
+from sympent import QuadraticModel, random_symplectic, symplectic_form
 from sympent.symplectic import mode_count
 
 
@@ -71,18 +71,47 @@ def linalg_shapes(monkeypatch):
     return shapes
 
 
+def formula_modes(n, boundary):
+    """The closed-form Laplacian modes of the path ("open") or the ring
+    ("periodic"), eigenvalues mu ascending and eigenvectors as columns,
+    column by column. Each angle's integer numerator is reduced mod its
+    period first, so no angle loses digits to a large argument."""
+    j = np.arange(n)
+    if boundary == "open":
+        cols = [np.full(n, 1.0 / np.sqrt(n))]
+        cols += [np.sqrt(2.0 / n) * np.cos(np.pi * (k * (2 * j + 1) % (4 * n)) / (2 * n)) for k in range(1, n)]
+        return [4.0 * np.sin(np.pi * k / (2 * n)) ** 2 for k in range(n)], np.array(cols).T
+    ks, cols = [0], [np.full(n, 1.0 / np.sqrt(n))]
+    for k in range(1, (n + 1) // 2):
+        ks += [k, k]
+        cols += [np.sqrt(2.0 / n) * f(2.0 * np.pi * (k * j % n) / n) for f in (np.cos, np.sin)]
+    if n % 2 == 0:
+        ks.append(n // 2)
+        cols.append((-1.0) ** j / np.sqrt(n))
+    return [4.0 * np.sin(np.pi * k / n) ** 2 for k in ks], np.array(cols).T
+
+
+def formula_model(n, m, omega, lam, boundary):
+    """A direct ``QuadraticModel`` of the chain of ``chain_model(n, m, omega,
+    lam, boundary)``, built from ``formula_modes``: it carries eigenvectors
+    for the certificate to check, which a chain does not."""
+    mu, vecs = formula_modes(n, boundary)
+    return QuadraticModel(m, np.sqrt(omega**2 + (2.0 * lam / m) * np.array(mu)), vecs)
+
+
 @pytest.fixture
-def factor_rows_calls(monkeypatch):
-    """Record the row index of each ``models._factor_rows`` call, the one
-    source of a model's factor rows (``models._cut_grams`` calls it)."""
-    from sympent import models
+def cut_grams_calls(monkeypatch):
+    """Record the rows of each ``models._cut_grams`` call, the one source of a
+    model's reductions, at every module that calls it."""
+    from sympent import entropy, models, states
 
     calls = []
-    real = models._factor_rows
+    real = models._cut_grams
 
     def recorded(model, rows):
         calls.append(rows)
         return real(model, rows)
 
-    monkeypatch.setattr(models, "_factor_rows", recorded)
+    for module in (models, states, entropy):
+        monkeypatch.setattr(module, "_cut_grams", recorded)
     return calls

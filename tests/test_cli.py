@@ -13,10 +13,10 @@ import sympent.entropy as entropy
 import sympent.models as models
 import sympent.states as states
 from sympent import (
+    ChainModel,
     MalformedInputError,
     ModePartition,
     NumericalFailureError,
-    QuadraticModel,
     chain_model,
     covariance_to_csv_text,
     covariance_to_json_dict,
@@ -147,10 +147,8 @@ def test_load_state_dispatches_on_content():
     params = {"type": "two_oscillator", "m": 1.0, "omega": 1.0, "lambda": 2.0}
     loaded, meta = cli._load_state(json.dumps(params), "model.json")
     assert meta["kind"] == "model"
-    assert isinstance(loaded, QuadraticModel) and loaded.n == 2
-    pair = chain_model(2, 1.0, 1.0, 2.0)
-    np.testing.assert_array_equal(loaded.frequencies, pair.frequencies)
-    np.testing.assert_array_equal(loaded.eigenvectors, pair.eigenvectors)
+    assert isinstance(loaded, ChainModel) and loaded.n == 2
+    assert loaded == chain_model(2, 1.0, 1.0, 2.0)
     with pytest.raises(MalformedInputError):
         cli._load_state("not a state\n", "state")
     with pytest.raises(MalformedInputError, match="invalid JSON in state.json"):
@@ -249,7 +247,7 @@ def no_gamma(monkeypatch):
 
 
 def test_model_commands_never_form_gamma(capsys, tmp_path, no_gamma):
-    # every command on a model file reads its factors only
+    # every command on a model file reads the Gram pairs of its cuts only
     path, spec = tmp_path / "chain.json", tmp_path / "sweep.json"
     path.write_text(json.dumps(CHAIN6), encoding="utf-8")
     write_sweep_json(spec, CHAIN6, count=3, partition="1,2|3,4,5,6")
@@ -261,47 +259,6 @@ def test_model_commands_never_form_gamma(capsys, tmp_path, no_gamma):
         ["wigner", str(path), "--mode", "2", "--grid", "4,9", "--out", str(tmp_path / "w.csv")],
     ):
         assert run(capsys, *argv)[0] == 0, argv
-
-
-def spoiled_laplacian_modes(kind):
-    """A stand-in for ``models._laplacian_modes`` whose closed-form table has
-    one entry perturbed by 1e-6 ("perturbed") or one normal mode scaled by
-    1 + 1e-6 ("rescaled")."""
-    real = models._laplacian_modes
-
-    def spoiled(n, boundary):
-        mu, vecs = real(n, boundary)
-        vecs = vecs.copy()
-        if kind == "perturbed":
-            vecs[0, 0] += 1e-6
-        else:
-            vecs[:, 0] *= 1 + 1e-6
-        return mu, vecs
-
-    return spoiled
-
-
-@pytest.mark.parametrize("kind", ["perturbed", "rescaled"])
-@pytest.mark.parametrize("command", ["spectrum", "entropy", "wigner", "sweep"])
-def test_spoiled_normal_modes_fail_every_model_command(capsys, tmp_path, monkeypatch, command, kind):
-    # the certificate answers to its rounding bound, not to --tol
-    monkeypatch.setattr(models, "_laplacian_modes", spoiled_laplacian_modes(kind))
-    path = tmp_path / "chain.json"
-    path.write_text(json.dumps(CHAIN6), encoding="utf-8")
-    out_file = tmp_path / "out.csv"
-    if command == "sweep":
-        write_sweep_json(path, CHAIN6, count=3, partition="1,2,3|4,5,6")
-        runs = [["sweep", str(path), "--out", str(out_file)]]
-    elif command == "spectrum":
-        runs = [["spectrum", str(path)]]
-    else:
-        extra = ["--partition", "1,2,3|4,5,6"] if command == "entropy" else ["--out", str(out_file)]
-        runs = [[command, str(path), *extra, "--tol", tol] for tol in ("0", "1e-8", "1.5e-6")]
-    for argv in runs:
-        code, out, err = run(capsys, *argv)
-        assert_clean_failure(code, out, err)
-        assert "model ground-state certificate exceeded its rounding bound" in err
-        assert not out_file.exists()
 
 
 @pytest.mark.parametrize(
@@ -334,16 +291,16 @@ def test_model_entropy_is_certified_not_solved(capsys, tmp_path, linalg_calls, l
     assert linalg_shapes == [("cholesky", (6, 6)), ("cholesky", (6, 6)), ("svd", (6, 6))]
 
 
-def test_model_entropy_computes_the_mode_factors_once(capsys, tmp_path, factor_rows_calls):
-    # the factors are formed once per run, for the rows of the solved side
-    # alone (A's 6 modes, 0-based): the certificate was passed at build
+def test_model_entropy_computes_the_mode_factors_once(capsys, tmp_path, cut_grams_calls):
+    # the Gram pair is formed once per run, for the sites of the solved side
+    # alone (A's 6 modes, 0-based): the ground state is pure by construction
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(dict(CHAIN6, n=16)), encoding="utf-8")
     partition = "1,2,3,4,5,6|" + ",".join(str(i) for i in range(7, 17))
     for calls in (1, 2):
         code, _, _ = run(capsys, "entropy", str(path), "--partition", partition)
         assert code == 0
-        assert factor_rows_calls == [[0, 1, 2, 3, 4, 5]] * calls
+        assert cut_grams_calls == [[0, 1, 2, 3, 4, 5]] * calls
 
 
 def test_model_validate_prints_a_zero_margin_without_a_solve(capsys, tmp_path, linalg_calls):
@@ -401,14 +358,15 @@ def test_sweep_stacks_side_a_on_a_tie(capsys, tmp_path, monkeypatch):
 
 
 def test_padded_sweep_row_stays_sorted_below_one_half(capsys, tmp_path):
-    # at lambda = 1e-8 the sigma of modes 5, 6 round to 0.5 and
-    # 0.49999999999999994, so the two 0.5 of the pad go before the second
+    # on the open chain at lambda = 2.5e-9 the sigma of modes 5, 6 round to
+    # 0.5 and 0.49999999999999994, so the two 0.5 of the pad go before the second
     spec = tmp_path / "sweep.json"
     out_csv = tmp_path / "sweep.csv"
-    write_sweep_json(spec, CHAIN6, start=0.0, stop=1e-8, count=2, partition="1,2,3,4|5,6")
+    model = dict(CHAIN6, boundary="open")
+    write_sweep_json(spec, model, start=0.0, stop=1e-8, count=5, partition="1,2,3,4|5,6")
     assert run(capsys, "sweep", str(spec), "--out", str(out_csv))[0] == 0
     _, _, rows = read_csv_rows(out_csv)
-    assert rows[1][1:5] == ["0.5", "0.5", "0.5", "0.49999999999999994"]
+    assert rows[1][:5] == ["2.5000000000000001e-09", "0.5", "0.5", "0.5", "0.49999999999999994"]
     for row in rows:
         sigmas = [float(c) for c in row[1:5]]
         assert sigmas == sorted(sigmas, reverse=True)
@@ -542,14 +500,14 @@ def test_sweep_in_chunks_writes_the_same_csv(capsys, tmp_path, monkeypatch, poin
     assert (tmp_path / "chunked.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
 
 
-def test_sweep_chunk_holds_its_models_frequencies_to_the_budget(capsys, tmp_path, monkeypatch):
-    # on a one-mode side of a 64-mode chain, each point's 8 n = 512 bytes of
-    # frequencies, not its 16-byte Gram pair, set the chunk
+def test_sweep_chunk_of_a_one_mode_side_is_set_by_its_gram_pairs_alone(capsys, tmp_path, monkeypatch):
+    # on a one-mode side of a 64-mode chain, each point's 16-byte Gram pair
+    # sets the chunk: a chain model holds no length-n array to count
     spec = tmp_path / "sweep.json"
     partition = "1|" + ",".join(map(str, range(2, 65)))
     write_sweep_json(spec, dict(CHAIN6, n=64), start=0.0, stop=3.0, count=5, partition=partition)
     assert run(capsys, "sweep", str(spec), "--out", str(tmp_path / "one.csv"))[0] == 0
-    monkeypatch.setattr(cli, "SWEEP_STACK_BYTES", 2 * 8 * 64)
+    monkeypatch.setattr(cli, "SWEEP_STACK_BYTES", 2 * 16)
     chunks = record_sweep_chunks(monkeypatch)
     assert run(capsys, "sweep", str(spec), "--out", str(tmp_path / "chunked.csv"))[0] == 0
     assert chunks == [2, 2, 1]
@@ -971,6 +929,48 @@ def test_sweep_names_the_malformed_field(capsys, tmp_path, kwargs, cause):
     assert_clean_failure(code, out, err)
     assert cause in err
     assert not out_csv.exists()
+
+
+def test_sweep_grid_whose_span_overflows_exits_one(capsys, tmp_path):
+    # stop - start overflows to inf: refused by name, before numpy would warn
+    # on the grid and a point would fail as lambda=nan
+    spec = tmp_path / "sweep.json"
+    out_csv = tmp_path / "sweep.csv"
+    write_sweep_json(spec, CHAIN6, start=-1e308, stop=1e308, count=3, partition="1,2,3|4,5,6")
+    code, out, err = run(capsys, "sweep", str(spec), "--out", str(out_csv))
+    assert_clean_failure(code, out, err)
+    assert err.splitlines() == [
+        "sympent: error: sweep grid needs finite start, stop and stop - start, got [-1e+308, 1e+308]"
+    ]
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize(
+    "parameter,fixed",
+    [("lambda", ["m=1", "omega=1"]), ("omega", ["m=1", "lambda=0.5"]), ("m", ["omega=1", "lambda=0.5"])],
+)
+def test_sweep_model_line_names_every_parameter_it_does_not_sweep(capsys, tmp_path, parameter, fixed):
+    spec = tmp_path / "sweep.json"
+    out_csv = tmp_path / "sweep.csv"
+    write_sweep_json(spec, CHAIN6, parameter=parameter, start=0.5, stop=2.0, count=3, partition="1,2,3|4,5,6")
+    assert run(capsys, "sweep", str(spec), "--out", str(out_csv))[0] == 0
+    model_line = read_csv_rows(out_csv)[0][1].split()
+    assert model_line[:5] == ["#", "model_type=chain", "n=6", *fixed]
+    assert model_line[5:7] == ["boundary=periodic", f"parameter={parameter}"]
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "outdir"])
+def test_out_errors_name_the_given_path(capsys, tmp_path, monkeypatch, target):
+    # a missing directory, or a directory as the target: the error names the
+    # path given, not the temporary file, and no file is left behind
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outdir").mkdir()
+    (tmp_path / "chain.json").write_text(json.dumps(CHAIN6), encoding="utf-8")
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    code, out, err = run(capsys, "spectrum", "chain.json", "--out", target)
+    assert_clean_failure(code, out, err)
+    assert f"'{target}'" in err and ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
 
 
 def test_sweep_grid_may_have_max_points():

@@ -226,28 +226,28 @@ def test_entropy_rejects_mismatched_partition():
         entanglement_entropy(vacuum(3), ModePartition.from_string("1|2"))
 
 
-def test_mismatched_partition_fails_before_the_full_state_pass(linalg_calls, factor_rows_calls):
+def test_mismatched_partition_fails_before_the_full_state_pass(linalg_calls, cut_grams_calls):
     # unphysical and over the wrong mode count: the cheap partition check names the cause
     with pytest.raises(InvalidPartitionError, match="partition is over 2 modes"):
         entanglement_entropy(0.4 * np.eye(6), ModePartition.from_string("1|2"))
     assert linalg_calls == []
-    # a model's reduction reads its factor rows, which are never computed
+    # a model's reduction reads its Gram pair, which is never computed
     model = chain_model(3, 1.0, 1.0, 0.8, "open")
     with pytest.raises(InvalidPartitionError, match="partition is over 2 modes but the state has 3"):
         entanglement_entropy(model, ModePartition.from_string("1|2"))
-    assert factor_rows_calls == []
+    assert cut_grams_calls == []
     assert linalg_calls == []
 
 
-def test_unknown_base_fails_before_the_verdict_and_any_solve(linalg_calls, factor_rows_calls):
+def test_unknown_base_fails_before_the_verdict_and_any_solve(linalg_calls, cut_grams_calls):
     model = chain_model(8, 1.0, 1.0, 0.5, "periodic")
     gamma = ground_state_covariance(chain_model(8, 1.0, 1.0, 0.5, "periodic"))
     partition = ModePartition.from_sides(range(1, 5), range(5, 9))
-    del factor_rows_calls[:]  # those of ground_state_covariance
+    del cut_grams_calls[:]  # those of ground_state_covariance
     for state in (gamma, model):
         with pytest.raises(ValueError, match="unknown log base 'foo'"):
             entanglement_entropy(state, partition, base="foo")
-    assert factor_rows_calls == []
+    assert cut_grams_calls == []
     assert linalg_calls == []
 
 
@@ -264,8 +264,8 @@ def test_chain_entropy_decomposes_each_state_once(linalg_calls):
 
 def test_certified_report_replaces_the_full_state_pass(linalg_calls, linalg_shapes):
     # one solve of the cut's smaller side, A or B, from the Gram pair of its
-    # factor rows: two Cholesky and one SVD of 6 x 6; neither the certificate
-    # nor the reduction runs an eigensolver
+    # sites: two Cholesky and one SVD of 6 x 6; neither the chain nor the
+    # reduction runs an eigensolver
     model = chain_model(16, 1.0, 1.0, 0.8, "periodic")
     for sides in ((range(1, 7), range(7, 17)), (range(7, 17), range(1, 7))):
         partition = ModePartition.from_sides(*sides)

@@ -25,13 +25,16 @@ from sympent import (
     validate,
 )
 from sympent.cli import main
-from sympent.models import _factor_rows, _laplacian_modes
-from sympent.symplectic import _fix_phases
+from sympent.models import _factor_rows
+
+from conftest import formula_modes
 
 
 def modes_potential(model):
-    """O diag(w^2) O^T, the potential V that a model's normal modes stand for."""
-    return (model.eigenvectors * model.frequencies**2) @ model.eigenvectors.T
+    """The potential V that a model's ground state stands for: its
+    P = (m/2) V^(1/2) (``ground_state_covariance``) gives V = (2 P / m)^2."""
+    root = ground_state_covariance(model)[model.n :, model.n :] * (2.0 / model.mass)
+    return root @ root
 
 
 def test_uncoupled_potential_is_diagonal():
@@ -51,8 +54,13 @@ def test_reference_potential_and_normal_modes():
     np.testing.assert_allclose(np.abs(vecs[:, 1]), [1.0, 1.0] / np.sqrt(2.0), atol=1e-12)
     assert np.sign(vecs[0, 1]) != np.sign(vecs[1, 1])
     np.testing.assert_allclose(model.frequencies, [1.0, 3.0], atol=1e-12)
-    # closed-form modes: eigh's columns up to sign
-    np.testing.assert_allclose(model.eigenvectors, vecs * np.sign(vecs[0]), atol=1e-15)
+    # closed-form correlators: the ground state of eigh's modes
+    np.testing.assert_allclose(
+        ground_state_covariance(model),
+        ground_state_covariance(QuadraticModel(1.0, np.sqrt(w), vecs)),
+        rtol=0,
+        atol=1e-15,
+    )
 
 
 def test_alpha_and_reduced_sigma():
@@ -125,8 +133,8 @@ def test_chain_of_two_matches_two_oscillator():
     np.testing.assert_allclose(
         modes_potential(chain), omega**2 * np.eye(2) + (2.0 * lam / m) * coupling, rtol=0, atol=1e-14
     )
+    assert chain == pair
     np.testing.assert_array_equal(chain.frequencies, pair.frequencies)
-    np.testing.assert_array_equal(chain.eigenvectors, pair.eigenvectors)
     np.testing.assert_array_equal(
         ground_state_covariance(chain), ground_state_covariance(pair)
     )
@@ -159,23 +167,6 @@ def bond_loop_potential(n, m, omega, lam, boundary):
     return omega**2 * np.eye(n) + (2.0 * lam / m) * lap
 
 
-def formula_modes(n, boundary):
-    """The closed-form Laplacian modes, column by column from unreduced angles."""
-    j = np.arange(n)
-    if boundary == "open":
-        cols = [np.full(n, 1.0 / np.sqrt(n))]
-        cols += [np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * j + 1) / (2 * n)) for k in range(1, n)]
-        return [4.0 * np.sin(np.pi * k / (2 * n)) ** 2 for k in range(n)], np.array(cols).T
-    ks, cols = [0], [np.full(n, 1.0 / np.sqrt(n))]
-    for k in range(1, (n + 1) // 2):
-        ks += [k, k]
-        cols += [np.sqrt(2.0 / n) * f(2.0 * np.pi * k * j / n) for f in (np.cos, np.sin)]
-    if n % 2 == 0:
-        ks.append(n // 2)
-        cols.append((-1.0) ** j / np.sqrt(n))
-    return [4.0 * np.sin(np.pi * k / n) ** 2 for k in ks], np.array(cols).T
-
-
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 16, 64, 256, 1024])
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
 def test_closed_form_modes_match_eigh(n, boundary):
@@ -183,42 +174,24 @@ def test_closed_form_modes_match_eigh(n, boundary):
     m, omega, lam = 1.3, 0.9, 0.7
     model = chain_model(n, m, omega, lam, boundary)
     v = bond_loop_potential(n, m, omega, lam, boundary)
-    w, vecs = model.frequencies, model.eigenvectors
+    w = model.frequencies
     eig_w = np.linalg.eigh(v)[0]
     assert np.max(np.abs(w - np.sqrt(eig_w))) <= 1e-14 * w[-1]
-    assert np.max(np.abs(vecs.T @ vecs - np.eye(n))) <= 2e-15
-    assert np.max(np.abs(v @ vecs - vecs * w**2)) <= 4 * np.finfo(float).eps * w[-1] ** 2
-    # ascending; each ring pair is one k, cos then sin, k ascending
+    # ascending; each ring pair is one k, k ascending
     assert np.all(np.diff(w) >= 0.0)
     mu, cols = formula_modes(n, boundary)
     np.testing.assert_allclose(w, np.sqrt(omega**2 + (2.0 * lam / m) * np.array(mu)), rtol=1e-15)
-    # unreduced angles lose up to ~2.5e-14 at n = 1024, and 1e-13 in orthogonality
-    np.testing.assert_allclose(vecs, cols, rtol=0, atol=5e-14)
     if boundary == "periodic":
         pairs = (n - 1) // 2
         np.testing.assert_array_equal(w[1 : 2 * pairs : 2], w[2 : 2 * pairs + 1 : 2])
-    # every column already leads with a positive entry: the sign rule is the identity
-    np.testing.assert_array_equal(_fix_phases(vecs), vecs)
-
-
-@pytest.mark.parametrize("boundary", ["open", "periodic"])
-def test_chains_of_one_size_share_one_read_only_mode_table(boundary):
-    n = 64
-    a = chain_model(n, 1.0, 1.0, 0.5, boundary)
-    b = chain_model(n, 1.0, 1.0, 2.0, boundary)
-    assert b.eigenvectors is a.eigenvectors
-    mu, vecs = _laplacian_modes.__wrapped__(n, boundary)
-    for model, lam in ((a, 0.5), (b, 2.0)):
-        np.testing.assert_array_equal(model.eigenvectors, vecs)
-        np.testing.assert_array_equal(model.frequencies, np.sqrt(1.0 + 2.0 * lam * mu))
-    with pytest.raises(ValueError):
-        a.eigenvectors[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        _laplacian_modes(n, boundary)[0][0] = 1.0
-    # another size replaces the kept table; its own modes are still exact
-    c = chain_model(n + 1, 1.0, 1.0, 0.5, boundary)
-    np.testing.assert_array_equal(c.eigenvectors, _laplacian_modes.__wrapped__(n + 1, boundary)[1])
-    assert chain_model(n, 1.0, 1.0, 0.5, boundary).eigenvectors is not a.eigenvectors
+    # the formula's columns are V's normal modes, and the chain's FFT
+    # correlators are their ground state's: measured at most 1.3e-15 of
+    # max|Gamma| on this grid
+    assert np.max(np.abs(cols.T @ cols - np.eye(n))) <= 2e-15
+    assert np.max(np.abs(v @ cols - cols * w**2)) <= 4 * np.finfo(float).eps * w[-1] ** 2
+    want = ground_state_covariance(QuadraticModel(m, w, cols))
+    got = ground_state_covariance(model)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
 
 
 def exact_cut_excess(v, m, size):
@@ -360,16 +333,48 @@ def test_padded_sweep_row_matches_the_exact_model(tmp_path, boundary, lam):
     assert max(abs(float(g - 0.5 - w)) for g, w in zip(sigmas, want)) <= 1e-14
 
 
+def exact_sigma(x, p):
+    """sigma, descending, of the state X (+) P given as mpmath matrices:
+    sigma^2 are the eigenvalues of X P, and so of L^T P L with X = L L^T."""
+    low = mpmath.cholesky(x)
+    squares = mpmath.eigsy(low.T * p * low, eigvals_only=True)
+    return sorted((mpmath.sqrt(s) for s in squares), reverse=True)
+
+
 def exact_gram_sigma(model, keep):
     """sigma of the reduction to the kept modes, descending, at 60 digits from
-    the same rounded factor rows the model route reads: sigma^2 are the
-    eigenvalues of X P, and so of L^T P L with X = L L^T."""
+    the same rounded factor rows the model route reads."""
     q, r = _factor_rows(model, [k - 1 for k in keep])
     with mpmath.workdps(60):
         q_a, r_a = mpmath.matrix(q.tolist()), mpmath.matrix(r.tolist())
-        low = mpmath.cholesky(q_a * q_a.T / 2)
-        squares = mpmath.eigsy(low.T * (r_a * r_a.T / 2) * low, eigvals_only=True)
-        return sorted((mpmath.sqrt(s) for s in squares), reverse=True)
+        return exact_sigma(q_a * q_a.T / 2, r_a * r_a.T / 2)
+
+
+def exact_chain_sigma(n, m, omega, lam, boundary, keep):
+    """sigma of a chain's reduction to the kept sites, descending, at 50
+    digits from the closed form alone: X_ij = sum_k O_ik O_jk / (2 m w_k) and
+    P_ij = sum_k O_ik O_jk m w_k / 2 over the path's DCT-II or the ring's
+    Fourier modes O, with w_k^2 = omega^2 + (8 lam / m) sin^2(pi k / N)."""
+    with mpmath.workdps(50):
+        m, omega, lam = mpmath.mpf(m), mpmath.mpf(omega), mpmath.mpf(lam)
+        period = n if boundary == "periodic" else 2 * n
+
+        def mode(j, k):  # O_jk: DCT-II on the path, the Hartley basis on the ring
+            if boundary == "open":
+                angle = mpmath.mpf(k * (2 * j + 1)) / (2 * n)
+                return mpmath.sqrt(mpmath.mpf(2 - (k == 0)) / n) * mpmath.cospi(angle)
+            angle = mpmath.mpf(2 * k * j) / n
+            return (mpmath.cospi(angle) + mpmath.sinpi(angle)) / mpmath.sqrt(n)
+
+        w = [mpmath.sqrt(omega**2 + 8 * lam / m * mpmath.sinpi(mpmath.mpf(k) / period) ** 2) for k in range(n)]
+        rows = [[mode(j - 1, k) for k in range(n)] for j in keep]
+        x, p = mpmath.matrix(len(keep)), mpmath.matrix(len(keep))
+        for a, row_a in enumerate(rows):
+            for b, row_b in enumerate(rows):
+                pair = [u * v for u, v in zip(row_a, row_b)]
+                x[a, b] = mpmath.fsum(u / wk for u, wk in zip(pair, w)) / (2 * m)
+                p[a, b] = mpmath.fsum(u * wk for u, wk in zip(pair, w)) * m / 2
+        return exact_sigma(x, p)
 
 
 def paired_potential(pairs):
@@ -383,29 +388,33 @@ def paired_potential(pairs):
 
 
 @pytest.mark.parametrize(
-    "build,keep",
+    "chain,keep",
     [
-        (lambda: chain_model(40, 1.0, 1e-5, 10.0, "open"), range(1, 6)),
-        (lambda: chain_model(40, 1.0, 1e-5, 10.0, "open"), range(1, 13)),
-        (lambda: chain_model(40, 1.0, 1e-4, 1.0, "periodic"), range(1, 21)),
+        ((40, 1.0, 1e-5, 10.0, "open"), range(1, 6)),
+        ((40, 1.0, 1e-5, 10.0, "open"), range(1, 13)),
+        ((40, 1.0, 1e-4, 1.0, "periodic"), range(1, 21)),
+        ((41, 1.0, 1e-5, 10.0, "open"), range(1, 14)),
+        ((41, 1.0, 1e-4, 1.0, "periodic"), range(1, 21)),
+        ((16, 1.0, 1.0, 1.0, "periodic"), range(1, 9)),
         # w_max / w_min = 1e6, V's condition limit; one whole pair and one mode
-        (
-            lambda: QuadraticModel.from_potential(
-                1e-3, paired_potential([(1.0, 1e6), (10.0, 1e4), (3.0, 3e3)])
-            ),
-            [1, 2, 3],
-        ),
+        (None, [1, 2, 3]),
     ],
-    ids=["open-5", "open-12", "periodic-20", "pairs"],
+    ids=["open-5", "open-12", "periodic-20", "open-odd-13", "periodic-odd-20", "gapped-8", "pairs"],
 )
-def test_model_route_at_the_envelope_edge_matches_mpmath(build, keep):
+def test_model_route_at_the_envelope_edge_matches_mpmath(chain, keep):
     # the Gram/Cholesky route of a model reduction, at condition numbers of
-    # X_A and P_A up to w_max / w_min ~ 1e6; measured worst 1.4e-11, as the
-    # eigenfactor route of the same Gamma_A (1.3e-11)
-    model = build()
+    # X_A and P_A up to w_max / w_min ~ 1e6: a near-critical chain against
+    # its 50-digit closed form, a direct model against its own factor rows
+    # at 60 digits. Measured worst 2.7e-12 (chains; 2.1e-16 gapped) and
+    # 1.4e-11 (pairs, as the eigenfactor route of the same Gamma_A, 1.3e-11)
+    if chain is None:
+        model = QuadraticModel.from_potential(1e-3, paired_potential([(1.0, 1e6), (10.0, 1e4), (3.0, 3e3)]))
+        want = exact_gram_sigma(model, keep)
+    else:
+        model = chain_model(*chain)
+        want = exact_chain_sigma(*chain, keep)
     side_b = sorted(set(range(1, model.n + 1)) - set(keep))
     got = entanglement_entropy(model, ModePartition.from_sides(keep, side_b)).spectrum_a
-    want = exact_gram_sigma(model, keep)
     assert max(abs(float(g - w)) for g, w in zip(got, want)) <= 1e-10
 
 
@@ -526,8 +535,8 @@ def test_potential_is_decomposed_once_per_model(linalg_calls):
 
 
 def test_chain_build_allocates_no_n_by_n_array():
-    # with the mode table cached, a chain is its n frequencies: a few
-    # length-n arrays, where a dense V alone would take 8 n^2 bytes = 8 MiB
+    # a chain is its five parameters: less than one length-n array, where a
+    # dense V alone would take 8 n^2 bytes = 8 MiB
     n = 1024
     chain_model(n, 1.0, 1.0, 0.5, "periodic")
     tracemalloc.start()
@@ -537,44 +546,12 @@ def test_chain_build_allocates_no_n_by_n_array():
     finally:
         tracemalloc.stop()
     assert model.n == n
-    assert held <= peak <= 64 * n
-
-
-def test_a_chain_table_is_checked_once_and_any_other_array_every_build(monkeypatch):
-    # the certificate's one residual test runs when a chain table is made,
-    # not again for the chains that share it; a writeable copy of that
-    # table is checked on every build
-    checks = []
-    real = models._require_residuals
-    monkeypatch.setattr(models, "_require_residuals", lambda *a: checks.append(a[1]) or real(*a))
-    _laplacian_modes.cache_clear()
-    for lam in (0.5, 1.0, 2.0):
-        model = chain_model(32, 1.0, 1.0, lam, "open")
-    assert checks == [32]
-    for _ in range(2):
-        QuadraticModel(1.0, model.frequencies, model.eigenvectors.copy())
-    assert checks == [32] * 3
-
-
-def test_a_spoiled_copy_of_the_chain_table_fails_the_build(monkeypatch):
-    # a stand-in for the cached table is an array like any other: checked
-    real = models._laplacian_modes
-
-    def spoiled(n, boundary):
-        mu, vecs = real(n, boundary)
-        vecs = vecs.copy()
-        vecs[0, 0] += 1e-6
-        return mu, vecs
-
-    monkeypatch.setattr(models, "_laplacian_modes", spoiled)
-    for _ in range(2):
-        with pytest.raises(ParameterError, match="model ground-state certificate exceeded"):
-            chain_model(8, 1.0, 1.0, 0.5, "periodic")
+    assert held <= peak < 8 * n
 
 
 def test_model_entropy_forms_no_n_by_n_array():
-    # a 16|1008 cut reads 16 rows of each factor: the full q and r would
-    # take 16 n^2 bytes = 16 MiB, one n x n array 8 MiB
+    # a 16|1008 cut gathers its 16 x 16 Gram pair from two length-2n FFT
+    # outputs: one n x n array would take 8 n^2 bytes = 8 MiB
     n = 1024
     model = chain_model(n, 1.0, 1.0, 0.5, "periodic")
     partition = ModePartition.from_sides(range(1, 17), range(17, n + 1))
@@ -644,11 +621,13 @@ def test_model_refuses_complex_input(build, what):
 
 
 def test_two_oscillator_normal_modes():
-    # the centre-of-mass mode (1, 1)/sqrt 2, then the relative mode (1, -1)/sqrt 2,
-    # each column up to sign
-    vecs = chain_model(2, 1.0, 1.0, 2.0).eigenvectors
+    # the centre-of-mass mode (1, 1)/sqrt 2 at omega, then the relative mode
+    # (1, -1)/sqrt 2 at sqrt(omega^2 + 4 lam / m): X = O diag(1/(2 m w)) O^T
+    model = chain_model(2, 1.0, 1.0, 2.0)
+    np.testing.assert_allclose(model.frequencies, [1.0, 3.0], rtol=1e-15)
     o = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    np.testing.assert_allclose(np.abs(vecs.T @ o), np.eye(2), atol=1e-12)
+    x = ground_state_covariance(model)[:2, :2]
+    np.testing.assert_allclose(o.T @ x @ o, np.diag([0.5, 1.0 / 6.0]), atol=1e-12)
 
 
 def test_scaling_leaves_reduced_spectra_invariant():
@@ -763,18 +742,6 @@ def test_model_parameters_are_numbers_by_the_readers_rule(build, name):
         build()
 
 
-def test_two_oscillator_check_leaves_the_cached_chain_table_alone():
-    chain_model(256, 1.0, 1.0, 1.0, "periodic")
-    table = models._checked_table
-    before = _laplacian_modes.cache_info()
-    for lam in (0.5, 1.0, 2.0):
-        TwoOscillatorParams(1.0, 1.0, lam)
-        chain_model(256, 1.0, 1.0, lam, "periodic")
-    after = _laplacian_modes.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 3, before.misses)
-    assert models._checked_table is table
-
-
 def test_model_params_rejects_boolean_mode_count():
     with pytest.raises(MalformedInputError):
         ModelParams.from_json_dict(
@@ -783,14 +750,13 @@ def test_model_params_rejects_boolean_mode_count():
 
 
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
-def test_chain_check_reads_the_tables_largest_eigenvalue_bit_for_bit(boundary, monkeypatch):
-    # the chain check reads mu_max in closed form, with no table: at omega = 1 and
-    # 2 lam / m = 1, V's range must be [1, 1 + mu_max] with the table's own mu_max
+def test_chain_check_reads_the_largest_frequency_bit_for_bit(boundary, monkeypatch):
+    # the chain check reads mu_max of one wave number: at omega = 1 and
+    # 2 lam / m = 1, V's range must be [1, w_max^2] with the model's own w_max
     ranges = []
     monkeypatch.setattr(models, "_check_condition", lambda lo, hi: ranges.append((lo, hi)))
     for n in [*range(2, 70), 127, 128, 1023, 1024, 2047, 2048]:
-        mu = _laplacian_modes.__wrapped__(n, boundary)[0]
         for count in (n, np.int64(n)):
             ranges.clear()
-            models._check_chain(count, 1.0, 1.0, 0.5, boundary)
-            assert ranges[0] == (1.0, 1.0 + mu[-1]) and mu[-1] == mu.max()
+            w = chain_model(count, 1.0, 1.0, 0.5, boundary).frequencies
+            assert ranges[0][0] == 1.0 and math.sqrt(ranges[0][1]) == w[-1] == w.max()

@@ -32,7 +32,7 @@ from sympent import (
 )
 from sympent.models import _factor_rows
 
-from conftest import embed_symplectic, random_valid_covariance, two_mode_squeezed
+from conftest import embed_symplectic, formula_model, random_valid_covariance, two_mode_squeezed
 
 
 # --- physicality -----------------------------------------------------------
@@ -49,8 +49,8 @@ def test_vacuum_saturates_uncertainty_bound():
     "tol", [np.nan, np.inf, -np.inf, -1e-300, "1e-8", None, True],
     ids=["nan", "inf", "-inf", "-1e-300", "string", "none", "bool"],
 )
-def test_tol_must_be_finite_and_non_negative(linalg_calls, factor_rows_calls, tol):
-    # refused, naming the value, before any factor row or solve
+def test_tol_must_be_finite_and_non_negative(linalg_calls, cut_grams_calls, tol):
+    # refused, naming the value, before any Gram pair or solve
     model = chain_model(4, 1.0, 1.0, 0.5, "open")
     cause = re.escape(f"tol must be a finite number >= 0, got {tol!r}")
     for state in (vacuum(1), model):
@@ -58,7 +58,7 @@ def test_tol_must_be_finite_and_non_negative(linalg_calls, factor_rows_calls, to
             validate(state, tol)
     with pytest.raises(ParameterError, match=cause):
         entanglement_entropy(vacuum(2), ModePartition.from_string("1|2"), tol=tol)
-    assert factor_rows_calls == []
+    assert cut_grams_calls == []
     assert linalg_calls == []
 
 
@@ -222,7 +222,8 @@ def test_formed_ground_state_heisenberg_margin_is_zero(boundary, lam, n):
 @pytest.mark.parametrize("lam", [0.0, 0.01, 1.0, 100.0, 1e5])
 @pytest.mark.parametrize("boundary", ["open", "periodic"])
 def test_certificate_agrees_with_validate_on_chains(boundary, lam, n):
-    model = chain_model(n, 1.0, 1.0, lam, boundary)
+    # a direct model of a chain's normal modes: a chain has no eigenvectors
+    model = formula_model(n, 1.0, 1.0, lam, boundary)
     gamma = ground_state_covariance(model)
     # the build's residual max|U^T U - I|, and the residuals of the
     # Williamson transform it certifies, measured at most 2.8e-15 on this
@@ -250,7 +251,7 @@ RESIDUALS = r"residuals (\S+) \(congruence\), (\S+) \(symplectic\) against bound
 
 
 def test_perturbed_normal_modes_fail_the_certificate(linalg_calls):
-    model = chain_model(8, 1.0, 1.0, 0.8, "periodic")
+    model = formula_model(8, 1.0, 1.0, 0.8, "periodic")
     perturbed = model.eigenvectors.copy()
     perturbed[0, 0] += 1e-6
     # one entry moved by d, or one normal mode scaled by 1 + d: max|U^T U - I|
@@ -275,16 +276,16 @@ def test_certificate_refuses_other_states():
     # 1/0.9 (every sigma 0.556, mixed), X = q q^T / 2 and P = r r^T / 2 both
     # through U scaled by the root: a model's q and r share U, so the build
     # must refuse either
-    model = chain_model(4, 1.0, 1.0, 0.8, "open")
+    model = formula_model(4, 1.0, 1.0, 0.8, "open")
     for scale in (np.sqrt(0.9), 1 / np.sqrt(0.9)):
         with pytest.raises(ParameterError, match="certificate exceeded its rounding bound"):
             QuadraticModel(1.0, model.frequencies, scale * model.eigenvectors)
 
 
 def test_a_writeable_eigenvector_array_is_checked_on_every_build():
-    # only a read-only table is trusted after its first check: an array
-    # changed in place between two builds fails the second
-    model = chain_model(8, 1.0, 1.0, 0.8, "periodic")
+    # no array is trusted after its first check: an array changed in place
+    # between two builds fails the second
+    model = formula_model(8, 1.0, 1.0, 0.8, "periodic")
     vectors = model.eigenvectors.copy()
     assert QuadraticModel(1.0, model.frequencies, vectors).eigenvectors is vectors
     vectors[0, 0] += 1e-6
@@ -299,7 +300,7 @@ def test_certificate_rejects_non_finite_entries_as_the_solve_does(entry, value):
     # a Gamma with the non-finite entry with its MalformedInputError, and
     # the build of a model whose eigenvector rows that entry is built from
     # (row i mod n of U gives q_i and p_i) hold it with a ParameterError
-    model = chain_model(4, 1.0, 1.0, 0.8, "open")
+    model = formula_model(4, 1.0, 1.0, 0.8, "open")
     broken = ground_state_covariance(model)
     broken[entry] = value
     with pytest.raises(MalformedInputError, match="^matrix has a NaN or infinite entry$"):
@@ -366,7 +367,7 @@ def test_reduce_vacuum_factorizes():
 
 @pytest.mark.parametrize("keep", [[], [0], [3], [1, 1]])
 def test_reduce_rejects_bad_keep_lists(keep):
-    # one index check for a covariance matrix and a model's factor rows
+    # one index check for a covariance matrix and a model's Gram pair
     for state in (vacuum(2), chain_model(2, 1.0, 1.0, 0.5)):
         with pytest.raises(InvalidPartitionError):
             reduce(state, keep)
@@ -387,11 +388,13 @@ def test_bool_mode_index_is_refused(flag):
 
 @pytest.mark.parametrize("keep", [[2], [3, 1], [5, 2, 4], range(1, 7)])
 def test_model_reduction_is_its_ground_state_reduction(keep):
-    # rows of the factors against the submatrix of the formed Gamma: the
-    # same Gram entries, summed over all n modes in one order or another
+    # the chain's closed-form Gram pair against the submatrix of the formed
+    # Gamma of its direct model: the same entries, summed over all n modes
+    # by an FFT or by the factor rows
     model = chain_model(6, 1.0, 1.0, 1.7, "periodic")
     from_rows = reduce(model, keep)
-    np.testing.assert_allclose(from_rows, reduce(ground_state_covariance(model), keep), rtol=0, atol=1e-15)
+    gamma = ground_state_covariance(formula_model(6, 1.0, 1.0, 1.7, "periodic"))
+    np.testing.assert_allclose(from_rows, reduce(gamma, keep), rtol=0, atol=1e-15)
     k = len(from_rows) // 2
     assert not from_rows[:k, k:].any() and not from_rows[k:, :k].any()
     np.testing.assert_array_equal(from_rows, from_rows.T)
@@ -676,6 +679,22 @@ def test_json_accepts_integer_entries():
 def test_csv_rejects_missing_header():
     with pytest.raises(MalformedInputError):
         covariance_from_csv_text("0.5,0\n0,0.5\n")
+
+
+@pytest.mark.parametrize(
+    "header,accepted",
+    [("# sympent covariance n=1 ordering=qqpp", True), ("# sympent covariance\tn=1 ordering=qqpp", True),
+     ("# sympent covariancen=1 ordering=qqpp", False), ("# sympent covariances n=1 ordering=qqpp", False)],
+    ids=["space", "tab", "glued-tag", "glued-letter"],
+)
+def test_csv_header_prefix_ends_at_whitespace(header, accepted):
+    # "covariancen=1" once read as the tag n=1
+    text = header + "\n0.5,0\n0,0.5\n"
+    if accepted:
+        np.testing.assert_array_equal(covariance_from_csv_text(text), vacuum(1))
+        return
+    with pytest.raises(MalformedInputError, match="must start with a '# sympent covariance' header line"):
+        covariance_from_csv_text(text)
 
 
 def test_csv_rejects_wrong_ordering_tag():
